@@ -56,13 +56,13 @@ def main(argv=None) -> int:
     pretty = ", ".join(f"{size}x{count}" for size, count in sorted(histogram.items()))
     print(f"multiplet sizes (size x count): {pretty}")
 
-    ranked = sorted(range(report.size), key=lambda k: -report.measures[k].ipr)
+    m = report.measures
+    ranked = sorted(range(report.size), key=lambda k: -m.ipr[k])
     print(f"\n{args.top} most localized states:")
     print("  state  eigenvalue      ipr      com  nodes  label")
     for k in ranked[:args.top]:
-        m = report.measures[k]
-        print(f"  {k:>5}  {eig.values[k]:>10.6f}  {m.ipr:7.4f}  {m.com:7.1f}"
-              f"  {m.nodes:>5}  {labels[k]:>5}")
+        print(f"  {k:>5}  {eig.values[k]:>10.6f}  {m.ipr[k]:7.4f}  {m.com[k]:7.1f}"
+              f"  {m.nodes[k]:>5}  {labels[k]:>5}")
     return 0
 
 

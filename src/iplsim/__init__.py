@@ -14,13 +14,11 @@ from .profiles import (QUARTER_TURN, PROFILE_KINDS, ProfileSpec, PhaseProfile,
                        OnsiteSequence, realize_profile, linear_profile,
                        asymmetric_profile, constant_profile, revolution_profile,
                        random_phase_profile, random_onsite_sequence)
-from .hamiltonian import (CellParams, CellMatrix, cell_matrix, cell_matrix_psi,
-                          coupling_block, TridiagonalHamiltonian, assemble,
-                          assemble_onsite)
+from .hamiltonian import (CellParams, CellMatrix, cell_matrix, TridiagonalHamiltonian,
+                          assemble, assemble_onsite)
 from .eigensolver import (EigenSystem, SolverError, eigh_tridiagonal, dense_oracle,
                           node_count, eigenvalue_count_below)
-from .measures import (StateMeasures, SpacingSpectrum, ipr, cfs, center_of_mass,
-                       edge_weights, spacing_spectrum, state_measures)
+from .measures import StateMeasures, SpacingSpectrum, spacing_spectrum, state_measures
 from .analysis import (AnalysisThresholds, BandPartition, SubdomainLabels,
                        Multiplet, MultipletReport, EigenstateMap, SpectralReport,
                        detect_bands, classify_states, delocalized_fraction,

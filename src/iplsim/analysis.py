@@ -16,6 +16,10 @@ import numpy as np
 from .eigensolver import EigenSystem
 from .measures import SpacingSpectrum, StateMeasures, spacing_spectrum, state_measures
 
+# states per state_measures call: its temporaries (a few copies of the block)
+# stay a small fraction of the stored eigenvector matrix
+MEASURE_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class AnalysisThresholds:
@@ -134,8 +138,8 @@ def detect_bands(values: np.ndarray, gamma: float = 20.0) -> BandPartition:
     return BandPartition(bands=bands, gaps=gaps, low_confidence=low_confidence)
 
 
-def classify_states(eig: EigenSystem, bands: BandPartition,
-                    n_b: int = 2, tau: float = 3e-5) -> SubdomainLabels:
+def classify_states(measures: StateMeasures, bands: BandPartition,
+                    tau: float = 3e-5) -> SubdomainLabels:
     """Label each state A/B/C within its band from its edge weights.
 
     A state is localized when it fails to reach at least one lattice edge,
@@ -143,11 +147,8 @@ def classify_states(eig: EigenSystem, bands: BandPartition,
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
-    n = eig.size
-    prob = eig.vectors**2
-    w_left = prob[:n_b].sum(axis=0)
-    w_right = prob[n - n_b:].sum(axis=0)
-    localized = np.minimum(w_left, w_right) < tau
+    n = measures.w_left.size
+    localized = np.minimum(measures.w_left, measures.w_right) < tau
 
     labels = np.full(n, "A", dtype="<U1")
     crossovers: list[tuple[int, int] | None] = []
@@ -261,7 +262,7 @@ class SpectralReport:
 
     values: np.ndarray
     spacings: SpacingSpectrum
-    measures: tuple[StateMeasures, ...]
+    measures: StateMeasures
     bands: BandPartition
     labels: SubdomainLabels
     multiplets: MultipletReport
@@ -283,12 +284,13 @@ def analyze(eig: EigenSystem, thresholds: AnalysisThresholds | None = None,
     if expect_two_bands and len(bands.bands) != 2:
         warnings.warn(f"expected 2 bands for a two-level cell lattice, found {len(bands.bands)}",
                       stacklevel=2)
-    labels = classify_states(eig, bands, n_b=th.n_b, tau=th.tau)
-    measures = tuple(state_measures(eig.vectors[:, k], n_b=th.n_b,
-                                    amplitude_floor=th.amplitude_floor)
-                     for k in range(eig.size))
-    nodes = np.array([m.nodes for m in measures])
-    multiplets = detect_multiplets(spacings, bands, delta_rel=th.delta_rel, node_counts=nodes)
+    measures = StateMeasures.concatenate([
+        state_measures(eig.vectors[:, k:k + MEASURE_BLOCK], n_b=th.n_b,
+                       amplitude_floor=th.amplitude_floor)
+        for k in range(0, eig.size, MEASURE_BLOCK)])
+    labels = classify_states(measures, bands, tau=th.tau)
+    multiplets = detect_multiplets(spacings, bands, delta_rel=th.delta_rel,
+                                   node_counts=measures.nodes)
 
     band_of = np.empty(eig.size, dtype=int)
     for i, band in enumerate(bands.bands):

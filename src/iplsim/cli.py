@@ -8,7 +8,9 @@ list-presets. Exit codes: 0 success, 2 usage, 3 solver failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -25,23 +27,42 @@ from .hamiltonian import CellParams
 from .profiles import QUARTER_TURN, ProfileSpec
 
 _ANGLE_CHARS = re.compile(r"^[0-9epi+\-*/(). ]+$")
+_ANGLE_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                 ast.Mult: operator.mul, ast.Div: operator.truediv}
+_ANGLE_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
 class UsageError(ValueError):
     """Bad flags or flag combinations; maps to exit code 2."""
 
 
+def _angle_value(node: ast.AST) -> float:
+    # only numbers, pi, unary +/-, + - * / and parentheses; anything else
+    # (powers, names, calls) is refused before it is evaluated
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _ANGLE_UNARY:
+        return _ANGLE_UNARY[type(node.op)](_angle_value(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _ANGLE_BINOPS:
+        return _ANGLE_BINOPS[type(node.op)](_angle_value(node.left), _angle_value(node.right))
+    raise ValueError("unsupported angle syntax")
+
+
 def parse_angle(text: str) -> float:
     """Angles as decimals or pi expressions: '0.785', 'pi/4', '3*pi/8', '3pi/8'."""
     t = text.strip().replace(" ", "")
-    if not t or not _ANGLE_CHARS.match(t):
+    if not _ANGLE_CHARS.match(t):
         raise UsageError(f"cannot parse angle {text!r}")
     t = re.sub(r"(\d)pi", r"\1*pi", t)
     try:
-        value = eval(t, {"__builtins__": {}}, {"pi": math.pi})
-        return float(value)
-    except Exception:
+        value = float(_angle_value(ast.parse(t, mode="eval").body))
+    except (SyntaxError, ValueError, ZeroDivisionError, OverflowError, RecursionError):
         raise UsageError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"angle {text!r} is not finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -153,7 +174,12 @@ def _sites_to_cells(flags) -> int:
     return cells
 
 
-def _validate_run(flags) -> None:
+def _thresholds(flags) -> AnalysisThresholds:
+    return AnalysisThresholds(n_b=flags["nb"], tau=flags["tau"],
+                              gamma=flags["gamma"], delta_rel=flags["delta_rel"])
+
+
+def _run_profile(flags) -> ProfileSpec:
     cells = _sites_to_cells(flags)
     kind = flags["profile"].replace("-", "_")
     phi_start, phi_end = flags.get("phi_start"), flags.get("phi_end")
@@ -168,42 +194,36 @@ def _validate_run(flags) -> None:
         if phi_start is not None:
             if center is not None:
                 raise UsageError("--center conflicts with explicit --phi-start/--phi-end")
-            spec = ProfileSpec("linear", cells, phi_start=phi_start, phi_end=phi_end)
-        else:
-            center = QUARTER_TURN if center is None else center
-            lf = 1.0 if lf is None else lf
-            if lf <= 0:
-                raise UsageError("--lf must be positive")
-            width = QUARTER_TURN / lf
-            spec = ProfileSpec("linear", cells, phi_start=center - width / 2,
-                               phi_end=center + width / 2, lf=lf)
-    elif kind == "revolutions":
+            return ProfileSpec("linear", cells, phi_start=phi_start, phi_end=phi_end)
+        return ProfileSpec.linear(QUARTER_TURN if center is None else center,
+                                  1.0 if lf is None else lf, cells)
+    if kind == "revolutions":
         if phi_start is None or phi_end is None:
             raise UsageError("revolutions profile needs --phi-start and --phi-end")
         if lf is not None or center is not None:
             raise UsageError("--lf/--center apply to linear profiles only")
-        spec = ProfileSpec("revolutions", cells, phi_start=phi_start, phi_end=phi_end,
+        return ProfileSpec("revolutions", cells, phi_start=phi_start, phi_end=phi_end,
                            revolutions=flags.get("revolutions") or 1)
-    elif kind == "random_phase":
+    if kind == "random_phase":
         if phi_start is None or phi_end is None:
             raise UsageError("random-phase profile needs --phi-start and --phi-end")
         if flags.get("seed") is None:
             raise UsageError("random-phase profile needs --seed")
-        spec = ProfileSpec("random_phase", cells, phi_start=phi_start, phi_end=phi_end,
+        return ProfileSpec("random_phase", cells, phi_start=phi_start, phi_end=phi_end,
                            seed=flags["seed"])
-    else:
-        if phi_start is not None or phi_end is not None or center is not None or lf is not None:
-            raise UsageError("random-onsite carries no phases; drop the angle flags")
-        if flags.get("seed") is None:
-            raise UsageError("random-onsite profile needs --seed")
-        spec = ProfileSpec("random_onsite", cells, seed=flags["seed"])
+    if phi_start is not None or phi_end is not None or center is not None or lf is not None:
+        raise UsageError("random-onsite carries no phases; drop the angle flags")
+    if flags.get("seed") is None:
+        raise UsageError("random-onsite profile needs --seed")
+    return ProfileSpec("random_onsite", cells, seed=flags["seed"])
 
+
+def _validate_run(flags) -> None:
     try:
         flags["config"] = RunConfig(
             params=CellParams(flags["d1"], flags["d2"], flags["eps"]),
-            profile=spec,
-            thresholds=AnalysisThresholds(n_b=flags["nb"], tau=flags["tau"],
-                                          gamma=flags["gamma"], delta_rel=flags["delta_rel"]),
+            profile=_run_profile(flags),
+            thresholds=_thresholds(flags),
             map_selection=flags["map_selection"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -217,14 +237,10 @@ def _validate_sweep(flags) -> None:
     center = QUARTER_TURN if center is None else center
     if flags["points"] < 2 or flags["lf_min"] <= 0 or flags["lf_max"] <= flags["lf_min"]:
         raise UsageError("need points >= 2 and 0 < lf-min < lf-max")
-    width = QUARTER_TURN / flags["lf_min"]
-    spec = ProfileSpec("linear", cells, phi_start=center - width / 2,
-                       phi_end=center + width / 2, lf=flags["lf_min"])
     flags["config"] = RunConfig(
         params=CellParams(flags["d1"], flags["d2"], flags["eps"]),
-        profile=spec,
-        thresholds=AnalysisThresholds(n_b=flags["nb"], tau=flags["tau"],
-                                      gamma=flags["gamma"], delta_rel=flags["delta_rel"]),
+        profile=ProfileSpec.linear(center, flags["lf_min"], cells),
+        thresholds=_thresholds(flags),
         label="sweep")
     flags["lf_values"] = [float(x) for x in
                           np.logspace(math.log10(flags["lf_min"]),

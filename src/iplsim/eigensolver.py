@@ -150,27 +150,25 @@ def _certify(diag, offdiag, values, vectors) -> EigenSystem:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """First component with magnitude above the floor is made positive (reproducibility)."""
-    vectors = vectors.copy()
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        significant = np.nonzero(np.abs(col) > SIGN_FLOOR)[0]
-        if significant.size and col[significant[0]] < 0.0:
-            vectors[:, k] = -col
-    return vectors
+    significant = np.abs(vectors) > SIGN_FLOOR
+    lead = vectors[np.argmax(significant, axis=0), np.arange(vectors.shape[1])]
+    flip = significant.any(axis=0) & (lead < 0.0)
+    return vectors * np.where(flip, -1.0, 1.0)
 
 
-def node_count(vector: np.ndarray, amplitude_floor: float = 1e-8) -> int:
+def node_count(vectors: np.ndarray, amplitude_floor: float = 1e-8):
     """Sign changes between consecutive components that both clear the amplitude floor.
 
     The floor is relative to the largest component; it suppresses sign noise in
     the numerically zero tails of strongly localized states. Pass 0 to count
-    every strict sign change (the Sturm-oscillation regime).
+    every strict sign change (the Sturm-oscillation regime). A (sites x states)
+    block gives one count per column; a single vector gives an int.
     """
-    v = np.asarray(vector, dtype=float)
-    floor = amplitude_floor * float(np.max(np.abs(v)))
-    significant = np.abs(v) > floor
+    v = np.asarray(vectors, dtype=float)
+    significant = np.abs(v) > amplitude_floor * np.max(np.abs(v), axis=0)
     both = significant[:-1] & significant[1:]
-    return int(np.sum(both & (v[:-1] * v[1:] < 0.0)))
+    counts = np.sum(both & (v[:-1] * v[1:] < 0.0), axis=0)
+    return int(counts) if v.ndim == 1 else counts
 
 
 def eigenvalue_count_below(h, shift: float) -> int:

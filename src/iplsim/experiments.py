@@ -54,12 +54,6 @@ class Preset:
     sweep_lf_values: tuple[float, ...] | None = None
 
 
-def _linear(center: float, lf: float, cells: int) -> ProfileSpec:
-    width = QUARTER_TURN / lf
-    return ProfileSpec("linear", cells, phi_start=center - width / 2,
-                       phi_end=center + width / 2, lf=lf)
-
-
 def _preset(name: str, note: str, *, d1: float = 1.0, d2: float = 2.0, eps: float,
             profile: ProfileSpec, map_selection: str = "band:0",
             sweep: tuple[float, ...] | None = None) -> Preset:
@@ -72,13 +66,13 @@ _SWEEP_GRID = tuple(float(x) for x in np.logspace(math.log10(0.5), 2.0, 25))
 
 PRESETS: dict[str, Preset] = {p.name: p for p in (
     _preset("fig1", "symmetric linear grid, unit focusing, 1002 sites",
-            eps=0.2, profile=_linear(QUARTER_TURN, 1.0, 501)),
+            eps=0.2, profile=ProfileSpec.linear(QUARTER_TURN, 1.0, 501)),
     _preset("fig2_3", "symmetric linear grid at map-friendly size, 402 sites",
-            eps=0.2, profile=_linear(QUARTER_TURN, 1.0, 201)),
+            eps=0.2, profile=ProfileSpec.linear(QUARTER_TURN, 1.0, 201)),
     _preset("fig4", "half focusing, strong coupling: almost fully localized",
-            eps=0.3, profile=_linear(QUARTER_TURN, 0.5, 151)),
+            eps=0.3, profile=ProfileSpec.linear(QUARTER_TURN, 0.5, 151)),
     _preset("fig4_inset_sweep", "focusing sweep base lattice, 1002 sites",
-            eps=0.2, profile=_linear(QUARTER_TURN, 0.5, 501), sweep=_SWEEP_GRID),
+            eps=0.2, profile=ProfileSpec.linear(QUARTER_TURN, 0.5, 501), sweep=_SWEEP_GRID),
     _preset("fig5", "random on-site comparison lattice (seeded coin flips)",
             eps=0.2, profile=ProfileSpec("random_onsite", 151, seed=11),
             map_selection="full"),
@@ -243,21 +237,10 @@ class SweepPoint:
     error: str = ""
 
 
-def _max_workers(n_points: int) -> int:
-    cap = os.environ.get("IPL_THREADS")
-    if cap is not None:
-        workers = int(cap)
-        if workers < 1:
-            raise ValueError("IPL_THREADS must be >= 1")
-    else:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_points))
-
-
 def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
     """Delocalized fraction vs focusing, one full pipeline run per grid value.
 
-    Points run in parallel (capped by IPL_THREADS) but the output order always
+    Points run in parallel, one thread per core, but the output order always
     follows the input order, and per-point failures become rows, not aborts.
     """
     lf_values = [float(x) for x in lf_values]
@@ -269,7 +252,7 @@ def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
 
     def point(lf: float) -> SweepPoint:
         try:
-            profile = _linear(center, lf, base.profile.cells)
+            profile = ProfileSpec.linear(center, lf, base.profile.cells)
             h = assemble(realize_profile(profile), base.params)
             eig = eigh_tridiagonal(h)
             report = analyze(eig, base.thresholds, expect_two_bands=True)
@@ -277,7 +260,8 @@ def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
         except Exception as exc:  # per-point isolation, sweep must go on
             return SweepPoint(lf=lf, fraction=None, error=f"{type(exc).__name__}: {exc}")
 
-    with ThreadPoolExecutor(max_workers=_max_workers(len(lf_values))) as pool:
+    workers = min(os.cpu_count() or 1, len(lf_values)) or 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(point, lf_values))
 
 
@@ -339,9 +323,8 @@ def preset_config(name: str, overrides: dict[str, Any] | None = None) -> RunConf
         if profile["kind"] != "linear":
             raise ValueError("lf override applies to linear profiles only")
         center = (profile["phi_start"] + profile["phi_end"]) / 2
-        width = QUARTER_TURN / float(overrides["lf"])
-        profile.update(phi_start=center - width / 2, phi_end=center + width / 2,
-                       lf=float(overrides["lf"]))
+        profile.update(ProfileSpec.linear(center, float(overrides["lf"]),
+                                          profile["cells"]).to_dict())
     for key in ("phi_start", "phi_end"):
         if key in overrides:
             profile[key] = float(overrides[key])

@@ -24,7 +24,6 @@ class CellParams:
     d1: float
     d2: float
     eps: float
-    swapped: bool = False
 
     def __post_init__(self):
         for name in ("d1", "d2", "eps"):
@@ -35,7 +34,6 @@ class CellParams:
             lo, hi = self.d2, self.d1
             object.__setattr__(self, "d1", lo)
             object.__setattr__(self, "d2", hi)
-            object.__setattr__(self, "swapped", True)
 
 
 @dataclass(frozen=True)
@@ -44,12 +42,11 @@ class CellMatrix:
 
     a11: float
     a12: float
-    a21: float
     a22: float
     phi: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]])
+        return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
 
 def cell_matrix(params: CellParams, phi: float) -> CellMatrix:
@@ -57,27 +54,8 @@ def cell_matrix(params: CellParams, phi: float) -> CellMatrix:
     c, s = math.cos(phi), math.sin(phi)
     d1, d2 = params.d1, params.d2
     off = (d2 - d1) * s * c
-    return CellMatrix(a11=d1 * c * c + d2 * s * s, a12=off, a21=off,
+    return CellMatrix(a11=d1 * c * c + d2 * s * s, a12=off,
                       a22=d1 * s * s + d2 * c * c, phi=phi)
-
-
-def cell_matrix_psi(params: CellParams, psi: float) -> CellMatrix:
-    """Cell in the offset/traceless parametrization; psi = 0 is the maximally mixed cell.
-
-    Identical to cell_matrix at phase psi + pi/4: the mean energy (d1+d2)/2 sits
-    on the diagonal as a global offset and the traceless remainder carries
-    +-(d2-d1)/2 sin(2 psi) on the diagonal and (d2-d1)/2 cos(2 psi) off it.
-    """
-    return cell_matrix(params, psi + math.pi / 4)
-
-
-def coupling_block(eps: float) -> np.ndarray:
-    """Intercell block: eps in the top-right corner, zero elsewhere.
-
-    Algebraically (eps/2)(sigma_x + i sigma_y); the imaginary parts cancel,
-    so the whole pipeline stays in real arithmetic.
-    """
-    return np.array([[0.0, eps], [0.0, 0.0]])
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ region from one smeared over the whole lattice at equal participation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,14 +18,34 @@ NORM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class StateMeasures:
-    """Scalar diagnostics for one normalized eigenstate."""
+    """Per-state diagnostics of a block of normalized eigenstates, one array per measure.
 
-    ipr: float
-    cfs: float
-    com: float
-    w_left: float
-    w_right: float
-    nodes: int
+    ipr: inverse participation ratio, sum of |psi_i|^4, in [1/N, 1].
+    cfs: cumulative Friedel sum |sum_n (exp(2 pi i P_n) + 1)| / (2N), with P_n
+        the cumulative probability up to site n; 1 for a single-site state,
+        1/2 for a uniform one (the phase factors run through all N-th roots of
+        unity and cancel).
+    com: probability-weighted mean site index (1-based, fractional).
+    w_left, w_right: probability mass in the first and last n_b sites.
+    nodes: sign changes, counted by ``node_count``.
+    """
+
+    ipr: np.ndarray
+    cfs: np.ndarray
+    com: np.ndarray
+    w_left: np.ndarray
+    w_right: np.ndarray
+    nodes: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
+
+    @classmethod
+    def concatenate(cls, blocks) -> "StateMeasures":
+        """Join the measures of consecutive state blocks."""
+        return cls(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
+                      for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -40,48 +60,6 @@ class SpacingSpectrum:
         object.__setattr__(self, "spacings", spacings)
 
 
-def _require_normalized(vector: np.ndarray) -> np.ndarray:
-    v = np.asarray(vector, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
-        raise ValueError("vector must be L2-normalized")
-    return v
-
-
-def ipr(vector: np.ndarray) -> float:
-    """Inverse participation ratio: sum of |psi_i|^4, in [1/N, 1]."""
-    v = _require_normalized(vector)
-    return float(np.sum(v**4))
-
-
-def cfs(vector: np.ndarray) -> float:
-    """Cumulative Friedel sum: |sum_n (exp(2 pi i P_n) + 1)| / (2N).
-
-    P_n is the cumulative probability up to site n. A single-site state gives 1
-    (all phase factors aligned); a uniform state gives 1/2 because the phase
-    factors run through all N-th roots of unity and cancel.
-    """
-    v = _require_normalized(vector)
-    p = np.cumsum(v**2)
-    total = np.sum(np.exp(2j * np.pi * p) + 1.0)
-    return float(np.abs(total)) / (2 * v.size)
-
-
-def center_of_mass(vector: np.ndarray) -> float:
-    """Probability-weighted mean site index (1-based, fractional)."""
-    v = _require_normalized(vector)
-    sites = np.arange(1, v.size + 1)
-    return float(np.sum(sites * v**2))
-
-
-def edge_weights(vector: np.ndarray, n_b: int) -> tuple[float, float]:
-    """Probability mass in the first and last n_b sites."""
-    v = _require_normalized(vector)
-    if not 1 <= n_b <= v.size // 2:
-        raise ValueError(f"edge window {n_b} out of range for {v.size} sites")
-    prob = v**2
-    return float(np.sum(prob[:n_b])), float(np.sum(prob[v.size - n_b:]))
-
-
 def spacing_spectrum(values: np.ndarray) -> SpacingSpectrum:
     """Differences of an ascending eigenvalue array."""
     values = np.asarray(values, dtype=float)
@@ -91,15 +69,30 @@ def spacing_spectrum(values: np.ndarray) -> SpacingSpectrum:
     return SpacingSpectrum(np.maximum(diffs, 0.0))
 
 
-def state_measures(vector: np.ndarray, n_b: int = 2,
+def state_measures(vectors: np.ndarray, n_b: int = 2,
                    amplitude_floor: float = 1e-8) -> StateMeasures:
-    """All per-state diagnostics for one eigenvector."""
-    w_left, w_right = edge_weights(vector, n_b)
+    """All per-state diagnostics of a (sites x states) block of eigenvectors.
+
+    Every reduction runs along the contiguous site axis of a (states x sites)
+    copy, so each value equals the one computed from that state's vector alone.
+    """
+    rows = np.ascontiguousarray(np.asarray(vectors, dtype=float).T)
+    if rows.ndim != 2:
+        raise ValueError("vectors must be a (sites x states) block")
+    sites = rows.shape[1]
+    if not 1 <= n_b <= sites // 2:
+        raise ValueError(f"edge window {n_b} out of range for {sites} sites")
+    if np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > NORM_TOL):
+        raise ValueError("vectors must be L2-normalized")
+    prob = rows**2
+    phases = 2j * np.pi * np.cumsum(prob, axis=1)
+    np.exp(phases, out=phases)  # in place: the complex arrays are the largest temporaries
+    phases += 1.0
     return StateMeasures(
-        ipr=ipr(vector),
-        cfs=cfs(vector),
-        com=center_of_mass(vector),
-        w_left=w_left,
-        w_right=w_right,
-        nodes=node_count(vector, amplitude_floor),
+        ipr=np.sum(rows**4, axis=1),
+        cfs=np.abs(np.sum(phases, axis=1)) / (2 * sites),
+        com=np.sum(np.arange(1, sites + 1) * prob, axis=1),
+        w_left=np.sum(prob[:, :n_b], axis=1),
+        w_right=np.sum(prob[:, sites - n_b:], axis=1),
+        nodes=node_count(rows.T, amplitude_floor),
     )

@@ -30,18 +30,18 @@ def write_state_csv(report: SpectralReport, path: str | Path) -> Path:
     path = Path(path)
     lines = [STATE_HEADER]
     spac = report.spacings.spacings
+    m = report.measures
     for k in range(report.size):
-        m = report.measures[k]
         lines.append(",".join((
             str(k),
             _fmt(report.values[k]),
             _fmt(spac[k]) if k < spac.size else "",
-            _fmt(m.ipr),
-            _fmt(m.cfs),
-            _fmt(m.com),
-            _fmt(m.w_left),
-            _fmt(m.w_right),
-            str(m.nodes),
+            _fmt(m.ipr[k]),
+            _fmt(m.cfs[k]),
+            _fmt(m.com[k]),
+            _fmt(m.w_left[k]),
+            _fmt(m.w_right[k]),
+            str(int(m.nodes[k])),
             str(int(report.band_of[k])),
             report.labels.labels[k],
             str(int(report.multiplet_of[k])),

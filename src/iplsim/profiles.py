@@ -62,6 +62,15 @@ class ProfileSpec:
     def from_dict(cls, data: dict[str, Any]) -> "ProfileSpec":
         return cls(**data)
 
+    @classmethod
+    def linear(cls, center: float, lf: float, cells: int) -> "ProfileSpec":
+        """Equispaced grid on [center - L/2, center + L/2] with L = (pi/4)/lf."""
+        if lf <= 0:
+            raise ValueError("lf must be positive")
+        width = QUARTER_TURN / lf
+        return cls("linear", cells, phi_start=center - width / 2,
+                   phi_end=center + width / 2, lf=lf)
+
 
 @dataclass(frozen=True)
 class PhaseProfile:
@@ -113,14 +122,7 @@ def realize_profile(spec: ProfileSpec) -> PhaseProfile:
 
 def linear_profile(center: float, lf: float, cells: int) -> PhaseProfile:
     """Equispaced phases on [center - L/2, center + L/2] with L = (pi/4)/lf."""
-    if cells < 2:
-        raise ValueError("a lattice needs at least 2 cells")
-    if lf <= 0:
-        raise ValueError("lf must be positive")
-    width = QUARTER_TURN / lf
-    spec = ProfileSpec("linear", cells, phi_start=center - width / 2,
-                       phi_end=center + width / 2, lf=lf)
-    return realize_profile(spec)
+    return realize_profile(ProfileSpec.linear(center, lf, cells))
 
 
 def asymmetric_profile(phi_start: float, phi_end: float, cells: int) -> PhaseProfile:

@@ -134,12 +134,12 @@ def test_04_subdomains_and_measures(fig2_3):
     a_states = [k for k in band if labels[k] == "A"]
     b_states = [k for k in band if labels[k] == "B"]
     c_states = [k for k in band if labels[k] == "C"]
-    com_dev = max(abs(report.measures[k].com - mid) for k in a_states + c_states)
-    ground_ipr = report.measures[0].ipr
-    median_b_ipr = float(np.median([report.measures[k].ipr for k in b_states]))
-    cfs_a = _mean(report.measures[k].cfs for k in a_states)
-    cfs_b = _mean(report.measures[k].cfs for k in b_states)
-    cfs_c = _mean(report.measures[k].cfs for k in c_states)
+    com_dev = max(abs(report.measures.com[k] - mid) for k in a_states + c_states)
+    ground_ipr = report.measures.ipr[0]
+    median_b_ipr = float(np.median([report.measures.ipr[k] for k in b_states]))
+    cfs_a = _mean(report.measures.cfs[k] for k in a_states)
+    cfs_b = _mean(report.measures.cfs[k] for k in b_states)
+    cfs_c = _mean(report.measures.cfs[k] for k in c_states)
 
     ok = (a_states and b_states and c_states and com_dev <= 2.0
           and ground_ipr > 3 * median_b_ipr and cfs_a > cfs_b and cfs_c > cfs_b)
@@ -196,9 +196,9 @@ def test_06_random_comparisons(fig2_3, preset_eig):
     cfg6, eig6 = preset_eig("fig6")
     report_phase = analyze(eig6, cfg6.thresholds, expect_two_bands=True)
 
-    mean_onsite = _mean(m.ipr for m in report_onsite.measures)
-    mean_ipl = _mean(m.ipr for m in report_ipl.measures)
-    mean_phase = _mean(m.ipr for m in report_phase.measures)
+    mean_onsite = _mean(report_onsite.measures.ipr)
+    mean_ipl = _mean(report_ipl.measures.ipr)
+    mean_phase = _mean(report_phase.measures.ipr)
 
     ok = mean_onsite >= 5 * mean_ipl and mean_ipl < mean_phase < mean_onsite
     _record("6", ok, f"random comparisons: mean IPR on-site {mean_onsite:.4f} = "
@@ -212,9 +212,8 @@ def test_07_one_sided_edge_states(preset_eig):
     """fig7_8: ground state pinned to the right edge; mirroring the grid mirrors it."""
     config, eig = preset_eig("fig7_8")
     report = analyze(eig, config.thresholds, expect_two_bands=True)
-    ground = report.measures[0]
     n_s = report.size
-    ratio = ground.w_right / ground.w_left
+    ratio = report.measures.w_right[0] / report.measures.w_left[0]
 
     # site-reversal mirror of the ascending grid on [a, b] is the ascending
     # grid on [pi/2 - b, pi/2 - a]
@@ -224,14 +223,14 @@ def test_07_one_sided_edge_states(preset_eig):
                               phi_end=math.pi / 2 - spec.phi_start)
     mirror_eig = eigh_tridiagonal(assemble(realize_profile(mirror_spec), config.params))
     mirror_report = analyze(mirror_eig, config.thresholds, expect_two_bands=True)
-    mirror_dev = abs(ground.com + mirror_report.measures[0].com - (n_s + 1))
+    mirror_dev = abs(report.measures.com[0] + mirror_report.measures.com[0] - (n_s + 1))
 
-    ok = ratio > 100 and ground.com > 0.85 * n_s and mirror_dev <= 1e-6
+    ok = ratio > 100 and report.measures.com[0] > 0.85 * n_s and mirror_dev <= 1e-6
     _record("7", ok, f"one-sided edge states: ground w_right/w_left {ratio:.1e} "
-                     f"(limit 100), COM {ground.com:.1f} > {0.85 * n_s:.1f}, "
+                     f"(limit 100), COM {report.measures.com[0]:.1f} > {0.85 * n_s:.1f}, "
                      f"mirror COM sum dev {mirror_dev:.1e} (limit 1e-6)")
     assert ratio > 100
-    assert ground.com > 0.85 * n_s
+    assert report.measures.com[0] > 0.85 * n_s
     assert mirror_dev <= 1e-6
 
 
@@ -259,8 +258,8 @@ def test_08_revolution_pairing(preset_eig):
     checked = skipped = bad_nodes = bad_halves = 0
     for start in pairs:
         group = groups.group_of(start)
-        com_lo = report.measures[start].com
-        com_hi = report.measures[start + 1].com
+        com_lo = report.measures.com[start]
+        com_hi = report.measures.com[start + 1]
         if (com_lo - mid) * (com_hi - mid) >= 0:
             bad_halves += 1
         if values[start + 1] - values[start] > noise_floor:

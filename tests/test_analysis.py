@@ -14,15 +14,10 @@ from iplsim.analysis import (
     monotonicity_changes,
     smooth,
 )
-from iplsim.eigensolver import EigenSystem, eigh_tridiagonal
+from iplsim.eigensolver import eigh_tridiagonal
 from iplsim.hamiltonian import CellParams, assemble
 from iplsim.profiles import linear_profile
-from iplsim.measures import spacing_spectrum
-
-
-def fake_system(values, vectors):
-    return EigenSystem(np.asarray(values, float), np.asarray(vectors, float),
-                       residual_bound=0.0, ortho_bound=0.0)
+from iplsim.measures import spacing_spectrum, state_measures
 
 
 class TestDetectBands:
@@ -78,46 +73,45 @@ class TestClassifyStates:
                 vectors[size // 2, k] = 1.0           # interior spike: reaches no edge
             else:
                 vectors[:, k] = 1.0 / math.sqrt(size)  # uniform: reaches both edges
-        values = np.linspace(1.0, 2.0, len(columns))
-        return fake_system(values, vectors)
+        return state_measures(vectors)
 
     def band(self, n):
         from iplsim.analysis import BandPartition
         return BandPartition(bands=(range(0, n),), gaps=())
 
     def test_prefix_b_span_suffix(self):
-        eig = self.build(["loc", "loc", "ext", "ext", "ext", "loc", "loc"])
-        labels = classify_states(eig, self.band(7))
+        measures = self.build(["loc", "loc", "ext", "ext", "ext", "loc", "loc"])
+        labels = classify_states(measures, self.band(7))
         assert "".join(labels.labels) == "AABBBCC"
         assert labels.crossovers == ((2, 4),)
         assert labels.interior_localized == 0
 
     def test_interior_localized_states_stay_b(self):
-        eig = self.build(["loc", "ext", "loc", "ext", "loc"])
-        labels = classify_states(eig, self.band(5))
+        measures = self.build(["loc", "ext", "loc", "ext", "loc"])
+        labels = classify_states(measures, self.band(5))
         assert "".join(labels.labels) == "ABBBC"
         assert labels.interior_localized == 1
 
     def test_all_localized_band_is_all_a(self):
-        eig = self.build(["loc", "loc", "loc", "loc"])
-        labels = classify_states(eig, self.band(4))
+        measures = self.build(["loc", "loc", "loc", "loc"])
+        labels = classify_states(measures, self.band(4))
         assert "".join(labels.labels) == "AAAA"
         assert labels.crossovers == (None,)
 
     def test_all_delocalized_band_is_all_b(self):
-        eig = self.build(["ext", "ext", "ext", "ext"])
-        labels = classify_states(eig, self.band(4))
+        measures = self.build(["ext", "ext", "ext", "ext"])
+        labels = classify_states(measures, self.band(4))
         assert "".join(labels.labels) == "BBBB"
 
     def test_tau_validation(self):
-        eig = self.build(["ext", "ext", "ext", "ext"])
+        measures = self.build(["ext", "ext", "ext", "ext"])
         for bad in (0.0, 1.0, -1e-3):
             with pytest.raises(ValueError):
-                classify_states(eig, self.band(4), tau=bad)
+                classify_states(measures, self.band(4), tau=bad)
 
     def test_fraction(self):
-        eig = self.build(["loc", "ext", "ext", "loc"])
-        labels = classify_states(eig, self.band(4))
+        measures = self.build(["loc", "ext", "ext", "loc"])
+        labels = classify_states(measures, self.band(4))
         assert delocalized_fraction(labels) == pytest.approx(0.5)
 
 
@@ -239,7 +233,7 @@ class TestAnalyze:
         h = assemble(linear_profile(math.pi / 4, 1.0, 30), CellParams(1.0, 2.0, 0.2))
         report = analyze(eigh_tridiagonal(h), expect_two_bands=True)
         assert report.size == 60
-        assert len(report.measures) == 60
+        assert report.measures.ipr.size == 60
         assert len(report.bands.bands) == 2
         # band_of and multiplet_of tile the spectrum consistently
         for i, band in enumerate(report.bands.bands):
@@ -248,6 +242,15 @@ class TestAnalyze:
             assert np.all(report.multiplet_of[list(group.members)] == gid)
         covered = sum(g.size for g in report.multiplets.groups)
         assert covered == 60
+
+    def test_blocked_measures_match_one_pass(self):
+        # 602 states span three measure blocks; joining them must change nothing
+        h = assemble(linear_profile(math.pi / 4, 1.0, 301), CellParams(1.0, 2.0, 0.2))
+        eig = eigh_tridiagonal(h)
+        report = analyze(eig, expect_two_bands=True)
+        whole = state_measures(eig.vectors)
+        for name in ("ipr", "cfs", "com", "w_left", "w_right", "nodes"):
+            assert np.array_equal(getattr(report.measures, name), getattr(whole, name))
 
     def test_warns_when_band_count_surprises(self):
         h = assemble(linear_profile(math.pi / 4, 1.0, 10), CellParams(1.0, 2.0, 0.0))

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from iplsim._version import __version__
 from iplsim.cli import UsageError, main, parse_angle, parse_args
@@ -26,11 +27,24 @@ class TestParseAngle:
 
     @pytest.mark.parametrize("text", [
         "", "  ", "pie/4", "pi;4", "import os", "__import__('os')",
-        "pi/0", "()", "pi**", "x+1",
+        "pi/0", "()", "pi**", "x+1", "2**3", "9**9**9", "1e999", "True", "1j",
+        "abs(-1)", "[pi]", "0x10",
     ])
     def test_rejected(self, text):
         with pytest.raises(UsageError):
             parse_angle(text)
+
+    def test_power_tower_is_refused_unevaluated(self, tmp_path):
+        # evaluating 9**9**9 would not finish; refusing it must be immediate
+        rc = main(["run", "--cells", "8", "--phi-start", "9**9**9", "--phi-end", "1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    @given(st.integers(min_value=-64, max_value=64), st.integers(min_value=1, max_value=64))
+    def test_pi_fractions_round_trip(self, k, m):
+        assert parse_angle(f"{k}*pi/{m}") == k * math.pi / m
+        assert parse_angle(f"{k}pi/{m}") == k * math.pi / m
 
 
 class TestRunParsing:

@@ -49,6 +49,18 @@ class TestEighTridiagonal:
             lead = col[np.abs(col) > 1e-12][0]
             assert lead > 0.0
 
+    def test_sign_fix_reads_first_significant_component(self):
+        from iplsim.eigensolver import _fix_signs
+
+        vectors = np.array([[-1e-13, 0.0, -0.6, 0.0],
+                            [0.6, -0.8, 0.8, -1e-13],
+                            [-0.8, 0.6, 0.0, 1e-13]])
+        fixed = _fix_signs(vectors)
+        # columns 1 and 2 lead with a negative entry above the floor and are
+        # negated exactly; column 0 leads positive past its sub-floor entry,
+        # and column 3 has nothing above the floor
+        assert np.array_equal(fixed, vectors * np.array([1.0, -1.0, -1.0, 1.0]))
+
     def test_single_site(self):
         h = assemble_onsite(random_onsite_sequence(1.0, 2.0, 2, seed=1), 0.3)
         eig = eigh_tridiagonal(h)
@@ -117,6 +129,12 @@ class TestNodeCount:
         eig = eigh_tridiagonal(h)
         for j in range(eig.size):
             assert node_count(eig.vectors[:, j], amplitude_floor=0.0) == eig.size - 1 - j
+
+    def test_block_counts_each_column(self):
+        eig = eigh_tridiagonal(random_instance(SplitMix64(3), max_sites=60))
+        counts = node_count(eig.vectors, amplitude_floor=0.0)
+        assert counts.tolist() == [node_count(eig.vectors[:, j], amplitude_floor=0.0)
+                                   for j in range(eig.size)]
 
     def test_sturm_law_on_a_random_instance(self):
         h = random_instance(SplitMix64(7), max_sites=120)

@@ -34,10 +34,8 @@ PI = math.pi
 
 
 def small_config(cells=16, eps=0.2, lf=1.0, map_selection="band:0"):
-    width = QUARTER_TURN / lf
-    profile = ProfileSpec("linear", cells, phi_start=QUARTER_TURN - width / 2,
-                          phi_end=QUARTER_TURN + width / 2, lf=lf)
-    return RunConfig(params=CellParams(1.0, 2.0, eps), profile=profile,
+    return RunConfig(params=CellParams(1.0, 2.0, eps),
+                     profile=ProfileSpec.linear(QUARTER_TURN, lf, cells),
                      map_selection=map_selection, label="small")
 
 
@@ -231,8 +229,7 @@ class TestExecuteAndManifest:
 
 
 class TestSweep:
-    def test_order_and_determinism(self, monkeypatch):
-        monkeypatch.setenv("IPL_THREADS", "4")
+    def test_order_and_determinism(self):
         lf_values = [2.0, 0.5, 2.0, 8.0]
         points = sweep_lf(lf_values, small_config(cells=16))
         assert [p.lf for p in points] == lf_values
@@ -250,11 +247,6 @@ class TestSweep:
                         profile=ProfileSpec("random_onsite", 10, seed=1))
         with pytest.raises(ValueError, match="linear"):
             sweep_lf([1.0], cfg)
-
-    def test_thread_cap_validation(self, monkeypatch):
-        monkeypatch.setenv("IPL_THREADS", "0")
-        with pytest.raises(ValueError, match="IPL_THREADS"):
-            sweep_lf([1.0], small_config())
 
     def test_point_failure_becomes_row(self, monkeypatch):
         import iplsim.experiments as exp
@@ -319,6 +311,11 @@ class TestPresetConfigOverrides:
     def test_lf_override_requires_linear(self):
         with pytest.raises(ValueError, match="linear"):
             preset_config("fig9_10", {"lf": 1.0})
+
+    def test_lf_override_must_be_positive(self):
+        for bad in (0.0, -2.0):
+            with pytest.raises(ValueError, match="positive"):
+                preset_config("fig1", {"lf": bad})
 
     def test_phi_override_drops_lf(self):
         cfg = preset_config("fig1", {"phi_start": 0.1, "phi_end": 0.7})

@@ -9,8 +9,6 @@ from iplsim.hamiltonian import (
     assemble,
     assemble_onsite,
     cell_matrix,
-    cell_matrix_psi,
-    coupling_block,
 )
 from iplsim.profiles import (
     asymmetric_profile,
@@ -41,7 +39,7 @@ class TestCellMatrix:
 
     def test_phase_zero_is_diagonal(self):
         m = cell_matrix(PARAMS, 0.0)
-        assert (m.a11, m.a12, m.a21, m.a22) == (1.0, 0.0, 0.0, 2.0)
+        assert (m.a11, m.a12, m.a22) == (1.0, 0.0, 2.0)
 
     def test_quarter_turn_swaps_levels(self):
         m = cell_matrix(PARAMS, math.pi / 2)
@@ -54,23 +52,10 @@ class TestCellMatrix:
                   for p in np.linspace(0, math.pi, 37)}
         assert traces == {3.0}
 
-    def test_offset_parametrization_shifts_by_quarter_turn(self):
-        a = cell_matrix_psi(PARAMS, 0.13).as_array()
-        b = cell_matrix(PARAMS, 0.13 + math.pi / 4).as_array()
-        assert np.array_equal(a, b)
-
-    def test_psi_zero_is_maximally_mixed(self):
-        m = cell_matrix_psi(PARAMS, 0.0)
-        assert m.a11 == pytest.approx(1.5)
-        assert m.a22 == pytest.approx(1.5)
-        assert m.a12 == pytest.approx(0.5)
-
 
 def test_cell_params_normalizes_order():
     p = CellParams(2.0, 1.0, 0.3)
-    assert (p.d1, p.d2, p.swapped) == (1.0, 2.0, True)
-    q = CellParams(1.0, 2.0, 0.3)
-    assert q.swapped is False
+    assert (p.d1, p.d2) == (1.0, 2.0)
 
 
 def test_cell_params_rejects_nonfinite():
@@ -78,10 +63,6 @@ def test_cell_params_rejects_nonfinite():
         CellParams(float("nan"), 2.0, 0.1)
     with pytest.raises(ValueError):
         CellParams(1.0, float("inf"), 0.1)
-
-
-def test_coupling_block_single_corner():
-    assert np.array_equal(coupling_block(0.3), [[0.0, 0.3], [0.0, 0.0]])
 
 
 class TestAssemble:

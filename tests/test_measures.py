@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from iplsim.measures import (
-    center_of_mass,
-    cfs,
-    edge_weights,
-    ipr,
-    spacing_spectrum,
-    state_measures,
-)
+from iplsim.eigensolver import node_count
+from iplsim.measures import spacing_spectrum, state_measures
 
 
 def unit(index, size):
@@ -27,6 +21,28 @@ def uniform(size):
 def random_state(rng, size):
     v = rng.standard_normal(size)
     return v / np.linalg.norm(v)
+
+
+def measure(v, n_b=1):
+    """Measures of one state: the batched pass on a one-column block."""
+    return state_measures(np.asarray(v)[:, None], n_b=n_b)
+
+
+def ipr(v):
+    return float(measure(v).ipr[0])
+
+
+def cfs(v):
+    return float(measure(v).cfs[0])
+
+
+def center_of_mass(v):
+    return float(measure(v).com[0])
+
+
+def edge_weights(v, n_b):
+    m = measure(v, n_b)
+    return float(m.w_left[0]), float(m.w_right[0])
 
 
 normalized_vectors = st.integers(min_value=2, max_value=200).flatmap(
@@ -136,12 +152,31 @@ class TestSpacingSpectrum:
             s.spacings[0] = 5.0
 
 
+def reference_measures(v, n_b):
+    """The one-vector formulas the batched pass replaced, as a reference."""
+    prob = v**2
+    total = np.sum(np.exp(2j * np.pi * np.cumsum(prob)) + 1.0)
+    return (float(np.sum(v**4)), float(np.abs(total)) / (2 * v.size),
+            float(np.sum(np.arange(1, v.size + 1) * prob)),
+            float(np.sum(prob[:n_b])), float(np.sum(prob[v.size - n_b:])),
+            node_count(v))
+
+
 def test_state_measures_bundles_consistently():
     rng = np.random.default_rng(11)
-    v = random_state(rng, 40)
-    m = state_measures(v, n_b=3)
-    assert m.ipr == pytest.approx(ipr(v))
-    assert m.cfs == pytest.approx(cfs(v))
-    assert m.com == pytest.approx(center_of_mass(v))
-    assert (m.w_left, m.w_right) == edge_weights(v, 3)
-    assert isinstance(m.nodes, int)
+    block = np.column_stack([random_state(rng, 300) for _ in range(7)])
+    m = state_measures(block, n_b=3)
+    # each state is reduced along its own contiguous row, so every value is
+    # bit-identical to the one-vector formula on that column
+    for k in range(7):
+        got = (m.ipr[k], m.cfs[k], m.com[k], m.w_left[k], m.w_right[k], m.nodes[k])
+        assert got == reference_measures(block[:, k], 3)
+    with pytest.raises(ValueError):
+        m.ipr[0] = 0.5
+
+
+def test_state_measures_input_checks():
+    with pytest.raises(ValueError, match="block"):
+        state_measures(uniform(10))
+    with pytest.raises(ValueError, match="normalized"):
+        state_measures(np.column_stack([uniform(10), np.ones(10)]))

@@ -47,7 +47,7 @@ class TestStateCsv:
             fields = row.split(",")
             assert int(fields[0]) == k
             assert float(fields[1]) == report.values[k]
-            assert float(fields[3]) == report.measures[k].ipr
+            assert float(fields[3]) == report.measures.ipr[k]
 
     def test_last_row_has_empty_spacing(self, report, tmp_path):
         path = write_state_csv(report, tmp_path / "states.csv")

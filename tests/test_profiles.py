@@ -51,6 +51,13 @@ class TestLinear:
         with pytest.raises(ValueError):
             linear_profile(QUARTER_TURN, 1.0, 1)
 
+    def test_spec_records_the_grid_recipe(self):
+        spec = ProfileSpec.linear(0.7, 3.0, 9)
+        width = QUARTER_TURN / 3.0
+        assert (spec.kind, spec.cells, spec.lf) == ("linear", 9, 3.0)
+        assert (spec.phi_start, spec.phi_end) == (0.7 - width / 2, 0.7 + width / 2)
+        assert ProfileSpec.from_dict(spec.to_dict()) == spec
+
     @given(st.floats(min_value=0.1, max_value=2.0),
            st.floats(min_value=0.2, max_value=50.0),
            st.integers(min_value=2, max_value=400))
