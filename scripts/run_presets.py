@@ -3,15 +3,19 @@
 
 Each preset lands in <out>/<name>/ with its manifest, so the whole set can be
 replayed or checksum-compared later. Without --only, runs everything,
-including the full focusing sweep (the slowest entry by far).
+including the full focusing sweep (the slowest entry by far). Every preset
+runs as `iplsim preset <name> --out <out>/<name>`.
 """
 
 import argparse
+import contextlib
+import io
 import sys
 import time
 from pathlib import Path
 
-from iplsim import PRESETS, run_preset
+from iplsim import PRESETS, load_manifest
+from iplsim.cli import main as iplsim_main
 
 
 def main(argv=None) -> int:
@@ -32,13 +36,20 @@ def main(argv=None) -> int:
         parser.error(f"unknown preset(s): {', '.join(unknown)}; "
                      f"known: {', '.join(PRESETS)}")
 
-    emit = tuple(args.emit) if args.emit else ("csv", "pgm", "json")
     root = Path(args.out)
     width = max(len(n) for n in names)
     for name in names:
+        argv = ["preset", name, "--out", str(root / name)]
+        # a sweep writes sweep.csv only and refuses other kinds
+        if args.emit and PRESETS[name].sweep_lf_values is None:
+            argv += [flag for kind in args.emit for flag in ("--emit", kind)]
         start = time.perf_counter()
-        manifest = run_preset(name, out_dir=root / name, emit=emit)
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = iplsim_main(argv)
         elapsed = time.perf_counter() - start
+        if status:
+            return status
+        manifest = load_manifest(root / name / "manifest.json")
         files = ", ".join(sorted(manifest.checksums))
         print(f"{name:<{width}}  {elapsed:6.1f} s  {manifest.kind:<5}  {files}")
     print(f"artifacts under {root}/")

@@ -10,10 +10,8 @@ near-degeneracy multiplets, with deterministic CSV/PGM/JSON artifacts.
 
 from ._version import __version__
 from .rng import SplitMix64
-from .profiles import (QUARTER_TURN, PROFILE_KINDS, ProfileSpec, PhaseProfile,
-                       OnsiteSequence, realize_profile, linear_profile,
-                       asymmetric_profile, constant_profile, revolution_profile,
-                       random_phase_profile, random_onsite_sequence)
+from .profiles import (QUARTER_TURN, PROFILE_KINDS, MAX_SITES, ProfileSpec, PhaseProfile,
+                       OnsiteSequence, realize_profile, random_onsite_sequence)
 from .hamiltonian import (CellParams, CellMatrix, cell_matrix, TridiagonalHamiltonian,
                           assemble, assemble_onsite)
 from .eigensolver import (EigenSystem, SolverError, eigh_tridiagonal, dense_oracle,
@@ -26,7 +24,7 @@ from .analysis import (AnalysisThresholds, BandPartition, SubdomainLabels,
                        monotonicity_changes)
 from .experiments import (Preset, PRESETS, RunConfig, RunManifest, SweepPoint,
                           OracleCheckResult, build_hamiltonian, run_config,
-                          execute, run_preset, preset_config, sweep_lf, run_sweep,
+                          execute, preset_config, sweep_lf, run_sweep,
                           replay, load_manifest, oracle_check, random_instance,
                           resolve_selection)
 

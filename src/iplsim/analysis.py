@@ -175,14 +175,19 @@ def delocalized_fraction(labels: SubdomainLabels) -> float:
 def detect_multiplets(spacings: SpacingSpectrum, bands: BandPartition,
                       delta_rel: float = 0.05,
                       node_counts: np.ndarray | None = None) -> MultipletReport:
-    """Group consecutive states whose spacings fall below delta_rel of the band median."""
+    """Group consecutive states whose spacings fall below delta_rel of the band median.
+
+    Spacings below the spectrum's rounding floor always join, so exactly
+    degenerate levels group even when the band median is itself zero.
+    """
     if delta_rel <= 0:
         raise ValueError("delta_rel must be positive")
     spac = spacings.spacings
     groups: list[Multiplet] = []
     for band_index, band in enumerate(bands.bands):
         band_spac = spac[band.start:band.stop - 1]
-        threshold = delta_rel * float(np.median(band_spac)) if band_spac.size else 0.0
+        median = float(np.median(band_spac)) if band_spac.size else 0.0
+        threshold = max(delta_rel * median, spacings.floor)
         start = band.start
         for k in band:
             if k + 1 < band.stop and spac[k] < threshold:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._version import __version__
 from .analysis import AnalysisThresholds
-from .eigensolver import SolverError
+from .eigensolver import DENSE_ORACLE_MAX_SITES, SolverError
 from .experiments import (PRESETS, RunConfig, execute, oracle_check,
                           preset_config, run_sweep)
 from .hamiltonian import CellParams
@@ -93,7 +93,7 @@ def _build_parser() -> _Parser:
         if not for_sweep:
             p.add_argument("--profile", default="linear",
                            choices=("linear", "revolutions", "random-phase", "random-onsite"))
-            p.add_argument("--revolutions", type=int)
+            p.add_argument("--revolutions", type=int, default=1)
             p.add_argument("--seed", type=int)
         p.add_argument("--phi-start", type=parse_angle)
         p.add_argument("--phi-end", type=parse_angle)
@@ -147,15 +147,15 @@ def _build_parser() -> _Parser:
 
 def parse_args(argv) -> CliCommand:
     """Validate flags fully (combinations included) before any computation."""
-    ns = _build_parser().parse_args(argv)
-    flags = vars(ns)
+    flags = vars(_build_parser().parse_args(argv))
     sub = flags.pop("subcommand")
-    if sub == "run":
-        _validate_run(flags)
-    elif sub == "sweep":
-        _validate_sweep(flags)
-    elif sub == "preset":
-        flags["overrides"] = _parse_overrides(flags.get("overrides") or [])
+    validate = {"run": _validate_run, "sweep": _validate_sweep,
+                "preset": _validate_preset, "oracle-check": _validate_oracle}.get(sub)
+    try:
+        if validate is not None:
+            validate(flags)
+    except ValueError as exc:  # the library's own checks (ProfileSpec and others)
+        raise UsageError(str(exc)) from None
     return CliCommand(subcommand=sub, flags=flags)
 
 
@@ -197,40 +197,33 @@ def _run_profile(flags) -> ProfileSpec:
             return ProfileSpec("linear", cells, phi_start=phi_start, phi_end=phi_end)
         return ProfileSpec.linear(QUARTER_TURN if center is None else center,
                                   1.0 if lf is None else lf, cells)
+    if kind == "random_onsite":
+        if phi_start is not None or phi_end is not None or center is not None or lf is not None:
+            raise UsageError("random-onsite carries no phases; drop the angle flags")
+        return ProfileSpec("random_onsite", cells, seed=flags["seed"])
+    if phi_start is None or phi_end is None:
+        raise UsageError(f"{flags['profile']} profile needs --phi-start and --phi-end")
+    if lf is not None or center is not None:
+        raise UsageError("--lf/--center apply to linear profiles only")
     if kind == "revolutions":
-        if phi_start is None or phi_end is None:
-            raise UsageError("revolutions profile needs --phi-start and --phi-end")
-        if lf is not None or center is not None:
-            raise UsageError("--lf/--center apply to linear profiles only")
         return ProfileSpec("revolutions", cells, phi_start=phi_start, phi_end=phi_end,
-                           revolutions=flags.get("revolutions") or 1)
-    if kind == "random_phase":
-        if phi_start is None or phi_end is None:
-            raise UsageError("random-phase profile needs --phi-start and --phi-end")
-        if flags.get("seed") is None:
-            raise UsageError("random-phase profile needs --seed")
-        return ProfileSpec("random_phase", cells, phi_start=phi_start, phi_end=phi_end,
-                           seed=flags["seed"])
-    if phi_start is not None or phi_end is not None or center is not None or lf is not None:
-        raise UsageError("random-onsite carries no phases; drop the angle flags")
-    if flags.get("seed") is None:
-        raise UsageError("random-onsite profile needs --seed")
-    return ProfileSpec("random_onsite", cells, seed=flags["seed"])
+                           revolutions=flags["revolutions"])
+    return ProfileSpec("random_phase", cells, phi_start=phi_start, phi_end=phi_end,
+                       seed=flags["seed"])
 
 
 def _validate_run(flags) -> None:
-    try:
-        flags["config"] = RunConfig(
-            params=CellParams(flags["d1"], flags["d2"], flags["eps"]),
-            profile=_run_profile(flags),
-            thresholds=_thresholds(flags),
-            map_selection=flags["map_selection"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    flags["config"] = RunConfig(
+        params=CellParams(flags["d1"], flags["d2"], flags["eps"]),
+        profile=_run_profile(flags),
+        thresholds=_thresholds(flags),
+        map_selection=flags["map_selection"])
+    flags["lf_values"] = None
 
 
 def _validate_sweep(flags) -> None:
-    cells = _sites_to_cells(flags) if (flags.get("sites") or flags.get("cells")) else 501
+    sized = flags.get("sites") is not None or flags.get("cells") is not None
+    cells = _sites_to_cells(flags) if sized else 501
     if flags.get("phi_start") is not None or flags.get("phi_end") is not None:
         raise UsageError("the sweep varies the grid width itself; only --center is tunable")
     center = flags.get("center")
@@ -245,6 +238,32 @@ def _validate_sweep(flags) -> None:
     flags["lf_values"] = [float(x) for x in
                           np.logspace(math.log10(flags["lf_min"]),
                                       math.log10(flags["lf_max"]), flags["points"])]
+
+
+def _validate_preset(flags) -> None:
+    flags["overrides"] = _parse_overrides(flags["overrides"])
+    overrides = dict(flags["overrides"])
+    if flags["map_selection"] is not None:
+        overrides["map_selection"] = flags["map_selection"]
+    try:
+        flags["config"] = preset_config(flags["name"], overrides)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
+    # a preset that carries a focusing grid runs as a sweep, which writes sweep.csv only
+    flags["lf_values"] = PRESETS[flags["name"]].sweep_lf_values
+    if flags["lf_values"] is not None:
+        if "map_selection" in overrides:
+            raise UsageError(f"{flags['name']} is a sweep and writes no map")
+        if set(flags["emit"] or ("csv",)) != {"csv"}:
+            raise UsageError(f"{flags['name']} is a sweep and writes csv only")
+
+
+def _validate_oracle(flags) -> None:
+    if flags["instances"] < 1:
+        raise UsageError("--instances must be at least 1")
+    if not 4 <= flags["max_sites"] <= DENSE_ORACLE_MAX_SITES:
+        raise UsageError(f"--max-sites must lie in [4, {DENSE_ORACLE_MAX_SITES}], "
+                         f"the dense oracle's size range")
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, Any]:
@@ -275,30 +294,15 @@ def _emit(flags) -> tuple[str, ...]:
 
 def _dispatch(cmd: CliCommand) -> int:
     flags = cmd.flags
-    if cmd.subcommand == "run":
-        manifest = execute(flags["config"], flags["out"], emit=_emit(flags))
-        print(f"wrote {', '.join(sorted(manifest.checksums))} and manifest.json "
-              f"to {flags['out']}")
-    elif cmd.subcommand == "sweep":
-        manifest = run_sweep(flags["config"], flags["lf_values"], flags["out"])
-        print(f"wrote sweep.csv ({len(flags['lf_values'])} points) and manifest.json "
-              f"to {flags['out']}")
-    elif cmd.subcommand == "preset":
-        overrides = dict(flags["overrides"])
-        if flags.get("map_selection"):
-            overrides["map_selection"] = flags["map_selection"]
-        try:
-            config = preset_config(flags["name"], overrides)
-        except KeyError as exc:
-            raise UsageError(exc.args[0]) from None
-        preset = PRESETS[flags["name"]]
-        if preset.sweep_lf_values is not None:
-            run_sweep(config, preset.sweep_lf_values, flags["out"])
-            print(f"wrote sweep.csv ({len(preset.sweep_lf_values)} points) "
+    if cmd.subcommand in ("run", "sweep", "preset"):
+        lead = f"preset {flags['name']}: " if cmd.subcommand == "preset" else ""
+        if flags["lf_values"] is not None:
+            run_sweep(flags["config"], flags["lf_values"], flags["out"])
+            print(f"{lead}wrote sweep.csv ({len(flags['lf_values'])} points) "
                   f"and manifest.json to {flags['out']}")
         else:
-            manifest = execute(config, flags["out"], emit=_emit(flags))
-            print(f"preset {flags['name']}: wrote {', '.join(sorted(manifest.checksums))} "
+            manifest = execute(flags["config"], flags["out"], emit=_emit(flags))
+            print(f"{lead}wrote {', '.join(sorted(manifest.checksums))} "
                   f"and manifest.json to {flags['out']}")
     elif cmd.subcommand == "oracle-check":
         result = oracle_check(instances=flags["instances"],

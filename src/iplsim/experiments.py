@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -175,6 +175,19 @@ class RunManifest:
                    emit=tuple(doc["emit"]), checksums=doc["checksums"],
                    lf_values=tuple(lf_values) if lf_values is not None else None)
 
+    @classmethod
+    def of(cls, config: RunConfig, kind: str, emit: tuple[str, ...],
+           checksums: dict[str, str], lf_values=None) -> "RunManifest":
+        """The manifest of one computed config; the inverse of `config`."""
+        if lf_values is not None:
+            lf_values = tuple(float(x) for x in lf_values)
+        return cls(kind=kind, tool=TOOL, label=config.label,
+                   params=_params_dict(config.params),
+                   profile=config.profile.to_dict(),
+                   thresholds=config.thresholds.to_dict(),
+                   map_selection=config.map_selection,
+                   emit=emit, checksums=checksums, lf_values=lf_values)
+
     def config(self) -> RunConfig:
         return RunConfig(params=CellParams(**self.params),
                          profile=ProfileSpec.from_dict(self.profile),
@@ -220,12 +233,7 @@ def execute(config: RunConfig, out_dir: str | Path,
         checksums["summary.json"] = sha256_file(
             write_json(summary_document(report, extras), out / "summary.json"))
 
-    manifest = RunManifest(kind="run", tool=TOOL, label=config.label,
-                           params=_params_dict(config.params),
-                           profile=config.profile.to_dict(),
-                           thresholds=config.thresholds.to_dict(),
-                           map_selection=config.map_selection,
-                           emit=emit, checksums=checksums)
+    manifest = RunManifest.of(config, "run", emit, checksums)
     write_json(manifest.to_dict(), out / "manifest.json")
     return manifest
 
@@ -253,9 +261,7 @@ def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
     def point(lf: float) -> SweepPoint:
         try:
             profile = ProfileSpec.linear(center, lf, base.profile.cells)
-            h = assemble(realize_profile(profile), base.params)
-            eig = eigh_tridiagonal(h)
-            report = analyze(eig, base.thresholds, expect_two_bands=True)
+            _, _, report = run_config(replace(base, profile=profile))
             return SweepPoint(lf=lf, fraction=delocalized_fraction(report.labels))
         except Exception as exc:  # per-point isolation, sweep must go on
             return SweepPoint(lf=lf, fraction=None, error=f"{type(exc).__name__}: {exc}")
@@ -270,14 +276,8 @@ def run_sweep(base: RunConfig, lf_values, out_dir: str | Path) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     points = sweep_lf(lf_values, base)
     path = write_sweep_csv([(p.lf, p.fraction, p.error) for p in points], out / "sweep.csv")
-    manifest = RunManifest(kind="sweep", tool=TOOL, label=base.label,
-                           params=_params_dict(base.params),
-                           profile=base.profile.to_dict(),
-                           thresholds=base.thresholds.to_dict(),
-                           map_selection=base.map_selection,
-                           emit=("csv",),
-                           checksums={"sweep.csv": sha256_file(path)},
-                           lf_values=tuple(float(x) for x in lf_values))
+    manifest = RunManifest.of(base, "sweep", ("csv",), {"sweep.csv": sha256_file(path)},
+                              lf_values=lf_values)
     write_json(manifest.to_dict(), out / "manifest.json")
     return manifest
 
@@ -340,18 +340,6 @@ def preset_config(name: str, overrides: dict[str, Any] | None = None) -> RunConf
                      thresholds=AnalysisThresholds.from_dict(thresholds),
                      map_selection=overrides.get("map_selection", config.map_selection),
                      label=config.label)
-
-
-def run_preset(name: str, overrides: dict[str, Any] | None = None,
-               out_dir: str | Path | None = None,
-               emit=("csv", "pgm", "json")) -> RunManifest:
-    if out_dir is None:
-        raise ValueError("run_preset needs an output directory")
-    preset = PRESETS.get(name)
-    config = preset_config(name, overrides)
-    if preset is not None and preset.sweep_lf_values is not None:
-        return run_sweep(config, preset.sweep_lf_values, out_dir)
-    return execute(config, out_dir, emit=emit)
 
 
 def random_instance(rng: SplitMix64, max_sites: int = 64,

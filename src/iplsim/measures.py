@@ -14,6 +14,8 @@ import numpy as np
 from .eigensolver import node_count
 
 NORM_TOL = 1e-10
+# spacings within this many ulps of the largest |eigenvalue| are exact degeneracies
+DEGENERACY_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,14 @@ class StateMeasures:
 
 @dataclass(frozen=True)
 class SpacingSpectrum:
-    """Consecutive eigenvalue differences, clamped at zero."""
+    """Consecutive eigenvalue differences, clamped at zero.
+
+    floor: the rounding scale of the eigenvalues (DEGENERACY_ULPS ulps of the
+    largest magnitude); a spacing below it is an exact degeneracy.
+    """
 
     spacings: np.ndarray
+    floor: float
 
     def __post_init__(self):
         spacings = np.asarray(self.spacings, dtype=float)
@@ -66,7 +73,8 @@ def spacing_spectrum(values: np.ndarray) -> SpacingSpectrum:
     diffs = np.diff(values)
     if np.any(diffs < -1e-12):
         raise ValueError("eigenvalues must be sorted ascending")
-    return SpacingSpectrum(np.maximum(diffs, 0.0))
+    floor = DEGENERACY_ULPS * float(np.spacing(np.abs(values).max(initial=0.0)))
+    return SpacingSpectrum(np.maximum(diffs, 0.0), floor=floor)
 
 
 def state_measures(vectors: np.ndarray, n_b: int = 2,

@@ -2,9 +2,11 @@
 
 A profile is the design blueprint of an isospectrally patterned lattice.
 Supported designs: equispaced linear grids (symmetric or asymmetric around
-pi/4), triangle-wave phase revolutions, constant baselines (SSH / Rice-Mele
-sanity limits), and the two seeded random controls used as comparison
-lattices (random phases, random on-site energies).
+pi/4; phi_start == phi_end gives the constant SSH / Rice-Mele limit),
+triangle-wave phase revolutions, and the two seeded random controls used as
+comparison lattices (random phases, random on-site energies). Every rule on a
+design lives in ProfileSpec, so each route that builds one refuses the same
+inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from .rng import SplitMix64
 
 QUARTER_TURN = math.pi / 4
 
-PROFILE_KINDS = ("linear", "revolutions", "constant", "random_phase", "random_onsite")
+PROFILE_KINDS = ("linear", "revolutions", "random_phase", "random_onsite")
+# dense eigenvectors take 8 N^2 bytes: 3.2 GB at this many sites
+MAX_SITES = 20_000
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,11 @@ class ProfileSpec:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.cells < 2:
             raise ValueError("a lattice needs at least 2 cells")
+        sites = 2 * self.cells
+        if sites > MAX_SITES:
+            raise ValueError(f"{sites} sites need 8*N^2 = {8 * sites**2 / 1e9:,.1f} GB of "
+                             f"eigenvectors; the limit is {MAX_SITES} sites "
+                             f"({8 * MAX_SITES**2 / 1e9:.1f} GB)")
         if self.kind == "random_onsite":
             if self.phi_start is not None or self.phi_end is not None or self.lf is not None:
                 raise ValueError("random_onsite randomizes on-site energies and carries no phases")
@@ -49,6 +58,10 @@ class ProfileSpec:
         if self.kind == "revolutions":
             if self.revolutions is None or self.revolutions < 1:
                 raise ValueError("revolutions kind needs revolutions >= 1")
+            if self.phi_start >= self.phi_end:
+                raise ValueError("revolutions need phi_start below phi_end")
+        if self.kind == "random_phase" and self.phi_start > self.phi_end:
+            raise ValueError("random_phase needs phi_start not above phi_end")
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"kind": self.kind, "cells": self.cells}
@@ -107,8 +120,14 @@ class OnsiteSequence:
 
 
 def realize_profile(spec: ProfileSpec) -> PhaseProfile:
-    """Deterministically expand a ProfileSpec into its phase array (manifest replay path)."""
-    if spec.kind in ("linear", "constant"):
+    """Deterministically expand a ProfileSpec into its phase array (manifest replay path).
+
+    Revolutions are a triangle wave: from phi_start up to phi_end at each
+    turning point and back, `revolutions` times in total; turning points that
+    land on grid cells are exact by construction. Random phases are i.i.d.
+    uniform in [phi_start, phi_end), seeded and bit-reproducible.
+    """
+    if spec.kind == "linear":
         phases = np.linspace(spec.phi_start, spec.phi_end, spec.cells)
     elif spec.kind == "revolutions":
         phases = _triangle_grid(spec.phi_start, spec.phi_end, spec.revolutions, spec.cells)
@@ -118,43 +137,6 @@ def realize_profile(spec: ProfileSpec) -> PhaseProfile:
     else:
         raise ValueError("random_onsite carries no phases; realize it with random_onsite_sequence")
     return PhaseProfile(phases, spec)
-
-
-def linear_profile(center: float, lf: float, cells: int) -> PhaseProfile:
-    """Equispaced phases on [center - L/2, center + L/2] with L = (pi/4)/lf."""
-    return realize_profile(ProfileSpec.linear(center, lf, cells))
-
-
-def asymmetric_profile(phi_start: float, phi_end: float, cells: int) -> PhaseProfile:
-    """Equispaced grid from phi_start to phi_end inclusive (any placement w.r.t. pi/4)."""
-    if cells < 2:
-        raise ValueError("a lattice needs at least 2 cells")
-    spec = ProfileSpec("linear", cells, phi_start=phi_start, phi_end=phi_end)
-    return realize_profile(spec)
-
-
-def constant_profile(phi: float, cells: int) -> PhaseProfile:
-    """All cells at the same phase (SSH / Rice-Mele limit)."""
-    spec = ProfileSpec("constant", cells, phi_start=phi, phi_end=phi)
-    return realize_profile(spec)
-
-
-def revolution_profile(phi_min: float, phi_max: float, revolutions: int, cells: int) -> PhaseProfile:
-    """Triangle-wave phase sweep across the lattice.
-
-    Starts at phi_min, rises to phi_max at each turning point and returns to
-    phi_min, `revolutions` times in total. Turning points that land on grid
-    cells are exact by construction.
-    """
-    if cells < 2:
-        raise ValueError("a lattice needs at least 2 cells")
-    if revolutions < 1:
-        raise ValueError("revolutions must be >= 1")
-    if phi_min >= phi_max:
-        raise ValueError("phi_min must be below phi_max")
-    spec = ProfileSpec("revolutions", cells, phi_start=phi_min, phi_end=phi_max,
-                       revolutions=revolutions)
-    return realize_profile(spec)
 
 
 def _triangle_grid(phi_min: float, phi_max: float, revolutions: int, cells: int) -> np.ndarray:
@@ -170,16 +152,6 @@ def _triangle_grid(phi_min: float, phi_max: float, revolutions: int, cells: int)
     phases[num == 0] = phi_min
     phases[2 * num == denom] = phi_max
     return phases
-
-
-def random_phase_profile(phi_min: float, phi_max: float, cells: int, seed: int) -> PhaseProfile:
-    """Cells with i.i.d. uniform phases in [phi_min, phi_max), seeded and bit-reproducible."""
-    if cells < 2:
-        raise ValueError("a lattice needs at least 2 cells")
-    if phi_min > phi_max:
-        raise ValueError("phi_min must not exceed phi_max")
-    spec = ProfileSpec("random_phase", cells, phi_start=phi_min, phi_end=phi_max, seed=seed)
-    return realize_profile(spec)
 
 
 def random_onsite_sequence(d1: float, d2: float, sites: int, seed: int) -> OnsiteSequence:

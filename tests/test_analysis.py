@@ -16,7 +16,7 @@ from iplsim.analysis import (
 )
 from iplsim.eigensolver import eigh_tridiagonal
 from iplsim.hamiltonian import CellParams, assemble
-from iplsim.profiles import linear_profile
+from iplsim.profiles import ProfileSpec, realize_profile
 from iplsim.measures import spacing_spectrum, state_measures
 
 
@@ -160,10 +160,19 @@ class TestDetectMultiplets:
         with pytest.raises(ValueError):
             detect_multiplets(spacing_spectrum(values), bands, delta_rel=0.0)
 
+    def test_exact_degeneracies_group(self):
+        # eps = 0 with a constant profile: two 20-fold levels whose band
+        # medians are 0, so only the rounding floor can join them
+        spec = ProfileSpec("linear", 20, phi_start=0.3, phi_end=0.3)
+        h = assemble(realize_profile(spec), CellParams(1.0, 2.0, 0.0))
+        report = analyze(eigh_tridiagonal(h))
+        assert report.multiplets.sizes() == [20, 20]
+
 
 class TestEigenstateMap:
     def system(self):
-        h = assemble(linear_profile(math.pi / 4, 1.0, 10), CellParams(1.0, 2.0, 0.2))
+        grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 10))
+        h = assemble(grid, CellParams(1.0, 2.0, 0.2))
         return eigh_tridiagonal(h)
 
     def test_rows_descending_and_normalized(self):
@@ -230,7 +239,8 @@ class TestMonotonicityChanges:
 
 class TestAnalyze:
     def test_end_to_end_consistency(self):
-        h = assemble(linear_profile(math.pi / 4, 1.0, 30), CellParams(1.0, 2.0, 0.2))
+        grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 30))
+        h = assemble(grid, CellParams(1.0, 2.0, 0.2))
         report = analyze(eigh_tridiagonal(h), expect_two_bands=True)
         assert report.size == 60
         assert report.measures.ipr.size == 60
@@ -245,7 +255,8 @@ class TestAnalyze:
 
     def test_blocked_measures_match_one_pass(self):
         # 602 states span three measure blocks; joining them must change nothing
-        h = assemble(linear_profile(math.pi / 4, 1.0, 301), CellParams(1.0, 2.0, 0.2))
+        grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 301))
+        h = assemble(grid, CellParams(1.0, 2.0, 0.2))
         eig = eigh_tridiagonal(h)
         report = analyze(eig, expect_two_bands=True)
         whole = state_measures(eig.vectors)
@@ -253,7 +264,8 @@ class TestAnalyze:
             assert np.array_equal(getattr(report.measures, name), getattr(whole, name))
 
     def test_warns_when_band_count_surprises(self):
-        h = assemble(linear_profile(math.pi / 4, 1.0, 10), CellParams(1.0, 2.0, 0.0))
+        grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 10))
+        h = assemble(grid, CellParams(1.0, 2.0, 0.0))
         with pytest.warns(UserWarning, match="expected 2 bands"):
             analyze(eigh_tridiagonal(h), expect_two_bands=True)
 

@@ -7,8 +7,21 @@ from hypothesis import given, strategies as st
 
 from iplsim._version import __version__
 from iplsim.cli import UsageError, main, parse_angle, parse_args
-from iplsim.eigensolver import SolverError
+from iplsim.eigensolver import DENSE_ORACLE_MAX_SITES, SolverError
+from iplsim.experiments import RunManifest, preset_config
 from iplsim.profiles import QUARTER_TURN
+
+
+@pytest.fixture
+def no_compute(monkeypatch):
+    """Make any run or sweep that gets past validation fail the test."""
+    import iplsim.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for name in ("execute", "run_sweep", "oracle_check"):
+        monkeypatch.setattr(cli, name, forbidden)
 
 
 class TestParseAngle:
@@ -73,6 +86,8 @@ class TestRunParsing:
         (["run", "--sites", "2", "--out", "x"], "at least 4"),
         (["run", "--cells", "1", "--out", "x"], "at least 2"),
         (["run", "--cells", "8"], "--out"),
+        (["sweep", "--sites", "0", "--out", "x"], "at least 4"),
+        (["sweep", "--cells", "0", "--out", "x"], "at least 2"),
     ])
     def test_size_and_out_validation(self, argv, fragment):
         with pytest.raises(UsageError, match=fragment):
@@ -108,6 +123,12 @@ class TestRunParsing:
         (["run", "--cells", "8", "--profile", "random-onsite", "--seed", "1",
           "--center", "pi/4", "--out", "x"], "no phases"),
         (["run", "--cells", "8", "--profile", "random-onsite", "--out", "x"], "seed"),
+        (["run", "--cells", "8", "--profile", "random-phase", "--seed", "1", "--phi-start",
+          "pi/8", "--phi-end", "3pi/8", "--center", "pi/4", "--out", "x"], "linear profiles only"),
+        (["run", "--cells", "8", "--profile", "random-phase", "--seed", "1", "--phi-start",
+          "3pi/8", "--phi-end", "pi/8", "--out", "x"], "not above"),
+        (["run", "--cells", "8", "--profile", "revolutions", "--revolutions", "0",
+          "--phi-start", "pi/8", "--phi-end", "3pi/8", "--out", "x"], "revolutions >= 1"),
     ])
     def test_profile_flag_conflicts(self, argv, fragment):
         with pytest.raises(UsageError, match=fragment):
@@ -166,6 +187,69 @@ class TestPresetParsing:
     def test_bad_set_pairs(self, pair):
         with pytest.raises(UsageError):
             parse_args(["preset", "fig1", "--set", pair, "--out", "x"])
+
+
+class TestOracleParsing:
+    def test_bounds_accepted(self):
+        for sites in ("4", str(DENSE_ORACLE_MAX_SITES)):
+            cmd = parse_args(["oracle-check", "--instances", "1", "--max-sites", sites])
+            assert cmd.flags["max_sites"] == int(sites)
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["oracle-check", "--instances", "0"], "instances"),
+        (["oracle-check", "--instances", "-3"], "instances"),
+        (["oracle-check", "--max-sites", "2"], "max-sites"),
+        (["oracle-check", "--max-sites", "3"], "max-sites"),
+        (["oracle-check", "--max-sites", str(DENSE_ORACLE_MAX_SITES + 1)], "max-sites"),
+        (["oracle-check", "--max-sites", "1000"], "max-sites"),
+    ])
+    def test_rejected_before_compute(self, argv, fragment, no_compute, capsys):
+        with pytest.raises(UsageError, match=fragment):
+            parse_args(argv)
+        assert main(argv) == 2
+        assert fragment in capsys.readouterr().err
+
+
+class TestRefusedBeforeCompute:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--sites", "2000000"],
+        ["run", "--cells", "10001"],
+        ["sweep", "--sites", "2000000"],
+        ["preset", "fig1", "--set", "sites=2000000"],
+        ["preset", "fig4_inset_sweep", "--set", "cells=10001"],
+    ])
+    def test_size_guard(self, argv, tmp_path, no_compute, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "8*N^2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--emit", "pgm"],
+        ["--emit", "csv", "--emit", "json"],
+        ["--map", "lowest:3"],
+        ["--set", "map-selection=full"],
+    ])
+    def test_sweep_preset_refuses_run_only_flags(self, extra, tmp_path, no_compute):
+        argv = ["preset", "fig4_inset_sweep", "--set", "cells=10", *extra,
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_preset_accepts_csv(self):
+        cmd = parse_args(["preset", "fig4_inset_sweep", "--emit", "csv", "--out", "x"])
+        assert len(cmd.flags["lf_values"]) == 25
+
+    def test_inverted_revolutions_refused_on_every_route(self, tmp_path, no_compute):
+        assert main(["run", "--cells", "8", "--profile", "revolutions", "--phi-start", "1",
+                     "--phi-end", "0.5", "--out", str(tmp_path)]) == 2
+        assert main(["preset", "fig9_10", "--set", "phi-start=1", "--set", "phi-end=0.5",
+                     "--out", str(tmp_path)]) == 2
+        with pytest.raises(ValueError, match="below"):
+            preset_config("fig9_10", {"phi_start": 1.0, "phi_end": 0.5})
+        doc = RunManifest.of(preset_config("fig9_10"), "run", ("csv",), {}).to_dict()
+        doc["profile"].update(phi_start=1.0, phi_end=0.5)
+        with pytest.raises(ValueError, match="below"):
+            RunManifest.from_dict(doc).config()
 
 
 class TestMainExitCodes:

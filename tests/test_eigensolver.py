@@ -13,12 +13,7 @@ from iplsim.eigensolver import (
     node_count,
 )
 from iplsim.hamiltonian import CellParams, assemble, assemble_onsite
-from iplsim.profiles import (
-    asymmetric_profile,
-    constant_profile,
-    linear_profile,
-    random_onsite_sequence,
-)
+from iplsim.profiles import ProfileSpec, random_onsite_sequence, realize_profile
 from iplsim.rng import SplitMix64
 from iplsim.experiments import random_instance
 
@@ -26,7 +21,8 @@ PARAMS = CellParams(1.0, 2.0, 0.2)
 
 
 def small_lattice(cells=16):
-    return assemble(asymmetric_profile(0.3, 1.2, cells), PARAMS)
+    spec = ProfileSpec("linear", cells, phi_start=0.3, phi_end=1.2)
+    return assemble(realize_profile(spec), PARAMS)
 
 
 class TestEighTridiagonal:
@@ -75,7 +71,8 @@ class TestEighTridiagonal:
 
     def test_fully_degenerate_ladder_still_orthonormal(self):
         # eps = 0 decouples the cells: every eigenvalue is d1 or d2
-        h = assemble(linear_profile(math.pi / 4, 1.0, 40), CellParams(1.0, 2.0, 0.0))
+        grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 40))
+        h = assemble(grid, CellParams(1.0, 2.0, 0.0))
         eig = eigh_tridiagonal(h)
         assert eig.ortho_bound <= 1e-10
         assert np.allclose(np.sort(eig.values), [1.0] * 40 + [2.0] * 40, atol=1e-12)
@@ -96,7 +93,8 @@ class TestDenseOracle:
             assert np.max(np.abs(a.values - b.values)) < 1e-10
 
     def test_size_guard(self):
-        h = assemble(linear_profile(math.pi / 4, 1.0, DENSE_ORACLE_MAX_SITES // 2 + 1), PARAMS)
+        spec = ProfileSpec.linear(math.pi / 4, 1.0, DENSE_ORACLE_MAX_SITES // 2 + 1)
+        h = assemble(realize_profile(spec), PARAMS)
         with pytest.raises(ValueError):
             dense_oracle(h)
 
@@ -124,7 +122,7 @@ class TestNodeCount:
     def test_sturm_law_descending_rank(self):
         # positive off-diagonals: the highest state is nodeless, then one node
         # per step downward
-        h = assemble(constant_profile(0.6, 12), PARAMS)
+        h = assemble(realize_profile(ProfileSpec("linear", 12, phi_start=0.6, phi_end=0.6)), PARAMS)
         assert np.all(h.offdiag > 0)
         eig = eigh_tridiagonal(h)
         for j in range(eig.size):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from iplsim.experiments import (
     replay,
     resolve_selection,
     run_config,
-    run_preset,
     run_sweep,
     sweep_lf,
 )
+from iplsim.analysis import delocalized_fraction
+from iplsim.cli import main
 from iplsim.hamiltonian import CellParams
 from iplsim.output import sha256_file
 from iplsim.profiles import QUARTER_TURN, ProfileSpec
@@ -207,6 +209,15 @@ class TestExecuteAndManifest:
         assert (tmp_path / "a" / "manifest.json").read_bytes() == \
                (tmp_path / "b" / "manifest.json").read_bytes()
 
+    def test_manifest_of_inverts_config(self):
+        cfg = small_config(cells=12, map_selection="lowest:3")
+        manifest = RunManifest.of(cfg, "sweep", ("csv",), {"sweep.csv": "0" * 64},
+                                  lf_values=[1, 2.5])
+        assert manifest.config() == cfg
+        assert manifest.tool.startswith("iplsim ")
+        assert manifest.lf_values == (1.0, 2.5)
+        assert RunManifest.of(cfg, "run", ("csv",), {}).lf_values is None
+
     def test_replay_matches(self, tmp_path):
         execute(small_config(), tmp_path / "orig")
         fresh = replay(tmp_path / "orig" / "manifest.json", tmp_path / "redo")
@@ -235,6 +246,13 @@ class TestSweep:
         assert [p.lf for p in points] == lf_values
         assert points[0].fraction == points[2].fraction  # same lf, same answer
         assert all(p.error == "" and p.fraction is not None for p in points)
+
+    def test_point_is_run_config(self):
+        base = small_config(cells=16)
+        center = (base.profile.phi_start + base.profile.phi_end) / 2
+        [point] = sweep_lf([3.0], base)
+        _, _, report = run_config(replace(base, profile=ProfileSpec.linear(center, 3.0, 16)))
+        assert point.fraction == delocalized_fraction(report.labels)
 
     def test_fraction_rises_with_focusing(self):
         points = sweep_lf([0.5, 50.0], small_config(cells=24))
@@ -334,18 +352,23 @@ class TestPresetConfigOverrides:
         assert cfg.profile.seed == 99
         assert cfg.map_selection == "lowest:4"
 
-    def test_run_preset_needs_out_dir(self):
-        with pytest.raises(ValueError, match="output directory"):
-            run_preset("fig1")
+    # presets run through the CLI, which alone picks sweep or single run
+
+    def test_run_preset_needs_out_dir(self, capsys):
+        assert main(["preset", "fig1"]) == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_run_preset_small(self, tmp_path):
-        manifest = run_preset("fig2_3", {"sites": 32}, tmp_path)
+        assert main(["preset", "fig2_3", "--set", "sites=32", "--out", str(tmp_path)]) == 0
+        manifest = load_manifest(tmp_path / "manifest.json")
         assert manifest.kind == "run"
         assert manifest.profile["cells"] == 16
         assert (tmp_path / "map.pgm").exists()
 
     def test_run_preset_sweep_dispatch(self, tmp_path):
-        manifest = run_preset("fig4_inset_sweep", {"cells": 10}, tmp_path)
+        assert main(["preset", "fig4_inset_sweep", "--set", "cells=10",
+                     "--out", str(tmp_path)]) == 0
+        manifest = load_manifest(tmp_path / "manifest.json")
         assert manifest.kind == "sweep"
         assert len(manifest.lf_values) == 25
         assert (tmp_path / "sweep.csv").exists()

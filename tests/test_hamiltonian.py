@@ -10,12 +10,7 @@ from iplsim.hamiltonian import (
     assemble_onsite,
     cell_matrix,
 )
-from iplsim.profiles import (
-    asymmetric_profile,
-    constant_profile,
-    linear_profile,
-    random_onsite_sequence,
-)
+from iplsim.profiles import ProfileSpec, random_onsite_sequence, realize_profile
 
 PARAMS = CellParams(1.0, 2.0, 0.2)
 
@@ -67,7 +62,7 @@ def test_cell_params_rejects_nonfinite():
 
 class TestAssemble:
     def test_shapes_and_interleaving(self):
-        profile = linear_profile(math.pi / 4, 1.0, 5)
+        profile = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 5))
         h = assemble(profile, PARAMS)
         assert h.sites == 10
         assert h.diag.shape == (10,)
@@ -76,7 +71,7 @@ class TestAssemble:
         assert np.all(h.offdiag[1::2] == 0.2)
 
     def test_matches_dense_blocks(self):
-        profile = asymmetric_profile(0.2, 1.1, 4)
+        profile = realize_profile(ProfileSpec("linear", 4, phi_start=0.2, phi_end=1.1))
         h = assemble(profile, PARAMS)
         dense = h.dense()
         assert np.array_equal(dense, dense.T)
@@ -87,14 +82,14 @@ class TestAssemble:
         assert np.all(np.triu(dense, 2) == 0)
 
     def test_site_traces_follow_cell_phases(self):
-        profile = asymmetric_profile(0.1, 0.8, 8)
+        profile = realize_profile(ProfileSpec("linear", 8, phi_start=0.1, phi_end=0.8))
         h = assemble(profile, PARAMS)
         # each cell contributes d1 + d2 to the trace regardless of phase
         cell_sums = h.diag[0::2] + h.diag[1::2]
         assert np.allclose(cell_sums, 3.0)
 
     def test_decoupled_lattice_is_block_diagonal(self):
-        profile = linear_profile(math.pi / 4, 1.0, 6)
+        profile = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 6))
         h = assemble(profile, CellParams(1.0, 2.0, 0.0))
         assert np.all(h.offdiag[1::2] == 0.0)
         ev = np.linalg.eigvalsh(h.dense())
@@ -103,18 +98,21 @@ class TestAssemble:
     @given(st.integers(min_value=2, max_value=40),
            st.floats(min_value=0.01, max_value=0.5))
     def test_trace_invariant(self, cells, eps):
-        profile = linear_profile(math.pi / 4, 1.3, cells)
+        profile = realize_profile(ProfileSpec.linear(math.pi / 4, 1.3, cells))
         h = assemble(profile, CellParams(1.0, 2.0, eps))
         assert float(h.diag.sum()) == pytest.approx(3.0 * cells, rel=1e-12)
 
     def test_symmetric_profile_gives_palindromic_arrays(self):
-        profile = linear_profile(math.pi / 4, 1.0, 101)
+        profile = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 101))
         h = assemble(profile, PARAMS)
         assert np.allclose(h.diag, h.diag[::-1], atol=1e-12)
         assert np.allclose(h.offdiag, h.offdiag[::-1], atol=1e-12)
 
     def test_constant_profile_at_center_is_uniform_ssh(self):
-        h = assemble(constant_profile(math.pi / 4, 10), PARAMS)
+        # a linear grid with equal endpoints is the constant profile
+        profile = realize_profile(ProfileSpec("linear", 10, phi_start=math.pi / 4,
+                                              phi_end=math.pi / 4))
+        h = assemble(profile, PARAMS)
         assert np.allclose(h.diag, 1.5)
         assert np.allclose(h.offdiag[0::2], 0.5)
         assert np.allclose(h.offdiag[1::2], 0.2)

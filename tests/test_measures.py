@@ -151,6 +151,11 @@ class TestSpacingSpectrum:
         with pytest.raises(ValueError):
             s.spacings[0] = 5.0
 
+    def test_floor_is_a_few_ulps_of_the_largest_magnitude(self):
+        s = spacing_spectrum(np.array([-3.0, 1.0, 2.0]))
+        assert s.floor == 4 * np.spacing(3.0)
+        assert spacing_spectrum(np.array([0.0, 0.0])).floor == 4 * np.spacing(0.0)
+
 
 def reference_measures(v, n_b):
     """The one-vector formulas the batched pass replaced, as a reference."""

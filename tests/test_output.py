@@ -7,7 +7,7 @@ import pytest
 from iplsim.analysis import analyze, eigenstate_map
 from iplsim.eigensolver import eigh_tridiagonal
 from iplsim.hamiltonian import CellParams, assemble
-from iplsim.profiles import linear_profile
+from iplsim.profiles import ProfileSpec, realize_profile
 from iplsim.output import (
     STATE_HEADER,
     read_pgm,
@@ -23,13 +23,15 @@ from iplsim.output import (
 
 @pytest.fixture(scope="module")
 def report():
-    h = assemble(linear_profile(math.pi / 4, 1.0, 20), CellParams(1.0, 2.0, 0.2))
+    grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 20))
+    h = assemble(grid, CellParams(1.0, 2.0, 0.2))
     return analyze(eigh_tridiagonal(h), expect_two_bands=True)
 
 
 @pytest.fixture(scope="module")
 def eig():
-    h = assemble(linear_profile(math.pi / 4, 1.0, 20), CellParams(1.0, 2.0, 0.2))
+    grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 20))
+    h = assemble(grid, CellParams(1.0, 2.0, 0.2))
     return eigh_tridiagonal(h)
 
 

@@ -5,51 +5,53 @@ import pytest
 from hypothesis import given, strategies as st
 
 from iplsim.profiles import (
+    MAX_SITES,
     OnsiteSequence,
     PhaseProfile,
     ProfileSpec,
     QUARTER_TURN,
-    asymmetric_profile,
-    constant_profile,
-    linear_profile,
     random_onsite_sequence,
-    random_phase_profile,
     realize_profile,
-    revolution_profile,
 )
+
+
+def revolutions(phi_min, phi_max, revs, cells):
+    spec = ProfileSpec("revolutions", cells, phi_start=phi_min, phi_end=phi_max,
+                       revolutions=revs)
+    return realize_profile(spec)
 
 
 class TestLinear:
     def test_width_law(self):
         # interval length is (pi/4)/lf, centered
-        p = linear_profile(QUARTER_TURN, 0.5, 151)
+        p = realize_profile(ProfileSpec.linear(QUARTER_TURN, 0.5, 151))
         assert p.phases[0] == pytest.approx(0.0, abs=1e-15)
         assert p.phases[-1] == pytest.approx(math.pi / 2, abs=1e-15)
-        p = linear_profile(QUARTER_TURN, 1.0, 501)
+        p = realize_profile(ProfileSpec.linear(QUARTER_TURN, 1.0, 501))
         assert p.phases[-1] - p.phases[0] == pytest.approx(QUARTER_TURN)
 
     def test_equispaced_and_monotone(self):
-        p = linear_profile(QUARTER_TURN, 2.0, 41)
+        p = realize_profile(ProfileSpec.linear(QUARTER_TURN, 2.0, 41))
         steps = np.diff(p.phases)
         assert np.all(steps > 0)
         assert np.allclose(steps, steps[0])
 
     def test_symmetric_grid_mirrors_to_quarter_turn_complement(self):
         # centered at pi/4, phi_m + phi_{N+1-m} = pi/2: the inversion-symmetry seed
-        p = linear_profile(QUARTER_TURN, 1.0, 100)
+        p = realize_profile(ProfileSpec.linear(QUARTER_TURN, 1.0, 100))
         assert np.allclose(p.phases + p.phases[::-1], math.pi / 2, atol=1e-14)
 
     def test_large_lf_collapses_to_point(self):
-        p = linear_profile(QUARTER_TURN, 1e6, 11)
+        p = realize_profile(ProfileSpec.linear(QUARTER_TURN, 1e6, 11))
         assert np.all(np.abs(p.phases - QUARTER_TURN) < 1e-6)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            linear_profile(QUARTER_TURN, 0.0, 10)
+            ProfileSpec.linear(QUARTER_TURN, 0.0, 10)
         with pytest.raises(ValueError):
-            linear_profile(QUARTER_TURN, -1.0, 10)
+            ProfileSpec.linear(QUARTER_TURN, -1.0, 10)
         with pytest.raises(ValueError):
-            linear_profile(QUARTER_TURN, 1.0, 1)
+            ProfileSpec.linear(QUARTER_TURN, 1.0, 1)
 
     def test_spec_records_the_grid_recipe(self):
         spec = ProfileSpec.linear(0.7, 3.0, 9)
@@ -62,7 +64,7 @@ class TestLinear:
            st.floats(min_value=0.2, max_value=50.0),
            st.integers(min_value=2, max_value=400))
     def test_grid_endpoints_any_parameters(self, center, lf, cells):
-        p = linear_profile(center, lf, cells)
+        p = realize_profile(ProfileSpec.linear(center, lf, cells))
         width = QUARTER_TURN / lf
         assert p.phases[0] == pytest.approx(center - width / 2, rel=1e-12, abs=1e-12)
         assert p.phases[-1] == pytest.approx(center + width / 2, rel=1e-12, abs=1e-12)
@@ -70,34 +72,38 @@ class TestLinear:
 
 
 def test_asymmetric_endpoints():
-    p = asymmetric_profile(math.pi / 8, math.pi / 4, 151)
+    p = realize_profile(ProfileSpec("linear", 151, phi_start=math.pi / 8,
+                                    phi_end=math.pi / 4))
     assert p.phases[0] == pytest.approx(math.pi / 8)
     assert p.phases[-1] == pytest.approx(math.pi / 4)
 
 
 def test_constant_profile():
-    p = constant_profile(0.3, 25)
+    # a linear grid with equal endpoints is exactly constant; no separate kind
+    p = realize_profile(ProfileSpec("linear", 25, phi_start=0.3, phi_end=0.3))
     assert np.all(p.phases == 0.3)
+    with pytest.raises(ValueError, match="unknown profile kind"):
+        ProfileSpec("constant", 25, phi_start=0.3, phi_end=0.3)
 
 
 class TestRevolutions:
     def test_single_revolution_shape(self):
         # 9 cells, 1 revolution: up in 4 steps, down in 4
-        p = revolution_profile(0.0, 1.0, 1, 9)
+        p = revolutions(0.0, 1.0, 1, 9)
         assert np.allclose(p.phases, [0, 0.25, 0.5, 0.75, 1.0, 0.75, 0.5, 0.25, 0])
 
     def test_turning_points_exact_on_grid(self):
-        p = revolution_profile(math.pi / 8, 3 * math.pi / 8, 1, 201)
+        p = revolutions(math.pi / 8, 3 * math.pi / 8, 1, 201)
         assert p.phases[0] == math.pi / 8
         assert p.phases[-1] == math.pi / 8
         assert p.phases[100] == 3 * math.pi / 8
 
     def test_peak_count_matches_revolutions(self):
-        p = revolution_profile(0.0, 1.0, 2, 9)
+        p = revolutions(0.0, 1.0, 2, 9)
         assert np.count_nonzero(p.phases == 1.0) == 2
 
     def test_three_revolutions_preset_geometry(self):
-        p = revolution_profile(math.pi / 8, 3 * math.pi / 8, 3, 181)
+        p = revolutions(math.pi / 8, 3 * math.pi / 8, 3, 181)
         peaks = np.flatnonzero(p.phases == 3 * math.pi / 8)
         valleys = np.flatnonzero(p.phases == math.pi / 8)
         assert list(peaks) == [30, 90, 150]
@@ -105,25 +111,38 @@ class TestRevolutions:
 
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=3, max_value=500))
     def test_stays_inside_interval(self, revs, cells):
-        p = revolution_profile(0.2, 0.9, revs, cells)
+        p = revolutions(0.2, 0.9, revs, cells)
         assert p.phases.min() >= 0.2 - 1e-15
         assert p.phases.max() <= 0.9 + 1e-15
 
     def test_rejects_inverted_interval(self):
+        with pytest.raises(ValueError, match="below"):
+            ProfileSpec("revolutions", 10, phi_start=1.0, phi_end=0.5, revolutions=1)
+        with pytest.raises(ValueError, match="below"):
+            ProfileSpec("revolutions", 10, phi_start=0.5, phi_end=0.5, revolutions=1)
         with pytest.raises(ValueError):
-            revolution_profile(1.0, 0.5, 1, 10)
-        with pytest.raises(ValueError):
-            revolution_profile(0.0, 1.0, 0, 10)
+            ProfileSpec("revolutions", 10, phi_start=0.0, phi_end=1.0, revolutions=0)
 
 
 class TestRandomProfiles:
+    @staticmethod
+    def phases(lo, hi, seed, cells=300):
+        spec = ProfileSpec("random_phase", cells, phi_start=lo, phi_end=hi, seed=seed)
+        return realize_profile(spec).phases
+
     def test_phase_bounds_and_reproducibility(self):
-        a = random_phase_profile(0.4, 1.2, 300, seed=7)
-        b = random_phase_profile(0.4, 1.2, 300, seed=7)
-        c = random_phase_profile(0.4, 1.2, 300, seed=8)
-        assert np.array_equal(a.phases, b.phases)
-        assert not np.array_equal(a.phases, c.phases)
-        assert a.phases.min() >= 0.4 and a.phases.max() < 1.2
+        a = self.phases(0.4, 1.2, seed=7)
+        b = self.phases(0.4, 1.2, seed=7)
+        c = self.phases(0.4, 1.2, seed=8)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert a.min() >= 0.4 and a.max() < 1.2
+
+    def test_interval_order(self):
+        # an empty interval is a constant random-phase lattice; an inverted one is refused
+        assert np.all(self.phases(0.5, 0.5, seed=3, cells=10) == 0.5)
+        with pytest.raises(ValueError, match="not above"):
+            ProfileSpec("random_phase", 10, phi_start=1.2, phi_end=0.4, seed=3)
 
     def test_onsite_values_from_both_levels(self):
         seq = random_onsite_sequence(1.0, 2.0, 302, seed=11)
@@ -164,10 +183,12 @@ class TestProfileSpec:
         with pytest.raises(ValueError):
             realize_profile(ProfileSpec("random_onsite", 10, seed=1))
 
-    def test_realize_matches_helpers(self):
-        spec = ProfileSpec("linear", 51, phi_start=0.0, phi_end=1.0)
-        assert np.array_equal(realize_profile(spec).phases,
-                              asymmetric_profile(0.0, 1.0, 51).phases)
+    def test_size_cap_states_the_memory_estimate(self):
+        assert ProfileSpec("linear", MAX_SITES // 2, phi_start=0.0, phi_end=1.0)
+        with pytest.raises(ValueError, match=r"8\*N\^2 = 3\.2 GB.*limit is 20000 sites"):
+            ProfileSpec("linear", MAX_SITES // 2 + 1, phi_start=0.0, phi_end=1.0)
+        with pytest.raises(ValueError, match=r"2000000 sites need 8\*N\^2 = 32,000\.0 GB"):
+            ProfileSpec("random_onsite", 1_000_000, seed=1)
 
 
 def test_phase_profile_guards():
