@@ -13,7 +13,7 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -93,7 +93,7 @@ def _build_parser() -> _Parser:
         if not for_sweep:
             p.add_argument("--profile", default="linear",
                            choices=("linear", "revolutions", "random-phase", "random-onsite"))
-            p.add_argument("--revolutions", type=int, default=1)
+            p.add_argument("--revolutions", type=int, help="revolutions profile only (default 1)")
             p.add_argument("--seed", type=int)
         p.add_argument("--phi-start", type=parse_angle)
         p.add_argument("--phi-end", type=parse_angle)
@@ -184,6 +184,10 @@ def _run_profile(flags) -> ProfileSpec:
     kind = flags["profile"].replace("-", "_")
     phi_start, phi_end = flags.get("phi_start"), flags.get("phi_end")
     center, lf = flags.get("center"), flags.get("lf")
+    # every kind gets both, so ProfileSpec refuses the one its kind would ignore
+    extra = {"seed": flags["seed"], "revolutions": flags["revolutions"]}
+    if kind == "revolutions" and extra["revolutions"] is None:
+        extra["revolutions"] = 1
 
     if kind == "linear":
         if (phi_start is not None or phi_end is not None) and lf is not None:
@@ -194,22 +198,18 @@ def _run_profile(flags) -> ProfileSpec:
         if phi_start is not None:
             if center is not None:
                 raise UsageError("--center conflicts with explicit --phi-start/--phi-end")
-            return ProfileSpec("linear", cells, phi_start=phi_start, phi_end=phi_end)
-        return ProfileSpec.linear(QUARTER_TURN if center is None else center,
-                                  1.0 if lf is None else lf, cells)
+            return ProfileSpec("linear", cells, phi_start=phi_start, phi_end=phi_end, **extra)
+        return replace(ProfileSpec.linear(QUARTER_TURN if center is None else center,
+                                          1.0 if lf is None else lf, cells), **extra)
     if kind == "random_onsite":
         if phi_start is not None or phi_end is not None or center is not None or lf is not None:
             raise UsageError("random-onsite carries no phases; drop the angle flags")
-        return ProfileSpec("random_onsite", cells, seed=flags["seed"])
+        return ProfileSpec("random_onsite", cells, **extra)
     if phi_start is None or phi_end is None:
         raise UsageError(f"{flags['profile']} profile needs --phi-start and --phi-end")
     if lf is not None or center is not None:
         raise UsageError("--lf/--center apply to linear profiles only")
-    if kind == "revolutions":
-        return ProfileSpec("revolutions", cells, phi_start=phi_start, phi_end=phi_end,
-                           revolutions=flags["revolutions"])
-    return ProfileSpec("random_phase", cells, phi_start=phi_start, phi_end=phi_end,
-                       seed=flags["seed"])
+    return ProfileSpec(kind, cells, phi_start=phi_start, phi_end=phi_end, **extra)
 
 
 def _validate_run(flags) -> None:

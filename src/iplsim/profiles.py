@@ -48,13 +48,21 @@ class ProfileSpec:
             raise ValueError(f"{sites} sites need 8*N^2 = {8 * sites**2 / 1e9:,.1f} GB of "
                              f"eigenvectors; the limit is {MAX_SITES} sites "
                              f"({8 * MAX_SITES**2 / 1e9:.1f} GB)")
+        # a field that the kind ignores would pass through silently, so it is refused
+        if self.lf is not None and self.kind != "linear":
+            raise ValueError(f"lf sets a linear grid; {self.kind} profiles take none")
+        if self.revolutions is not None and self.kind != "revolutions":
+            raise ValueError(f"{self.kind} profiles take no revolutions")
+        random = self.kind in ("random_phase", "random_onsite")
+        if self.seed is not None and not random:
+            raise ValueError(f"{self.kind} profiles are deterministic and take no seed")
+        if random and self.seed is None:
+            raise ValueError(f"{self.kind} profiles require a seed")
         if self.kind == "random_onsite":
-            if self.phi_start is not None or self.phi_end is not None or self.lf is not None:
+            if self.phi_start is not None or self.phi_end is not None:
                 raise ValueError("random_onsite randomizes on-site energies and carries no phases")
         elif self.phi_start is None or self.phi_end is None:
             raise ValueError(f"{self.kind} profiles need phi_start and phi_end")
-        if self.kind in ("random_phase", "random_onsite") and self.seed is None:
-            raise ValueError(f"{self.kind} profiles require a seed")
         if self.kind == "revolutions":
             if self.revolutions is None or self.revolutions < 1:
                 raise ValueError("revolutions kind needs revolutions >= 1")

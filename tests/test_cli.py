@@ -251,6 +251,42 @@ class TestRefusedBeforeCompute:
         with pytest.raises(ValueError, match="below"):
             RunManifest.from_dict(doc).config()
 
+    @pytest.mark.parametrize("preset,field,value,match", [
+        ("fig1", "seed", 5, "no seed"),
+        ("fig1", "revolutions", 3, "no revolutions"),
+        ("fig9_10", "seed", 5, "no seed"),
+        ("fig6", "revolutions", 2, "no revolutions"),
+    ])
+    def test_field_foreign_to_the_kind_refused_on_every_route(self, preset, field, value,
+                                                              match, tmp_path, no_compute):
+        assert main(["preset", preset, "--set", f"{field}={value}",
+                     "--out", str(tmp_path / "out")]) == 2
+        with pytest.raises(ValueError, match=match):
+            preset_config(preset, {field: value})
+        doc = RunManifest.of(preset_config(preset), "run", ("csv",), {}).to_dict()
+        doc["profile"][field] = value
+        with pytest.raises(ValueError, match=match):
+            RunManifest.from_dict(doc).config()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "5"],
+        ["--revolutions", "3"],
+        ["--seed", "5", "--revolutions", "3"],
+        ["--profile", "revolutions", "--phi-start", "0.3", "--phi-end", "1", "--seed", "5"],
+        ["--profile", "random-phase", "--phi-start", "0.3", "--phi-end", "1", "--seed", "5",
+         "--revolutions", "1"],
+        ["--profile", "random-onsite", "--seed", "5", "--revolutions", "2"],
+    ])
+    def test_run_flag_foreign_to_the_kind_exits_2(self, argv, tmp_path, no_compute):
+        assert main(["run", "--cells", "8", *argv, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_revolutions_default_to_one(self):
+        cmd = parse_args(["run", "--cells", "8", "--profile", "revolutions", "--phi-start",
+                          "0.3", "--phi-end", "1", "--out", "x"])
+        assert cmd.flags["config"].profile.revolutions == 1
+
 
 class TestMainExitCodes:
     def test_run_success(self, tmp_path, capsys):

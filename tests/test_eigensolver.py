@@ -1,21 +1,28 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
+import iplsim.eigensolver as eigensolver
 from iplsim.eigensolver import (
     DENSE_ORACLE_MAX_SITES,
+    GROUP_GAP_REL,
     EigenSystem,
     SolverError,
+    _fix_signs,
+    _scale,
     dense_oracle,
     eigenvalue_count_below,
     eigh_tridiagonal,
     node_count,
 )
-from iplsim.hamiltonian import CellParams, assemble, assemble_onsite
+from iplsim.hamiltonian import CellParams, TridiagonalHamiltonian, assemble, assemble_onsite
+from iplsim.measures import state_measures
 from iplsim.profiles import ProfileSpec, random_onsite_sequence, realize_profile
 from iplsim.rng import SplitMix64
-from iplsim.experiments import random_instance
+from iplsim.experiments import build_hamiltonian, preset_config, random_instance
 
 PARAMS = CellParams(1.0, 2.0, 0.2)
 
@@ -81,6 +88,161 @@ class TestEighTridiagonal:
         eig = eigh_tridiagonal(small_lattice(6))
         with pytest.raises(ValueError):
             eig.vectors[0, 0] = 7.0
+
+
+class TestGroupedInverseIteration:
+    """Blocks, sterf eigenvalues and one dstein call per spectral group."""
+
+    @pytest.fixture(scope="class")
+    def stebz(self):
+        """LAPACK's whole-spectrum bisection plus inverse iteration, as the reference."""
+        cache = {}
+
+        def solve(name):
+            if name not in cache:
+                h = build_hamiltonian(preset_config(name))
+                values, vectors = scipy.linalg.eigh_tridiagonal(h.diag, h.offdiag,
+                                                                lapack_driver="stebz")
+                cache[name] = (h, values, _fix_signs(vectors))
+            return cache[name]
+
+        return solve
+
+    def test_decoupled_cells_keep_block_local_vectors(self):
+        # eps = 0: twenty identical 2x2 cells, so each level is 20-fold; a
+        # solver that mixed cells would spread the states over several cells
+        spec = ProfileSpec("linear", 20, phi_start=0.3, phi_end=0.3)
+        eig = eigh_tridiagonal(assemble(realize_profile(spec), CellParams(1.0, 2.0, 0.0)))
+        ipr = state_measures(eig.vectors).ipr
+        assert np.allclose(ipr, math.cos(0.3) ** 4 + math.sin(0.3) ** 4, rtol=0, atol=1e-12)
+        for k in range(eig.size):
+            assert np.count_nonzero(eig.vectors[:, k]) <= 2
+
+    @pytest.mark.parametrize("name", ["fig1", "fig13", "fig6"])
+    def test_eigenvalues_match_stebz(self, name, stebz, preset_eig):
+        h, values, _ = stebz(name)
+        _, eig = preset_eig(name)
+        assert np.max(np.abs(eig.values - values)) <= 1e-13 * _scale(h.diag, h.offdiag)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig13", "fig6"])
+    def test_isolated_vectors_match_stebz(self, name, stebz, preset_eig):
+        h, values, vectors = stebz(name)
+        _, eig = preset_eig(name)
+        gap = np.diff(eig.values) > GROUP_GAP_REL * _scale(h.diag, h.offdiag)
+        isolated = np.concatenate(([True], gap)) & np.concatenate((gap, [True]))
+        assert isolated.sum() > eig.size // 4
+        assert np.max(np.abs(eig.vectors[:, isolated] - vectors[:, isolated])) <= 1e-10
+
+    def test_exact_multiplets_are_orthonormal(self, preset_eig):
+        # fig13's three revolutions give exactly degenerate 3- and 6-fold
+        # levels; dstein picks their basis, which must still be orthonormal
+        config, eig = preset_eig("fig13")
+        h = build_hamiltonian(config)
+        scale = _scale(h.diag, h.offdiag)
+        edges = np.flatnonzero(np.diff(eig.values) > 1e-13 * scale) + 1
+        multiplets = [m for m in np.split(np.arange(eig.size), edges) if m.size > 1]
+        assert max(m.size for m in multiplets) == 6
+        for m in multiplets:
+            block = eig.vectors[:, m]
+            assert np.max(np.abs(block.T @ block - np.eye(m.size))) <= 1e-12
+
+    @pytest.mark.parametrize("margin,groups", [(1.02, [1, 1, 1, 1]), (0.98, [2, 2])])
+    def test_levels_are_grouped_at_the_cut(self, margin, groups, monkeypatch):
+        # two decoupled cells whose levels d1 and d2 sit just above or just
+        # below GROUP_GAP_REL * scale apart
+        calls = []
+
+        def recording(d, e, w, iblock, isplit):
+            calls.append(w.size)
+            return dstein(d, e, w, iblock, isplit)
+
+        dstein = eigensolver.dstein
+        monkeypatch.setattr(eigensolver, "dstein", recording)
+        grid = realize_profile(ProfileSpec("linear", 2, phi_start=0.5, phi_end=0.5))
+        h = assemble(grid, CellParams(1.0, 1.0 + margin * GROUP_GAP_REL, 0.0))
+        spacing = h.params.d2 - h.params.d1
+        assert (spacing > GROUP_GAP_REL * _scale(h.diag, h.offdiag)) == (margin > 1.0)
+        eig = eigh_tridiagonal(h)
+        assert calls == groups
+        assert eig.ortho_bound <= 1e-10
+        assert np.allclose(eig.values, [1.0, 1.0, h.params.d2, h.params.d2], rtol=0, atol=1e-15)
+
+    def test_single_site_operator(self):
+        one = TridiagonalHamiltonian(diag=np.array([0.7]), offdiag=np.array([]), cells=1,
+                                     params=None, profile=None)
+        eig = eigh_tridiagonal(one)
+        assert eig.values.tolist() == [0.7]
+        assert eig.vectors.tolist() == [[1.0]]
+
+
+def mp_ground_state(h, guess: float, dps: int = 60) -> tuple[float, np.ndarray]:
+    """Ground state of a tridiagonal operator to about dps digits, by mpmath.
+
+    Sturm bisection brackets the lowest eigenvalue from below, so T - lo*I is
+    positive definite and its LDL^T factorization needs no pivoting: two
+    O(n) inverse-iteration solves with that shift give the vector.
+    """
+    with mpmath.workdps(dps):
+        d = [mpmath.mpf(float(x)) for x in h.diag]
+        e = [mpmath.mpf(float(x)) for x in h.offdiag]
+
+        def pivots(shift):
+            piv = [d[0] - shift]
+            for i in range(1, len(d)):
+                piv.append(d[i] - shift - e[i - 1] ** 2 / piv[-1])
+            return piv
+
+        def below(shift):
+            return sum(p < 0 for p in pivots(shift))
+
+        lo, hi = mpmath.mpf(guess) - mpmath.mpf("1e-9"), mpmath.mpf(guess) + mpmath.mpf("1e-9")
+        assert below(lo) == 0 and below(hi) == 1
+        while hi - lo > mpmath.mpf(10) ** (5 - dps):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if below(mid) == 0 else (lo, mid)
+        piv = pivots(lo)
+        x = [mpmath.mpf(1)] * len(d)
+        for _ in range(2):
+            for i in range(1, len(d)):
+                x[i] -= e[i - 1] / piv[i - 1] * x[i - 1]
+            x = [xi / p for xi, p in zip(x, piv)]
+            for i in range(len(d) - 2, -1, -1):
+                x[i] -= e[i] / piv[i] * x[i + 1]
+            norm = mpmath.sqrt(mpmath.fsum(xi * xi for xi in x))
+            x = [xi / norm for xi in x]
+        lead = next(xi for xi in x if abs(xi) > eigensolver.SIGN_FLOOR)
+        return float(lo), np.array([float(xi if lead > 0 else -xi) for xi in x])
+
+
+class TestTailOracle:
+    """Componentwise accuracy of a localized ground state against a 60-digit reference."""
+
+    @staticmethod
+    def ground_state_error(cells):
+        # fig7_8's one-sided grid, started nearer phase 0 for a steeper tail
+        spec = ProfileSpec("linear", cells, phi_start=0.05, phi_end=math.pi / 4)
+        h = assemble(realize_profile(spec), CellParams(1.0, 2.0, 0.3))
+        eig = eigh_tridiagonal(h)
+        value, ref = mp_ground_state(h, float(eig.values[0]))
+        assert abs(eig.values[0] - value) <= 1e-15 * _scale(h.diag, h.offdiag)
+        counted = np.abs(ref) > 1e-250
+        rel = np.abs(eig.vectors[counted, 0] - ref[counted]) / np.abs(ref[counted])
+        return float(np.min(np.abs(ref))), float(np.max(rel))
+
+    def test_tail_to_1e_minus_21(self):
+        tail, rel = self.ground_state_error(50)
+        assert tail < 1e-20
+        assert rel <= 1e-8
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "dstein stops iterating once the vector norm has converged, which leaves an "
+        "absolute error floor near 1e-45 in the tail: relative error 4e-4 at the "
+        "2.7e-42 end component (2.6e-5 with the former stebz route); one more "
+        "inverse-iteration step brings every component to 1e-14"))
+    def test_tail_below_1e_minus_30(self):
+        tail, rel = self.ground_state_error(100)
+        assert tail < 1e-30
+        assert rel <= 1e-8
 
 
 class TestDenseOracle:

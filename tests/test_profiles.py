@@ -179,6 +179,21 @@ class TestProfileSpec:
         with pytest.raises(ValueError):
             ProfileSpec("revolutions", 10, phi_start=0.0, phi_end=1.0)  # no count
 
+    @pytest.mark.parametrize("kind,fields", [
+        ("linear", {"seed": 1}),
+        ("linear", {"revolutions": 1}),
+        ("revolutions", {"revolutions": 1, "seed": 1}),
+        ("revolutions", {"revolutions": 1, "lf": 1.0}),
+        ("random_phase", {"seed": 1, "revolutions": 2}),
+        ("random_phase", {"seed": 1, "lf": 1.0}),
+        ("random_onsite", {"seed": 1, "revolutions": 2}),
+        ("random_onsite", {"seed": 1, "lf": 1.0}),
+    ])
+    def test_refuses_fields_foreign_to_the_kind(self, kind, fields):
+        phases = {} if kind == "random_onsite" else {"phi_start": 0.2, "phi_end": 0.9}
+        with pytest.raises(ValueError, match="take"):
+            ProfileSpec(kind, 10, **phases, **fields)
+
     def test_realize_rejects_onsite_kind(self):
         with pytest.raises(ValueError):
             realize_profile(ProfileSpec("random_onsite", 10, seed=1))
