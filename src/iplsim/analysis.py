@@ -7,14 +7,16 @@ raster used for the grey-scale eigenstate figures.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Any
 
 import numpy as np
 
 from .eigensolver import EigenSystem
-from .measures import SpacingSpectrum, StateMeasures, spacing_spectrum, state_measures
+from .measures import (SpacingSpectrum, StateMeasures, rounding_floor, spacing_spectrum,
+                       state_measures)
 
 # states per state_measures call: its temporaries (a few copies of the block)
 # stay a small fraction of the stored eigenvector matrix
@@ -30,6 +32,22 @@ class AnalysisThresholds:
     gamma: float = 20.0
     delta_rel: float = 0.05
     amplitude_floor: float = 1e-8
+
+    def __post_init__(self):
+        # refused here, so a bad value never costs a solve on any route
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if self.n_b < 1:
+            raise ValueError("n_b must be at least 1")
+        if not 0.0 < self.tau < 1.0:
+            raise ValueError("tau must lie in (0, 1)")
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
+        if self.delta_rel <= 0:
+            raise ValueError("delta_rel must be positive")
+        if self.amplitude_floor < 0:
+            raise ValueError("amplitude_floor must not be negative")
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -115,20 +133,24 @@ class EigenstateMap:
 def detect_bands(values: np.ndarray, gamma: float = 20.0) -> BandPartition:
     """Split the sorted spectrum at every spacing above gamma times the median spacing.
 
-    If nothing qualifies, fall back to the single largest spacing, flagged low
-    confidence; a strictly uniform ladder stays one band.
+    A spacing at or below the rounding floor of the eigenvalues never splits,
+    so a spectrum of exact levels (a uniform chain: 0.8, 1.0, 1.2) splits at
+    its level gaps only, however small the median. If nothing qualifies, fall
+    back to the single largest spacing, flagged low confidence; a strictly
+    uniform ladder stays one band.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 4:
         raise ValueError("band detection needs at least 4 states")
     spac = np.diff(values)
+    floor = rounding_floor(values)
     median = float(np.median(spac))
-    boundaries = np.nonzero(spac > gamma * median)[0]
+    boundaries = np.nonzero(spac > max(gamma * median, floor))[0]
     low_confidence = False
     if boundaries.size == 0:
         low_confidence = True
         spread = float(spac.max() - spac.min())
-        if spread <= 1e-9 * max(float(spac.max()), 1e-300):
+        if spac.max() <= floor or spread <= 1e-9 * max(float(spac.max()), 1e-300):
             boundaries = np.array([], dtype=int)
         else:
             boundaries = np.array([int(np.argmax(spac))])

@@ -19,12 +19,9 @@ from typing import Any
 import numpy as np
 
 from ._version import __version__
-from .analysis import AnalysisThresholds
 from .eigensolver import DENSE_ORACLE_MAX_SITES, SolverError
-from .experiments import (PRESETS, RunConfig, execute, oracle_check,
-                          preset_config, run_sweep)
-from .hamiltonian import CellParams
-from .profiles import QUARTER_TURN, ProfileSpec
+from .experiments import (DEFAULT_CONFIG, PRESETS, SETTING_KEYS, configure, execute,
+                          oracle_check, preset_config, run_sweep)
 
 _ANGLE_CHARS = re.compile(r"^[0-9epi+\-*/(). ]+$")
 _ANGLE_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -83,15 +80,17 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"iplsim {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    # every lattice and threshold flag is a setting for experiments.configure,
+    # which fills in what is absent from the default config
     def add_lattice_flags(p, for_sweep=False):
-        p.add_argument("--d1", type=float, default=1.0)
-        p.add_argument("--d2", type=float, default=2.0)
-        p.add_argument("--eps", type=float, default=0.2)
+        p.add_argument("--d1", type=float)
+        p.add_argument("--d2", type=float)
+        p.add_argument("--eps", type=float)
         size = p.add_mutually_exclusive_group()
         size.add_argument("--sites", type=int, help="total sites (even, >= 4)")
         size.add_argument("--cells", type=int, help="cell count (= sites / 2)")
         if not for_sweep:
-            p.add_argument("--profile", default="linear",
+            p.add_argument("--profile", help="default linear",
                            choices=("linear", "revolutions", "random-phase", "random-onsite"))
             p.add_argument("--revolutions", type=int, help="revolutions profile only (default 1)")
             p.add_argument("--seed", type=int)
@@ -102,10 +101,10 @@ def _build_parser() -> _Parser:
             p.add_argument("--lf", type=float)
 
     def add_threshold_flags(p):
-        p.add_argument("--tau", type=float, default=3e-5)
-        p.add_argument("--delta-rel", type=float, default=0.05)
-        p.add_argument("--gamma", type=float, default=20.0)
-        p.add_argument("--nb", type=int, default=2)
+        p.add_argument("--tau", type=float)
+        p.add_argument("--delta-rel", type=float)
+        p.add_argument("--gamma", type=float)
+        p.add_argument("--nb", type=int)
 
     def add_output_flags(p, pgm=True):
         p.add_argument("--out", required=True, metavar="DIR")
@@ -113,8 +112,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--emit", action="append", choices=choices,
                        help="artifact kinds; repeatable; default: all")
         if pgm:
-            p.add_argument("--map", default="band:0", dest="map_selection",
-                           help="PGM rows: full | band:I | lowest:K")
+            p.add_argument("--map", dest="map_selection",
+                           help="PGM rows: full | band:I | lowest:K (default band:0)")
 
     p_run = sub.add_parser("run", help="diagonalize one explicit lattice")
     add_lattice_flags(p_run)
@@ -134,7 +133,6 @@ def _build_parser() -> _Parser:
     p_preset.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                           dest="overrides", help="override one parameter; repeatable")
     add_output_flags(p_preset)
-    p_preset.set_defaults(map_selection=None)
 
     p_oracle = sub.add_parser("oracle-check", help="cross-validate the two eigensolver routes")
     p_oracle.add_argument("--instances", type=int, default=50)
@@ -159,82 +157,38 @@ def parse_args(argv) -> CliCommand:
     return CliCommand(subcommand=sub, flags=flags)
 
 
-def _sites_to_cells(flags) -> int:
-    sites, cells = flags.get("sites"), flags.get("cells")
-    if sites is None and cells is None:
-        raise UsageError("one of --sites or --cells is required")
-    if sites is not None:
-        if sites % 2:
-            raise UsageError("sites must be even (two sites per cell)")
-        if sites < 4:
-            raise UsageError("sites must be at least 4")
-        return sites // 2
-    if cells < 2:
-        raise UsageError("cells must be at least 2")
-    return cells
-
-
-def _thresholds(flags) -> AnalysisThresholds:
-    return AnalysisThresholds(n_b=flags["nb"], tau=flags["tau"],
-                              gamma=flags["gamma"], delta_rel=flags["delta_rel"])
-
-
-def _run_profile(flags) -> ProfileSpec:
-    cells = _sites_to_cells(flags)
-    kind = flags["profile"].replace("-", "_")
-    phi_start, phi_end = flags.get("phi_start"), flags.get("phi_end")
-    center, lf = flags.get("center"), flags.get("lf")
-    # every kind gets both, so ProfileSpec refuses the one its kind would ignore
-    extra = {"seed": flags["seed"], "revolutions": flags["revolutions"]}
-    if kind == "revolutions" and extra["revolutions"] is None:
-        extra["revolutions"] = 1
-
-    if kind == "linear":
-        if (phi_start is not None or phi_end is not None) and lf is not None:
-            raise UsageError("--phi-start/--phi-end conflict with --lf; pick one way "
-                             "to place the grid")
-        if (phi_start is None) != (phi_end is None):
-            raise UsageError("--phi-start and --phi-end must be given together")
-        if phi_start is not None:
-            if center is not None:
-                raise UsageError("--center conflicts with explicit --phi-start/--phi-end")
-            return ProfileSpec("linear", cells, phi_start=phi_start, phi_end=phi_end, **extra)
-        return replace(ProfileSpec.linear(QUARTER_TURN if center is None else center,
-                                          1.0 if lf is None else lf, cells), **extra)
-    if kind == "random_onsite":
-        if phi_start is not None or phi_end is not None or center is not None or lf is not None:
-            raise UsageError("random-onsite carries no phases; drop the angle flags")
-        return ProfileSpec("random_onsite", cells, **extra)
-    if phi_start is None or phi_end is None:
-        raise UsageError(f"{flags['profile']} profile needs --phi-start and --phi-end")
-    if lf is not None or center is not None:
-        raise UsageError("--lf/--center apply to linear profiles only")
-    return ProfileSpec(kind, cells, phi_start=phi_start, phi_end=phi_end, **extra)
+def _settings(flags) -> dict[str, Any]:
+    """The flags given, as settings for experiments.configure."""
+    settings = {key: flags[key] for key in SETTING_KEYS if flags.get(key) is not None}
+    if "profile" in settings:
+        settings["profile"] = settings["profile"].replace("-", "_")
+    return settings
 
 
 def _validate_run(flags) -> None:
-    flags["config"] = RunConfig(
-        params=CellParams(flags["d1"], flags["d2"], flags["eps"]),
-        profile=_run_profile(flags),
-        thresholds=_thresholds(flags),
-        map_selection=flags["map_selection"])
+    if flags["sites"] is None and flags["cells"] is None:
+        raise UsageError("one of --sites or --cells is required")
+    kind = flags["profile"]
+    phis = sum(flags[key] is not None for key in ("phi_start", "phi_end"))
+    if kind == "random-onsite":
+        if phis or flags["center"] is not None or flags["lf"] is not None:
+            raise UsageError("random-onsite carries no phases; drop the angle flags")
+    elif kind in ("revolutions", "random-phase"):
+        if phis < 2:
+            raise UsageError(f"{kind} profile needs --phi-start and --phi-end")
+    elif phis == 1:
+        raise UsageError("--phi-start and --phi-end must be given together")
+    flags["config"] = configure(DEFAULT_CONFIG, _settings(flags))
     flags["lf_values"] = None
 
 
 def _validate_sweep(flags) -> None:
-    sized = flags.get("sites") is not None or flags.get("cells") is not None
-    cells = _sites_to_cells(flags) if sized else 501
-    if flags.get("phi_start") is not None or flags.get("phi_end") is not None:
+    if flags["phi_start"] is not None or flags["phi_end"] is not None:
         raise UsageError("the sweep varies the grid width itself; only --center is tunable")
-    center = flags.get("center")
-    center = QUARTER_TURN if center is None else center
     if flags["points"] < 2 or flags["lf_min"] <= 0 or flags["lf_max"] <= flags["lf_min"]:
         raise UsageError("need points >= 2 and 0 < lf-min < lf-max")
-    flags["config"] = RunConfig(
-        params=CellParams(flags["d1"], flags["d2"], flags["eps"]),
-        profile=ProfileSpec.linear(center, flags["lf_min"], cells),
-        thresholds=_thresholds(flags),
-        label="sweep")
+    config = configure(DEFAULT_CONFIG, {**_settings(flags), "lf": flags["lf_min"]})
+    flags["config"] = replace(config, label="sweep")
     flags["lf_values"] = [float(x) for x in
                           np.logspace(math.log10(flags["lf_min"]),
                                       math.log10(flags["lf_max"]), flags["points"])]

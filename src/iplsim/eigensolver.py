@@ -177,7 +177,7 @@ def _scale(diag, offdiag) -> float:
 
 
 def _certify(diag, offdiag, values, vectors) -> EigenSystem:
-    """Sign-fix, measure residual/orthonormality, and enforce the output contract."""
+    """Sign-fix (in place), measure residual/orthonormality, and enforce the output contract."""
     vectors = _fix_signs(vectors)
     # at most three (sites x states) buffers live at once: the vectors, H V and
     # one product, then the vectors, H V and the Gram matrix
@@ -206,11 +206,16 @@ def _certify(diag, offdiag, values, vectors) -> EigenSystem:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """First component with magnitude above the floor is made positive (reproducibility)."""
+    """First component with magnitude above the floor is made positive (reproducibility).
+
+    Flips the columns in place and returns the same array, so no second
+    (sites x states) buffer is made; both callers of `_certify` pass vectors
+    they have just built.
+    """
     significant = np.abs(vectors) > SIGN_FLOOR
     lead = vectors[np.argmax(significant, axis=0), np.arange(vectors.shape[1])]
     flip = significant.any(axis=0) & (lead < 0.0)
-    return vectors * np.where(flip, -1.0, 1.0)
+    return np.multiply(vectors, np.where(flip, -1.0, 1.0), out=vectors)
 
 
 def node_count(vectors: np.ndarray, amplitude_floor: float = 1e-8):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -33,6 +33,28 @@ TOOL = f"iplsim {__version__}"
 EMIT_KINDS = ("csv", "pgm", "json")
 
 
+def parse_selection(selection: str) -> tuple[str, int]:
+    """Map-selection mini-language: 'full', 'band:I' (I >= 0), 'lowest:K' (K >= 1).
+
+    Returns the kind and its count (0 for 'full'). Whether band I exists is
+    known only once the spectrum is, so `resolve_selection` checks that.
+    """
+    if selection == "full":
+        return "full", 0
+    kind, _, count = selection.partition(":")
+    if kind not in ("band", "lowest"):
+        raise ValueError(f"unknown map selection {selection!r}")
+    try:
+        number = int(count)
+    except ValueError:
+        raise ValueError(f"unknown map selection {selection!r}") from None
+    if kind == "lowest" and number < 1:
+        raise ValueError("lowest:K needs K >= 1")
+    if kind == "band" and number < 0:
+        raise ValueError("band:I needs I >= 0")
+    return kind, number
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Complete recipe for one lattice computation."""
@@ -42,6 +64,17 @@ class RunConfig:
     thresholds: AnalysisThresholds = field(default_factory=AnalysisThresholds)
     map_selection: str = "band:0"
     label: str | None = None
+
+    def __post_init__(self):
+        parse_selection(self.map_selection)
+        if self.thresholds.n_b > self.profile.cells:
+            raise ValueError(f"edge window n_b={self.thresholds.n_b} exceeds the "
+                             f"{self.profile.cells} sites per lattice half")
+
+
+# the default lattice: run and sweep start from it, and every preset shares its d1, d2
+DEFAULT_CONFIG = RunConfig(params=CellParams(1.0, 2.0, 0.2),
+                           profile=ProfileSpec.linear(QUARTER_TURN, 1.0, 501))
 
 
 @dataclass(frozen=True)
@@ -54,11 +87,10 @@ class Preset:
     sweep_lf_values: tuple[float, ...] | None = None
 
 
-def _preset(name: str, note: str, *, d1: float = 1.0, d2: float = 2.0, eps: float,
-            profile: ProfileSpec, map_selection: str = "band:0",
-            sweep: tuple[float, ...] | None = None) -> Preset:
-    config = RunConfig(params=CellParams(d1, d2, eps), profile=profile,
-                       map_selection=map_selection, label=name)
+def _preset(name: str, note: str, *, eps: float, profile: ProfileSpec,
+            sweep: tuple[float, ...] | None = None, **config) -> Preset:
+    config = replace(DEFAULT_CONFIG, params=replace(DEFAULT_CONFIG.params, eps=eps),
+                     profile=profile, label=name, **config)
     return Preset(name=name, config=config, note=note, sweep_lf_values=sweep)
 
 
@@ -66,7 +98,7 @@ _SWEEP_GRID = tuple(float(x) for x in np.logspace(math.log10(0.5), 2.0, 25))
 
 PRESETS: dict[str, Preset] = {p.name: p for p in (
     _preset("fig1", "symmetric linear grid, unit focusing, 1002 sites",
-            eps=0.2, profile=ProfileSpec.linear(QUARTER_TURN, 1.0, 501)),
+            eps=0.2, profile=DEFAULT_CONFIG.profile),
     _preset("fig2_3", "symmetric linear grid at map-friendly size, 402 sites",
             eps=0.2, profile=ProfileSpec.linear(QUARTER_TURN, 1.0, 201)),
     _preset("fig4", "half focusing, strong coupling: almost fully localized",
@@ -118,21 +150,16 @@ def run_config(config: RunConfig) -> tuple[TridiagonalHamiltonian, EigenSystem, 
 
 
 def resolve_selection(selection: str, report: SpectralReport) -> range:
-    """Map-selection mini-language: 'full', 'band:I', 'lowest:K'."""
-    if selection == "full":
+    """The state indices a map selection (see `parse_selection`) picks from a report."""
+    kind, count = parse_selection(selection)
+    if kind == "full":
         return range(report.size)
-    if selection.startswith("band:"):
-        index = int(selection[5:])
-        bands = report.bands.bands
-        if not 0 <= index < len(bands):
-            raise ValueError(f"band {index} out of range (found {len(bands)} bands)")
-        return bands[index]
-    if selection.startswith("lowest:"):
-        count = int(selection[7:])
-        if count < 1:
-            raise ValueError("lowest:K needs K >= 1")
+    if kind == "lowest":
         return range(min(count, report.size))
-    raise ValueError(f"unknown map selection {selection!r}")
+    bands = report.bands.bands
+    if count >= len(bands):
+        raise ValueError(f"band {count} out of range (found {len(bands)} bands)")
+    return bands[count]
 
 
 @dataclass(frozen=True)
@@ -182,7 +209,7 @@ class RunManifest:
         if lf_values is not None:
             lf_values = tuple(float(x) for x in lf_values)
         return cls(kind=kind, tool=TOOL, label=config.label,
-                   params=_params_dict(config.params),
+                   params=asdict(config.params),
                    profile=config.profile.to_dict(),
                    thresholds=config.thresholds.to_dict(),
                    map_selection=config.map_selection,
@@ -204,10 +231,6 @@ def _normalize_emit(emit) -> tuple[str, ...]:
     if not chosen:
         raise ValueError("emit must request at least one of csv, pgm, json")
     return chosen
-
-
-def _params_dict(params: CellParams) -> dict[str, float]:
-    return {"d1": params.d1, "d2": params.d2, "eps": params.eps}
 
 
 def execute(config: RunConfig, out_dir: str | Path,
@@ -256,12 +279,10 @@ def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
         raise ValueError("all lf values must be positive")
     if base.profile.kind != "linear":
         raise ValueError("the focusing sweep is defined for linear profiles")
-    center = (base.profile.phi_start + base.profile.phi_end) / 2
 
     def point(lf: float) -> SweepPoint:
         try:
-            profile = ProfileSpec.linear(center, lf, base.profile.cells)
-            _, _, report = run_config(replace(base, profile=profile))
+            _, _, report = run_config(configure(base, {"lf": lf}))
             return SweepPoint(lf=lf, fraction=delocalized_fraction(report.labels))
         except Exception as exc:  # per-point isolation, sweep must go on
             return SweepPoint(lf=lf, fraction=None, error=f"{type(exc).__name__}: {exc}")
@@ -282,64 +303,81 @@ def run_sweep(base: RunConfig, lf_values, out_dir: str | Path) -> RunManifest:
     return manifest
 
 
-_PARAM_KEYS = ("d1", "d2", "eps")
-_PROFILE_KEYS = ("cells", "sites", "phi_start", "phi_end", "lf", "revolutions", "seed")
-_THRESHOLD_KEYS = {"tau": "tau", "gamma": "gamma", "delta_rel": "delta_rel",
-                   "nb": "n_b", "amplitude_floor": "amplitude_floor"}
+SETTING_KEYS = ("d1", "d2", "eps", "sites", "cells", "profile", "phi_start", "phi_end",
+                "center", "lf", "revolutions", "seed", "tau", "gamma", "delta_rel", "nb",
+                "amplitude_floor", "map_selection")
+# a preset keeps its design: its kind, and a grid placed by ends or by lf, never by center
+PRESET_KEYS = tuple(key for key in SETTING_KEYS if key not in ("profile", "center"))
+_THRESHOLD_FIELDS = {"tau": "tau", "gamma": "gamma", "delta_rel": "delta_rel",
+                     "nb": "n_b", "amplitude_floor": "amplitude_floor"}
+
+
+def configure(base: RunConfig, settings: dict[str, Any], keys=SETTING_KEYS) -> RunConfig:
+    """Apply flat settings (keys in `keys`, at most SETTING_KEYS) to a config.
+
+    The one route from user input to a RunConfig: `run` and `sweep` flags and
+    preset `--set` overrides all come through here, and the result is checked
+    by the config's own rules. A grid is placed either by its ends
+    (phi_start/phi_end, one at a time, dropping lf) or by center and lf, which
+    default to the current midpoint and lf. A new profile kind starts from
+    nothing but the cell count.
+    """
+    unknown = set(settings) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown override(s): {sorted(unknown)}")
+    if not settings:
+        return base
+    params = asdict(base.params)
+    params.update({key: float(settings[key]) for key in ("d1", "d2", "eps") if key in settings})
+    thresholds = asdict(base.thresholds)
+    for key, name in _THRESHOLD_FIELDS.items():
+        if key in settings:
+            thresholds[name] = type(thresholds[name])(settings[key])
+    return replace(base, params=CellParams(**params),
+                   profile=_configure_profile(base.profile, settings),
+                   thresholds=AnalysisThresholds(**thresholds),
+                   map_selection=settings.get("map_selection", base.map_selection))
+
+
+def _configure_profile(base: ProfileSpec, settings: dict[str, Any]) -> ProfileSpec:
+    if "sites" in settings and "cells" in settings:
+        raise ValueError("sites and cells both set the lattice size; give one")
+    cells = int(settings.get("cells", base.cells))
+    if "sites" in settings:
+        sites = int(settings["sites"])
+        if sites % 2 or sites < 4:
+            raise ValueError("sites must be even and at least 4")
+        cells = sites // 2
+    kind = settings.get("profile", base.kind)
+    spec = base.to_dict() if kind == base.kind else {"kind": kind}
+    if kind == "revolutions":
+        spec.setdefault("revolutions", 1)
+    spec["cells"] = cells
+    spec.update({key: int(settings[key]) for key in ("revolutions", "seed") if key in settings})
+    ends = {key: float(settings[key]) for key in ("phi_start", "phi_end") if key in settings}
+    grid = {key: float(settings[key]) for key in ("center", "lf") if key in settings}
+    if grid:
+        if kind != "linear":
+            raise ValueError("lf/center apply to linear profiles only")
+        if ends:
+            raise ValueError("lf/center conflicts with phi_start/phi_end; place the grid one way")
+        lf = grid.get("lf", spec.get("lf"))
+        if lf is None:
+            raise ValueError("center needs lf: this grid is placed by its ends")
+        center = grid["center"] if "center" in grid else (spec["phi_start"] + spec["phi_end"]) / 2
+        spec.update(ProfileSpec.linear(center, lf, cells).to_dict())
+    if ends:
+        spec.update(ends)
+        spec.pop("lf", None)
+    return ProfileSpec.from_dict(spec)
 
 
 def preset_config(name: str, overrides: dict[str, Any] | None = None) -> RunConfig:
-    """Look up a preset and apply shallow parameter overrides."""
+    """Look up a preset and apply overrides (keys in PRESET_KEYS) through `configure`."""
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise KeyError(f"unknown preset {name!r}; known: {known}")
-    config = PRESETS[name].config
-    if not overrides:
-        return config
-
-    unknown = set(overrides) - set(_PARAM_KEYS) - set(_PROFILE_KEYS) \
-        - set(_THRESHOLD_KEYS) - {"map_selection"}
-    if unknown:
-        raise ValueError(f"unknown override(s): {sorted(unknown)}")
-
-    params = _params_dict(config.params)
-    for key in _PARAM_KEYS:
-        if key in overrides:
-            params[key] = float(overrides[key])
-
-    profile = config.profile.to_dict()
-    if "sites" in overrides:
-        sites = int(overrides["sites"])
-        if sites % 2 or sites < 4:
-            raise ValueError("sites must be even and at least 4")
-        profile["cells"] = sites // 2
-    if "cells" in overrides:
-        profile["cells"] = int(overrides["cells"])
-    if "seed" in overrides:
-        profile["seed"] = int(overrides["seed"])
-    if "revolutions" in overrides:
-        profile["revolutions"] = int(overrides["revolutions"])
-    if "lf" in overrides:
-        if profile["kind"] != "linear":
-            raise ValueError("lf override applies to linear profiles only")
-        center = (profile["phi_start"] + profile["phi_end"]) / 2
-        profile.update(ProfileSpec.linear(center, float(overrides["lf"]),
-                                          profile["cells"]).to_dict())
-    for key in ("phi_start", "phi_end"):
-        if key in overrides:
-            profile[key] = float(overrides[key])
-            profile.pop("lf", None)
-
-    thresholds = config.thresholds.to_dict()
-    for src, dst in _THRESHOLD_KEYS.items():
-        if src in overrides:
-            thresholds[dst] = type(thresholds[dst])(overrides[src])
-
-    return RunConfig(params=CellParams(**params),
-                     profile=ProfileSpec.from_dict(profile),
-                     thresholds=AnalysisThresholds.from_dict(thresholds),
-                     map_selection=overrides.get("map_selection", config.map_selection),
-                     label=config.label)
+    return configure(PRESETS[name].config, overrides or {}, keys=PRESET_KEYS)
 
 
 def random_instance(rng: SplitMix64, max_sites: int = 64,

@@ -73,8 +73,12 @@ def spacing_spectrum(values: np.ndarray) -> SpacingSpectrum:
     diffs = np.diff(values)
     if np.any(diffs < -1e-12):
         raise ValueError("eigenvalues must be sorted ascending")
-    floor = DEGENERACY_ULPS * float(np.spacing(np.abs(values).max(initial=0.0)))
-    return SpacingSpectrum(np.maximum(diffs, 0.0), floor=floor)
+    return SpacingSpectrum(np.maximum(diffs, 0.0), floor=rounding_floor(values))
+
+
+def rounding_floor(values: np.ndarray) -> float:
+    """DEGENERACY_ULPS ulps of the largest |eigenvalue|: spacings below it are roundoff."""
+    return DEGENERACY_ULPS * float(np.spacing(np.abs(values).max(initial=0.0)))
 
 
 def state_measures(vectors: np.ndarray, n_b: int = 2,

@@ -64,6 +64,27 @@ class TestDetectBands:
         with pytest.raises(ValueError):
             detect_bands(np.array([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("cells", [10, 20, 201])
+    def test_uniform_chain_splits_at_its_three_levels(self, cells):
+        # d1 == d2: the cells are scalar, the operator falls apart into
+        # dimers at 1 -+ eps plus the two free end sites at 1
+        h = assemble(realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, cells)),
+                     CellParams(1.0, 1.0, 0.2))
+        values = eigh_tridiagonal(h).values
+        part = detect_bands(values)
+        assert [len(b) for b in part.bands] == [cells - 1, 2, cells - 1]
+        assert not part.low_confidence
+        assert [round(values[b.start], 12) for b in part.bands] == [0.8, 1.0, 1.2]
+
+    def test_roundoff_spacings_never_split(self):
+        levels = np.repeat([1.0, 2.0], 10) + np.tile([0.0, 2e-16, 4e-16, 2e-16, 0.0], 4)
+        values = np.sort(levels)
+        assert [len(b) for b in detect_bands(values).bands] == [10, 10]
+        # all spacings at roundoff: no split at all, not a split at the largest
+        flat = np.full(12, 2.0) + np.tile([0.0, 4.4e-16], 6)
+        part = detect_bands(np.sort(flat))
+        assert part.bands == (range(12),) and part.low_confidence
+
 
 class TestClassifyStates:
     def build(self, columns, size=12):
@@ -264,10 +285,39 @@ class TestAnalyze:
             assert np.array_equal(getattr(report.measures, name), getattr(whole, name))
 
     def test_warns_when_band_count_surprises(self):
+        # a uniform chain (d1 == d2) has three levels, so three bands
         grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 10))
-        h = assemble(grid, CellParams(1.0, 2.0, 0.0))
+        h = assemble(grid, CellParams(1.0, 1.0, 0.2))
         with pytest.warns(UserWarning, match="expected 2 bands"):
             analyze(eigh_tridiagonal(h), expect_two_bands=True)
+
+    def test_decoupled_cells_give_two_flat_bands(self, recwarn):
+        # eps = 0: every cell has the exact levels d1 and d2, so the spectrum
+        # is two flat bands whose roundoff spacings do not split them
+        grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 10))
+        h = assemble(grid, CellParams(1.0, 2.0, 0.0))
+        report = analyze(eigh_tridiagonal(h), expect_two_bands=True)
+        assert report.bands.bands == (range(10), range(10, 20))
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("n_b", 0, "n_b must be at least 1"),
+        ("tau", 0.0, "tau must lie in"),
+        ("tau", 1.0, "tau must lie in"),
+        ("tau", math.nan, "tau must be finite"),
+        ("gamma", 0.0, "gamma must be positive"),
+        ("gamma", -1.0, "gamma must be positive"),
+        ("gamma", math.inf, "gamma must be finite"),
+        ("delta_rel", 0.0, "delta_rel must be positive"),
+        ("amplitude_floor", -1e-9, "amplitude_floor must not be negative"),
+        ("amplitude_floor", math.inf, "amplitude_floor must be finite"),
+    ])
+    def test_thresholds_refuse_bad_values(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            AnalysisThresholds(**{field: value})
+
+    def test_zero_amplitude_floor_allowed(self):
+        assert AnalysisThresholds(amplitude_floor=0.0).amplitude_floor == 0.0
 
     def test_thresholds_round_trip(self):
         th = AnalysisThresholds(n_b=3, tau=1e-4, gamma=15.0, delta_rel=0.2,

@@ -1,6 +1,8 @@
 """Flag parsing, validation messages, exit codes, and the dispatch paths."""
 
+import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +10,13 @@ from hypothesis import given, strategies as st
 from iplsim._version import __version__
 from iplsim.cli import UsageError, main, parse_angle, parse_args
 from iplsim.eigensolver import DENSE_ORACLE_MAX_SITES, SolverError
-from iplsim.experiments import RunManifest, preset_config
-from iplsim.profiles import QUARTER_TURN
+from iplsim.analysis import AnalysisThresholds
+from iplsim.experiments import (DEFAULT_CONFIG, PRESETS, RunConfig, RunManifest,
+                                preset_config, replay)
+from iplsim.hamiltonian import CellParams
+from iplsim.profiles import QUARTER_TURN, ProfileSpec
+
+PI = math.pi
 
 
 @pytest.fixture
@@ -189,6 +196,81 @@ class TestPresetParsing:
             parse_args(["preset", "fig1", "--set", pair, "--out", "x"])
 
 
+def _default(**profile) -> RunConfig:
+    return replace(DEFAULT_CONFIG, profile=ProfileSpec(**profile))
+
+
+def _linear(center, lf, cells, base=DEFAULT_CONFIG, **config) -> RunConfig:
+    return replace(base, profile=ProfileSpec.linear(center, lf, cells), **config)
+
+
+class TestOneSettingsPath:
+    """Run flags, sweep flags and preset overrides are the same settings."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["run", "--cells", "8"], _linear(QUARTER_TURN, 1.0, 8)),
+        (["run", "--sites", "16", "--d1", "3", "--d2", "1", "--eps", "0.3", "--tau", "1e-4",
+          "--gamma", "15", "--delta-rel", "0.1", "--nb", "3", "--map", "full"],
+         RunConfig(params=CellParams(1.0, 3.0, 0.3),
+                   profile=ProfileSpec.linear(QUARTER_TURN, 1.0, 8),
+                   thresholds=AnalysisThresholds(n_b=3, tau=1e-4, gamma=15.0, delta_rel=0.1),
+                   map_selection="full")),
+        (["run", "--cells", "8", "--center", "pi/8", "--lf", "2"], _linear(PI / 8, 2.0, 8)),
+        (["run", "--cells", "8", "--center", "0.3"], _linear(0.3, 1.0, 8)),
+        (["run", "--cells", "8", "--lf", "3"], _linear(QUARTER_TURN, 3.0, 8)),
+        (["run", "--cells", "8", "--phi-start", "0.1", "--phi-end", "0.7"],
+         _default(kind="linear", cells=8, phi_start=0.1, phi_end=0.7)),
+        (["run", "--cells", "8", "--profile", "linear"], _linear(QUARTER_TURN, 1.0, 8)),
+        (["run", "--cells", "8", "--profile", "revolutions", "--phi-start", "pi/8",
+          "--phi-end", "3pi/8"],
+         _default(kind="revolutions", cells=8, phi_start=PI / 8, phi_end=3 * PI / 8,
+                  revolutions=1)),
+        (["run", "--cells", "8", "--profile", "random-phase", "--seed", "4", "--phi-start",
+          "pi/8", "--phi-end", "3pi/8"],
+         _default(kind="random_phase", cells=8, phi_start=PI / 8, phi_end=3 * PI / 8,
+                  seed=4)),
+        (["run", "--sites", "20", "--profile", "random-onsite", "--seed", "4"],
+         _default(kind="random_onsite", cells=10, seed=4)),
+        (["sweep"], _linear(QUARTER_TURN, 0.5, 501, label="sweep")),
+        (["sweep", "--cells", "8", "--center", "0.3", "--lf-min", "2", "--lf-max", "5",
+          "--eps", "0.3", "--nb", "3"],
+         replace(_linear(0.3, 2.0, 8, label="sweep"), params=CellParams(1.0, 2.0, 0.3),
+                 thresholds=AnalysisThresholds(n_b=3))),
+        (["preset", "fig1", "--set", "lf=2", "--set", "sites=40"],
+         _linear(QUARTER_TURN, 2.0, 20, base=PRESETS["fig1"].config)),
+        (["preset", "fig7_8", "--set", "phi-start=0.3", "--set", "tau=1e-4"],
+         replace(PRESETS["fig7_8"].config,
+                 profile=ProfileSpec("linear", 151, phi_start=0.3, phi_end=PI / 4),
+                 thresholds=AnalysisThresholds(tau=1e-4))),
+        (["preset", "fig6", "--set", "seed=9", "--map", "lowest:4"],
+         replace(PRESETS["fig6"].config,
+                 profile=replace(PRESETS["fig6"].config.profile, seed=9),
+                 map_selection="lowest:4")),
+    ])
+    def test_inputs_build_the_expected_config(self, argv, expected):
+        assert parse_args([*argv, "--out", "x"]).flags["config"] == expected
+
+    @pytest.mark.parametrize("sets,overrides,match", [
+        (["sites=40", "cells=20"], {"sites": 40, "cells": 20}, "sites and cells"),
+        (["lf=2", "phi-start=0.3"], {"lf": 2.0, "phi_start": 0.3}, "conflicts"),
+    ])
+    def test_override_pairs_are_refused_not_dropped(self, sets, overrides, match, tmp_path,
+                                                    no_compute, capsys):
+        argv = ["preset", "fig1", *(arg for pair in sets for arg in ("--set", pair))]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValueError, match=match):
+            preset_config("fig1", overrides)
+
+    @pytest.mark.parametrize("key,value", [("center", 0.5), ("profile", "linear")])
+    def test_preset_key_set_has_no_center_or_profile(self, key, value, tmp_path, no_compute):
+        with pytest.raises(ValueError, match="unknown override"):
+            preset_config("fig1", {key: value})
+        assert main(["preset", "fig1", "--set", f"{key}={value}",
+                     "--out", str(tmp_path / "out")]) == 2
+
+
 class TestOracleParsing:
     def test_bounds_accepted(self):
         for sites in ("4", str(DENSE_ORACLE_MAX_SITES)):
@@ -287,6 +369,63 @@ class TestRefusedBeforeCompute:
                           "0.3", "--phi-end", "1", "--out", "x"])
         assert cmd.flags["config"].profile.revolutions == 1
 
+    @pytest.mark.parametrize("flags,match", [
+        (["--gamma", "0"], "gamma must be positive"),
+        (["--gamma", "-1"], "gamma must be positive"),
+        (["--gamma", "inf"], "gamma must be finite"),
+        (["--tau", "-1"], "tau must lie in"),
+        (["--tau", "1"], "tau must lie in"),
+        (["--tau", "nan"], "tau must be finite"),
+        (["--nb", "0"], "n_b must be at least 1"),
+        (["--nb", "9"], "exceeds"),
+        (["--delta-rel", "0"], "delta_rel must be positive"),
+        (["--map", "bogus"], "unknown map selection"),
+        (["--map", "band:x"], "unknown map selection"),
+        (["--map", "band:-1"], "I >= 0"),
+        (["--map", "lowest:0"], "K >= 1"),
+    ])
+    def test_bad_threshold_or_map_refused_by_run(self, flags, match, tmp_path, no_compute,
+                                                 capsys):
+        assert main(["run", "--cells", "8", *flags, "--out", str(tmp_path / "out")]) == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("pair,match", [
+        ("gamma=0", "gamma must be positive"),
+        ("tau=-1", "tau must lie in"),
+        ("nb=0", "n_b must be at least 1"),
+        ("nb=152", "exceeds"),
+        ("delta-rel=0", "delta_rel must be positive"),
+        ("amplitude-floor=-1", "amplitude_floor must not be negative"),
+        ("map-selection=bogus", "unknown map selection"),
+        ("map-selection=lowest:0", "K >= 1"),
+    ])
+    def test_bad_threshold_or_map_refused_by_preset(self, pair, match, tmp_path, no_compute,
+                                                    capsys):
+        assert main(["preset", "fig4", "--set", pair, "--out", str(tmp_path / "out")]) == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,key,value,match", [
+        ("thresholds", "gamma", 0.0, "gamma must be positive"),
+        ("thresholds", "tau", -1.0, "tau must lie in"),
+        ("thresholds", "n_b", 0, "n_b must be at least 1"),
+        ("thresholds", "n_b", 152, "exceeds"),
+        ("thresholds", "delta_rel", 0.0, "delta_rel must be positive"),
+        ("thresholds", "amplitude_floor", -1.0, "amplitude_floor must not be negative"),
+        (None, "map_selection", "bogus", "unknown map selection"),
+        (None, "map_selection", "lowest:0", "K >= 1"),
+    ])
+    def test_bad_threshold_or_map_refused_by_replay(self, section, key, value, match,
+                                                    tmp_path):
+        doc = RunManifest.of(preset_config("fig4"), "run", ("csv",), {}).to_dict()
+        (doc[section] if section else doc)[key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            replay(path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestMainExitCodes:
     def test_run_success(self, tmp_path, capsys):
@@ -353,7 +492,8 @@ class TestMainExitCodes:
         # a map selection that only fails once the band count is known
         assert main(["run", "--cells", "8", "--map", "band:7",
                      "--out", str(tmp_path)]) == 2
-        # a threshold that only fails when classification runs
+        # a threshold out of range exits 2 too, though it is now refused
+        # before the solve (TestRefusedBeforeCompute)
         assert main(["run", "--cells", "8", "--tau", "-1",
                      "--out", str(tmp_path)]) == 2
 

@@ -58,11 +58,19 @@ class TestEighTridiagonal:
         vectors = np.array([[-1e-13, 0.0, -0.6, 0.0],
                             [0.6, -0.8, 0.8, -1e-13],
                             [-0.8, 0.6, 0.0, 1e-13]])
-        fixed = _fix_signs(vectors)
+        fixed = _fix_signs(vectors.copy())
         # columns 1 and 2 lead with a negative entry above the floor and are
         # negated exactly; column 0 leads positive past its sub-floor entry,
         # and column 3 has nothing above the floor
         assert np.array_equal(fixed, vectors * np.array([1.0, -1.0, -1.0, 1.0]))
+
+    def test_sign_fix_works_in_place(self):
+        from iplsim.eigensolver import _fix_signs
+
+        vectors = np.array([[-0.6, 0.8], [0.8, 0.6]])
+        fixed = _fix_signs(vectors)
+        assert fixed is vectors
+        assert np.array_equal(vectors, [[0.6, 0.8], [-0.8, 0.6]])
 
     def test_single_site(self):
         h = assemble_onsite(random_onsite_sequence(1.0, 2.0, 2, seed=1), 0.3)

@@ -9,14 +9,17 @@ import pytest
 
 from iplsim.eigensolver import SolverError
 from iplsim.experiments import (
+    DEFAULT_CONFIG,
     EMIT_KINDS,
     PRESETS,
     RunConfig,
     RunManifest,
     build_hamiltonian,
+    configure,
     execute,
     load_manifest,
     oracle_check,
+    parse_selection,
     preset_config,
     random_instance,
     replay,
@@ -25,7 +28,7 @@ from iplsim.experiments import (
     run_sweep,
     sweep_lf,
 )
-from iplsim.analysis import delocalized_fraction
+from iplsim.analysis import AnalysisThresholds, delocalized_fraction
 from iplsim.cli import main
 from iplsim.hamiltonian import CellParams
 from iplsim.output import sha256_file
@@ -170,6 +173,30 @@ class TestResolveSelection:
         with pytest.raises(ValueError, match="unknown map selection"):
             resolve_selection("bands", report)
 
+    @pytest.mark.parametrize("selection,parsed", [
+        ("full", ("full", 0)), ("band:0", ("band", 0)), ("band:7", ("band", 7)),
+        ("lowest:12", ("lowest", 12)),
+    ])
+    def test_parse_selection(self, selection, parsed):
+        assert parse_selection(selection) == parsed
+
+    @pytest.mark.parametrize("selection,match", [
+        ("bands", "unknown map selection"), ("band:", "unknown map selection"),
+        ("band:x", "unknown map selection"), ("lowest", "unknown map selection"),
+        ("band:-1", "I >= 0"), ("lowest:0", "K >= 1"),
+    ])
+    def test_malformed_selection_refused_by_the_config(self, selection, match):
+        with pytest.raises(ValueError, match=match):
+            parse_selection(selection)
+        with pytest.raises(ValueError, match=match):
+            small_config(map_selection=selection)
+
+    def test_edge_window_wider_than_half_the_lattice_refused(self):
+        config = small_config(cells=4)
+        assert replace(config, thresholds=AnalysisThresholds(n_b=4)).thresholds.n_b == 4
+        with pytest.raises(ValueError, match="exceeds"):
+            replace(config, thresholds=AnalysisThresholds(n_b=5))
+
 
 class TestExecuteAndManifest:
     def test_artifacts_and_checksums(self, tmp_path):
@@ -251,8 +278,10 @@ class TestSweep:
         base = small_config(cells=16)
         center = (base.profile.phi_start + base.profile.phi_end) / 2
         [point] = sweep_lf([3.0], base)
-        _, _, report = run_config(replace(base, profile=ProfileSpec.linear(center, 3.0, 16)))
-        assert point.fraction == delocalized_fraction(report.labels)
+        for config in (replace(base, profile=ProfileSpec.linear(center, 3.0, 16)),
+                       configure(base, {"lf": 3.0})):
+            _, _, report = run_config(config)
+            assert point.fraction == delocalized_fraction(report.labels)
 
     def test_fraction_rises_with_focusing(self):
         points = sweep_lf([0.5, 50.0], small_config(cells=24))
@@ -291,6 +320,71 @@ class TestSweep:
         run_sweep(small_config(cells=12), (0.5, 2.0), tmp_path / "orig")
         fresh = replay(tmp_path / "orig" / "manifest.json", tmp_path / "redo")
         assert fresh.kind == "sweep"
+
+
+class TestConfigure:
+    def test_no_settings_keep_the_base(self):
+        assert configure(DEFAULT_CONFIG, {}) is DEFAULT_CONFIG
+
+    def test_default_lattice(self):
+        assert DEFAULT_CONFIG.params == CellParams(1.0, 2.0, 0.2)
+        assert DEFAULT_CONFIG.profile == ProfileSpec.linear(QUARTER_TURN, 1.0, 501)
+        assert DEFAULT_CONFIG.thresholds == AnalysisThresholds()
+        assert DEFAULT_CONFIG.profile == PRESETS["fig1"].config.profile
+        for preset in PRESETS.values():
+            assert preset.config.params.d1 == DEFAULT_CONFIG.params.d1
+            assert preset.config.params.d2 == DEFAULT_CONFIG.params.d2
+
+    def test_unknown_key(self):
+        with pytest.raises(ValueError, match=r"unknown override\(s\): \['width'\]"):
+            configure(DEFAULT_CONFIG, {"width": 1.0})
+
+    def test_values_take_their_field_types(self):
+        config = configure(DEFAULT_CONFIG, {"d1": 3, "cells": "8", "nb": "3", "tau": "1e-4"})
+        assert config.params == CellParams(2.0, 3.0, 0.2)
+        assert isinstance(config.params.d2, float)
+        assert config.profile.cells == 8
+        assert config.thresholds.n_b == 3 and config.thresholds.tau == 1e-4
+
+    @pytest.mark.parametrize("sites", [3, 2, 0, -4])
+    def test_sites_even_and_at_least_4(self, sites):
+        with pytest.raises(ValueError, match="sites must be even and at least 4"):
+            configure(DEFAULT_CONFIG, {"sites": sites})
+
+    def test_new_kind_starts_from_the_cell_count(self):
+        config = configure(PRESETS["fig9_10"].config,
+                           {"profile": "linear", "phi_start": 0.1, "phi_end": 0.5})
+        assert config.profile == ProfileSpec("linear", 201, phi_start=0.1, phi_end=0.5)
+        config = configure(DEFAULT_CONFIG, {"profile": "revolutions", "phi_start": 0.1,
+                                            "phi_end": 0.5})
+        assert config.profile == ProfileSpec("revolutions", 501, phi_start=0.1,
+                                             phi_end=0.5, revolutions=1)
+
+    def test_center_and_lf_default_to_the_current_grid(self):
+        base = PRESETS["fig4"].config
+        assert configure(base, {"center": 0.5}).profile == ProfileSpec.linear(0.5, 0.5, 151)
+        assert configure(base, {"lf": 2.0}).profile == \
+            ProfileSpec.linear(QUARTER_TURN, 2.0, 151)
+
+    def test_lf_on_a_grid_placed_by_its_ends_keeps_its_midpoint(self):
+        base = PRESETS["fig7_8"].config
+        mid = (base.profile.phi_start + base.profile.phi_end) / 2
+        assert configure(base, {"lf": 2.0}).profile == ProfileSpec.linear(mid, 2.0, 151)
+
+    @pytest.mark.parametrize("base,settings,match", [
+        ("fig7_8", {"center": 0.5}, "center needs lf"),
+        ("fig9_10", {"center": 0.5}, "linear profiles only"),
+        ("fig6", {"lf": 2.0}, "linear profiles only"),
+        ("fig1", {"center": 0.5, "phi_end": 1.0}, "conflicts"),
+        ("fig1", {"lf": 2.0, "phi_start": 0.1}, "conflicts"),
+    ])
+    def test_grid_placement_refusals(self, base, settings, match):
+        with pytest.raises(ValueError, match=match):
+            configure(PRESETS[base].config, settings)
+
+    def test_one_end_at_a_time_drops_lf(self):
+        config = configure(PRESETS["fig1"].config, {"phi_end": 1.0})
+        assert config.profile == ProfileSpec("linear", 501, phi_start=PI / 8, phi_end=1.0)
 
 
 class TestPresetConfigOverrides:
