@@ -20,8 +20,8 @@ import numpy as np
 
 from ._version import __version__
 from .eigensolver import DENSE_ORACLE_MAX_SITES, SolverError
-from .experiments import (DEFAULT_CONFIG, PRESETS, SETTING_KEYS, configure, execute,
-                          oracle_check, preset_config, run_sweep)
+from .experiments import (DEFAULT_CONFIG, PRESET_KEYS, PRESETS, SETTING_KEYS, configure,
+                          execute, oracle_check, preset_config, run_sweep)
 
 _ANGLE_CHARS = re.compile(r"^[0-9epi+\-*/(). ]+$")
 _ANGLE_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -221,12 +221,18 @@ def _validate_oracle(flags) -> None:
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, Any]:
-    overrides: dict[str, Any] = {}
+    """Type each --set value, once every key is known to be a preset key."""
+    split = []
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
             raise UsageError(f"--set expects KEY=VALUE, got {pair!r}")
-        key = key.replace("-", "_")
+        split.append((key.replace("-", "_"), raw, pair))
+    unknown = {key for key, _, _ in split} - set(PRESET_KEYS)
+    if unknown:
+        raise UsageError(f"unknown override(s): {sorted(unknown)}")
+    overrides: dict[str, Any] = {}
+    for key, raw, pair in split:
         if key in ("phi_start", "phi_end"):
             overrides[key] = parse_angle(raw)
         elif key == "map_selection":

@@ -4,19 +4,21 @@ Two independent routes: ``eigh_tridiagonal`` works on the (diag, offdiag)
 arrays. It splits the operator into unreduced blocks, takes each block's
 eigenvalues from LAPACK's root-free QR (``sterf``), cuts them into spectral
 groups at gaps above ``GROUP_GAP_REL`` of the operator scale, and runs inverse
-iteration (``dstein``) once per group. ``dense_oracle`` runs a self-contained
-cyclic Jacobi sweep on the expanded dense matrix. Tests cross-validate the
-two. Both return the same certified ``EigenSystem`` contract. Inverse
-iteration matters here: it resolves the exponential tails of localized
-eigenstates with componentwise accuracy, which the QR-family eigenvector
-drivers do not. That accuracy ends at an absolute floor set by the number of
-iterations dstein takes (about 1e-45 on the 200-site ground state that the
-tests check against a 60-digit reference), so tail components below it, such
-as fig1's ground-state edge amplitudes near 1e-46, are not resolved.
+iteration (``dstein``) once per group. ``dense_oracle`` runs self-contained
+Jacobi sweeps in round-robin (Brent–Luk) order on the expanded dense matrix.
+Tests cross-validate the two. Both return the same certified ``EigenSystem``
+contract. Inverse iteration matters here: it resolves the exponential tails
+of localized eigenstates with componentwise accuracy, which the QR-family
+eigenvector drivers do not. That accuracy ends at an absolute floor set by
+the number of iterations dstein takes (about 1e-45 on the 200-site ground
+state that the tests check against a 60-digit reference), so tail components
+below it, such as fig1's ground-state edge amplitudes near 1e-46, are not
+resolved.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,7 +122,7 @@ def eigh_tridiagonal(h) -> EigenSystem:
 
 
 def dense_oracle(h) -> EigenSystem:
-    """Independent check path: cyclic Jacobi on the dense matrix, small sizes only."""
+    """Independent check path: round-robin Jacobi on the dense matrix, small sizes only."""
     n = h.sites
     if n > DENSE_ORACLE_MAX_SITES:
         raise ValueError(
@@ -132,13 +134,20 @@ def dense_oracle(h) -> EigenSystem:
 
 
 def _jacobi(a: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic-by-row Jacobi rotations until the off-diagonal mass is negligible."""
+    """Round-robin (Brent–Luk) Jacobi rotations until the off-diagonal mass is negligible.
+
+    A sweep visits every pair once, in rounds of disjoint pairs (see
+    `_round_robin`). The rotations of a round touch disjoint rows and columns,
+    so they commute and are applied together: columns of A, rows of A, then
+    columns of V. A pair whose coupling is already zero is left alone.
+    """
     a = a.copy()
     n = a.shape[0]
     v = np.eye(n)
     scale = np.linalg.norm(a)
     if scale == 0.0 or n == 1:
         return np.diag(a).copy(), v
+    rounds = _round_robin(n)
     for _ in range(max_sweeps):
         # Sum the off-diagonal mass directly; subtracting the diagonal mass from
         # the total Frobenius mass cancels catastrophically near convergence and
@@ -146,29 +155,55 @@ def _jacobi(a: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.nda
         off = math.sqrt(float(np.sum((a - np.diag(np.diag(a))) ** 2)))
         if off <= 1e-14 * scale:
             return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
+        for p, q in rounds:
+            apq = a[p, q]
+            coupled = apq != 0.0
+            if not coupled.all():
+                p, q, apq = p[coupled], q[coupled], apq[coupled]
+                if not p.size:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
+            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+            big = abs(theta) > 1e150
+            if big.any():
+                t[big] = 1.0 / (2.0 * theta[big])
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            # fancy indexing copies, so each update reads the values from before it
+            col_p, col_q = a[:, p], a[:, q]
+            a[:, p] = c * col_p - s * col_q
+            a[:, q] = s * col_p + c * col_q
+            row_p, row_q = a[p, :], a[q, :]
+            a[p, :] = c[:, None] * row_p - s[:, None] * row_q
+            a[q, :] = s[:, None] * row_p + c[:, None] * row_q
+            a[p, q] = a[q, p] = 0.0
+            vec_p, vec_q = v[:, p], v[:, q]
+            v[:, p] = c * vec_p - s * vec_q
+            v[:, q] = s * vec_p + c * vec_q
     raise SolverError(f"Jacobi sweep cap ({max_sweeps}) reached before convergence")
+
+
+@functools.lru_cache(maxsize=None)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """One Jacobi sweep's pairs (p < q) as rounds of disjoint pairs.
+
+    The round-robin tournament ordering of R. P. Brent and F. T. Luk, SIAM J.
+    Sci. Stat. Comput. 6 (1985) 69-84: index 0 stays put while the others
+    rotate one place per round, and position i meets position m-1-i. An odd n
+    is padded with a bye index n, whose pairs are dropped, so every pair of
+    indices below n appears exactly once in the m-1 rounds (m = n rounded up
+    to even).
+    """
+    m = n + n % 2
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = sorted((min(x, y), max(x, y)) for x, y in zip(ring[:m // 2], ring[::-1])
+                       if max(x, y) < n)
+        p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
+        rounds.append((p, q))
+        ring = ring[:1] + ring[-1:] + ring[1:-1]
+    return tuple(rounds)
 
 
 def _scale(diag, offdiag) -> float:

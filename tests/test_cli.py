@@ -263,12 +263,21 @@ class TestOneSettingsPath:
         with pytest.raises(ValueError, match=match):
             preset_config("fig1", overrides)
 
-    @pytest.mark.parametrize("key,value", [("center", 0.5), ("profile", "linear")])
-    def test_preset_key_set_has_no_center_or_profile(self, key, value, tmp_path, no_compute):
+    @pytest.mark.parametrize("key,value", [("center", 0.5), ("profile", "linear"),
+                                           ("center", "pi/4")])
+    def test_preset_key_set_has_no_center_or_profile(self, key, value, tmp_path, no_compute,
+                                                     capsys):
         with pytest.raises(ValueError, match="unknown override"):
             preset_config("fig1", {key: value})
+        # the key is refused before its value is typed, whatever the value
         assert main(["preset", "fig1", "--set", f"{key}={value}",
                      "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown override(s): ['{key}']" in capsys.readouterr().err
+
+    def test_every_unknown_key_is_named(self):
+        with pytest.raises(UsageError, match=r"\['bogus', 'center'\]"):
+            parse_args(["preset", "fig1", "--set", "center=pi/4", "--set", "eps=0.3",
+                        "--set", "bogus=x", "--out", "x"])
 
 
 class TestOracleParsing:

@@ -1,4 +1,8 @@
+import inspect
+import itertools
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -272,6 +276,152 @@ class TestDenseOracle:
         eig = dense_oracle(small_lattice(10))
         assert eig.residual_bound <= 1e-10
         assert eig.ortho_bound <= 1e-10
+
+
+def symmetric(n, seed):
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return m + m.T
+
+
+def theta_guard_matrix():
+    # the first round rotates (1, 2) and leaves couplings near 1e-160 to site
+    # 0, whose rotations then have |theta| near 1e160, past the 1e150 guard
+    return np.array([[0.0, 1e-160, 0.0], [1e-160, 1.0, 1.0], [0.0, 1.0, 3.0]])
+
+
+def degenerate_matrix(n=9):
+    # 2 I plus a rank-1 term: eigenvalue 2 with multiplicity n - 1, and equal
+    # diagonals, so the first rotations have theta = 0
+    u = np.ones(n)
+    return 2.0 * np.eye(n) + np.outer(u, u)
+
+
+def assert_eigensystem(a, values, vectors, tol=1e-10):
+    scale = max(np.linalg.norm(a), 1e-300)
+    assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(a))) <= tol * scale
+    assert np.max(np.abs(a @ vectors - vectors * values)) <= tol * scale
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(len(values)))) <= tol
+
+
+def lines_run(func, *args):
+    """The line numbers of `func` executed while calling it."""
+    hit = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not func.__code__:
+            return None
+        if event == "line":
+            hit.add(frame.f_lineno)
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        func(*args)
+    finally:
+        sys.settrace(previous)
+    return hit
+
+
+class TestJacobi:
+    """Edge cases of the round-robin Jacobi sweep behind the dense oracle."""
+
+    def test_single_site(self):
+        values, vectors = eigensolver._jacobi(np.array([[3.5]]))
+        assert values.tolist() == [3.5]
+        assert vectors.tolist() == [[1.0]]
+
+    def test_zero_matrix(self):
+        values, vectors = eigensolver._jacobi(np.zeros((5, 5)))
+        assert values.tolist() == [0.0] * 5
+        assert np.array_equal(vectors, np.eye(5))
+
+    def test_two_sites(self):
+        a = np.array([[1.0, 2.0], [2.0, -3.0]])
+        values, vectors = eigensolver._jacobi(a)
+        assert np.sort(values) == pytest.approx([-1.0 - math.sqrt(8.0), -1.0 + math.sqrt(8.0)],
+                                                abs=1e-14)
+        assert_eigensystem(a, values, vectors)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 31])
+    def test_odd_sizes_use_the_bye(self, n):
+        a = symmetric(n, n)
+        assert_eigensystem(a, *eigensolver._jacobi(a))
+
+    def test_input_is_not_modified(self):
+        a = symmetric(6, 0)
+        kept = a.copy()
+        eigensolver._jacobi(a)
+        assert np.array_equal(a, kept)
+
+    def test_diagonal_matrix_is_returned_as_is(self):
+        a = np.diag([3.0, -1.0, 2.0, 0.5])
+        values, vectors = eigensolver._jacobi(a)
+        assert values.tolist() == [3.0, -1.0, 2.0, 0.5]
+        assert np.array_equal(vectors, np.eye(4))
+
+    @pytest.mark.parametrize("coupled", [[(0, 1), (2, 3)], [(0, 1)], [(1, 3)]])
+    def test_uncoupled_pairs_are_left_alone(self, coupled):
+        # n = 4 has rounds {(0,3), (1,2)}, {(0,2), (1,3)}, {(0,1), (2,3)}: whole
+        # rounds, or single pairs of a round, have a zero coupling
+        a = np.diag([1.0, 2.0, 4.0, 8.0])
+        for p, q in coupled:
+            a[p, q] = a[q, p] = 0.7
+        values, vectors = eigensolver._jacobi(a)
+        assert_eigensystem(a, values, vectors)
+        touched = {i for pair in coupled for i in pair}
+        for k in range(4):
+            if k not in touched:
+                assert values[k] == a[k, k]
+        # a vector never leaves the block of the pair it was rotated in
+        assert np.array_equal(vectors != 0.0, (a != 0.0) | np.eye(4, dtype=bool))
+
+    def test_exactly_degenerate_spectrum(self):
+        a = degenerate_matrix()
+        values, vectors = eigensolver._jacobi(a)
+        assert np.sort(values) == pytest.approx([2.0] * 8 + [11.0], abs=1e-13)
+        assert_eigensystem(a, values, vectors)
+
+    def test_theta_guard(self):
+        a = theta_guard_matrix()
+        guard = next(number for number, line in enumerate(
+            inspect.getsourcelines(eigensolver._jacobi)[0],
+            start=eigensolver._jacobi.__code__.co_firstlineno) if "t[big] =" in line)
+        assert guard in lines_run(eigensolver._jacobi, a)
+        assert_eigensystem(a, *eigensolver._jacobi(a))
+
+    def test_sweep_cap_raises(self):
+        with pytest.raises(SolverError, match="sweep cap"):
+            eigensolver._jacobi(symmetric(12, 1), max_sweeps=1)
+
+    @pytest.mark.parametrize("n", [4, 17, 64, 129, DENSE_ORACLE_MAX_SITES])
+    def test_matches_eigvalsh_on_dense_matrices(self, n):
+        a = symmetric(n, 100 + n)
+        assert_eigensystem(a, *eigensolver._jacobi(a))
+
+    def test_no_floating_point_warnings(self):
+        rng = SplitMix64(0xA5EED)   # the first instances of acceptance criterion 2
+        decoupled = ProfileSpec("linear", 20, phi_start=0.3, phi_end=0.3)
+        lattices = [random_instance(rng, max_sites=64) for _ in range(5)]
+        lattices.append(assemble(realize_profile(decoupled), CellParams(1.0, 2.0, 0.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h in lattices:
+                dense_oracle(h)
+            for a in (degenerate_matrix(), theta_guard_matrix(), np.zeros((3, 3))):
+                eigensolver._jacobi(a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 33, 64, 65])
+def test_round_robin_schedule(n):
+    rounds = eigensolver._round_robin(n)
+    assert len(rounds) == n - 1 + n % 2
+    seen = []
+    for p, q in rounds:
+        assert len(set(p) | set(q)) == 2 * len(p)          # disjoint within the round
+        assert len(p) == n // 2
+        seen += zip(p.tolist(), q.tolist())
+    assert sorted(seen) == list(itertools.combinations(range(n), 2))
 
 
 class TestNodeCount:
