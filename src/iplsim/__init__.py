@@ -20,8 +20,7 @@ from .measures import StateMeasures, SpacingSpectrum, spacing_spectrum, state_me
 from .analysis import (AnalysisThresholds, BandPartition, SubdomainLabels,
                        Multiplet, MultipletReport, EigenstateMap, SpectralReport,
                        detect_bands, classify_states, delocalized_fraction,
-                       detect_multiplets, eigenstate_map, analyze, smooth,
-                       monotonicity_changes)
+                       detect_multiplets, eigenstate_map, analyze)
 from .experiments import (Preset, PRESETS, RunConfig, RunManifest, SweepPoint,
                           OracleCheckResult, build_hamiltonian, run_config,
                           execute, preset_config, sweep_lf, run_sweep,

@@ -139,14 +139,16 @@ def _jacobi(a: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.nda
     A sweep visits every pair once, in rounds of disjoint pairs (see
     `_round_robin`). The rotations of a round touch disjoint rows and columns,
     so they commute and are applied together: columns of A, rows of A, then
-    columns of V. A pair whose coupling is already zero is left alone.
+    rows of V^T. A pair whose coupling is already zero is left alone. V is kept
+    transposed because a row update of a C-ordered array touches contiguous
+    memory and a column update does not; the returned vectors are its transpose.
     """
     a = a.copy()
     n = a.shape[0]
-    v = np.eye(n)
+    vt = np.eye(n)
     scale = np.linalg.norm(a)
     if scale == 0.0 or n == 1:
-        return np.diag(a).copy(), v
+        return np.diag(a).copy(), vt
     rounds = _round_robin(n)
     for _ in range(max_sweeps):
         # Sum the off-diagonal mass directly; subtracting the diagonal mass from
@@ -154,7 +156,7 @@ def _jacobi(a: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.nda
         # can report zero while 1e-10-scale entries remain.
         off = math.sqrt(float(np.sum((a - np.diag(np.diag(a))) ** 2)))
         if off <= 1e-14 * scale:
-            return np.diag(a).copy(), v
+            return np.diag(a).copy(), vt.T
         for p, q in rounds:
             apq = a[p, q]
             coupled = apq != 0.0
@@ -177,9 +179,9 @@ def _jacobi(a: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.nda
             a[p, :] = c[:, None] * row_p - s[:, None] * row_q
             a[q, :] = s[:, None] * row_p + c[:, None] * row_q
             a[p, q] = a[q, p] = 0.0
-            vec_p, vec_q = v[:, p], v[:, q]
-            v[:, p] = c * vec_p - s * vec_q
-            v[:, q] = s * vec_p + c * vec_q
+            vec_p, vec_q = vt[p, :], vt[q, :]
+            vt[p, :] = c[:, None] * vec_p - s[:, None] * vec_q
+            vt[q, :] = s[:, None] * vec_p + c[:, None] * vec_q
     raise SolverError(f"Jacobi sweep cap ({max_sweeps}) reached before convergence")
 
 

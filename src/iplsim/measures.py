@@ -22,11 +22,13 @@ DEGENERACY_ULPS = 4
 class StateMeasures:
     """Per-state diagnostics of a block of normalized eigenstates, one array per measure.
 
-    ipr: inverse participation ratio, sum of |psi_i|^4, in [1/N, 1].
+    ipr: inverse participation ratio, sum_n p_n * p_n with p_n = psi_n^2, in
+        [1/N, 1].
     cfs: cumulative Friedel sum |sum_n (exp(2 pi i P_n) + 1)| / (2N), with P_n
-        the cumulative probability up to site n; 1 for a single-site state,
-        1/2 for a uniform one (the phase factors run through all N-th roots of
-        unity and cancel).
+        the cumulative probability up to site n, computed as
+        hypot(sum_n cos(2 pi P_n) + N, sum_n sin(2 pi P_n)) / (2N); 1 for a
+        single-site state, 1/2 for a uniform one (the phase factors run through
+        all N-th roots of unity and cancel).
     com: probability-weighted mean site index (1-based, fractional).
     w_left, w_right: probability mass in the first and last n_b sites.
     nodes: sign changes, counted by ``node_count``.
@@ -85,8 +87,11 @@ def state_measures(vectors: np.ndarray, n_b: int = 2,
                    amplitude_floor: float = 1e-8) -> StateMeasures:
     """All per-state diagnostics of a (sites x states) block of eigenvectors.
 
-    Every reduction runs along the contiguous site axis of a (states x sites)
-    copy, so each value equals the one computed from that state's vector alone.
+    With p = psi * psi per site and P its cumulative sum: ipr = sum p * p,
+    cfs = hypot(sum cos(2 pi P) + N, sum sin(2 pi P)) / (2N), com = sum n * p
+    (n from 1), w_left/w_right = sum p over the first/last n_b sites. Every
+    reduction runs along the contiguous site axis of a (states x sites) copy,
+    so each value equals the one computed from that state's vector alone.
     """
     rows = np.ascontiguousarray(np.asarray(vectors, dtype=float).T)
     if rows.ndim != 2:
@@ -96,13 +101,15 @@ def state_measures(vectors: np.ndarray, n_b: int = 2,
         raise ValueError(f"edge window {n_b} out of range for {sites} sites")
     if np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > NORM_TOL):
         raise ValueError("vectors must be L2-normalized")
-    prob = rows**2
-    phases = 2j * np.pi * np.cumsum(prob, axis=1)
-    np.exp(phases, out=phases)  # in place: the complex arrays are the largest temporaries
-    phases += 1.0
+    prob = rows * rows
+    angles = np.cumsum(prob, axis=1)
+    angles *= 2.0 * np.pi
+    # sum_n (exp(i angle_n) + 1) = (sum cos + N) + i sum sin, with real temporaries only
+    friedel_re = np.sum(np.cos(angles), axis=1) + sites
+    friedel_im = np.sum(np.sin(angles, out=angles), axis=1)
     return StateMeasures(
-        ipr=np.sum(rows**4, axis=1),
-        cfs=np.abs(np.sum(phases, axis=1)) / (2 * sites),
+        ipr=np.sum(prob * prob, axis=1),
+        cfs=np.hypot(friedel_re, friedel_im) / (2 * sites),
         com=np.sum(np.arange(1, sites + 1) * prob, axis=1),
         w_left=np.sum(prob[:, :n_b], axis=1),
         w_right=np.sum(prob[:, sites - n_b:], axis=1),

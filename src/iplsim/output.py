@@ -90,7 +90,7 @@ def write_json(doc: dict[str, Any], path: str | Path) -> Path:
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    """Inverse of write_pgm, for round-trip checks."""
+    """Inverse of write_pgm: the (rows x width) pixel array of a binary PGM."""
     raw = Path(path).read_bytes()
     magic, dims, maxval, rest = raw.split(b"\n", 3)
     if magic != b"P5":

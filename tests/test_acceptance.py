@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from curves import monotonicity_changes, smooth
 from iplsim import (
     PRESETS,
     AnalysisThresholds,
@@ -30,7 +31,6 @@ from iplsim import (
     cell_matrix,
     delocalized_fraction,
     eigh_tridiagonal,
-    monotonicity_changes,
     node_count,
     oracle_check,
     preset_config,
@@ -38,7 +38,6 @@ from iplsim import (
     realize_profile,
     replay,
     run_config,
-    smooth,
 )
 from iplsim.experiments import build_hamiltonian, execute, run_sweep, sweep_lf
 from iplsim.output import sha256_file

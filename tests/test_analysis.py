@@ -11,13 +11,13 @@ from iplsim.analysis import (
     detect_bands,
     detect_multiplets,
     eigenstate_map,
-    monotonicity_changes,
-    smooth,
 )
 from iplsim.eigensolver import eigh_tridiagonal
 from iplsim.hamiltonian import CellParams, assemble
 from iplsim.profiles import ProfileSpec, realize_profile
 from iplsim.measures import spacing_spectrum, state_measures
+
+from curves import monotonicity_changes, smooth
 
 
 class TestDetectBands:

@@ -158,13 +158,21 @@ class TestSpacingSpectrum:
 
 
 def reference_measures(v, n_b):
-    """The one-vector formulas the batched pass replaced, as a reference."""
-    prob = v**2
-    total = np.sum(np.exp(2j * np.pi * np.cumsum(prob)) + 1.0)
-    return (float(np.sum(v**4)), float(np.abs(total)) / (2 * v.size),
+    """The documented formulas applied to one vector, as a reference."""
+    prob = v * v
+    angles = 2.0 * np.pi * np.cumsum(prob)
+    friedel = np.hypot(np.sum(np.cos(angles)) + v.size, np.sum(np.sin(angles)))
+    return (float(np.sum(prob * prob)), float(friedel) / (2 * v.size),
             float(np.sum(np.arange(1, v.size + 1) * prob)),
             float(np.sum(prob[:n_b])), float(np.sum(prob[v.size - n_b:])),
             node_count(v))
+
+
+def textbook_ipr_cfs(block):
+    """IPR as sum psi**4 and CFS from complex phase factors, summed in the same order."""
+    rows = np.ascontiguousarray(block.T)
+    phases = np.exp(2j * np.pi * np.cumsum(rows**2, axis=1)) + 1.0
+    return np.sum(rows**4, axis=1), np.abs(np.sum(phases, axis=1)) / (2 * rows.shape[1])
 
 
 def test_state_measures_bundles_consistently():
@@ -178,6 +186,28 @@ def test_state_measures_bundles_consistently():
         assert got == reference_measures(block[:, k], 3)
     with pytest.raises(ValueError):
         m.ipr[0] = 0.5
+
+
+def assert_matches_textbook(block):
+    m = state_measures(block)
+    ipr, cfs = textbook_ipr_cfs(block)
+    # prob * prob and the real cos/sin sums differ from psi**4 and the complex
+    # exponentials only by rounding
+    assert np.max(np.abs(m.ipr - ipr) / ipr) <= 2e-15
+    assert np.max(np.abs(m.cfs - cfs) / cfs) <= 2e-15
+
+
+def test_ipr_cfs_match_textbook_formulas_on_fig13(preset_eig):
+    _, eig = preset_eig("fig13")
+    assert_matches_textbook(eig.vectors[:, :128])
+    assert_matches_textbook(eig.vectors[:, eig.size // 2 - 64:eig.size // 2 + 64])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ipr_cfs_match_textbook_formulas_on_random_blocks(seed):
+    rng = np.random.default_rng(seed)
+    sites = int(rng.integers(2, 2000))
+    assert_matches_textbook(np.column_stack([random_state(rng, sites) for _ in range(16)]))
 
 
 def test_state_measures_input_checks():
