@@ -10,15 +10,14 @@ near-degeneracy multiplets, with deterministic CSV/PGM/JSON artifacts.
 
 from ._version import __version__
 from .rng import SplitMix64
-from .profiles import (QUARTER_TURN, PROFILE_KINDS, MAX_SITES, ProfileSpec, PhaseProfile,
-                       OnsiteSequence, realize_profile, random_onsite_sequence)
+from .profiles import (QUARTER_TURN, PROFILE_KINDS, MAX_SITES, ProfileSpec,
+                       realize_profile, random_onsite_sequence)
 from .hamiltonian import (CellParams, CellMatrix, cell_matrix, TridiagonalHamiltonian,
                           assemble, assemble_onsite)
-from .eigensolver import (EigenSystem, SolverError, eigh_tridiagonal, dense_oracle,
-                          node_count, eigenvalue_count_below)
+from .eigensolver import EigenSystem, SolverError, eigh_tridiagonal, dense_oracle, node_count
 from .measures import StateMeasures, SpacingSpectrum, spacing_spectrum, state_measures
 from .analysis import (AnalysisThresholds, BandPartition, SubdomainLabels,
-                       Multiplet, MultipletReport, EigenstateMap, SpectralReport,
+                       Multiplet, MultipletReport, SpectralReport,
                        detect_bands, classify_states, delocalized_fraction,
                        detect_multiplets, eigenstate_map, analyze)
 from .experiments import (Preset, PRESETS, RunConfig, RunManifest, SweepPoint,

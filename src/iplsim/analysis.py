@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields, asdict
-from typing import Any
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,13 +47,6 @@ class AnalysisThresholds:
             raise ValueError("delta_rel must be positive")
         if self.amplitude_floor < 0:
             raise ValueError("amplitude_floor must not be negative")
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "AnalysisThresholds":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -112,22 +104,6 @@ class MultipletReport:
             if state in g.members:
                 return g
         raise IndexError(f"state {state} not covered by any multiplet")
-
-
-@dataclass(frozen=True)
-class EigenstateMap:
-    """Per-state |psi| rows, each renormalized to max 1, highest state on top."""
-
-    rows: np.ndarray
-    indices: np.ndarray
-
-    def __post_init__(self):
-        self.rows.setflags(write=False)
-        self.indices.setflags(write=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.rows.shape
 
 
 def detect_bands(values: np.ndarray, gamma: float = 20.0) -> BandPartition:
@@ -221,11 +197,12 @@ def detect_multiplets(spacings: SpacingSpectrum, bands: BandPartition,
     return MultipletReport(groups=tuple(groups))
 
 
-def eigenstate_map(eig: EigenSystem, selection: range) -> EigenstateMap:
-    """Raster of |psi| rows for the selected states, renormalized per row.
+def eigenstate_map(eig: EigenSystem, selection: range) -> np.ndarray:
+    """Read-only (states x sites) raster of |psi| for the selected states.
 
-    Row order is descending in state index so the highest selected state sits
-    on top, matching the usual band-map orientation.
+    Each row is one state renormalized to max 1. Row order is descending in
+    state index so the highest selected state sits on top, matching the usual
+    band-map orientation; `write_pgm` takes the raster as it is.
     """
     indices = np.array(sorted(selection, reverse=True), dtype=int)
     if indices.size == 0:
@@ -234,7 +211,8 @@ def eigenstate_map(eig: EigenSystem, selection: range) -> EigenstateMap:
         raise ValueError("selection out of bounds")
     rows = np.abs(eig.vectors[:, indices].T)
     rows = rows / rows.max(axis=1, keepdims=True)
-    return EigenstateMap(rows=rows, indices=indices)
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -264,23 +264,9 @@ def node_count(vectors: np.ndarray, amplitude_floor: float = 1e-8):
     block gives one count per column; a single vector gives an int.
     """
     v = np.asarray(vectors, dtype=float)
-    significant = np.abs(v) > amplitude_floor * np.max(np.abs(v), axis=0)
+    magnitude = np.abs(v)
+    significant = magnitude > amplitude_floor * np.max(magnitude, axis=0)
     both = significant[:-1] & significant[1:]
     counts = np.sum(both & (v[:-1] * v[1:] < 0.0), axis=0)
     return int(counts) if v.ndim == 1 else counts
 
-
-def eigenvalue_count_below(h, shift: float) -> int:
-    """Sturm-sequence count of eigenvalues strictly below the shift."""
-    d, e = h.diag, h.offdiag
-    count = 0
-    q = 1.0
-    for i in range(d.size):
-        coupling = float(e[i - 1]) ** 2 if i > 0 else 0.0
-        q = (float(d[i]) - shift) - coupling / q
-        if q == 0.0:
-            # zero pivot counts as negative (LAPACK pivmin convention)
-            q = -5e-324
-        if q < 0.0:
-            count += 1
-    return count

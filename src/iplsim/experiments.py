@@ -132,9 +132,9 @@ PRESETS: dict[str, Preset] = {p.name: p for p in (
 
 def build_hamiltonian(config: RunConfig) -> TridiagonalHamiltonian:
     if config.profile.kind == "random_onsite":
-        seq = random_onsite_sequence(config.params.d1, config.params.d2,
-                                     2 * config.profile.cells, config.profile.seed)
-        return assemble_onsite(seq, config.params.eps, spec=config.profile)
+        energies = random_onsite_sequence(config.params.d1, config.params.d2,
+                                          2 * config.profile.cells, config.profile.seed)
+        return assemble_onsite(energies, config.params.eps)
     return assemble(realize_profile(config.profile), config.params)
 
 
@@ -211,14 +211,14 @@ class RunManifest:
         return cls(kind=kind, tool=TOOL, label=config.label,
                    params=asdict(config.params),
                    profile=config.profile.to_dict(),
-                   thresholds=config.thresholds.to_dict(),
+                   thresholds=asdict(config.thresholds),
                    map_selection=config.map_selection,
                    emit=emit, checksums=checksums, lf_values=lf_values)
 
     def config(self) -> RunConfig:
         return RunConfig(params=CellParams(**self.params),
                          profile=ProfileSpec.from_dict(self.profile),
-                         thresholds=AnalysisThresholds.from_dict(self.thresholds),
+                         thresholds=AnalysisThresholds(**self.thresholds),
                          map_selection=self.map_selection,
                          label=self.label)
 
@@ -246,8 +246,8 @@ def execute(config: RunConfig, out_dir: str | Path,
         checksums["spectrum.csv"] = sha256_file(write_spectrum_csv(eig.values, out / "spectrum.csv"))
         checksums["states.csv"] = sha256_file(write_state_csv(report, out / "states.csv"))
     if "pgm" in emit:
-        emap = eigenstate_map(eig, resolve_selection(config.map_selection, report))
-        checksums["map.pgm"] = sha256_file(write_pgm(emap, out / "map.pgm"))
+        raster = eigenstate_map(eig, resolve_selection(config.map_selection, report))
+        checksums["map.pgm"] = sha256_file(write_pgm(raster, out / "map.pgm"))
     if "json" in emit:
         extras = {
             "label": config.label,
@@ -380,8 +380,10 @@ def preset_config(name: str, overrides: dict[str, Any] | None = None) -> RunConf
     return configure(PRESETS[name].config, overrides or {}, keys=PRESET_KEYS)
 
 
-def random_instance(rng: SplitMix64, max_sites: int = 64,
-                    kinds=("linear", "revolutions", "random_phase")) -> TridiagonalHamiltonian:
+_RANDOM_KINDS = ("linear", "revolutions", "random_phase")
+
+
+def random_instance(rng: SplitMix64, max_sites: int = 64) -> TridiagonalHamiltonian:
     """Draw a random lattice for cross-checks.
 
     Phases stay inside (0, pi/2) and eps >= 0.05, so every off-diagonal entry
@@ -397,7 +399,7 @@ def random_instance(rng: SplitMix64, max_sites: int = 64,
     lo = margin + rng.next_float() * (math.pi / 2 - 2 * margin)
     hi = lo + rng.next_float() * (math.pi / 2 - margin - lo)
     hi = max(hi, lo + 1e-3)
-    kind = kinds[int(rng.next_float() * len(kinds)) % len(kinds)]
+    kind = _RANDOM_KINDS[int(rng.next_float() * len(_RANDOM_KINDS)) % len(_RANDOM_KINDS)]
     if kind == "linear":
         spec = ProfileSpec("linear", cells, phi_start=lo, phi_end=hi)
     elif kind == "revolutions":

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import OnsiteSequence, PhaseProfile, ProfileSpec
-
 
 @dataclass(frozen=True)
 class CellParams:
@@ -64,9 +62,6 @@ class TridiagonalHamiltonian:
 
     diag: np.ndarray
     offdiag: np.ndarray
-    cells: int
-    params: CellParams | None
-    profile: ProfileSpec | None
 
     def __post_init__(self):
         diag = np.asarray(self.diag, dtype=float)
@@ -91,11 +86,16 @@ class TridiagonalHamiltonian:
         return h
 
 
-def assemble(profile: PhaseProfile, params: CellParams) -> TridiagonalHamiltonian:
-    """Lay the phase-parametrized cells along the diagonal and couple neighbors."""
-    phi = profile.phases
-    if phi.size == 0:
-        raise ValueError("profile must be nonempty")
+def _sequence(values: np.ndarray) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("need a nonempty 1-D array")
+    return values
+
+
+def assemble(phases: np.ndarray, params: CellParams) -> TridiagonalHamiltonian:
+    """Lay one cell per entry of the phase array along the diagonal and couple neighbors."""
+    phi = _sequence(phases)
     c2 = np.cos(phi) ** 2
     s2 = np.sin(phi) ** 2
     cross = (params.d2 - params.d1) * np.sin(phi) * np.cos(phi)
@@ -107,16 +107,10 @@ def assemble(profile: PhaseProfile, params: CellParams) -> TridiagonalHamiltonia
     offdiag = np.empty(n_sites - 1)
     offdiag[0::2] = cross
     offdiag[1::2] = params.eps
-    return TridiagonalHamiltonian(diag, offdiag, cells=phi.size,
-                                  params=params, profile=profile.spec)
+    return TridiagonalHamiltonian(diag, offdiag)
 
 
-def assemble_onsite(seq: OnsiteSequence, eps: float,
-                    spec: ProfileSpec | None = None) -> TridiagonalHamiltonian:
-    """Comparison lattice: random on-site energies with a uniform chain coupling."""
-    if len(seq) == 0:
-        raise ValueError("sequence must be nonempty")
-    diag = np.asarray(seq.values, dtype=float)
-    offdiag = np.full(diag.size - 1, float(eps))
-    return TridiagonalHamiltonian(diag, offdiag, cells=diag.size // 2,
-                                  params=None, profile=spec)
+def assemble_onsite(energies: np.ndarray, eps: float) -> TridiagonalHamiltonian:
+    """Comparison lattice: the per-site energy array as diagonal, uniform chain coupling eps."""
+    diag = _sequence(energies)
+    return TridiagonalHamiltonian(diag, np.full(diag.size - 1, float(eps)))

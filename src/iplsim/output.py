@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterable
 
 import numpy as np
 
-from .analysis import EigenstateMap, SpectralReport
+from .analysis import SpectralReport
 
 STATE_HEADER = ("index,eigenvalue,spacing_next,ipr,cfs,com,"
                 "w_left,w_right,nodes,band,subdomain,multiplet_id")
@@ -70,11 +71,14 @@ def write_sweep_csv(rows: Iterable[tuple[float, float | None, str]],
     return path
 
 
-def write_pgm(emap: EigenstateMap, path: str | Path) -> Path:
-    """Binary PGM (P5), one row per state, pixel = round(255 * |psi| / max|psi|)."""
+def write_pgm(rows: np.ndarray, path: str | Path) -> Path:
+    """Binary PGM (P5) of a (states x sites) raster in [0, 1], as `eigenstate_map` returns it.
+
+    One image row per raster row, pixel = round(255 * value).
+    """
     path = Path(path)
-    height, width = emap.shape
-    pixels = np.rint(np.clip(emap.rows, 0.0, 1.0) * 255.0).astype(np.uint8)
+    height, width = rows.shape
+    pixels = np.rint(np.clip(rows, 0.0, 1.0) * 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
@@ -128,7 +132,7 @@ def summary_document(report: SpectralReport, extras: dict[str, Any] | None = Non
             lab: int(np.sum(report.labels.labels == lab)) for lab in ("A", "B", "C")
         },
         "multiplet_size_histogram": histogram,
-        "thresholds": report.thresholds.to_dict(),
+        "thresholds": asdict(report.thresholds),
     }
     if extras:
         doc.update(extras)

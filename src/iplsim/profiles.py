@@ -93,42 +93,11 @@ class ProfileSpec:
                    phi_end=center + width / 2, lf=lf)
 
 
-@dataclass(frozen=True)
-class PhaseProfile:
-    """Ordered cell phases phi_1..phi_N plus the recipe that generated them."""
+def realize_profile(spec: ProfileSpec) -> np.ndarray:
+    """Deterministically expand a ProfileSpec into its read-only phase array.
 
-    phases: np.ndarray
-    spec: ProfileSpec
-
-    def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=float)
-        if phases.ndim != 1 or phases.size != self.spec.cells:
-            raise ValueError("phase count must equal the cell count")
-        phases.setflags(write=False)
-        object.__setattr__(self, "phases", phases)
-
-    def __len__(self) -> int:
-        return self.phases.size
-
-
-@dataclass(frozen=True)
-class OnsiteSequence:
-    """Per-site energies for the random on-site comparison lattice."""
-
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def realize_profile(spec: ProfileSpec) -> PhaseProfile:
-    """Deterministically expand a ProfileSpec into its phase array (manifest replay path).
+    The array holds one phase per cell, phi_1..phi_N (``spec.cells`` floats),
+    and is what `assemble` takes; replaying a manifest goes through here.
 
     Revolutions are a triangle wave: from phi_start up to phi_end at each
     turning point and back, `revolutions` times in total; turning points that
@@ -144,7 +113,8 @@ def realize_profile(spec: ProfileSpec) -> PhaseProfile:
         phases = np.array([rng.uniform(spec.phi_start, spec.phi_end) for _ in range(spec.cells)])
     else:
         raise ValueError("random_onsite carries no phases; realize it with random_onsite_sequence")
-    return PhaseProfile(phases, spec)
+    phases.setflags(write=False)
+    return phases
 
 
 def _triangle_grid(phi_min: float, phi_max: float, revolutions: int, cells: int) -> np.ndarray:
@@ -162,10 +132,14 @@ def _triangle_grid(phi_min: float, phi_max: float, revolutions: int, cells: int)
     return phases
 
 
-def random_onsite_sequence(d1: float, d2: float, sites: int, seed: int) -> OnsiteSequence:
-    """Per-site energies drawn from {d1, d2} with probability 1/2 each."""
+def random_onsite_sequence(d1: float, d2: float, sites: int, seed: int) -> np.ndarray:
+    """Read-only array of per-site energies, each d1 or d2 with probability 1/2.
+
+    The array (``sites`` floats) is the diagonal that `assemble_onsite` takes.
+    """
     if sites < 2:
         raise ValueError("need at least 2 sites")
     rng = SplitMix64(seed)
     values = np.array([d1 if rng.next_float() < 0.5 else d2 for _ in range(sites)])
-    return OnsiteSequence(values, seed)
+    values.setflags(write=False)
+    return values

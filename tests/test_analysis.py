@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -196,19 +197,27 @@ class TestEigenstateMap:
         h = assemble(grid, CellParams(1.0, 2.0, 0.2))
         return eigh_tridiagonal(h)
 
+    @staticmethod
+    def expected(eig, indices):
+        rows = np.abs(eig.vectors[:, indices].T)
+        return rows / rows.max(axis=1, keepdims=True)
+
     def test_rows_descending_and_normalized(self):
         eig = self.system()
-        emap = eigenstate_map(eig, range(0, 5))
-        assert list(emap.indices) == [4, 3, 2, 1, 0]
-        assert emap.shape == (5, 20)
-        assert np.allclose(emap.rows.max(axis=1), 1.0)
-        assert emap.rows.min() >= 0.0
+        rows = eigenstate_map(eig, range(0, 5))
+        assert np.array_equal(rows, self.expected(eig, [4, 3, 2, 1, 0]))
+        assert rows.shape == (5, 20)
+        assert np.allclose(rows.max(axis=1), 1.0)
+        assert rows.min() >= 0.0
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.5
 
     def test_row_content_matches_vectors(self):
         eig = self.system()
-        emap = eigenstate_map(eig, range(3, 6))
+        rows = eigenstate_map(eig, range(3, 6))
+        assert np.array_equal(rows, self.expected(eig, [5, 4, 3]))
         top = np.abs(eig.vectors[:, 5])
-        assert np.allclose(emap.rows[0], top / top.max())
+        assert np.allclose(rows[0], top / top.max())
 
     def test_selection_validation(self):
         eig = self.system()
@@ -322,4 +331,4 @@ class TestAnalyze:
     def test_thresholds_round_trip(self):
         th = AnalysisThresholds(n_b=3, tau=1e-4, gamma=15.0, delta_rel=0.2,
                                 amplitude_floor=1e-9)
-        assert AnalysisThresholds.from_dict(th.to_dict()) == th
+        assert AnalysisThresholds(**asdict(th)) == th

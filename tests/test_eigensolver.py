@@ -18,7 +18,6 @@ from iplsim.eigensolver import (
     _fix_signs,
     _scale,
     dense_oracle,
-    eigenvalue_count_below,
     eigh_tridiagonal,
     node_count,
 )
@@ -27,6 +26,8 @@ from iplsim.measures import state_measures
 from iplsim.profiles import ProfileSpec, random_onsite_sequence, realize_profile
 from iplsim.rng import SplitMix64
 from iplsim.experiments import build_hamiltonian, preset_config, random_instance
+
+from sturm import eigenvalue_count_below
 
 PARAMS = CellParams(1.0, 2.0, 0.2)
 
@@ -83,8 +84,7 @@ class TestEighTridiagonal:
 
     def test_rejects_nonfinite(self):
         h = small_lattice(4)
-        bad = type(h)(diag=np.array([1.0, np.nan, 1.0, 2.0]), offdiag=h.offdiag[:3],
-                      cells=2, params=h.params, profile=None)
+        bad = type(h)(diag=np.array([1.0, np.nan, 1.0, 2.0]), offdiag=h.offdiag[:3])
         with pytest.raises(ValueError):
             eigh_tridiagonal(bad)
 
@@ -171,17 +171,17 @@ class TestGroupedInverseIteration:
         dstein = eigensolver.dstein
         monkeypatch.setattr(eigensolver, "dstein", recording)
         grid = realize_profile(ProfileSpec("linear", 2, phi_start=0.5, phi_end=0.5))
-        h = assemble(grid, CellParams(1.0, 1.0 + margin * GROUP_GAP_REL, 0.0))
-        spacing = h.params.d2 - h.params.d1
+        params = CellParams(1.0, 1.0 + margin * GROUP_GAP_REL, 0.0)
+        h = assemble(grid, params)
+        spacing = params.d2 - params.d1
         assert (spacing > GROUP_GAP_REL * _scale(h.diag, h.offdiag)) == (margin > 1.0)
         eig = eigh_tridiagonal(h)
         assert calls == groups
         assert eig.ortho_bound <= 1e-10
-        assert np.allclose(eig.values, [1.0, 1.0, h.params.d2, h.params.d2], rtol=0, atol=1e-15)
+        assert np.allclose(eig.values, [1.0, 1.0, params.d2, params.d2], rtol=0, atol=1e-15)
 
     def test_single_site_operator(self):
-        one = TridiagonalHamiltonian(diag=np.array([0.7]), offdiag=np.array([]), cells=1,
-                                     params=None, profile=None)
+        one = TridiagonalHamiltonian(diag=np.array([0.7]), offdiag=np.array([]))
         eig = eigh_tridiagonal(one)
         assert eig.values.tolist() == [0.7]
         assert eig.vectors.tolist() == [[1.0]]

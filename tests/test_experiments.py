@@ -485,12 +485,6 @@ class TestRandomInstance:
         assert np.array_equal(a.diag, b.diag)
         assert np.array_equal(a.offdiag, b.offdiag)
 
-    def test_kind_restriction(self):
-        rng = SplitMix64(5)
-        for _ in range(20):
-            h = random_instance(rng, max_sites=24, kinds=("linear",))
-            assert h.profile.kind == "linear"
-
 
 class TestOracleCheck:
     def test_small_battery_passes(self):

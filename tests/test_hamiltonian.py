@@ -70,12 +70,18 @@ class TestAssemble:
         # every second off-diagonal entry is the intercell coupling
         assert np.all(h.offdiag[1::2] == 0.2)
 
+    def test_refuses_empty_and_non_1d_phases(self):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            assemble(np.array([]), PARAMS)
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            assemble(np.full((2, 3), 0.5), PARAMS)
+
     def test_matches_dense_blocks(self):
         profile = realize_profile(ProfileSpec("linear", 4, phi_start=0.2, phi_end=1.1))
         h = assemble(profile, PARAMS)
         dense = h.dense()
         assert np.array_equal(dense, dense.T)
-        for i, phi in enumerate(profile.phases):
+        for i, phi in enumerate(profile):
             block = cell_matrix(PARAMS, phi).as_array()
             assert np.allclose(dense[2 * i:2 * i + 2, 2 * i:2 * i + 2], block)
         # nothing beyond the first superdiagonal
@@ -122,7 +128,7 @@ class TestAssembleOnsite:
     def test_diagonal_is_the_sequence(self):
         seq = random_onsite_sequence(1.0, 2.0, 20, seed=4)
         h = assemble_onsite(seq, 0.25)
-        assert np.array_equal(h.diag, seq.values)
+        assert np.array_equal(h.diag, seq)
         assert np.all(h.offdiag == 0.25)
         assert h.sites == 20
 
@@ -130,3 +136,7 @@ class TestAssembleOnsite:
         seq = random_onsite_sequence(1.0, 2.0, 2, seed=4)
         h = assemble_onsite(seq, 0.1)
         assert h.offdiag.shape == (1,)
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            assemble_onsite(np.array([]), 0.1)
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            assemble_onsite(np.ones((2, 2)), 0.1)

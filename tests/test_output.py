@@ -90,19 +90,19 @@ class TestSweepCsv:
 
 class TestPgm:
     def test_header_and_round_trip(self, eig, tmp_path):
-        emap = eigenstate_map(eig, range(0, 20))
-        path = write_pgm(emap, tmp_path / "map.pgm")
+        rows = eigenstate_map(eig, range(0, 20))
+        path = write_pgm(rows, tmp_path / "map.pgm")
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n40 20\n255\n")
         pixels = read_pgm(path)
         assert pixels.shape == (20, 40)
-        expected = np.rint(emap.rows * 255.0).astype(np.uint8)
+        expected = np.rint(rows * 255.0).astype(np.uint8)
         assert np.array_equal(pixels, expected)
 
     def test_every_row_reaches_white(self, eig, tmp_path):
         # per-row renormalization puts one 255 pixel in every row
-        emap = eigenstate_map(eig, range(0, 12))
-        pixels = read_pgm(write_pgm(emap, tmp_path / "map.pgm"))
+        rows = eigenstate_map(eig, range(0, 12))
+        pixels = read_pgm(write_pgm(rows, tmp_path / "map.pgm"))
         assert np.all(pixels.max(axis=1) == 255)
 
     def test_read_rejects_other_formats(self, tmp_path):

@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 
 from iplsim.profiles import (
     MAX_SITES,
-    OnsiteSequence,
-    PhaseProfile,
     ProfileSpec,
     QUARTER_TURN,
     random_onsite_sequence,
@@ -25,25 +23,25 @@ class TestLinear:
     def test_width_law(self):
         # interval length is (pi/4)/lf, centered
         p = realize_profile(ProfileSpec.linear(QUARTER_TURN, 0.5, 151))
-        assert p.phases[0] == pytest.approx(0.0, abs=1e-15)
-        assert p.phases[-1] == pytest.approx(math.pi / 2, abs=1e-15)
+        assert p[0] == pytest.approx(0.0, abs=1e-15)
+        assert p[-1] == pytest.approx(math.pi / 2, abs=1e-15)
         p = realize_profile(ProfileSpec.linear(QUARTER_TURN, 1.0, 501))
-        assert p.phases[-1] - p.phases[0] == pytest.approx(QUARTER_TURN)
+        assert p[-1] - p[0] == pytest.approx(QUARTER_TURN)
 
     def test_equispaced_and_monotone(self):
         p = realize_profile(ProfileSpec.linear(QUARTER_TURN, 2.0, 41))
-        steps = np.diff(p.phases)
+        steps = np.diff(p)
         assert np.all(steps > 0)
         assert np.allclose(steps, steps[0])
 
     def test_symmetric_grid_mirrors_to_quarter_turn_complement(self):
         # centered at pi/4, phi_m + phi_{N+1-m} = pi/2: the inversion-symmetry seed
         p = realize_profile(ProfileSpec.linear(QUARTER_TURN, 1.0, 100))
-        assert np.allclose(p.phases + p.phases[::-1], math.pi / 2, atol=1e-14)
+        assert np.allclose(p + p[::-1], math.pi / 2, atol=1e-14)
 
     def test_large_lf_collapses_to_point(self):
         p = realize_profile(ProfileSpec.linear(QUARTER_TURN, 1e6, 11))
-        assert np.all(np.abs(p.phases - QUARTER_TURN) < 1e-6)
+        assert np.all(np.abs(p - QUARTER_TURN) < 1e-6)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -66,22 +64,22 @@ class TestLinear:
     def test_grid_endpoints_any_parameters(self, center, lf, cells):
         p = realize_profile(ProfileSpec.linear(center, lf, cells))
         width = QUARTER_TURN / lf
-        assert p.phases[0] == pytest.approx(center - width / 2, rel=1e-12, abs=1e-12)
-        assert p.phases[-1] == pytest.approx(center + width / 2, rel=1e-12, abs=1e-12)
+        assert p[0] == pytest.approx(center - width / 2, rel=1e-12, abs=1e-12)
+        assert p[-1] == pytest.approx(center + width / 2, rel=1e-12, abs=1e-12)
         assert len(p) == cells
 
 
 def test_asymmetric_endpoints():
     p = realize_profile(ProfileSpec("linear", 151, phi_start=math.pi / 8,
                                     phi_end=math.pi / 4))
-    assert p.phases[0] == pytest.approx(math.pi / 8)
-    assert p.phases[-1] == pytest.approx(math.pi / 4)
+    assert p[0] == pytest.approx(math.pi / 8)
+    assert p[-1] == pytest.approx(math.pi / 4)
 
 
 def test_constant_profile():
     # a linear grid with equal endpoints is exactly constant; no separate kind
     p = realize_profile(ProfileSpec("linear", 25, phi_start=0.3, phi_end=0.3))
-    assert np.all(p.phases == 0.3)
+    assert np.all(p == 0.3)
     with pytest.raises(ValueError, match="unknown profile kind"):
         ProfileSpec("constant", 25, phi_start=0.3, phi_end=0.3)
 
@@ -90,30 +88,30 @@ class TestRevolutions:
     def test_single_revolution_shape(self):
         # 9 cells, 1 revolution: up in 4 steps, down in 4
         p = revolutions(0.0, 1.0, 1, 9)
-        assert np.allclose(p.phases, [0, 0.25, 0.5, 0.75, 1.0, 0.75, 0.5, 0.25, 0])
+        assert np.allclose(p, [0, 0.25, 0.5, 0.75, 1.0, 0.75, 0.5, 0.25, 0])
 
     def test_turning_points_exact_on_grid(self):
         p = revolutions(math.pi / 8, 3 * math.pi / 8, 1, 201)
-        assert p.phases[0] == math.pi / 8
-        assert p.phases[-1] == math.pi / 8
-        assert p.phases[100] == 3 * math.pi / 8
+        assert p[0] == math.pi / 8
+        assert p[-1] == math.pi / 8
+        assert p[100] == 3 * math.pi / 8
 
     def test_peak_count_matches_revolutions(self):
         p = revolutions(0.0, 1.0, 2, 9)
-        assert np.count_nonzero(p.phases == 1.0) == 2
+        assert np.count_nonzero(p == 1.0) == 2
 
     def test_three_revolutions_preset_geometry(self):
         p = revolutions(math.pi / 8, 3 * math.pi / 8, 3, 181)
-        peaks = np.flatnonzero(p.phases == 3 * math.pi / 8)
-        valleys = np.flatnonzero(p.phases == math.pi / 8)
+        peaks = np.flatnonzero(p == 3 * math.pi / 8)
+        valleys = np.flatnonzero(p == math.pi / 8)
         assert list(peaks) == [30, 90, 150]
         assert list(valleys) == [0, 60, 120, 180]
 
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=3, max_value=500))
     def test_stays_inside_interval(self, revs, cells):
         p = revolutions(0.2, 0.9, revs, cells)
-        assert p.phases.min() >= 0.2 - 1e-15
-        assert p.phases.max() <= 0.9 + 1e-15
+        assert p.min() >= 0.2 - 1e-15
+        assert p.max() <= 0.9 + 1e-15
 
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError, match="below"):
@@ -128,7 +126,7 @@ class TestRandomProfiles:
     @staticmethod
     def phases(lo, hi, seed, cells=300):
         spec = ProfileSpec("random_phase", cells, phi_start=lo, phi_end=hi, seed=seed)
-        return realize_profile(spec).phases
+        return realize_profile(spec)
 
     def test_phase_bounds_and_reproducibility(self):
         a = self.phases(0.4, 1.2, seed=7)
@@ -146,14 +144,14 @@ class TestRandomProfiles:
 
     def test_onsite_values_from_both_levels(self):
         seq = random_onsite_sequence(1.0, 2.0, 302, seed=11)
-        assert set(np.unique(seq.values)) == {1.0, 2.0}
+        assert set(np.unique(seq)) == {1.0, 2.0}
         assert len(seq) == 302
         again = random_onsite_sequence(1.0, 2.0, 302, seed=11)
-        assert np.array_equal(seq.values, again.values)
+        assert np.array_equal(seq, again)
 
     def test_onsite_coin_is_roughly_fair(self):
         seq = random_onsite_sequence(0.0, 1.0, 10_000, seed=3)
-        assert abs(seq.values.mean() - 0.5) < 0.015
+        assert abs(seq.mean() - 0.5) < 0.015
 
 
 class TestProfileSpec:
@@ -207,15 +205,21 @@ class TestProfileSpec:
 
 
 def test_phase_profile_guards():
-    spec = ProfileSpec("linear", 3, phi_start=0.0, phi_end=1.0)
-    with pytest.raises(ValueError):
-        PhaseProfile(np.zeros(4), spec)
-    profile = realize_profile(spec)
-    with pytest.raises(ValueError):
-        profile.phases[0] = 9.0
+    # one read-only float per cell, for every kind that carries phases
+    for spec in (ProfileSpec("linear", 3, phi_start=0.0, phi_end=1.0),
+                 ProfileSpec.linear(QUARTER_TURN, 2.0, 7),
+                 ProfileSpec("revolutions", 9, phi_start=0.0, phi_end=1.0, revolutions=2),
+                 ProfileSpec("random_phase", 5, phi_start=0.2, phi_end=0.9, seed=4)):
+        phases = realize_profile(spec)
+        assert phases.size == spec.cells
+        assert phases.shape == (spec.cells,)
+        assert phases.dtype == np.float64
+        with pytest.raises(ValueError):
+            phases[0] = 9.0
 
 
 def test_onsite_sequence_is_frozen():
     seq = random_onsite_sequence(1.0, 2.0, 8, seed=5)
+    assert seq.shape == (8,)
     with pytest.raises(ValueError):
-        seq.values[0] = 3.0
+        seq[0] = 3.0

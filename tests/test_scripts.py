@@ -1,12 +1,17 @@
-"""Smoke tests of the front ends in scripts/."""
+"""Smoke tests of the front ends in scripts/, and of the API the benchmark calls."""
 
+import ast
+import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+PERFBENCH = ROOT / "perfbench"
 
 
 def load(name):
@@ -82,3 +87,24 @@ def test_artifact_diff_finds_no_drift_between_reruns_and_names_a_perturbed_colum
     assert "\n  pixels  " in out and " rows changed, 1 at O(1)\n" in out
     assert "\n  bands[0].size  " in out
     assert out.endswith("3 of 5 files differ\n")
+
+
+def test_benchmark_view_of_the_api_resolves(capsys, monkeypatch):
+    # perfbench/tracer.py wraps every TARGETS attribute by name, and
+    # perfbench/run.py times a fresh interpreter running SETUP_PROBE; a renamed
+    # or deleted function would crash the benchmark, so it fails here first
+    spec = importlib.util.spec_from_file_location("tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while they are made
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module_name, attr, _ in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    probe = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SETUP_PROBE")
+    assert "assemble(iplsim.realize_profile(" in probe
+    exec(compile(probe, "SETUP_PROBE", "exec"), {})
+    assert capsys.readouterr().out.strip().endswith("__init__.py")
