@@ -4,12 +4,14 @@
 Each preset lands in <out>/<name>/ with its manifest, so the whole set can be
 replayed or checksum-compared later. Without --only, runs everything,
 including the full focusing sweep (the slowest entry by far). Every preset
-runs as `iplsim preset <name> --out <out>/<name>`.
+runs as `iplsim preset <name> --out <out>/<name>`. After the table comes the
+process's peak resident set size, so a memory regression shows here too.
 """
 
 import argparse
 import contextlib
 import io
+import resource
 import sys
 import time
 from pathlib import Path
@@ -52,6 +54,8 @@ def main(argv=None) -> int:
         manifest = load_manifest(root / name / "manifest.json")
         files = ", ".join(sorted(manifest.checksums))
         print(f"{name:<{width}}  {elapsed:6.1f} s  {manifest.kind:<5}  {files}")
+    # ru_maxrss is in KiB on Linux
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
     print(f"artifacts under {root}/")
     return 0
 

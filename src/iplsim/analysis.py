@@ -13,13 +13,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .eigensolver import EigenSystem
+from .eigensolver import STATE_BLOCK, EigenSystem
 from .measures import (SpacingSpectrum, StateMeasures, rounding_floor, spacing_spectrum,
                        state_measures)
-
-# states per state_measures call: its temporaries (a few copies of the block)
-# stay a small fraction of the stored eigenvector matrix
-MEASURE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -209,8 +205,10 @@ def eigenstate_map(eig: EigenSystem, selection: range) -> np.ndarray:
         raise ValueError("empty state selection")
     if indices[-1] < 0 or indices[0] >= eig.size:
         raise ValueError("selection out of bounds")
-    rows = np.abs(eig.vectors[:, indices].T)
-    rows = rows / rows.max(axis=1, keepdims=True)
+    # the fancy-index copy is the raster's only buffer
+    rows = eig.vectors[:, indices].T
+    np.abs(rows, out=rows)
+    rows /= rows.max(axis=1, keepdims=True)
     rows.setflags(write=False)
     return rows
 
@@ -244,9 +242,9 @@ def analyze(eig: EigenSystem, thresholds: AnalysisThresholds | None = None,
         warnings.warn(f"expected 2 bands for a two-level cell lattice, found {len(bands.bands)}",
                       stacklevel=2)
     measures = StateMeasures.concatenate([
-        state_measures(eig.vectors[:, k:k + MEASURE_BLOCK], n_b=th.n_b,
+        state_measures(eig.vectors[:, k:k + STATE_BLOCK], n_b=th.n_b,
                        amplitude_floor=th.amplitude_floor)
-        for k in range(0, eig.size, MEASURE_BLOCK)])
+        for k in range(0, eig.size, STATE_BLOCK)])
     labels = classify_states(measures, bands, tau=th.tau)
     multiplets = detect_multiplets(spacings, bands, delta_rel=th.delta_rel,
                                    node_counts=measures.nodes)

@@ -41,6 +41,11 @@ GROUP_GAP_REL = 1e-4
 _ULP = float(np.finfo(float).eps)
 _SAFE_MIN = float(np.finfo(float).tiny)
 
+# states per block in every pass over the (sites x states) vectors once they
+# are solved (certificate, measures, map raster), so a pass's scratch stays
+# O(sites x block) next to the vector matrix
+STATE_BLOCK = 128
+
 DENSE_ORACLE_MAX_SITES = 256
 _JACOBI_MAX_SWEEPS = 30
 
@@ -61,6 +66,9 @@ class EigenSystem:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         vectors = np.asarray(self.vectors, dtype=float)
+        if values.ndim != 1 or vectors.ndim != 2 or vectors.shape[1] != values.size:
+            raise ValueError(f"need 1-D values and one vector column per value, got "
+                             f"{values.shape} values and {vectors.shape} vectors")
         values.setflags(write=False)
         vectors.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -214,22 +222,29 @@ def _scale(diag, offdiag) -> float:
 
 
 def _certify(diag, offdiag, values, vectors) -> EigenSystem:
-    """Sign-fix (in place), measure residual/orthonormality, and enforce the output contract."""
-    vectors = _fix_signs(vectors)
-    # at most three (sites x states) buffers live at once: the vectors, H V and
-    # one product, then the vectors, H V and the Gram matrix
-    hv = diag[:, None] * vectors
-    if diag.size > 1:
-        product = np.multiply(offdiag[:, None], vectors[1:])
-        hv[:-1] += product
-        np.multiply(offdiag[:, None], vectors[:-1], out=product)
-        hv[1:] += product
-        del product
-    hv -= vectors * values
-    residual = float(np.max(np.abs(hv, out=hv)))
-    gram = vectors.T @ vectors
-    gram[np.diag_indices_from(gram)] -= 1.0
-    ortho = float(np.max(np.abs(gram, out=gram)))
+    """Sign-fix (in place), measure residual/orthonormality, and enforce the output contract.
+
+    Both passes walk the vectors in blocks of `STATE_BLOCK` columns, so the
+    scratch next to the (sites x states) vector matrix is one (block x sites)
+    row panel of the Gram matrix, V_b^T V[:, lo:]. The panels cover the Gram
+    matrix's upper triangle: the flops of one symmetric product.
+    """
+    starts = range(0, vectors.shape[1], STATE_BLOCK)
+    residual = 0.0
+    for lo in starts:
+        hi = lo + STATE_BLOCK
+        block = _fix_signs(vectors[:, lo:hi])
+        residual = max(residual, _block_residual(diag, offdiag, values[lo:hi], block))
+    # the panel products run back to back: BLAS threads spin-wait after each
+    # one, which costs CPU time when numpy work sits between them
+    ortho = 0.0
+    for lo in starts:
+        block = vectors[:, lo:lo + STATE_BLOCK]
+        panel = block.T @ vectors[:, lo:]
+        k = block.shape[1]
+        panel[np.arange(k), np.arange(k)] -= 1.0
+        ortho = max(ortho, float(np.max(np.abs(panel, out=panel))))
+        del panel  # freed before the next panel is made
 
     scale = _scale(diag, offdiag)
     if residual > RESIDUAL_REL_CAP * max(scale, 1e-300):
@@ -242,14 +257,36 @@ def _certify(diag, offdiag, values, vectors) -> EigenSystem:
     return EigenSystem(values, vectors, residual_bound=residual, ortho_bound=ortho)
 
 
+def _block_residual(diag, offdiag, values, block) -> float:
+    """max |T v - lambda v| over one column block, in tiles of `STATE_BLOCK` sites.
+
+    Each entry is d v + e v_next + e v_prev - lambda v, summed in that order.
+    A full-height block would need two (sites x block) buffers, twice the
+    Gram panel that sets the certificate's scratch; a tile needs block^2.
+    """
+    n = diag.size
+    worst = 0.0
+    for r in range(0, n, STATE_BLOCK):
+        s = min(r + STATE_BLOCK, n)
+        hv = diag[r:s, None] * block[r:s]
+        below = min(s, n - 1)  # sites r..below-1 couple to the next site
+        hv[:below - r] += offdiag[r:below, None] * block[r + 1:below + 1]
+        above = max(r, 1)  # sites above..s-1 couple to the previous site
+        hv[above - r:] += offdiag[above - 1:s - 1, None] * block[above - 1:s - 1]
+        hv -= block[r:s] * values
+        worst = max(worst, float(np.max(np.abs(hv, out=hv))))
+    return worst
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """First component with magnitude above the floor is made positive (reproducibility).
 
     Flips the columns in place and returns the same array, so no second
-    (sites x states) buffer is made; both callers of `_certify` pass vectors
-    they have just built.
+    (sites x states) buffer is made; `_certify` passes one column block of
+    vectors it has just built.
     """
-    significant = np.abs(vectors) > SIGN_FLOOR
+    significant = vectors > SIGN_FLOOR
+    significant |= vectors < -SIGN_FLOOR
     lead = vectors[np.argmax(significant, axis=0), np.arange(vectors.shape[1])]
     flip = significant.any(axis=0) & (lead < 0.0)
     return np.multiply(vectors, np.where(flip, -1.0, 1.0), out=vectors)

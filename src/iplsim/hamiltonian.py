@@ -64,8 +64,9 @@ class TridiagonalHamiltonian:
     offdiag: np.ndarray
 
     def __post_init__(self):
-        diag = np.asarray(self.diag, dtype=float)
-        offdiag = np.asarray(self.offdiag, dtype=float)
+        # own copies, so freezing them leaves the caller's arrays writable
+        diag = np.array(self.diag, dtype=float)
+        offdiag = np.array(self.offdiag, dtype=float)
         if offdiag.size != diag.size - 1:
             raise ValueError("offdiag must have one entry less than diag")
         diag.setflags(write=False)

@@ -16,6 +16,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .analysis import SpectralReport
+from .eigensolver import STATE_BLOCK
 
 STATE_HEADER = ("index,eigenvalue,spacing_next,ipr,cfs,com,"
                 "w_left,w_right,nodes,band,subdomain,multiplet_id")
@@ -74,14 +75,20 @@ def write_sweep_csv(rows: Iterable[tuple[float, float | None, str]],
 def write_pgm(rows: np.ndarray, path: str | Path) -> Path:
     """Binary PGM (P5) of a (states x sites) raster in [0, 1], as `eigenstate_map` returns it.
 
-    One image row per raster row, pixel = round(255 * value).
+    One image row per raster row, pixel = round(255 * value). The pixels are
+    made in blocks of `STATE_BLOCK` rows, so the raster is never copied whole.
     """
     path = Path(path)
     height, width = rows.shape
-    pixels = np.rint(np.clip(rows, 0.0, 1.0) * 255.0).astype(np.uint8)
+    pixels = np.empty((height, width), dtype=np.uint8)
+    for lo in range(0, height, STATE_BLOCK):
+        scaled = np.clip(rows[lo:lo + STATE_BLOCK], 0.0, 1.0)
+        scaled *= 255.0
+        pixels[lo:lo + STATE_BLOCK] = np.rint(scaled, out=scaled)
+        del scaled  # freed before the next block is made
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+        fh.write(pixels)
     return path
 
 

@@ -19,6 +19,7 @@ from iplsim.profiles import ProfileSpec, realize_profile
 from iplsim.measures import spacing_spectrum, state_measures
 
 from curves import monotonicity_changes, smooth
+from memory import traced_peak
 
 
 class TestDetectBands:
@@ -218,6 +219,12 @@ class TestEigenstateMap:
         assert np.array_equal(rows, self.expected(eig, [5, 4, 3]))
         top = np.abs(eig.vectors[:, 5])
         assert np.allclose(rows[0], top / top.max())
+
+    def test_raster_is_the_only_buffer(self, preset_eig):
+        _, eig = preset_eig("fig2_3")
+        rows, peak = traced_peak(eigenstate_map, eig, range(eig.size))
+        assert rows.shape == (eig.size, eig.size)
+        assert peak <= 1.1 * rows.nbytes
 
     def test_selection_validation(self):
         eig = self.system()

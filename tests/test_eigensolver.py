@@ -13,8 +13,10 @@ import iplsim.eigensolver as eigensolver
 from iplsim.eigensolver import (
     DENSE_ORACLE_MAX_SITES,
     GROUP_GAP_REL,
+    STATE_BLOCK,
     EigenSystem,
     SolverError,
+    _certify,
     _fix_signs,
     _scale,
     dense_oracle,
@@ -27,6 +29,8 @@ from iplsim.profiles import ProfileSpec, random_onsite_sequence, realize_profile
 from iplsim.rng import SplitMix64
 from iplsim.experiments import build_hamiltonian, preset_config, random_instance
 
+from certificate import certificate_values
+from memory import traced_peak
 from sturm import eigenvalue_count_below
 
 PARAMS = CellParams(1.0, 2.0, 0.2)
@@ -100,6 +104,58 @@ class TestEighTridiagonal:
         eig = eigh_tridiagonal(small_lattice(6))
         with pytest.raises(ValueError):
             eig.vectors[0, 0] = 7.0
+
+
+def random_operator(sites, seed):
+    rng = np.random.default_rng(seed)
+    return TridiagonalHamiltonian(rng.normal(size=sites), rng.normal(size=sites - 1))
+
+
+class TestBlockedCertificate:
+    """`_certify` walks STATE_BLOCK columns at a time; tests/certificate.py is its oracle."""
+
+    @pytest.mark.parametrize("sites", [1, 2, 127, 128, 129, 300])
+    def test_bounds_equal_the_whole_matrix_oracle(self, sites):
+        h = random_operator(sites, seed=sites)
+        eig = eigh_tridiagonal(h)
+        oracle = certificate_values(h.diag, h.offdiag, eig.values, eig.vectors)
+        assert (eig.residual_bound, eig.ortho_bound) == oracle
+
+    @pytest.mark.parametrize("name", ["fig1", "fig13"])
+    def test_preset_bounds_equal_the_whole_matrix_oracle(self, name, preset_eig):
+        config, eig = preset_eig(name)
+        h = build_hamiltonian(config)
+        oracle = certificate_values(h.diag, h.offdiag, eig.values, eig.vectors)
+        assert (eig.residual_bound, eig.ortho_bound) == oracle
+
+    # 150 decoupled identical cells: 300 sites in blocks [0, 128), [128, 256)
+    # and [256, 300); states 0-149 sit at d1 and 150-299 at d2, so mixing two
+    # states of one level breaks orthonormality and leaves every residual small
+    @pytest.mark.parametrize("defect, column, partner", [
+        ("residual", 200, None), ("residual", 299, None),
+        ("orthonormality", 140, 10), ("orthonormality", 299, 160),
+    ], ids=["residual-middle-block", "residual-last-block",
+            "overlap-middle-and-first-block", "overlap-last-and-middle-block"])
+    def test_a_defect_in_any_block_is_caught(self, defect, column, partner):
+        assert STATE_BLOCK == 128
+        spec = ProfileSpec("linear", 150, phi_start=0.3, phi_end=0.3)
+        h = assemble(realize_profile(spec), CellParams(1.0, 2.0, 0.0))
+        eig = eigh_tridiagonal(h)
+        values, vectors = eig.values.copy(), eig.vectors.copy()
+        if partner is None:
+            values[column] += 1e-6
+        else:
+            assert values[column] == pytest.approx(values[partner], abs=1e-14)
+            vectors[:, column] += 1e-6 * vectors[:, partner]
+        with pytest.raises(SolverError, match=defect):
+            _certify(h.diag, h.offdiag, values, vectors)
+
+    def test_peak_memory_is_the_vector_matrix_plus_block_scratch(self):
+        h = small_lattice(500)
+        eig, peak = traced_peak(eigh_tridiagonal, h)
+        assert eig.size == 1000
+        # the whole-matrix certificate held three (sites x states) buffers
+        assert peak <= 1.25 * 8 * eig.size ** 2
 
 
 class TestGroupedInverseIteration:
@@ -490,3 +546,9 @@ def test_eigensystem_requires_matching_shapes():
     vectors = np.eye(2)
     eig = EigenSystem(values, vectors, residual_bound=0.0, ortho_bound=0.0)
     assert eig.size == 2
+    assert EigenSystem(values, np.ones((5, 2)), 0.0, 0.0).vectors.shape == (5, 2)
+    mismatches = [(np.ones(3), np.eye(2)), (np.ones(2), np.ones(2)),
+                  (np.ones((2, 1)), np.eye(2)), (np.ones(2), np.ones((2, 2, 1)))]
+    for bad_values, bad_vectors in mismatches:
+        with pytest.raises(ValueError, match="one vector column per value"):
+            EigenSystem(bad_values, bad_vectors, residual_bound=0.0, ortho_bound=0.0)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from iplsim.hamiltonian import (
     CellParams,
+    TridiagonalHamiltonian,
     assemble,
     assemble_onsite,
     cell_matrix,
@@ -122,6 +123,17 @@ class TestAssemble:
         assert np.allclose(h.diag, 1.5)
         assert np.allclose(h.offdiag[0::2], 0.5)
         assert np.allclose(h.offdiag[1::2], 0.2)
+
+
+def test_operator_leaves_the_callers_arrays_writable():
+    diag, offdiag = np.ones(4), np.full(3, 0.5)
+    h = TridiagonalHamiltonian(diag, offdiag)
+    energies = np.ones(4)
+    onsite = assemble_onsite(energies, 0.1)
+    diag[0] = offdiag[0] = energies[0] = 2.0
+    assert h.diag[0] == 1.0 and h.offdiag[0] == 0.5 and onsite.diag[0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        h.diag[0] = 2.0
 
 
 class TestAssembleOnsite:

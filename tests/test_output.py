@@ -20,6 +20,8 @@ from iplsim.output import (
     write_sweep_csv,
 )
 
+from memory import traced_peak
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -104,6 +106,13 @@ class TestPgm:
         rows = eigenstate_map(eig, range(0, 12))
         pixels = read_pgm(write_pgm(rows, tmp_path / "map.pgm"))
         assert np.all(pixels.max(axis=1) == 255)
+
+    def test_pixels_are_made_in_row_blocks(self, tmp_path):
+        rows = np.random.default_rng(5).random((1000, 500))
+        path, peak = traced_peak(write_pgm, rows, tmp_path / "map.pgm")
+        assert np.array_equal(read_pgm(path), np.rint(rows * 255.0).astype(np.uint8))
+        # the uint8 image plus one block of float scratch
+        assert peak <= 0.5 * rows.nbytes
 
     def test_read_rejects_other_formats(self, tmp_path):
         bad = tmp_path / "x.pgm"

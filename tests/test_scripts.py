@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +28,7 @@ def test_run_presets_writes_one_directory_per_preset(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("fig2_3 ")
     assert " s  run    map.pgm, spectrum.csv, states.csv, summary.json\n" in out
+    assert re.search(r"\npeak RSS \d+\.\d MiB\nartifacts under ", out)
     for name in ("spectrum.csv", "states.csv", "map.pgm", "summary.json", "manifest.json"):
         assert (tmp_path / "fig2_3" / name).exists()
 
