@@ -7,7 +7,12 @@ groups at gaps above ``GROUP_GAP_REL`` of the operator scale, and runs inverse
 iteration (``dstein``) once per group. ``dense_oracle`` runs self-contained
 Jacobi sweeps in round-robin (Brent–Luk) order on the expanded dense matrix.
 Tests cross-validate the two. Both return the same certified ``EigenSystem``
-contract. Inverse iteration matters here: it resolves the exponential tails
+contract: the residual r = T u - lambda u of every column is measured, and so
+is u_i^T u_j for every pair of levels within ``ORTHO_WINDOW_REL`` of the scale
+of each other. Any pair farther apart than that window W is bounded, not
+measured, by the identity (lambda_j - lambda_i) u_i^T u_j = r_i^T u_j -
+u_i^T r_j: its overlap is at most twice the largest residual norm over W.
+Inverse iteration matters here: it resolves the exponential tails
 of localized eigenstates with componentwise accuracy, which the QR-family
 eigenvector drivers do not. That accuracy ends at an absolute floor set by
 the number of iterations dstein takes (about 1e-45 on the 200-site ground
@@ -36,6 +41,12 @@ TRACE_REL_CAP = 1e-8
 # over a gap of at least 1e-4*scale bounds the overlap between vectors of
 # different groups by 1e-10, which is ORTHO_CAP.
 GROUP_GAP_REL = 1e-4
+# The certificate measures the overlap of two states only where their levels
+# lie within this fraction of the scale of each other; every pair farther
+# apart is bounded by twice its residual norm over the gap (see `_certify`).
+# A residual norm of 1e-14*scale then bounds those overlaps by 2e-12, 50x
+# under ORTHO_CAP, while the window holds under a tenth of the pairs.
+ORTHO_WINDOW_REL = 1e-2
 # DSTEBZ's split rule: e_j^2 <= ULP^2 |d_j d_{j+1}| + SAFE_MIN decouples the
 # operator at bond j
 _ULP = float(np.finfo(float).eps)
@@ -92,15 +103,24 @@ def eigh_tridiagonal(h) -> EigenSystem:
     diag, offdiag = h.diag, h.offdiag
     if diag.size == 0:
         raise ValueError("empty operator")
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
-        raise ValueError("operator entries must be finite")
+    scale = _scale(diag, offdiag)  # NaN or inf for a NaN or inf entry
+    if not math.isfinite(scale):
+        raise ValueError("operator entries must be finite, with max|d| + 2 max|e| "
+                         "inside the float range")
     n = diag.size
-    cut_gap = GROUP_GAP_REL * _scale(diag, offdiag)
-    split = offdiag**2 <= _ULP**2 * np.abs(diag[:-1] * diag[1:]) + _SAFE_MIN
+    # an operator whose scale lies beyond 2^+-255 is solved over the power of
+    # two at its scale: the division is exact, and the squares in DSTEBZ's
+    # split rule below and dstein's work vectors then neither overflow nor
+    # underflow. Any other operator is solved as it is.
+    exponent = math.frexp(scale)[1]
+    unit = math.ldexp(1.0, exponent - 1) if abs(exponent) > 255 else 1.0
+    d, e = diag / unit, offdiag / unit
+    cut_gap = GROUP_GAP_REL * scale / unit
+    split = e**2 <= _ULP**2 * np.abs(d[:-1] * d[1:]) + _SAFE_MIN
     edges = np.concatenate(([0], np.flatnonzero(split) + 1, [n]))
     blocks = list(zip(edges[:-1], edges[1:]))
     try:
-        block_values = [scipy.linalg.eigvalsh_tridiagonal(diag[lo:hi], offdiag[lo:hi - 1],
+        block_values = [scipy.linalg.eigvalsh_tridiagonal(d[lo:hi], e[lo:hi - 1],
                                                           lapack_driver="sterf")
                         for lo, hi in blocks]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK non-convergence
@@ -121,11 +141,12 @@ def eigh_tridiagonal(h) -> EigenSystem:
         isplit[0] = size
         cuts = np.concatenate(([0], np.flatnonzero(np.diff(w) > cut_gap) + 1, [size]))
         for g0, g1 in zip(cuts[:-1], cuts[1:]):
-            z, info = dstein(diag[lo:hi], offdiag[lo:hi - 1], w[g0:g1], iblock, isplit)
+            z, info = dstein(d[lo:hi], e[lo:hi - 1], w[g0:g1], iblock, isplit)
             if info != 0:
-                raise SolverError(f"inverse iteration failed near {w[g0]:.6g} "
+                raise SolverError(f"inverse iteration failed near {w[g0] * unit:.6g} "
                                   f"(dstein info {info})")
             vectors[lo:hi, column[lo + g0:lo + g1]] = z
+    values *= unit
     return _certify(diag, offdiag, values[order], vectors)
 
 
@@ -218,36 +239,68 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 def _scale(diag, offdiag) -> float:
     """Gershgorin-style operator scale max|d| + 2 max|e| that the caps are relative to."""
-    return float(np.max(np.abs(diag)) + 2.0 * (np.max(np.abs(offdiag)) if offdiag.size else 0.0))
+    coupling = float(np.max(np.abs(offdiag))) if offdiag.size else 0.0
+    return float(np.max(np.abs(diag))) + 2.0 * coupling
 
 
 def _certify(diag, offdiag, values, vectors) -> EigenSystem:
     """Sign-fix (in place), measure residual/orthonormality, and enforce the output contract.
 
-    Both passes walk the vectors in blocks of `STATE_BLOCK` columns, so the
-    scratch next to the (sites x states) vector matrix is one (block x sites)
-    row panel of the Gram matrix, V_b^T V[:, lo:]. The panels cover the Gram
-    matrix's upper triangle: the flops of one symmetric product.
+    `values` must ascend. Both passes walk the vectors in blocks of
+    `STATE_BLOCK` columns. The first fixes signs and takes each column's
+    residual r = T u - lambda u, as its largest entry (`residual_bound`) and as
+    its 2-norm. The second measures orthonormality only between nearby levels:
+    the Gram row panel V_b^T V[:, lo:end] of the block starting at column lo
+    stops at the first level at least W = ORTHO_WINDOW_REL * scale above the
+    block's top level.
+
+    Every pair beyond the window is bounded instead. Evaluating u_i^T T u_j
+    both ways gives (lambda_j - lambda_i) u_i^T u_j = r_i^T u_j - u_i^T r_j, so
+    |lambda_j - lambda_i| >= W implies |u_i^T u_j| <= 2 rho nu / W. Here nu =
+    sqrt(1 + the measured diagonal defect) is the largest column norm and rho
+    the largest computed residual norm plus 10 ulps of scale * nu: evaluating
+    r's four terms errs by at most 8 ulps of (|T| + |lambda|)|u| <= 2 scale nu,
+    and 2 more cover the scaling, the sum of squares and the square root of a
+    norm the residual cap keeps small. Rounding in the measured norms and in
+    the window's edge moves the bound by a relative N ulps at most. `ortho_bound`
+    is the larger of the measured in-window defect and that far-pair bound.
+    When every panel runs to the last column no pair is far, and it is the
+    full Gram defect.
     """
-    starts = range(0, vectors.shape[1], STATE_BLOCK)
+    n = vectors.shape[1]
+    scale = _scale(diag, offdiag)
+    unit = max(scale, 1e-300)
+    starts = range(0, n, STATE_BLOCK)
     residual = 0.0
+    sumsq = np.empty(n)  # |r|^2 / unit^2 per column
     for lo in starts:
         hi = lo + STATE_BLOCK
         block = _fix_signs(vectors[:, lo:hi])
-        residual = max(residual, _block_residual(diag, offdiag, values[lo:hi], block))
+        worst, sumsq[lo:hi] = _block_residual(diag, offdiag, values[lo:hi], block, 1.0 / unit)
+        residual = max(residual, worst)
+    if not np.all(np.isfinite(sumsq)):
+        raise SolverError("residual not finite: the eigenpairs hold NaN or inf")
+    tops = np.minimum(np.arange(STATE_BLOCK, n + STATE_BLOCK, STATE_BLOCK), n)
+    ends = np.maximum(np.searchsorted(values, values[tops - 1] + ORTHO_WINDOW_REL * unit), tops)
     # the panel products run back to back: BLAS threads spin-wait after each
     # one, which costs CPU time when numpy work sits between them
-    ortho = 0.0
-    for lo in starts:
+    ortho = norm_defect = 0.0
+    for lo, end in zip(starts, ends):
         block = vectors[:, lo:lo + STATE_BLOCK]
-        panel = block.T @ vectors[:, lo:]
+        panel = block.T @ vectors[:, lo:end]
         k = block.shape[1]
-        panel[np.arange(k), np.arange(k)] -= 1.0
-        ortho = max(ortho, float(np.max(np.abs(panel, out=panel))))
+        diagonal = np.arange(k), np.arange(k)
+        panel[diagonal] -= 1.0
+        np.abs(panel, out=panel)
+        norm_defect = max(norm_defect, float(np.max(panel[diagonal])))
+        ortho = max(ortho, float(np.max(panel)))
         del panel  # freed before the next panel is made
+    if ends[0] < n:  # ends ascend, so some pair lies beyond the window
+        nu = math.sqrt(1.0 + norm_defect)
+        rho = math.sqrt(float(np.max(sumsq))) + 10 * _ULP * nu
+        ortho = max(ortho, 2.0 * rho * nu / ORTHO_WINDOW_REL)
 
-    scale = _scale(diag, offdiag)
-    if residual > RESIDUAL_REL_CAP * max(scale, 1e-300):
+    if residual > RESIDUAL_REL_CAP * unit:
         raise SolverError(f"residual {residual:.3e} above certificate {RESIDUAL_REL_CAP * scale:.3e}")
     if ortho > ORTHO_CAP:
         raise SolverError(f"orthonormality defect {ortho:.3e} above {ORTHO_CAP:.1e}")
@@ -257,15 +310,18 @@ def _certify(diag, offdiag, values, vectors) -> EigenSystem:
     return EigenSystem(values, vectors, residual_bound=residual, ortho_bound=ortho)
 
 
-def _block_residual(diag, offdiag, values, block) -> float:
-    """max |T v - lambda v| over one column block, in tiles of `STATE_BLOCK` sites.
+def _block_residual(diag, offdiag, values, block, inv_scale):
+    """(max |T v - lambda v|, sum of (inv_scale (T v - lambda v))^2 per column) of one block.
 
-    Each entry is d v + e v_next + e v_prev - lambda v, summed in that order.
-    A full-height block would need two (sites x block) buffers, twice the
-    Gram panel that sets the certificate's scratch; a tile needs block^2.
+    Each entry is d v + e v_next + e v_prev - lambda v, summed in that order,
+    in tiles of `STATE_BLOCK` sites: a full-height block would need two
+    (sites x block) buffers, a tile needs block^2. The squares are of the
+    residual over the scale, so they neither overflow nor underflow at huge or
+    tiny energies.
     """
     n = diag.size
     worst = 0.0
+    sumsq = np.zeros(block.shape[1])
     for r in range(0, n, STATE_BLOCK):
         s = min(r + STATE_BLOCK, n)
         hv = diag[r:s, None] * block[r:s]
@@ -275,7 +331,9 @@ def _block_residual(diag, offdiag, values, block) -> float:
         hv[above - r:] += offdiag[above - 1:s - 1, None] * block[above - 1:s - 1]
         hv -= block[r:s] * values
         worst = max(worst, float(np.max(np.abs(hv, out=hv))))
-    return worst
+        hv *= inv_scale
+        sumsq += np.einsum("ij,ij->j", hv, hv)
+    return worst, sumsq
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

@@ -13,6 +13,8 @@ import iplsim.eigensolver as eigensolver
 from iplsim.eigensolver import (
     DENSE_ORACLE_MAX_SITES,
     GROUP_GAP_REL,
+    ORTHO_CAP,
+    ORTHO_WINDOW_REL,
     STATE_BLOCK,
     EigenSystem,
     SolverError,
@@ -27,7 +29,7 @@ from iplsim.hamiltonian import CellParams, TridiagonalHamiltonian, assemble, ass
 from iplsim.measures import state_measures
 from iplsim.profiles import ProfileSpec, random_onsite_sequence, realize_profile
 from iplsim.rng import SplitMix64
-from iplsim.experiments import build_hamiltonian, preset_config, random_instance
+from iplsim.experiments import PRESETS, build_hamiltonian, preset_config, random_instance
 
 from certificate import certificate_values
 from memory import traced_peak
@@ -92,6 +94,13 @@ class TestEighTridiagonal:
         with pytest.raises(ValueError):
             eigh_tridiagonal(bad)
 
+    def test_rejects_a_scale_beyond_the_float_range(self):
+        # finite entries whose scale max|d| + 2 max|e| overflows would make
+        # every certificate cap infinite
+        h = TridiagonalHamiltonian(np.array([1e308, 1.5e308]), np.array([1e308]))
+        with pytest.raises(ValueError, match="float range"):
+            eigh_tridiagonal(h)
+
     def test_fully_degenerate_ladder_still_orthonormal(self):
         # eps = 0 decouples the cells: every eigenvalue is d1 or d2
         grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 40))
@@ -99,6 +108,18 @@ class TestEighTridiagonal:
         eig = eigh_tridiagonal(h)
         assert eig.ortho_bound <= 1e-10
         assert np.allclose(np.sort(eig.values), [1.0] * 40 + [2.0] * 40, atol=1e-12)
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    def test_huge_and_tiny_energies_solve_like_the_unscaled_lattice(self, factor):
+        # DSTEBZ's split rule squares the entries: unscaled, it would split every
+        # bond at either factor, and dstein's work vectors overflow above 1e153
+        h = small_lattice(20)
+        eig = eigh_tridiagonal(h)
+        scaled = eigh_tridiagonal(TridiagonalHamiltonian(factor * h.diag, factor * h.offdiag))
+        error = np.max(np.abs(scaled.values / factor - eig.values))
+        assert error <= 1e-13 * np.max(np.abs(eig.values))
+        assert np.allclose(scaled.vectors, eig.vectors, rtol=0.0, atol=1e-12)
+        assert scaled.residual_bound <= 1e-14 * factor
 
     def test_vectors_are_frozen(self):
         eig = eigh_tridiagonal(small_lattice(6))
@@ -111,44 +132,96 @@ def random_operator(sites, seed):
     return TridiagonalHamiltonian(rng.normal(size=sites), rng.normal(size=sites - 1))
 
 
+def assert_bounds_hold_against_the_oracle(h, eig):
+    """residual_bound bit-equal to the whole-matrix oracle; ortho_bound at least its Gram defect.
+
+    Where the window from the first block's top level reaches the highest
+    level, every pair is measured and ortho_bound is that defect, bit for bit.
+    """
+    residual, ortho = certificate_values(h.diag, h.offdiag, eig.values, eig.vectors)
+    assert eig.residual_bound == residual
+    assert ortho <= eig.ortho_bound <= ORTHO_CAP
+    window = ORTHO_WINDOW_REL * _scale(h.diag, h.offdiag)
+    if eig.values[-1] < eig.values[min(STATE_BLOCK, eig.size) - 1] + window:
+        assert eig.ortho_bound == ortho
+
+
 class TestBlockedCertificate:
     """`_certify` walks STATE_BLOCK columns at a time; tests/certificate.py is its oracle."""
 
     @pytest.mark.parametrize("sites", [1, 2, 127, 128, 129, 300])
     def test_bounds_equal_the_whole_matrix_oracle(self, sites):
         h = random_operator(sites, seed=sites)
-        eig = eigh_tridiagonal(h)
-        oracle = certificate_values(h.diag, h.offdiag, eig.values, eig.vectors)
-        assert (eig.residual_bound, eig.ortho_bound) == oracle
+        assert_bounds_hold_against_the_oracle(h, eigh_tridiagonal(h))
 
-    @pytest.mark.parametrize("name", ["fig1", "fig13"])
-    def test_preset_bounds_equal_the_whole_matrix_oracle(self, name, preset_eig):
-        config, eig = preset_eig(name)
-        h = build_hamiltonian(config)
-        oracle = certificate_values(h.diag, h.offdiag, eig.values, eig.vectors)
-        assert (eig.residual_bound, eig.ortho_bound) == oracle
+    @pytest.mark.parametrize("name, overrides", [
+        *(pytest.param(name, {}, id=name) for name in PRESETS),
+        pytest.param("fig6", {"sites": 1802}, id="fig6-1802-sites"),
+    ])
+    def test_preset_bounds_equal_the_whole_matrix_oracle(self, name, overrides, preset_eig):
+        config, eig = preset_eig(name, **overrides)
+        assert_bounds_hold_against_the_oracle(build_hamiltonian(config), eig)
+        # headroom: the far-pair bound stays a decade under the cap
+        assert eig.ortho_bound <= ORTHO_CAP / 10
+
+    def test_gram_panels_stop_at_the_window(self):
+        # 1000 sites whose two bands span about 1.3 scale: no block's window
+        # holds more than 188 columns, so the largest Gram panel is well under
+        # the (block x sites) one that a panel running to the last column makes
+        h = small_lattice(500)
+        eig = eigh_tridiagonal(h)
+        _, peak = traced_peak(_certify, h.diag, h.offdiag, eig.values, eig.vectors.copy())
+        assert peak <= 0.5 * 8 * STATE_BLOCK * eig.size
+
+    def test_the_window_covers_every_pair_of_a_narrow_spectrum(self):
+        # 300 sites whose levels all lie within the window: the panels run to
+        # the last column and ortho_bound is the measured Gram defect
+        h = random_operator(300, seed=300)
+        narrow = TridiagonalHamiltonian(10.0 + 1e-3 * h.diag, 1e-3 * h.offdiag)
+        eig = eigh_tridiagonal(narrow)
+        window = ORTHO_WINDOW_REL * _scale(narrow.diag, narrow.offdiag)
+        assert eig.values[-1] - eig.values[0] < window
+        assert eig.ortho_bound == certificate_values(narrow.diag, narrow.offdiag,
+                                                     eig.values, eig.vectors)[1]
 
     # 150 decoupled identical cells: 300 sites in blocks [0, 128), [128, 256)
     # and [256, 300); states 0-149 sit at d1 and 150-299 at d2, so mixing two
-    # states of one level breaks orthonormality and leaves every residual small
-    @pytest.mark.parametrize("defect, column, partner", [
-        ("residual", 200, None), ("residual", 299, None),
-        ("orthonormality", 140, 10), ("orthonormality", 299, 160),
+    # states of one level breaks orthonormality and leaves every residual small.
+    # States 10 and 160 lie a gap of 1 apart, beyond the window: only the
+    # far-pair bound sees their overlap, and 1.5e-10 of it stays under the
+    # residual cap (2e-10 here) while it breaks ORTHO_CAP.
+    @pytest.mark.parametrize("defect, column, partner, amount", [
+        ("residual", 200, None, 1e-6), ("residual", 299, None, 1e-6),
+        ("orthonormality", 140, 10, 1e-6), ("orthonormality", 299, 160, 1e-6),
+        ("orthonormality", 160, 10, 1.5e-10),
     ], ids=["residual-middle-block", "residual-last-block",
-            "overlap-middle-and-first-block", "overlap-last-and-middle-block"])
-    def test_a_defect_in_any_block_is_caught(self, defect, column, partner):
+            "overlap-middle-and-first-block", "overlap-last-and-middle-block",
+            "far-pair-overlap-under-the-residual-cap"])
+    def test_a_defect_in_any_block_is_caught(self, defect, column, partner, amount):
         assert STATE_BLOCK == 128
         spec = ProfileSpec("linear", 150, phi_start=0.3, phi_end=0.3)
         h = assemble(realize_profile(spec), CellParams(1.0, 2.0, 0.0))
         eig = eigh_tridiagonal(h)
         values, vectors = eig.values.copy(), eig.vectors.copy()
         if partner is None:
-            values[column] += 1e-6
+            values[column] += amount
         else:
-            assert values[column] == pytest.approx(values[partner], abs=1e-14)
-            vectors[:, column] += 1e-6 * vectors[:, partner]
+            # the partner is on the same level or beyond the window
+            gap = values[column] - values[partner]
+            window = ORTHO_WINDOW_REL * _scale(h.diag, h.offdiag)
+            assert gap == pytest.approx(0.0, abs=1e-14) or gap >= window
+            vectors[:, column] += amount * vectors[:, partner]
         with pytest.raises(SolverError, match=defect):
             _certify(h.diag, h.offdiag, values, vectors)
+
+    def test_nan_vectors_fail_the_certificate(self):
+        h = small_lattice(8)
+        eig = eigh_tridiagonal(h)
+        for column in (0, eig.size - 1):
+            vectors = eig.vectors.copy()
+            vectors[3, column] = np.nan
+            with pytest.raises(SolverError, match="not finite"):
+                _certify(h.diag, h.offdiag, eig.values, vectors)
 
     def test_peak_memory_is_the_vector_matrix_plus_block_scratch(self):
         h = small_lattice(500)
