@@ -95,12 +95,6 @@ class MultipletReport:
     def sizes(self) -> list[int]:
         return [g.size for g in self.groups]
 
-    def group_of(self, state: int) -> Multiplet:
-        for g in self.groups:
-            if state in g.members:
-                return g
-        raise IndexError(f"state {state} not covered by any multiplet")
-
 
 def detect_bands(values: np.ndarray, gamma: float = 20.0) -> BandPartition:
     """Split the sorted spectrum at every spacing above gamma times the median spacing.

@@ -4,7 +4,13 @@ Two independent routes: ``eigh_tridiagonal`` works on the (diag, offdiag)
 arrays. It splits the operator into unreduced blocks, takes each block's
 eigenvalues from LAPACK's root-free QR (``sterf``), cuts them into spectral
 groups at gaps above ``GROUP_GAP_REL`` of the operator scale, and runs inverse
-iteration (``dstein``) once per group. ``dense_oracle`` runs self-contained
+iteration (``dstein``) once per group. It calls ``dstein`` through the function
+pointer in scipy's Cython LAPACK capsule, wrapped with ctypes, so the call
+releases the GIL and one thread per core solves its own chunk of the groups.
+Each group writes its vectors as rows of one C-ordered (states x sites)
+matrix, and ``EigenSystem.vectors`` is its transposed view. dstein restarts
+its random seed on every call and each group owns its rows, so the bits do
+not depend on the number of threads. ``dense_oracle`` runs self-contained
 Jacobi sweeps in round-robin (Brent–Luk) order on the expanded dense matrix.
 Tests cross-validate the two. Both return the same certified ``EigenSystem``
 contract: the residual r = T u - lambda u of every column is measured, and so
@@ -23,13 +29,21 @@ resolved.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dstein
+import scipy.linalg.cython_lapack
+
+# after scipy, which loads concurrent.futures itself: loading it first made a
+# fresh interpreter's `import iplsim` about 40 ms slower in about half of the
+# runs, against a sixth of them (2 vCPU Xeon, Python 3.11, scipy 1.17; cause
+# not found)
+from concurrent.futures import ThreadPoolExecutor
 
 SIGN_FLOOR = 1e-12
 RESIDUAL_REL_CAP = 1e-10
@@ -56,6 +70,34 @@ _SAFE_MIN = float(np.finfo(float).tiny)
 # are solved (certificate, measures, map raster), so a pass's scratch stays
 # O(sites x block) next to the vector matrix
 STATE_BLOCK = 128
+
+# one thread per core runs a contiguous chunk of the spectral groups, but
+# only as many as get this much work each, counted in dstein's sites x
+# states: a thread costs about 0.4 ms to start and join, and dstein takes
+# about 0.2 us per site of each vector (2 vCPU Xeon), so 2^14 of them repay
+# it. Lattices of up to about 180 sites run on the calling thread alone.
+_WORKERS = os.cpu_count() or 1
+_THREAD_WORK = 1 << 14
+
+
+def _capsule_function(name: str, *argtypes):
+    """LAPACK routine `name` from scipy's Cython LAPACK capsules, as a ctypes function.
+
+    A CFUNCTYPE call releases the GIL. It is the same compiled routine that
+    `scipy.linalg.lapack` wraps, without the f2py wrapper that holds the GIL.
+    """
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+# DSTEIN(N, D, E, M, W, IBLOCK, ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO): all
+# thirteen arguments are pointers, and none is a CHARACTER, so there is no
+# hidden string length to pass
+_dstein = _capsule_function("dstein", *[ctypes.c_void_p] * 13)
 
 DENSE_ORACLE_MAX_SITES = 256
 _JACOBI_MAX_SWEEPS = 30
@@ -99,6 +141,17 @@ def eigh_tridiagonal(h) -> EigenSystem:
     come out with the right signs and magnitudes instead of QR noise; dstein
     reorthogonalizes only inside one spectral group (exact and near
     degeneracies), never across a whole band.
+
+    The vectors are stored state-major: row k of one C-ordered (states x
+    sites) matrix is the vector of values[k], and `EigenSystem.vectors` is its
+    transposed view. A Fortran column of dstein's Z is such a row, so each
+    group's vectors are copied to their rows as they come. The groups are
+    split into contiguous chunks, one per core, and each chunk's dstein calls
+    run on a thread of their own with the GIL released (see `_solve_groups`);
+    an operator with too little work for a second thread is solved on the
+    calling thread alone. dstein resets its random seed on every call and
+    every group lands in the same rows, so the bits do not depend on the
+    number of threads or on which thread solved a group.
     """
     diag, offdiag = h.diag, h.offdiag
     if diag.size == 0:
@@ -115,39 +168,85 @@ def eigh_tridiagonal(h) -> EigenSystem:
     exponent = math.frexp(scale)[1]
     unit = math.ldexp(1.0, exponent - 1) if abs(exponent) > 255 else 1.0
     d, e = diag / unit, offdiag / unit
-    cut_gap = GROUP_GAP_REL * scale / unit
     split = e**2 <= _ULP**2 * np.abs(d[:-1] * d[1:]) + _SAFE_MIN
     edges = np.concatenate(([0], np.flatnonzero(split) + 1, [n]))
-    blocks = list(zip(edges[:-1], edges[1:]))
     try:
-        block_values = [scipy.linalg.eigvalsh_tridiagonal(d[lo:hi], e[lo:hi - 1],
-                                                          lapack_driver="sterf")
-                        for lo, hi in blocks]
+        values = np.concatenate([
+            scipy.linalg.eigvalsh_tridiagonal(d[lo:hi], e[lo:hi - 1], lapack_driver="sterf")
+            for lo, hi in zip(edges[:-1], edges[1:])])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK non-convergence
         raise SolverError(f"tridiagonal eigenvalue solver failed to converge: {exc}") from exc
-    values = np.concatenate(block_values)
     order = np.argsort(values, kind="stable")
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
+    row = np.empty(n, dtype=np.intp)
+    row[order] = np.arange(n)
 
-    vectors = np.zeros((n, n))
-    for (lo, hi), w in zip(blocks, block_values):
-        size = hi - lo
-        if size == 1:
-            vectors[lo, column[lo]] = 1.0
-            continue
-        iblock = np.ones(size, dtype=np.int32)
-        isplit = np.zeros(size, dtype=np.int32)
-        isplit[0] = size
-        cuts = np.concatenate(([0], np.flatnonzero(np.diff(w) > cut_gap) + 1, [size]))
-        for g0, g1 in zip(cuts[:-1], cuts[1:]):
-            z, info = dstein(d[lo:hi], e[lo:hi - 1], w[g0:g1], iblock, isplit)
-            if info != 0:
-                raise SolverError(f"inverse iteration failed near {w[g0] * unit:.6g} "
-                                  f"(dstein info {info})")
-            vectors[lo:hi, column[lo + g0:lo + g1]] = z
+    # a spectral group starts at each block start and wherever the block's
+    # ascending values jump by more than the cut gap
+    starts = np.zeros(n, dtype=bool)
+    starts[edges[:-1]] = True
+    starts[1:] |= np.diff(values) > GROUP_GAP_REL * scale / unit
+    first = np.flatnonzero(starts)
+    count = np.diff(np.append(first, n))
+    block = np.searchsorted(edges, first, side="right") - 1
+    lo, size = edges[block], np.diff(edges)[block]
+
+    rows = np.zeros((n, n))
+    # dstein's integer arguments N (= ISPLIT(1) = LDZ) and M, one row per group
+    ints = np.stack([size, count], axis=1).astype(np.int32)
+    at = ints.ctypes.data + 4 * np.arange(ints.size).reshape(ints.shape)
+    tasks = list(zip(at[:, 0].tolist(), (d.ctypes.data + 8 * lo).tolist(),
+                     (e.ctypes.data + 8 * lo).tolist(), at[:, 1].tolist(),
+                     (values.ctypes.data + 8 * first).tolist(),
+                     [row[f:f + c] for f, c in zip(first.tolist(), count.tolist())],
+                     lo.tolist(), (lo + size).tolist()))
+    largest = int(size.max(initial=1)), int(np.max(count * size, initial=1))
+    workers = max(1, min(_WORKERS, int(np.sum(size * count)) // _THREAD_WORK))
+    chunks = [range(len(tasks) * k // workers, len(tasks) * (k + 1) // workers)
+              for k in range(workers)]
+
+    def solve(chunk):
+        return _solve_groups(chunk, tasks, rows, *largest)
+
+    # the calling thread solves the first chunk while the pool solves the rest
+    with ThreadPoolExecutor(max_workers=workers - 1 or 1) as pool:
+        rest = pool.map(solve, chunks[1:])
+        failures = [f for f in (solve(chunks[0]), *rest) if f is not None]
+    if failures:
+        task, info = min(failures)
+        raise SolverError(f"inverse iteration failed near {values[first[task]] * unit:.6g} "
+                          f"(dstein info {info})")
     values *= unit
-    return _certify(diag, offdiag, values[order], vectors)
+    return _certify(diag, offdiag, values[order], rows.T)
+
+
+def _solve_groups(chunk, tasks, rows, sites: int, extent: int):
+    """Run dstein on tasks[chunk] with this thread's own work arrays.
+
+    Each task holds plain-int addresses (N, D, E, M, W) laid out by
+    `eigh_tridiagonal`, whose arrays outlive the call, then the group's rows
+    and its block's first and last-plus-one site. dstein writes the group's
+    vectors into this thread's scratch as Fortran columns (LDZ = N), which
+    are C rows, and one assignment copies them to their rows; rows of
+    different groups never overlap. The GIL is released during each dstein
+    call. Every group is one block: IBLOCK is all ones and ISPLIT(1) = N; a
+    one-site block is dstein's quick return, Z = 1. Returns (task, info) of
+    the first failure, else None.
+    """
+    work = np.empty(5 * sites)
+    iwork = np.empty(sites, dtype=np.int32)
+    piece = np.empty(extent)
+    ifail = np.empty(sites, dtype=np.int32)
+    iblock = np.ones(sites, dtype=np.int32)
+    info = np.zeros(1, dtype=np.int32)
+    iblock_at, piece_at = iblock.ctypes.data, piece.ctypes.data
+    arrays_at = (work.ctypes.data, iwork.ctypes.data, ifail.ctypes.data, info.ctypes.data)
+    for task in chunk:
+        n_at, d_at, e_at, m_at, w_at, members, lo, hi = tasks[task]
+        _dstein(n_at, d_at, e_at, m_at, w_at, iblock_at, n_at, piece_at, n_at, *arrays_at)
+        if info[0]:
+            return task, int(info[0])
+        rows[members, lo:hi] = piece[:members.size * (hi - lo)].reshape(-1, hi - lo)
+    return None
 
 
 def dense_oracle(h) -> EigenSystem:

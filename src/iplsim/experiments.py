@@ -9,8 +9,6 @@ deliberately nothing environment-bound: no timestamps, no absolute paths.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -271,8 +269,11 @@ class SweepPoint:
 def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
     """Delocalized fraction vs focusing, one full pipeline run per grid value.
 
-    Points run in parallel, one thread per core, but the output order always
-    follows the input order, and per-point failures become rows, not aborts.
+    Points run one after another, in the input order, and per-point failures
+    become rows, not aborts. The parallelism lives inside each point's solve,
+    which spreads its inverse iteration over the cores (see
+    `eigh_tridiagonal`); a pool of points on top of that would only make the
+    two compete for the same cores.
     """
     lf_values = [float(x) for x in lf_values]
     if any(x <= 0 for x in lf_values):
@@ -287,9 +288,7 @@ def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
         except Exception as exc:  # per-point isolation, sweep must go on
             return SweepPoint(lf=lf, fraction=None, error=f"{type(exc).__name__}: {exc}")
 
-    workers = min(os.cpu_count() or 1, len(lf_values)) or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(point, lf_values))
+    return [point(lf) for lf in lf_values]
 
 
 def run_sweep(base: RunConfig, lf_values, out_dir: str | Path) -> RunManifest:

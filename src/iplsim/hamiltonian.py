@@ -1,4 +1,4 @@
-"""Cell matrices and lattice assembly.
+"""Lattice assembly.
 
 Every cell is the 2x2 rotation of diag(d1, d2) by its phase, so all cells
 share the eigenvalues {d1, d2} regardless of phase. Neighboring cells couple
@@ -32,28 +32,6 @@ class CellParams:
             lo, hi = self.d2, self.d1
             object.__setattr__(self, "d1", lo)
             object.__setattr__(self, "d2", hi)
-
-
-@dataclass(frozen=True)
-class CellMatrix:
-    """One symmetric 2x2 cell, isospectral to diag(d1, d2) for every phase."""
-
-    a11: float
-    a12: float
-    a22: float
-    phi: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]])
-
-
-def cell_matrix(params: CellParams, phi: float) -> CellMatrix:
-    """Rotate diag(d1, d2) by phi: the inverse rotation applied left, rotation right."""
-    c, s = math.cos(phi), math.sin(phi)
-    d1, d2 = params.d1, params.d2
-    off = (d2 - d1) * s * c
-    return CellMatrix(a11=d1 * c * c + d2 * s * s, a12=off,
-                      a22=d1 * s * s + d2 * c * c, phi=phi)
 
 
 @dataclass(frozen=True)
@@ -95,7 +73,12 @@ def _sequence(values: np.ndarray) -> np.ndarray:
 
 
 def assemble(phases: np.ndarray, params: CellParams) -> TridiagonalHamiltonian:
-    """Lay one cell per entry of the phase array along the diagonal and couple neighbors."""
+    """Lay one cell per entry of the phase array along the diagonal and couple neighbors.
+
+    Cell i is R^T diag(d1, d2) R with R = [[cos, -sin], [sin, cos]] at phi_i:
+    diagonal entries d1 cos^2 + d2 sin^2 and d1 sin^2 + d2 cos^2, coupling
+    (d2 - d1) sin cos. It is the operator's i-th 2x2 diagonal block.
+    """
     phi = _sequence(phases)
     c2 = np.cos(phi) ** 2
     s2 = np.sin(phi) ** 2

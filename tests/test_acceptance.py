@@ -18,8 +18,10 @@ import warnings
 import numpy as np
 import pytest
 
+from cells import cell_blocks
 from conftest import record_criterion
 from curves import monotonicity_changes, smooth
+from multiplets import group_of
 from iplsim import (
     PRESETS,
     AnalysisThresholds,
@@ -28,7 +30,6 @@ from iplsim import (
     SplitMix64,
     analyze,
     assemble,
-    cell_matrix,
     delocalized_fraction,
     eigh_tridiagonal,
     node_count,
@@ -66,15 +67,14 @@ def fig2_3(preset_eig):
 
 
 def test_01_cell_isospectrality():
-    """Every cell shares the eigenvalues {d1, d2}, whatever its phase."""
+    """Every cell shares the eigenvalues {d1, d2}, whatever its phase: the 2x2
+    diagonal blocks of one 1000-cell lattice at SplitMix64 phases."""
     params = CellParams(1.0, 2.0, 0.2)
     rng = SplitMix64(0xCE11)
     t0 = time.perf_counter()
-    dev = 0.0
-    for _ in range(1000):
-        phi = 2.0 * math.pi * rng.next_float()
-        eigs = np.linalg.eigvalsh(cell_matrix(params, phi).as_array())
-        dev = max(dev, abs(eigs[0] - 1.0), abs(eigs[1] - 2.0))
+    phases = np.array([2.0 * math.pi * rng.next_float() for _ in range(1000)])
+    eigs = np.linalg.eigvalsh(cell_blocks(assemble(phases, params)))
+    dev = float(max(np.max(np.abs(eigs[:, 0] - 1.0)), np.max(np.abs(eigs[:, 1] - 2.0))))
     elapsed = time.perf_counter() - t0
     ok = dev <= 1e-12 and elapsed < 1.0
     _record("1", ok, f"cell isospectrality: max dev {dev:.2e} over 1000 phases "
@@ -242,11 +242,11 @@ def test_08_revolution_pairing(preset_eig):
     report = analyze(eig, thresholds, expect_two_bands=True)
     groups = report.multiplets
 
-    ground = groups.group_of(0)
+    ground = group_of(groups, 0)
     ground_ok = ground.size == 1 and ground.start == 0
 
-    pair_sizes = {groups.group_of(k).size for k in range(1, 41)}
-    pairs = sorted({groups.group_of(k).start for k in range(1, 41)})
+    pair_sizes = {group_of(groups, k).size for k in range(1, 41)}
+    pairs = sorted({group_of(groups, k).start for k in range(1, 41)})
 
     # eigenvalues of an unreduced symmetric tridiagonal matrix are simple, but a
     # splitting that underflows the solver's resolution returns arbitrary
@@ -256,7 +256,7 @@ def test_08_revolution_pairing(preset_eig):
     mid = (report.size + 1) / 2
     checked = skipped = bad_nodes = bad_halves = 0
     for start in pairs:
-        group = groups.group_of(start)
+        group = group_of(groups, start)
         com_lo = report.measures.com[start]
         com_hi = report.measures.com[start + 1]
         if (com_lo - mid) * (com_hi - mid) >= 0:
@@ -271,7 +271,7 @@ def test_08_revolution_pairing(preset_eig):
     band = report.bands.bands[0]
     n0 = len(band)
     mid_band = range(band.start + n0 // 4, band.start + (3 * n0) // 4)
-    mid_sizes = {groups.group_of(k).size for k in mid_band}
+    mid_sizes = {group_of(groups, k).size for k in mid_band}
 
     ok = (ground_ok and pair_sizes == {2} and bad_nodes == 0 and bad_halves == 0
           and checked >= 15 and mid_sizes == {1})
@@ -297,7 +297,7 @@ def test_09_three_revolution_multiplets(preset_eig):
     band = report.bands.bands[0]
     n0 = len(band)
     center = range(band.start + (2 * n0) // 5, band.start + (3 * n0) // 5)
-    center_sizes = {report.multiplets.group_of(k).size for k in center}
+    center_sizes = {group_of(report.multiplets, k).size for k in center}
 
     ok = (head == [3, 6, 6, 6] and ground_in_triplet and center_sizes == {1})
     _record("9", ok, f"three-revolution multiplets: leading sizes {head} "

@@ -19,6 +19,7 @@ from iplsim.profiles import ProfileSpec, realize_profile
 from iplsim.measures import spacing_spectrum, state_measures
 
 from curves import monotonicity_changes, smooth
+from multiplets import group_of
 from memory import traced_peak
 
 
@@ -150,10 +151,10 @@ class TestDetectMultiplets:
         values, bands = self.ladder_with_pairs()
         rep = detect_multiplets(spacing_spectrum(values), bands)
         assert rep.sizes() == [1, 2, 2, 1]
-        assert rep.group_of(1).members == range(1, 3)
-        assert rep.group_of(5).size == 1
+        assert group_of(rep, 1).members == range(1, 3)
+        assert group_of(rep, 5).size == 1
         with pytest.raises(IndexError):
-            rep.group_of(99)
+            group_of(rep, 99)
 
     def test_shift_and_scale_invariance(self):
         values, bands = self.ladder_with_pairs()
@@ -167,7 +168,7 @@ class TestDetectMultiplets:
         values, bands = self.ladder_with_pairs()
         nodes = np.arange(6)
         rep = detect_multiplets(spacing_spectrum(values), bands, node_counts=nodes)
-        assert rep.group_of(1).node_counts == (1, 2)
+        assert group_of(rep, 1).node_counts == (1, 2)
 
     def test_bands_partition_groups(self):
         values = np.array([0.0, 0.00001, 0.1, 5.0, 5.1, 5.2])

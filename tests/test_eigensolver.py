@@ -1,14 +1,18 @@
+import ctypes
 import inspect
 import itertools
 import math
 import sys
+import threading
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dstein
 
+import iplsim.analysis as analysis
 import iplsim.eigensolver as eigensolver
 from iplsim.eigensolver import (
     DENSE_ORACLE_MAX_SITES,
@@ -293,19 +297,19 @@ class TestGroupedInverseIteration:
         # below GROUP_GAP_REL * scale apart
         calls = []
 
-        def recording(d, e, w, iblock, isplit):
-            calls.append(w.size)
-            return dstein(d, e, w, iblock, isplit)
+        def recording(*args):
+            calls.append(ctypes.c_int.from_address(args[3]).value)  # M
+            kernel(*args)
 
-        dstein = eigensolver.dstein
-        monkeypatch.setattr(eigensolver, "dstein", recording)
+        kernel = eigensolver._dstein
+        monkeypatch.setattr(eigensolver, "_dstein", recording)
         grid = realize_profile(ProfileSpec("linear", 2, phi_start=0.5, phi_end=0.5))
         params = CellParams(1.0, 1.0 + margin * GROUP_GAP_REL, 0.0)
         h = assemble(grid, params)
         spacing = params.d2 - params.d1
         assert (spacing > GROUP_GAP_REL * _scale(h.diag, h.offdiag)) == (margin > 1.0)
         eig = eigh_tridiagonal(h)
-        assert calls == groups
+        assert sorted(calls) == groups
         assert eig.ortho_bound <= 1e-10
         assert np.allclose(eig.values, [1.0, 1.0, params.d2, params.d2], rtol=0, atol=1e-15)
 
@@ -314,6 +318,173 @@ class TestGroupedInverseIteration:
         eig = eigh_tridiagonal(one)
         assert eig.values.tolist() == [0.7]
         assert eig.vectors.tolist() == [[1.0]]
+
+
+def kernel_dstein(d, e, w):
+    """The solver's ctypes dstein on one unreduced block: (Z as (states x sites) rows, info)."""
+    d, e, w = (np.ascontiguousarray(a, dtype=float) for a in (d, e, w))
+    n, m = d.size, w.size
+    ints = np.array([n, m], dtype=np.int32)  # N = ISPLIT(1) = LDZ, then M
+    iblock = np.ones(m, dtype=np.int32)
+    rows = np.zeros((m, n))
+    work, iwork = np.empty(5 * n), np.empty(n, dtype=np.int32)
+    ifail, info = np.empty(m, dtype=np.int32), np.zeros(1, dtype=np.int32)
+    eigensolver._dstein(ints.ctypes.data, d.ctypes.data, e.ctypes.data, ints.ctypes.data + 4,
+                        w.ctypes.data, iblock.ctypes.data, ints.ctypes.data, rows.ctypes.data,
+                        ints.ctypes.data, work.ctypes.data, iwork.ctypes.data,
+                        ifail.ctypes.data, info.ctypes.data)
+    return rows, int(info[0])
+
+
+def f2py_vectors(h):
+    """The grouped solve with scipy's f2py dstein, one call per group in order, sign-fixed.
+
+    The (sites x states) reference for `eigh_tridiagonal`'s threaded ctypes
+    path: the same blocks, sterf values and group cuts, solved serially.
+    """
+    d, e = h.diag, h.offdiag
+    n = d.size
+    split = e**2 <= eigensolver._ULP**2 * np.abs(d[:-1] * d[1:]) + eigensolver._SAFE_MIN
+    edges = np.concatenate(([0], np.flatnonzero(split) + 1, [n]))
+    blocks = list(zip(edges[:-1], edges[1:]))
+    block_values = [scipy.linalg.eigvalsh_tridiagonal(d[lo:hi], e[lo:hi - 1],
+                                                      lapack_driver="sterf")
+                    for lo, hi in blocks]
+    column = np.empty(n, dtype=np.intp)
+    column[np.argsort(np.concatenate(block_values), kind="stable")] = np.arange(n)
+    vectors = np.zeros((n, n))
+    for (lo, hi), w in zip(blocks, block_values):
+        size = hi - lo
+        if size == 1:
+            vectors[lo, column[lo]] = 1.0
+            continue
+        iblock, isplit = np.ones(size, dtype=np.int32), np.zeros(size, dtype=np.int32)
+        isplit[0] = size
+        cut = GROUP_GAP_REL * _scale(d, e)
+        cuts = np.concatenate(([0], np.flatnonzero(np.diff(w) > cut) + 1, [size]))
+        for g0, g1 in zip(cuts[:-1], cuts[1:]):
+            z, info = dstein(d[lo:hi], e[lo:hi - 1], w[g0:g1], iblock, isplit)
+            assert info == 0
+            vectors[lo:hi, column[lo + g0:lo + g1]] = z
+    return _fix_signs(vectors)
+
+
+def interleaved_blocks():
+    """Two identical decoupled 60-site blocks inside one narrow spectral group.
+
+    The stable sort gives block 0's k-th level row 2k and block 1's row
+    2k + 1, so each 60-state group's rows interleave with the other's.
+    """
+    rng = np.random.default_rng(60)
+    d, e = 10.0 + 1e-5 * rng.normal(size=60), 1e-5 * rng.normal(size=59)
+    return TridiagonalHamiltonian(np.concatenate([d, d]), np.concatenate([e, [0.0], e]))
+
+
+def decoupled_close_levels(cells=40):
+    """eps = 0 cells whose levels d1 and d2 fall in one group: each 2-site block
+    is a 2-state group, and its rows interleave with every other cell's."""
+    grid = realize_profile(ProfileSpec("linear", cells, phi_start=0.3, phi_end=1.2))
+    return assemble(grid, CellParams(1.0, 1.0 + 0.5 * GROUP_GAP_REL, 0.0))
+
+
+class TestThreadedKernel:
+    """dstein through its ctypes pointer, one thread per chunk of groups, state-major rows."""
+
+    @pytest.mark.parametrize("sites, seed", [(200, 1), (1002, 2)])
+    @pytest.mark.parametrize("pick", [
+        pytest.param(lambda w: w[:1], id="first-singleton"),
+        pytest.param(lambda w: w[w.size // 2:w.size // 2 + 1], id="middle-singleton"),
+        pytest.param(lambda w: w[7:12], id="five-state-group"),
+        pytest.param(lambda w: w[-3:], id="last-rows"),
+    ])
+    def test_kernel_is_bit_equal_to_the_f2py_wrapper(self, sites, seed, pick):
+        h = random_operator(sites, seed)
+        w = pick(scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, lapack_driver="sterf"))
+        size = h.sites
+        iblock, isplit = np.ones(size, dtype=np.int32), np.zeros(size, dtype=np.int32)
+        isplit[0] = size
+        z, info = dstein(h.diag, h.offdiag, w, iblock, isplit)
+        rows, kernel_info = kernel_dstein(h.diag, h.offdiag, w)
+        assert info == kernel_info == 0
+        assert np.array_equal(rows, z.T)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: build_hamiltonian(preset_config("fig13")), id="fig13"),
+        pytest.param(lambda: build_hamiltonian(preset_config("fig6", {"sites": 1802})),
+                     id="fig6-1802-sites"),
+        pytest.param(decoupled_close_levels, id="eps0-interleaved-pairs"),
+        pytest.param(interleaved_blocks, id="interleaved-60-state-groups"),
+    ])
+    def test_worker_count_does_not_change_the_bits(self, make, monkeypatch):
+        h = make()
+        # every operator here gets all the threads, however little work it holds
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
+        threaded = eigh_tridiagonal(h)
+        monkeypatch.setattr(eigensolver, "_WORKERS", 1)
+        serial = eigh_tridiagonal(h)
+        assert np.array_equal(threaded.values, serial.values)
+        assert np.array_equal(threaded.vectors, serial.vectors)
+        assert threaded.ortho_bound == serial.ortho_bound
+        # and both are the f2py wrapper's bits, group by group
+        assert np.array_equal(threaded.vectors, f2py_vectors(h))
+
+    def test_concurrent_calls_get_the_serial_bits(self, monkeypatch):
+        # more solver threads than cores, in two calling threads at once, with
+        # the interpreter switching threads as often as it can
+        operators = [random_operator(300, seed) for seed in (3, 4)]
+        serial = [eigh_tridiagonal(h) for h in operators]
+        monkeypatch.setattr(eigensolver, "_WORKERS", 4 * eigensolver._WORKERS)
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
+        results = [None] * len(operators)
+
+        def solve(i):
+            results[i] = eigh_tridiagonal(operators[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(operators))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, serial):
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.vectors, want.vectors)
+
+    def test_a_failed_group_raises_in_the_caller_naming_its_eigenvalue(self, monkeypatch):
+        h = small_lattice(20)
+        target = float(eigh_tridiagonal(h).values[29])
+        kernel = eigensolver._dstein
+
+        def failing(*args):
+            kernel(*args)
+            if ctypes.c_double.from_address(args[4]).value == target:  # W(1)
+                ctypes.c_int.from_address(args[12]).value = 1  # INFO
+
+        monkeypatch.setattr(eigensolver, "_dstein", failing)
+        # level 29 of 40 falls in the last chunk, which a pool thread solves
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
+        with pytest.raises(SolverError, match=rf"failed near {target:.6g} \(dstein info 1\)"):
+            eigh_tridiagonal(h)
+
+    def test_vectors_are_state_major_and_analyze_reads_them_in_place(self, monkeypatch):
+        eig = eigh_tridiagonal(small_lattice(300))
+        assert eig.vectors.T.flags.c_contiguous
+        in_place = []
+
+        def recording(block, **kwargs):
+            # the (states x sites) rows state_measures reduces along are a view
+            in_place.append(np.shares_memory(np.ascontiguousarray(block.T), eig.vectors))
+            return state_measures(block, **kwargs)
+
+        monkeypatch.setattr(analysis, "state_measures", recording)
+        analysis.analyze(eig)
+        assert len(in_place) == math.ceil(eig.size / STATE_BLOCK)
+        assert all(in_place)
 
 
 def mp_ground_state(h, guess: float, dps: int = 60) -> tuple[float, np.ndarray]:

@@ -9,17 +9,32 @@ from iplsim.hamiltonian import (
     TridiagonalHamiltonian,
     assemble,
     assemble_onsite,
-    cell_matrix,
 )
 from iplsim.profiles import ProfileSpec, random_onsite_sequence, realize_profile
+
+from cells import cell_blocks
 
 PARAMS = CellParams(1.0, 2.0, 0.2)
 
 
+def cell(params, phi):
+    """The cell at phase phi, as the diagonal block of a one-cell lattice."""
+    return cell_blocks(assemble(np.array([phi]), params))[0]
+
+
+def rotated(params, phi):
+    """R^T diag(d1, d2) R for the rotation R by phi, from matrix products."""
+    c, s = math.cos(phi), math.sin(phi)
+    r = np.array([[c, -s], [s, c]])
+    return r.T @ np.diag([params.d1, params.d2]) @ r
+
+
 class TestCellMatrix:
+    """The cells `assemble` forms: the operator's 2x2 diagonal blocks."""
+
     @given(st.floats(min_value=-10.0, max_value=10.0))
     def test_isospectral_at_every_phase(self, phi):
-        m = cell_matrix(PARAMS, phi).as_array()
+        m = cell(PARAMS, phi)
         ev = np.linalg.eigvalsh(m)
         assert ev[0] == pytest.approx(1.0, abs=1e-12)
         assert ev[1] == pytest.approx(2.0, abs=1e-12)
@@ -29,22 +44,22 @@ class TestCellMatrix:
            st.floats(min_value=0.0, max_value=2 * math.pi))
     def test_isospectral_for_any_levels(self, d1, gap, phi):
         params = CellParams(d1, d1 + gap, 0.1)
-        ev = np.linalg.eigvalsh(cell_matrix(params, phi).as_array())
+        ev = np.linalg.eigvalsh(cell(params, phi))
         assert ev[0] == pytest.approx(d1, abs=1e-10)
         assert ev[1] == pytest.approx(d1 + gap, abs=1e-10)
 
     def test_phase_zero_is_diagonal(self):
-        m = cell_matrix(PARAMS, 0.0)
-        assert (m.a11, m.a12, m.a22) == (1.0, 0.0, 2.0)
+        m = cell(PARAMS, 0.0)
+        assert (m[0, 0], m[0, 1], m[1, 1]) == (1.0, 0.0, 2.0)
 
     def test_quarter_turn_swaps_levels(self):
-        m = cell_matrix(PARAMS, math.pi / 2)
-        assert m.a11 == pytest.approx(2.0)
-        assert m.a22 == pytest.approx(1.0)
-        assert m.a12 == pytest.approx(0.0, abs=1e-16)
+        m = cell(PARAMS, math.pi / 2)
+        assert m[0, 0] == pytest.approx(2.0)
+        assert m[1, 1] == pytest.approx(1.0)
+        assert m[0, 1] == pytest.approx(0.0, abs=1e-16)
 
     def test_trace_is_phase_independent(self):
-        traces = {round(cell_matrix(PARAMS, p).a11 + cell_matrix(PARAMS, p).a22, 12)
+        traces = {round(float(np.trace(cell(PARAMS, p))), 12)
                   for p in np.linspace(0, math.pi, 37)}
         assert traces == {3.0}
 
@@ -83,8 +98,7 @@ class TestAssemble:
         dense = h.dense()
         assert np.array_equal(dense, dense.T)
         for i, phi in enumerate(profile):
-            block = cell_matrix(PARAMS, phi).as_array()
-            assert np.allclose(dense[2 * i:2 * i + 2, 2 * i:2 * i + 2], block)
+            assert np.allclose(dense[2 * i:2 * i + 2, 2 * i:2 * i + 2], rotated(PARAMS, phi))
         # nothing beyond the first superdiagonal
         assert np.all(np.triu(dense, 2) == 0)
 
