@@ -73,11 +73,14 @@ STATE_BLOCK = 128
 
 # one thread per core runs a contiguous chunk of the spectral groups, but
 # only as many as get this much work each, counted in dstein's sites x
-# states: a thread costs about 0.4 ms to start and join, and dstein takes
-# about 0.2 us per site of each vector (2 vCPU Xeon), so 2^14 of them repay
-# it. Lattices of up to about 180 sites run on the calling thread alone.
+# states. dstein takes about 0.2 us per site of each vector, but the other
+# core is often busy: the certificate's BLAS threads spin-wait on it after
+# their panels. Timed on a 2 vCPU Xeon, a second thread left the eight
+# figure presets (302 to 602 sites) as fast as one and their times less
+# steady, and cut the 1002-site sweep by a tenth. So lattices of up to about
+# 720 sites run on the calling thread alone.
 _WORKERS = os.cpu_count() or 1
-_THREAD_WORK = 1 << 14
+_THREAD_WORK = 1 << 18
 
 
 def _capsule_function(name: str, *argtypes):
