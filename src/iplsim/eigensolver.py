@@ -10,9 +10,12 @@ releases the GIL and one thread per core solves its own chunk of the groups.
 Each group writes its vectors as rows of one C-ordered (states x sites)
 matrix, and ``EigenSystem.vectors`` is its transposed view. dstein restarts
 its random seed on every call and each group owns its rows, so the bits do
-not depend on the number of threads. ``dense_oracle`` runs self-contained
-Jacobi sweeps in round-robin (Brent–Luk) order on the expanded dense matrix.
-Tests cross-validate the two. Both return the same certified ``EigenSystem``
+not depend on the number of threads. The certificate's Gram panels run on
+one thread of numpy's bundled OpenBLAS, so on that build the bits depend on
+neither the core count nor the BLAS thread settings either (see
+`_one_blas_thread`). ``dense_oracle`` runs self-contained Jacobi sweeps in
+round-robin (Brent–Luk) order on the expanded dense matrix. Tests
+cross-validate the two. Both return the same certified ``EigenSystem``
 contract: the residual r = T u - lambda u of every column is measured, and so
 is u_i^T u_j for every pair of levels within ``ORTHO_WINDOW_REL`` of the scale
 of each other. Any pair farther apart than that window W is bounded, not
@@ -29,11 +32,14 @@ resolved.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -73,12 +79,19 @@ STATE_BLOCK = 128
 
 # one thread per core runs a contiguous chunk of the spectral groups, but
 # only as many as get this much work each, counted in dstein's sites x
-# states. dstein takes about 0.2 us per site of each vector, but the other
-# core is often busy: the certificate's BLAS threads spin-wait on it after
-# their panels. Timed on a 2 vCPU Xeon, a second thread left the eight
-# figure presets (302 to 602 sites) as fast as one and their times less
-# steady, and cut the 1002-site sweep by a tenth. So lattices of up to about
-# 720 sites run on the calling thread alone.
+# states (dstein takes about 0.2 us per site of each vector). Below that a
+# second thread is a bet on where the kernel puts the pool thread a call
+# starts. On a 2 vCPU Xeon VM, per-thread run and run-queue times
+# (/proc/self/task/*/schedstat) showed it on the caller's core in 497 of
+# 512 figure-preset solves at 2^14, the other core idle and each thread
+# waiting about as long as it ran: 188-207 ms for the eight presets against
+# 160-204 ms on one thread. Whole benchmark runs split in two: the figures
+# pass read 0.30, 0.31 and 0.40 s at 2^14 against 0.34-0.38 s. The Python
+# work between two dstein calls, which holds the GIL, stayed at 3-5 us, so
+# GIL hand-offs are not the cost. Lattices of up to about 720 sites run on
+# the calling thread alone. Above, the second thread paid: the 6-point
+# 1002-site sweep took 0.95-0.99 s on two threads against 1.22-1.25 s on one
+# (medians of two processes).
 _WORKERS = os.cpu_count() or 1
 _THREAD_WORK = 1 << 18
 
@@ -101,6 +114,56 @@ def _capsule_function(name: str, *argtypes):
 # thirteen arguments are pointers, and none is a CHARACTER, so there is no
 # hidden string length to pass
 _dstein = _capsule_function("dstein", *[ctypes.c_void_p] * 13)
+
+
+def _openblas_thread_setter():
+    """`openblas_set_num_threads_local` of numpy's bundled OpenBLAS as a ctypes function, or None.
+
+    numpy's wheels vendor the library under numpy.libs (macOS: numpy/.dylibs),
+    and ctypes.CDLL on that path returns the copy numpy has already loaded.
+    The function sets OpenBLAS's thread count and returns the previous one;
+    OpenBLAS has it from 0.3.27 on. Any other BLAS (MKL, a system OpenBLAS,
+    an older one) gives None.
+    """
+    root = Path(np.__file__).parent
+    for path in (*(root.parent / "numpy.libs").glob("*openblas*"),
+                 *(root / ".dylibs").glob("*openblas*")):
+        try:
+            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+_set_blas_threads = _openblas_thread_setter()
+# numpy's wheels build OpenBLAS on pthreads, where the "local" count is in
+# fact the whole process's, so one pin is held at a time (see `_one_blas_thread`)
+_blas_pin = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then give back the caller's count.
+
+    On more threads OpenBLAS splits each product over its worker pool, whose
+    threads spin-wait on the other cores after it, and the split changes the
+    product's last bits. On one thread the pool is never woken and the bits
+    do not depend on the core count. Without the setter (another BLAS) the
+    body runs as it is.
+    """
+    setter = _set_blas_threads
+    if setter is None:
+        yield
+        return
+    with _blas_pin:
+        previous = setter(1)
+        try:
+            yield
+        finally:
+            setter(previous)
+
 
 DENSE_ORACLE_MAX_SITES = 256
 _JACOBI_MAX_SWEEPS = 30
@@ -277,7 +340,9 @@ def _jacobi(a: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.nda
     a = a.copy()
     n = a.shape[0]
     vt = np.eye(n)
-    scale = np.linalg.norm(a)
+    # not np.linalg.norm: that is a BLAS dot product, which OpenBLAS splits
+    # over all cores above 10 000 entries
+    scale = math.sqrt(float(np.sum(a * a)))
     if scale == 0.0 or n == 1:
         return np.diag(a).copy(), vt
     rounds = _round_robin(n)
@@ -384,19 +449,18 @@ def _certify(diag, offdiag, values, vectors) -> EigenSystem:
         raise SolverError("residual not finite: the eigenpairs hold NaN or inf")
     tops = np.minimum(np.arange(STATE_BLOCK, n + STATE_BLOCK, STATE_BLOCK), n)
     ends = np.maximum(np.searchsorted(values, values[tops - 1] + ORTHO_WINDOW_REL * unit), tops)
-    # the panel products run back to back: BLAS threads spin-wait after each
-    # one, which costs CPU time when numpy work sits between them
     ortho = norm_defect = 0.0
-    for lo, end in zip(starts, ends):
-        block = vectors[:, lo:lo + STATE_BLOCK]
-        panel = block.T @ vectors[:, lo:end]
-        k = block.shape[1]
-        diagonal = np.arange(k), np.arange(k)
-        panel[diagonal] -= 1.0
-        np.abs(panel, out=panel)
-        norm_defect = max(norm_defect, float(np.max(panel[diagonal])))
-        ortho = max(ortho, float(np.max(panel)))
-        del panel  # freed before the next panel is made
+    with _one_blas_thread():
+        for lo, end in zip(starts, ends):
+            block = vectors[:, lo:lo + STATE_BLOCK]
+            panel = block.T @ vectors[:, lo:end]
+            k = block.shape[1]
+            diagonal = np.arange(k), np.arange(k)
+            panel[diagonal] -= 1.0
+            np.abs(panel, out=panel)
+            norm_defect = max(norm_defect, float(np.max(panel[diagonal])))
+            ortho = max(ortho, float(np.max(panel)))
+            del panel  # freed before the next panel is made
     if ends[0] < n:  # ends ascend, so some pair lies beyond the window
         nu = math.sqrt(1.0 + norm_defect)
         rho = math.sqrt(float(np.max(sumsq))) + 10 * _ULP * nu

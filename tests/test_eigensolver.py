@@ -2,9 +2,12 @@ import ctypes
 import inspect
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -485,6 +488,146 @@ class TestThreadedKernel:
         analysis.analyze(eig)
         assert len(in_place) == math.ceil(eig.size / STATE_BLOCK)
         assert all(in_place)
+
+
+def in_child(code: str, blas_threads: int) -> None:
+    """Run `code` in a fresh interpreter whose OpenBLAS gets `blas_threads`
+    threads before numpy loads; raise, with its stderr, if it fails."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    src = str(Path(eigensolver.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                   check=True, timeout=120)
+
+
+def blas_threads() -> int:
+    """numpy's OpenBLAS thread count, read by setting it and setting it back."""
+    count = eigensolver._set_blas_threads(1)
+    eigensolver._set_blas_threads(count)
+    return count
+
+
+needs_thread_setter = pytest.mark.skipif(
+    eigensolver._set_blas_threads is None,
+    reason="numpy's BLAS has no openblas_set_num_threads_local")
+
+
+class FailingProduct(np.ndarray):
+    """Vectors whose Gram panel product raises."""
+
+    def __matmul__(self, other):
+        raise FloatingPointError("panel product")
+
+
+class TestOneBlasThread:
+    """The certificate's Gram panels run on one OpenBLAS thread.
+
+    The replay test writes a run on two BLAS threads and replays it on one.
+    It shows something only on a machine with two or more cores: on one core,
+    OpenBLAS may give both children one thread.
+    """
+
+    @needs_thread_setter
+    def test_a_fig1_manifest_replays_under_another_blas_thread_count(self, tmp_path):
+        run, again = tmp_path / "run", tmp_path / "replay"
+        in_child(f"from iplsim.cli import main; main(['preset', 'fig1', '--out', {str(run)!r}])", 2)
+        # replay raises, and the child fails, on any checksum drift
+        in_child(f"import iplsim; iplsim.replay({str(run / 'manifest.json')!r}, {str(again)!r})", 1)
+        assert (again / "summary.json").read_bytes() == (run / "summary.json").read_bytes()
+
+    @needs_thread_setter
+    @pytest.mark.parametrize("solve", [eigh_tridiagonal, dense_oracle],
+                             ids=["eigh_tridiagonal", "dense_oracle"])
+    def test_the_pin_gives_back_the_callers_count(self, solve, monkeypatch):
+        setter, calls = eigensolver._set_blas_threads, []
+
+        def recording(count):
+            previous = setter(count)
+            calls.append((count, previous))
+            return previous
+
+        before = blas_threads()
+        monkeypatch.setattr(eigensolver, "_set_blas_threads", recording)
+        solve(small_lattice(10))
+        assert calls == [(1, before), (before, 1)]
+        assert blas_threads() == before
+
+    @needs_thread_setter
+    def test_the_callers_count_comes_back_when_a_panel_raises(self):
+        h = small_lattice(300)
+        eig = eigh_tridiagonal(h)
+        before = blas_threads()
+        with pytest.raises(FloatingPointError, match="panel product"):
+            _certify(h.diag, h.offdiag, eig.values, np.array(eig.vectors).view(FailingProduct))
+        assert blas_threads() == before
+
+    @needs_thread_setter
+    def test_the_callers_count_comes_back_when_the_certificate_fails(self, monkeypatch):
+        before = blas_threads()
+        monkeypatch.setattr(eigensolver, "ORTHO_CAP", 0.0)
+        with pytest.raises(SolverError, match="orthonormality"):
+            eigh_tridiagonal(small_lattice(300))
+        with pytest.raises(SolverError, match="orthonormality"):
+            dense_oracle(small_lattice(10))
+        assert blas_threads() == before
+
+    @needs_thread_setter
+    def test_one_pin_at_a_time(self):
+        # numpy's wheels build OpenBLAS on pthreads, where the count is the
+        # process's: a second pin must wait, or the first one to finish would
+        # give back its count under the other's panels
+        before = blas_threads()
+        entered = threading.Event()
+
+        def pin():
+            with eigensolver._one_blas_thread():
+                entered.set()
+
+        with eigensolver._one_blas_thread():
+            assert blas_threads() == 1
+            other = threading.Thread(target=pin)
+            other.start()
+            assert not entered.wait(0.2)
+        other.join(timeout=10)
+        assert entered.is_set()
+        assert blas_threads() == before
+
+    @needs_thread_setter
+    def test_concurrent_pins_hold_one_thread_and_give_back_the_count(self):
+        # more pinning threads than cores, switching as often as the
+        # interpreter can, each running a BLAS product inside its pin: a
+        # count given back under another thread's pin would show inside it,
+        # or be left behind at 1
+        before = blas_threads()
+        a = np.random.default_rng(0).standard_normal((96, 96))
+        seen = []
+
+        def pin():
+            for _ in range(50):
+                with eigensolver._one_blas_thread():
+                    a @ a
+                    seen.append(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pin) for _ in range(4 * eigensolver._WORKERS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [1] * 50 * len(threads)
+        assert blas_threads() == before
+
+    def test_without_the_setter_the_panels_run_as_they_are(self, monkeypatch, preset_eig):
+        config, pinned = preset_eig("fig13")
+        monkeypatch.setattr(eigensolver, "_set_blas_threads", None)
+        eig = eigh_tridiagonal(build_hamiltonian(config))
+        assert eig.ortho_bound <= ORTHO_CAP
+        assert np.array_equal(eig.vectors, pinned.vectors)
 
 
 def mp_ground_state(h, guess: float, dps: int = 60) -> tuple[float, np.ndarray]:
