@@ -1,8 +1,8 @@
 """Spectrum-level structure.
 
 Band detection from spacing outliers, A/B/C subdomain classification from
-edge weights, near-degeneracy multiplet grouping, and the per-state map
-raster used for the grey-scale eigenstate figures.
+edge weights, near-degeneracy multiplet grouping, and the uint8 pixels of the
+grey-scale eigenstate figures.
 """
 
 from __future__ import annotations
@@ -171,40 +171,48 @@ def detect_multiplets(spacings: SpacingSpectrum, bands: BandPartition,
     if delta_rel <= 0:
         raise ValueError("delta_rel must be positive")
     spac = spacings.spacings
+    nodes = None if node_counts is None else np.asarray(node_counts, dtype=int).tolist()
     groups: list[Multiplet] = []
     for band_index, band in enumerate(bands.bands):
         band_spac = spac[band.start:band.stop - 1]
         median = float(np.median(band_spac)) if band_spac.size else 0.0
         threshold = max(delta_rel * median, spacings.floor)
+        # a group ends at every spacing that does not join (NaN included) and at the band's end
+        ends = [*(band.start + np.flatnonzero(~(band_spac < threshold))).tolist(), band.stop - 1]
         start = band.start
-        for k in band:
-            if k + 1 < band.stop and spac[k] < threshold:
-                continue
-            size = k - start + 1
-            nodes = tuple(int(x) for x in node_counts[start:k + 1]) if node_counts is not None else None
-            groups.append(Multiplet(band=band_index, start=start, size=size, node_counts=nodes))
-            start = k + 1
+        for end in ends:
+            groups.append(Multiplet(band=band_index, start=start, size=end - start + 1,
+                                    node_counts=None if nodes is None else tuple(nodes[start:end + 1])))
+            start = end + 1
     return MultipletReport(groups=tuple(groups))
 
 
 def eigenstate_map(eig: EigenSystem, selection: range) -> np.ndarray:
-    """Read-only (states x sites) raster of |psi| for the selected states.
+    """Read-only (states x sites) uint8 pixels of |psi| for the selected states.
 
-    Each row is one state renormalized to max 1. Row order is descending in
-    state index so the highest selected state sits on top, matching the usual
-    band-map orientation; `write_pgm` takes the raster as it is.
+    Each row is one state renormalized to max 1, then pixel = round(255 * value),
+    so every row holds a 255. Row order is descending in state index so the
+    highest selected state sits on top, matching the usual band-map orientation;
+    `write_pgm` writes the pixels as they are. Rows are quantized in blocks of
+    `STATE_BLOCK` states, so the float scratch is one block, never the raster.
     """
     indices = np.array(sorted(selection, reverse=True), dtype=int)
     if indices.size == 0:
         raise ValueError("empty state selection")
     if indices[-1] < 0 or indices[0] >= eig.size:
         raise ValueError("selection out of bounds")
-    # the fancy-index copy is the raster's only buffer
-    rows = eig.vectors[:, indices].T
-    np.abs(rows, out=rows)
-    rows /= rows.max(axis=1, keepdims=True)
-    rows.setflags(write=False)
-    return rows
+    pixels = np.empty((indices.size, eig.size), dtype=np.uint8)
+    for lo in range(0, indices.size, STATE_BLOCK):
+        # the fancy-index copy is the block's only float buffer
+        rows = eig.vectors[:, indices[lo:lo + STATE_BLOCK]].T
+        np.abs(rows, out=rows)
+        rows /= rows.max(axis=1, keepdims=True)
+        np.clip(rows, 0.0, 1.0, out=rows)
+        rows *= 255.0
+        pixels[lo:lo + STATE_BLOCK] = np.rint(rows, out=rows)
+        del rows  # freed before the next block is made
+    pixels.setflags(write=False)
+    return pixels
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import math
 import operator
 import re
@@ -75,6 +76,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# built once per process: parse_args reads the parser and never changes it
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="iplsim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"iplsim {__version__}")

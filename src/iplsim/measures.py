@@ -101,17 +101,23 @@ def state_measures(vectors: np.ndarray, n_b: int = 2,
         raise ValueError(f"edge window {n_b} out of range for {sites} sites")
     if np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > NORM_TOL):
         raise ValueError("vectors must be L2-normalized")
+    # at most two (states x sites) float buffers live at once: prob, then its cumsum
     prob = rows * rows
+    ipr = np.sum(prob * prob, axis=1)
+    com = np.sum(np.arange(1, sites + 1) * prob, axis=1)
+    w_left = np.sum(prob[:, :n_b], axis=1)
+    w_right = np.sum(prob[:, sites - n_b:], axis=1)
     angles = np.cumsum(prob, axis=1)
     angles *= 2.0 * np.pi
     # sum_n (exp(i angle_n) + 1) = (sum cos + N) + i sum sin, with real temporaries only
-    friedel_re = np.sum(np.cos(angles), axis=1) + sites
+    friedel_re = np.sum(np.cos(angles, out=prob), axis=1) + sites
     friedel_im = np.sum(np.sin(angles, out=angles), axis=1)
+    del prob, angles  # freed before node_count makes its own scratch
     return StateMeasures(
-        ipr=np.sum(prob * prob, axis=1),
+        ipr=ipr,
         cfs=np.hypot(friedel_re, friedel_im) / (2 * sites),
-        com=np.sum(np.arange(1, sites + 1) * prob, axis=1),
-        w_left=np.sum(prob[:, :n_b], axis=1),
-        w_right=np.sum(prob[:, sites - n_b:], axis=1),
+        com=com,
+        w_left=w_left,
+        w_right=w_right,
         nodes=node_count(rows.T, amplitude_floor),
     )

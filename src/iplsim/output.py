@@ -16,7 +16,6 @@ from typing import Any, Iterable
 import numpy as np
 
 from .analysis import SpectralReport
-from .eigensolver import STATE_BLOCK
 
 STATE_HEADER = ("index,eigenvalue,spacing_next,ipr,cfs,com,"
                 "w_left,w_right,nodes,band,subdomain,multiplet_id")
@@ -30,24 +29,19 @@ def _fmt(x: float) -> str:
 def write_state_csv(report: SpectralReport, path: str | Path) -> Path:
     """One row per state, ascending; spacing_next is empty on the last row."""
     path = Path(path)
-    lines = [STATE_HEADER]
-    spac = report.spacings.spacings
     m = report.measures
-    for k in range(report.size):
-        lines.append(",".join((
-            str(k),
-            _fmt(report.values[k]),
-            _fmt(spac[k]) if k < spac.size else "",
-            _fmt(m.ipr[k]),
-            _fmt(m.cfs[k]),
-            _fmt(m.com[k]),
-            _fmt(m.w_left[k]),
-            _fmt(m.w_right[k]),
-            str(int(m.nodes[k])),
-            str(int(report.band_of[k])),
-            report.labels.labels[k],
-            str(int(report.multiplet_of[k])),
-        )))
+    # each column becomes Python scalars once; repr of a float is what _fmt gives
+    columns = (
+        map(str, range(report.size)),
+        map(repr, report.values.tolist()),
+        [*map(repr, report.spacings.spacings.tolist()), ""],
+        *(map(repr, col.tolist()) for col in (m.ipr, m.cfs, m.com, m.w_left, m.w_right)),
+        *(map(str, col.tolist()) for col in (m.nodes, report.band_of)),
+        report.labels.labels.tolist(),
+        map(str, report.multiplet_of.tolist()),
+    )
+    lines = [STATE_HEADER]
+    lines.extend(map(",".join, zip(*columns)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 
@@ -55,7 +49,7 @@ def write_state_csv(report: SpectralReport, path: str | Path) -> Path:
 def write_spectrum_csv(values: np.ndarray, path: str | Path) -> Path:
     path = Path(path)
     lines = ["index,eigenvalue"]
-    lines.extend(f"{k},{_fmt(v)}" for k, v in enumerate(values))
+    lines.extend(f"{k},{v!r}" for k, v in enumerate(np.asarray(values, dtype=float).tolist()))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 
@@ -72,23 +66,21 @@ def write_sweep_csv(rows: Iterable[tuple[float, float | None, str]],
     return path
 
 
-def write_pgm(rows: np.ndarray, path: str | Path) -> Path:
-    """Binary PGM (P5) of a (states x sites) raster in [0, 1], as `eigenstate_map` returns it.
+def write_pgm(pixels: np.ndarray, path: str | Path) -> Path:
+    """Binary PGM (P5) of a (rows x width) uint8 pixel array, as `eigenstate_map` returns it.
 
-    One image row per raster row, pixel = round(255 * value). The pixels are
-    made in blocks of `STATE_BLOCK` rows, so the raster is never copied whole.
+    One image row per array row, written as it is. Anything but a 2-D uint8
+    array is refused, so a float raster is never cast silently.
     """
+    pixels = np.asarray(pixels)
+    if pixels.ndim != 2 or pixels.dtype != np.uint8:
+        raise ValueError(f"write_pgm needs a 2-D uint8 pixel array, got "
+                         f"{pixels.ndim}-D {pixels.dtype}")
     path = Path(path)
-    height, width = rows.shape
-    pixels = np.empty((height, width), dtype=np.uint8)
-    for lo in range(0, height, STATE_BLOCK):
-        scaled = np.clip(rows[lo:lo + STATE_BLOCK], 0.0, 1.0)
-        scaled *= 255.0
-        pixels[lo:lo + STATE_BLOCK] = np.rint(scaled, out=scaled)
-        del scaled  # freed before the next block is made
+    height, width = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(pixels)
+        fh.write(np.ascontiguousarray(pixels))
     return path
 
 

@@ -13,7 +13,7 @@ from iplsim.analysis import (
     detect_multiplets,
     eigenstate_map,
 )
-from iplsim.eigensolver import eigh_tridiagonal
+from iplsim.eigensolver import STATE_BLOCK, eigh_tridiagonal
 from iplsim.hamiltonian import CellParams, assemble
 from iplsim.profiles import ProfileSpec, realize_profile
 from iplsim.measures import spacing_spectrum, state_measures
@@ -201,31 +201,37 @@ class TestEigenstateMap:
 
     @staticmethod
     def expected(eig, indices):
+        """The pixels from the float rows |psi| / max |psi|, made here in one piece."""
         rows = np.abs(eig.vectors[:, indices].T)
-        return rows / rows.max(axis=1, keepdims=True)
+        rows = rows / rows.max(axis=1, keepdims=True)
+        return np.rint(255 * rows).astype(np.uint8)
 
     def test_rows_descending_and_normalized(self):
         eig = self.system()
-        rows = eigenstate_map(eig, range(0, 5))
-        assert np.array_equal(rows, self.expected(eig, [4, 3, 2, 1, 0]))
-        assert rows.shape == (5, 20)
-        assert np.allclose(rows.max(axis=1), 1.0)
-        assert rows.min() >= 0.0
+        pixels = eigenstate_map(eig, range(0, 5))
+        assert pixels.dtype == np.uint8
+        assert pixels.shape == (5, 20)
+        assert np.array_equal(pixels, self.expected(eig, [4, 3, 2, 1, 0]))
+        assert not np.array_equal(pixels, self.expected(eig, [0, 1, 2, 3, 4]))
+        assert np.all(pixels.max(axis=1) == 255)
         with pytest.raises(ValueError):
-            rows[0, 0] = 0.5
+            pixels[0, 0] = 0
 
     def test_row_content_matches_vectors(self):
         eig = self.system()
-        rows = eigenstate_map(eig, range(3, 6))
-        assert np.array_equal(rows, self.expected(eig, [5, 4, 3]))
+        pixels = eigenstate_map(eig, range(3, 6))
+        assert np.array_equal(pixels, self.expected(eig, [5, 4, 3]))
         top = np.abs(eig.vectors[:, 5])
-        assert np.allclose(rows[0], top / top.max())
+        assert np.array_equal(pixels[0], np.rint(255 * (top / top.max())).astype(np.uint8))
 
-    def test_raster_is_the_only_buffer(self, preset_eig):
+    def test_peak_is_the_pixels_plus_block_scratch(self, preset_eig):
         _, eig = preset_eig("fig2_3")
-        rows, peak = traced_peak(eigenstate_map, eig, range(eig.size))
-        assert rows.shape == (eig.size, eig.size)
-        assert peak <= 1.1 * rows.nbytes
+        assert eig.size > 2 * STATE_BLOCK  # the selection spans several blocks
+        pixels, peak = traced_peak(eigenstate_map, eig, range(eig.size))
+        assert pixels.shape == (eig.size, eig.size)
+        assert np.array_equal(pixels, self.expected(eig, np.arange(eig.size)[::-1]))
+        # a float raster would be 8 bytes per pixel; here at most two blocks are float
+        assert peak <= pixels.nbytes + 2 * 8 * STATE_BLOCK * eig.size
 
     def test_selection_validation(self):
         eig = self.system()

@@ -195,6 +195,23 @@ class TestPresetParsing:
         with pytest.raises(UsageError):
             parse_args(["preset", "fig1", "--set", pair, "--out", "x"])
 
+    def test_set_overrides_do_not_carry_over(self):
+        # the parser is built once per process; --set appends to a copy of its default
+        first = parse_args(["preset", "fig1", "--set", "eps=0.3", "--emit", "csv", "--out", "x"])
+        second = parse_args(["preset", "fig1", "--out", "y"])
+        assert first.flags["overrides"] == {"eps": 0.3}
+        assert second.flags["overrides"] == {}
+        assert second.flags["emit"] is None
+        assert second.flags["config"] == preset_config("fig1")
+
+    def test_usage_errors_raise_on_the_shared_parser(self):
+        for _ in range(2):
+            with pytest.raises(UsageError):
+                parse_args(["preset", "fig1", "--bogus", "--out", "x"])
+            with pytest.raises(UsageError):
+                parse_args(["run", "--sites", "16", "--cells", "8", "--out", "x"])
+            assert parse_args(["preset", "fig1", "--out", "x"]).flags["overrides"] == {}
+
 
 def _default(**profile) -> RunConfig:
     return replace(DEFAULT_CONFIG, profile=ProfileSpec(**profile))

@@ -35,6 +35,8 @@ from iplsim.output import sha256_file
 from iplsim.profiles import QUARTER_TURN, ProfileSpec
 from iplsim.rng import SplitMix64
 
+from memory import traced_peak
+
 PI = math.pi
 
 
@@ -208,6 +210,14 @@ class TestExecuteAndManifest:
         assert (tmp_path / "manifest.json").exists()
         assert manifest.kind == "run"
         assert manifest.tool.startswith("iplsim ")
+
+    def test_peak_memory_is_the_vector_matrix_plus_block_scratch(self, tmp_path):
+        config = preset_config("fig13")
+        manifest, peak = traced_peak(execute, config, tmp_path)
+        assert set(manifest.checksums) == {"spectrum.csv", "states.csv", "map.pgm", "summary.json"}
+        sites = 2 * config.profile.cells
+        # a float map raster of band 0 alone would add 0.5 x 8N^2
+        assert peak <= 1.25 * 8 * sites ** 2
 
     def test_emit_subset(self, tmp_path):
         manifest = execute(small_config(), tmp_path, emit=("json",))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from iplsim.eigensolver import node_count
+from iplsim.eigensolver import STATE_BLOCK, node_count
 from iplsim.measures import spacing_spectrum, state_measures
+
+from memory import traced_peak
 
 
 def unit(index, size):
@@ -201,6 +203,14 @@ def test_ipr_cfs_match_textbook_formulas_on_fig13(preset_eig):
     _, eig = preset_eig("fig13")
     assert_matches_textbook(eig.vectors[:, :128])
     assert_matches_textbook(eig.vectors[:, eig.size // 2 - 64:eig.size // 2 + 64])
+
+
+def test_block_peak_is_two_float_buffers(preset_eig):
+    _, eig = preset_eig("fig13")
+    block = eig.vectors[:, :STATE_BLOCK]
+    _, peak = traced_peak(state_measures, block)
+    # prob and its cumsum, then node_count's own scratch once both are freed
+    assert peak <= 2.5 * block.nbytes
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -92,14 +92,17 @@ class TestSweepCsv:
 
 class TestPgm:
     def test_header_and_round_trip(self, eig, tmp_path):
-        rows = eigenstate_map(eig, range(0, 20))
-        path = write_pgm(rows, tmp_path / "map.pgm")
+        pixels = eigenstate_map(eig, range(0, 20))
+        path = write_pgm(pixels, tmp_path / "map.pgm")
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n40 20\n255\n")
-        pixels = read_pgm(path)
-        assert pixels.shape == (20, 40)
-        expected = np.rint(rows * 255.0).astype(np.uint8)
-        assert np.array_equal(pixels, expected)
+        assert len(raw) == len(b"P5\n40 20\n255\n") + 20 * 40
+        read = read_pgm(path)
+        assert read.shape == (20, 40)
+        rows = np.abs(eig.vectors[:, 19::-1].T)
+        rows = rows / rows.max(axis=1, keepdims=True)
+        assert np.array_equal(read, np.rint(255 * rows).astype(np.uint8))
+        assert np.array_equal(read, pixels)
 
     def test_every_row_reaches_white(self, eig, tmp_path):
         # per-row renormalization puts one 255 pixel in every row
@@ -107,12 +110,22 @@ class TestPgm:
         pixels = read_pgm(write_pgm(rows, tmp_path / "map.pgm"))
         assert np.all(pixels.max(axis=1) == 255)
 
-    def test_pixels_are_made_in_row_blocks(self, tmp_path):
-        rows = np.random.default_rng(5).random((1000, 500))
-        path, peak = traced_peak(write_pgm, rows, tmp_path / "map.pgm")
-        assert np.array_equal(read_pgm(path), np.rint(rows * 255.0).astype(np.uint8))
-        # the uint8 image plus one block of float scratch
-        assert peak <= 0.5 * rows.nbytes
+    def test_pixels_are_written_without_a_copy(self, tmp_path):
+        pixels = np.random.default_rng(5).integers(0, 256, (1000, 500), dtype=np.uint8)
+        path, peak = traced_peak(write_pgm, pixels, tmp_path / "map.pgm")
+        assert np.array_equal(read_pgm(path), pixels)
+        assert peak <= 0.05 * pixels.nbytes
+
+    @pytest.mark.parametrize("bad", [
+        np.full((4, 3), 0.5),
+        np.zeros((4, 3), dtype=np.uint16),
+        np.zeros(12, dtype=np.uint8),
+        np.zeros((2, 2, 3), dtype=np.uint8),
+    ], ids=["float", "uint16", "1-D", "3-D"])
+    def test_rejects_anything_but_2d_uint8(self, bad, tmp_path):
+        with pytest.raises(ValueError, match="2-D uint8"):
+            write_pgm(bad, tmp_path / "map.pgm")
+        assert not (tmp_path / "map.pgm").exists()
 
     def test_read_rejects_other_formats(self, tmp_path):
         bad = tmp_path / "x.pgm"
