@@ -13,8 +13,9 @@ from .rng import SplitMix64
 from .profiles import (QUARTER_TURN, PROFILE_KINDS, MAX_SITES, ProfileSpec,
                        realize_profile, random_onsite_sequence)
 from .hamiltonian import CellParams, TridiagonalHamiltonian, assemble, assemble_onsite
-from .eigensolver import EigenSystem, SolverError, eigh_tridiagonal, dense_oracle, node_count
-from .measures import StateMeasures, SpacingSpectrum, spacing_spectrum, state_measures
+from .eigensolver import EigenSystem, SolverError, eigh_tridiagonal, dense_oracle
+from .measures import (StateMeasures, SpacingSpectrum, node_count, spacing_spectrum,
+                       state_measures)
 from .analysis import (AnalysisThresholds, BandPartition, SubdomainLabels,
                        Multiplet, MultipletReport, SpectralReport,
                        detect_bands, classify_states, delocalized_fraction,

@@ -7,15 +7,15 @@ grey-scale eigenstate figures.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .eigensolver import STATE_BLOCK, EigenSystem
 from .measures import (SpacingSpectrum, StateMeasures, rounding_floor, spacing_spectrum,
                        state_measures)
+from .profiles import read_fields, read_integer, read_real
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,9 @@ class AnalysisThresholds:
     amplitude_floor: float = 1e-8
 
     def __post_init__(self):
-        # refused here, so a bad value never costs a solve on any route
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+        # read and refused here, so a bad value never costs a solve on any route
+        read_fields(self, read_integer, ("n_b",))
+        read_fields(self, read_real, ("tau", "gamma", "delta_rel", "amplitude_floor"))
         if self.n_b < 1:
             raise ValueError("n_b must be at least 1")
         if not 0.0 < self.tau < 1.0:

@@ -2,7 +2,9 @@
 
 Subcommands: run (explicit lattice), sweep (delocalized fraction vs focusing),
 preset (named reproduction), oracle-check (solver cross-validation),
-list-presets. Exit codes: 0 success, 2 usage, 3 solver failure, 4 I/O failure.
+list-presets. Setting flags and `--set` values reach `experiments.configure` as
+text (angles parsed here), and the config types read and check each one. Exit
+codes: 0 success, 2 usage, 3 solver failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from .eigensolver import DENSE_ORACLE_MAX_SITES, SolverError
-from .experiments import (DEFAULT_CONFIG, PRESET_KEYS, PRESETS, SETTING_KEYS, configure,
+from .experiments import (DEFAULT_CONFIG, EMIT_KINDS, PRESETS, SETTING_KEYS, configure,
                           execute, oracle_check, preset_config, run_sweep)
 
 _ANGLE_CHARS = re.compile(r"^[0-9epi+\-*/(). ]+$")
@@ -48,18 +50,18 @@ def _angle_value(node: ast.AST) -> float:
     raise ValueError("unsupported angle syntax")
 
 
-def parse_angle(text: str) -> float:
+def parse_angle(text: str, name: str = "angle") -> float:
     """Angles as decimals or pi expressions: '0.785', 'pi/4', '3*pi/8', '3pi/8'."""
     t = text.strip().replace(" ", "")
     if not _ANGLE_CHARS.match(t):
-        raise UsageError(f"cannot parse angle {text!r}")
+        raise UsageError(f"cannot parse {name} {text!r}")
     t = re.sub(r"(\d)pi", r"\1*pi", t)
     try:
         value = float(_angle_value(ast.parse(t, mode="eval").body))
     except (SyntaxError, ValueError, ZeroDivisionError, OverflowError, RecursionError):
-        raise UsageError(f"cannot parse angle {text!r}") from None
+        raise UsageError(f"cannot parse {name} {text!r}") from None
     if not math.isfinite(value):
-        raise UsageError(f"angle {text!r} is not finite")
+        raise UsageError(f"{name} {text!r} is not finite")
     return value
 
 
@@ -84,39 +86,33 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     # every lattice and threshold flag is a setting for experiments.configure,
-    # which fills in what is absent from the default config
+    # which fills in what is absent from the default config; values stay text
     def add_lattice_flags(p, for_sweep=False):
-        p.add_argument("--d1", type=float)
-        p.add_argument("--d2", type=float)
-        p.add_argument("--eps", type=float)
-        size = p.add_mutually_exclusive_group()
-        size.add_argument("--sites", type=int, help="total sites (even, >= 4)")
-        size.add_argument("--cells", type=int, help="cell count (= sites / 2)")
+        for flag in ("--d1", "--d2", "--eps"):
+            p.add_argument(flag)
+        size = p.add_mutually_exclusive_group(required=not for_sweep)
+        size.add_argument("--sites", help="total sites (even, >= 4)")
+        size.add_argument("--cells", help="cell count (= sites / 2)")
+        p.add_argument("--center", type=parse_angle)
         if not for_sweep:
             p.add_argument("--profile", help="default linear",
                            choices=("linear", "revolutions", "random-phase", "random-onsite"))
-            p.add_argument("--revolutions", type=int, help="revolutions profile only (default 1)")
-            p.add_argument("--seed", type=int)
-        p.add_argument("--phi-start", type=parse_angle)
-        p.add_argument("--phi-end", type=parse_angle)
-        p.add_argument("--center", type=parse_angle)
-        if not for_sweep:
-            p.add_argument("--lf", type=float)
+            p.add_argument("--revolutions", help="revolutions profile only (default 1)")
+            p.add_argument("--seed")
+            p.add_argument("--phi-start", type=parse_angle)
+            p.add_argument("--phi-end", type=parse_angle)
+            p.add_argument("--lf")
 
     def add_threshold_flags(p):
-        p.add_argument("--tau", type=float)
-        p.add_argument("--delta-rel", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--nb", type=int)
+        for flag in ("--tau", "--delta-rel", "--gamma", "--nb"):
+            p.add_argument(flag)
 
-    def add_output_flags(p, pgm=True):
+    def add_output_flags(p):
         p.add_argument("--out", required=True, metavar="DIR")
-        choices = ("csv", "pgm", "json") if pgm else ("csv",)
-        p.add_argument("--emit", action="append", choices=choices,
+        p.add_argument("--emit", action="append", choices=EMIT_KINDS,
                        help="artifact kinds; repeatable; default: all")
-        if pgm:
-            p.add_argument("--map", dest="map_selection",
-                           help="PGM rows: full | band:I | lowest:K (default band:0)")
+        p.add_argument("--map", dest="map_selection",
+                       help="PGM rows: full | band:I | lowest:K (default band:0)")
 
     p_run = sub.add_parser("run", help="diagonalize one explicit lattice")
     add_lattice_flags(p_run)
@@ -129,7 +125,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--lf-min", type=float, default=0.5)
     p_sweep.add_argument("--lf-max", type=float, default=100.0)
     p_sweep.add_argument("--points", type=int, default=25)
-    add_output_flags(p_sweep, pgm=False)
+    p_sweep.add_argument("--out", required=True, metavar="DIR")
 
     p_preset = sub.add_parser("preset", help="run a named bundled design")
     p_preset.add_argument("name")
@@ -169,27 +165,18 @@ def _settings(flags) -> dict[str, Any]:
 
 
 def _validate_run(flags) -> None:
-    if flags["sites"] is None and flags["cells"] is None:
-        raise UsageError("one of --sites or --cells is required")
-    kind = flags["profile"]
+    # a preset may move one end of its grid; a linear run places both or neither
     phis = sum(flags[key] is not None for key in ("phi_start", "phi_end"))
-    if kind == "random-onsite":
-        if phis or flags["center"] is not None or flags["lf"] is not None:
-            raise UsageError("random-onsite carries no phases; drop the angle flags")
-    elif kind in ("revolutions", "random-phase"):
-        if phis < 2:
-            raise UsageError(f"{kind} profile needs --phi-start and --phi-end")
-    elif phis == 1:
+    if flags["profile"] in (None, "linear") and phis == 1:
         raise UsageError("--phi-start and --phi-end must be given together")
     flags["config"] = configure(DEFAULT_CONFIG, _settings(flags))
     flags["lf_values"] = None
 
 
 def _validate_sweep(flags) -> None:
-    if flags["phi_start"] is not None or flags["phi_end"] is not None:
-        raise UsageError("the sweep varies the grid width itself; only --center is tunable")
-    if flags["points"] < 2 or flags["lf_min"] <= 0 or flags["lf_max"] <= flags["lf_min"]:
-        raise UsageError("need points >= 2 and 0 < lf-min < lf-max")
+    # comparisons with NaN are false, so a NaN end fails the chain too
+    if flags["points"] < 2 or not 0 < flags["lf_min"] < flags["lf_max"] < math.inf:
+        raise UsageError("need points >= 2 and 0 < lf-min < lf-max < inf")
     config = configure(DEFAULT_CONFIG, {**_settings(flags), "lf": flags["lf_min"]})
     flags["config"] = replace(config, label="sweep")
     flags["lf_values"] = [float(x) for x in
@@ -202,10 +189,7 @@ def _validate_preset(flags) -> None:
     overrides = dict(flags["overrides"])
     if flags["map_selection"] is not None:
         overrides["map_selection"] = flags["map_selection"]
-    try:
-        flags["config"] = preset_config(flags["name"], overrides)
-    except KeyError as exc:
-        raise UsageError(exc.args[0]) from None
+    flags["config"] = preset_config(flags["name"], overrides)
     # a preset that carries a focusing grid runs as a sweep, which writes sweep.csv only
     flags["lf_values"] = PRESETS[flags["name"]].sweep_lf_values
     if flags["lf_values"] is not None:
@@ -224,35 +208,17 @@ def _validate_oracle(flags) -> None:
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, Any]:
-    """Type each --set value, once every key is known to be a preset key."""
-    split = []
+    """--set KEY=VALUE pairs as settings: text for the config types, angles parsed."""
+    overrides: dict[str, Any] = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
             raise UsageError(f"--set expects KEY=VALUE, got {pair!r}")
-        split.append((key.replace("-", "_"), raw, pair))
-    unknown = {key for key, _, _ in split} - set(PRESET_KEYS)
-    if unknown:
-        raise UsageError(f"unknown override(s): {sorted(unknown)}")
-    overrides: dict[str, Any] = {}
-    for key, raw, pair in split:
-        if key in ("phi_start", "phi_end"):
-            overrides[key] = parse_angle(raw)
-        elif key == "map_selection":
-            overrides[key] = raw
-        else:
-            try:
-                overrides[key] = int(raw)
-            except ValueError:
-                try:
-                    overrides[key] = float(raw)
-                except ValueError:
-                    raise UsageError(f"cannot parse value in {pair!r}") from None
+        overrides[key.replace("-", "_")] = raw
+    for key in ("phi_start", "phi_end"):
+        if key in overrides:
+            overrides[key] = parse_angle(overrides[key], key)
     return overrides
-
-
-def _emit(flags) -> tuple[str, ...]:
-    return tuple(flags["emit"]) if flags.get("emit") else ("csv", "pgm", "json")
 
 
 def _dispatch(cmd: CliCommand) -> int:
@@ -264,7 +230,7 @@ def _dispatch(cmd: CliCommand) -> int:
             print(f"{lead}wrote sweep.csv ({len(flags['lf_values'])} points) "
                   f"and manifest.json to {flags['out']}")
         else:
-            manifest = execute(flags["config"], flags["out"], emit=_emit(flags))
+            manifest = execute(flags["config"], flags["out"], emit=flags["emit"] or EMIT_KINDS)
             print(f"{lead}wrote {', '.join(sorted(manifest.checksums))} "
                   f"and manifest.json to {flags['out']}")
     elif cmd.subcommand == "oracle-check":
@@ -288,10 +254,7 @@ def main(argv=None) -> int:
     try:
         cmd = parse_args(sys.argv[1:] if argv is None else argv)
         return _dispatch(cmd)
-    except UsageError as exc:
-        print(f"iplsim: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:  # UsageError and the library's refusals of bad settings
         print(f"iplsim: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

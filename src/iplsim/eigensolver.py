@@ -515,19 +515,3 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     flip = significant.any(axis=0) & (lead < 0.0)
     return np.multiply(vectors, np.where(flip, -1.0, 1.0), out=vectors)
 
-
-def node_count(vectors: np.ndarray, amplitude_floor: float = 1e-8):
-    """Sign changes between consecutive components that both clear the amplitude floor.
-
-    The floor is relative to the largest component; it suppresses sign noise in
-    the numerically zero tails of strongly localized states. Pass 0 to count
-    every strict sign change (the Sturm-oscillation regime). A (sites x states)
-    block gives one count per column; a single vector gives an int.
-    """
-    v = np.asarray(vectors, dtype=float)
-    magnitude = np.abs(v)
-    significant = magnitude > amplitude_floor * np.max(magnitude, axis=0)
-    both = significant[:-1] & significant[1:]
-    counts = np.sum(both & (v[:-1] * v[1:] < 0.0), axis=0)
-    return int(counts) if v.ndim == 1 else counts
-

@@ -23,7 +23,7 @@ from .hamiltonian import (CellParams, TridiagonalHamiltonian, assemble,
                           assemble_onsite)
 from .output import (summary_document, write_json, write_pgm, write_state_csv,
                      write_spectrum_csv, write_sweep_csv, sha256_file)
-from .profiles import (QUARTER_TURN, ProfileSpec, random_onsite_sequence,
+from .profiles import (QUARTER_TURN, ProfileSpec, random_onsite_sequence, read_integer,
                        realize_profile)
 from .rng import SplitMix64
 
@@ -194,6 +194,10 @@ class RunManifest:
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "RunManifest":
         lf_values = doc.get("lf_values")
+        if doc["kind"] not in ("run", "sweep"):
+            raise ValueError(f"unknown manifest kind {doc['kind']!r}; known: run, sweep")
+        if doc["kind"] == "sweep" and lf_values is None:
+            raise ValueError("a sweep manifest needs its lf_values")
         return cls(kind=doc["kind"], tool=doc["tool"], label=doc.get("label"),
                    params=doc["params"], profile=doc["profile"],
                    thresholds=doc["thresholds"], map_selection=doc["map_selection"],
@@ -276,8 +280,8 @@ def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
     two compete for the same cores.
     """
     lf_values = [float(x) for x in lf_values]
-    if any(x <= 0 for x in lf_values):
-        raise ValueError("all lf values must be positive")
+    if not all(0 < x < math.inf for x in lf_values):
+        raise ValueError("all lf values must be positive and finite")
     if base.profile.kind != "linear":
         raise ValueError("the focusing sweep is defined for linear profiles")
 
@@ -316,10 +320,12 @@ def configure(base: RunConfig, settings: dict[str, Any], keys=SETTING_KEYS) -> R
 
     The one route from user input to a RunConfig: `run` and `sweep` flags and
     preset `--set` overrides all come through here, and the result is checked
-    by the config's own rules. A grid is placed either by its ends
-    (phi_start/phi_end, one at a time, dropping lf) or by center and lf, which
-    default to the current midpoint and lf. A new profile kind starts from
-    nothing but the cell count.
+    by the config's own rules. A value is a number or its text ("8", "1e-4"),
+    read by the config types, which refuse a fraction for an integer and a
+    non-finite real. A grid is placed either by its ends (phi_start/phi_end,
+    one at a time, dropping lf) or by center and lf, which default to the
+    current midpoint and lf. A new profile kind starts from nothing but the cell
+    count.
     """
     unknown = set(settings) - set(keys)
     if unknown:
@@ -327,11 +333,9 @@ def configure(base: RunConfig, settings: dict[str, Any], keys=SETTING_KEYS) -> R
     if not settings:
         return base
     params = asdict(base.params)
-    params.update({key: float(settings[key]) for key in ("d1", "d2", "eps") if key in settings})
+    params.update({key: settings[key] for key in ("d1", "d2", "eps") if key in settings})
     thresholds = asdict(base.thresholds)
-    for key, name in _THRESHOLD_FIELDS.items():
-        if key in settings:
-            thresholds[name] = type(thresholds[name])(settings[key])
+    thresholds.update({name: settings[k] for k, name in _THRESHOLD_FIELDS.items() if k in settings})
     return replace(base, params=CellParams(**params),
                    profile=_configure_profile(base.profile, settings),
                    thresholds=AnalysisThresholds(**thresholds),
@@ -341,9 +345,9 @@ def configure(base: RunConfig, settings: dict[str, Any], keys=SETTING_KEYS) -> R
 def _configure_profile(base: ProfileSpec, settings: dict[str, Any]) -> ProfileSpec:
     if "sites" in settings and "cells" in settings:
         raise ValueError("sites and cells both set the lattice size; give one")
-    cells = int(settings.get("cells", base.cells))
+    cells = settings.get("cells", base.cells)
     if "sites" in settings:
-        sites = int(settings["sites"])
+        sites = read_integer("sites", settings["sites"])
         if sites % 2 or sites < 4:
             raise ValueError("sites must be even and at least 4")
         cells = sites // 2
@@ -352,9 +356,9 @@ def _configure_profile(base: ProfileSpec, settings: dict[str, Any]) -> ProfileSp
     if kind == "revolutions":
         spec.setdefault("revolutions", 1)
     spec["cells"] = cells
-    spec.update({key: int(settings[key]) for key in ("revolutions", "seed") if key in settings})
-    ends = {key: float(settings[key]) for key in ("phi_start", "phi_end") if key in settings}
-    grid = {key: float(settings[key]) for key in ("center", "lf") if key in settings}
+    spec.update({key: settings[key] for key in ("revolutions", "seed") if key in settings})
+    ends = {key: settings[key] for key in ("phi_start", "phi_end") if key in settings}
+    grid = {key: settings[key] for key in ("center", "lf") if key in settings}
     if grid:
         if kind != "linear":
             raise ValueError("lf/center apply to linear profiles only")
@@ -375,7 +379,7 @@ def preset_config(name: str, overrides: dict[str, Any] | None = None) -> RunConf
     """Look up a preset and apply overrides (keys in PRESET_KEYS) through `configure`."""
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
-        raise KeyError(f"unknown preset {name!r}; known: {known}")
+        raise ValueError(f"unknown preset {name!r}; known: {known}")
     return configure(PRESETS[name].config, overrides or {}, keys=PRESET_KEYS)
 
 

@@ -9,10 +9,11 @@ lattice operator exactly real symmetric tridiagonal; it is stored as the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .profiles import read_fields, read_real
 
 
 @dataclass(frozen=True)
@@ -24,9 +25,7 @@ class CellParams:
     eps: float
 
     def __post_init__(self):
-        for name in ("d1", "d2", "eps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        read_fields(self, read_real, ("d1", "d2", "eps"))
         if self.d1 > self.d2:
             # normalize so the lower band stays associated with d1
             lo, hi = self.d2, self.d1

@@ -11,8 +11,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .eigensolver import node_count
-
 NORM_TOL = 1e-10
 # spacings within this many ulps of the largest |eigenvalue| are exact degeneracies
 DEGENERACY_ULPS = 4
@@ -81,6 +79,23 @@ def spacing_spectrum(values: np.ndarray) -> SpacingSpectrum:
 def rounding_floor(values: np.ndarray) -> float:
     """DEGENERACY_ULPS ulps of the largest |eigenvalue|: spacings below it are roundoff."""
     return DEGENERACY_ULPS * float(np.spacing(np.abs(values).max(initial=0.0)))
+
+
+def node_count(vectors: np.ndarray, amplitude_floor: float = 1e-8):
+    """Sign changes between consecutive components that both clear the amplitude floor.
+
+    The floor is relative to the largest component; it suppresses sign noise in
+    the numerically zero tails of strongly localized states. Pass 0 to count
+    every strict sign change (the Sturm-oscillation regime). A (sites x states)
+    block gives one count per column; a single vector gives an int.
+    """
+    v = np.asarray(vectors, dtype=float)
+    magnitude = np.abs(v)
+    significant = magnitude > amplitude_floor * np.max(magnitude, axis=0)
+    del magnitude  # freed before the product of neighbours makes the next float block
+    both = significant[:-1] & significant[1:]
+    counts = np.sum(both & (v[:-1] * v[1:] < 0.0), axis=0)
+    return int(counts) if v.ndim == 1 else counts
 
 
 def state_measures(vectors: np.ndarray, n_b: int = 2,

@@ -6,12 +6,15 @@ pi/4; phi_start == phi_end gives the constant SSH / Rice-Mele limit),
 triangle-wave phase revolutions, and the two seeded random controls used as
 comparison lattices (random phases, random on-site energies). Every rule on a
 design lives in ProfileSpec, so each route that builds one refuses the same
-inputs.
+inputs. The config types read their own fields through `read_integer` and
+`read_real`, so a setting is typed and checked once, whatever route it came
+by: text from the command line, a number from Python or a manifest.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -24,6 +27,32 @@ QUARTER_TURN = math.pi / 4
 PROFILE_KINDS = ("linear", "revolutions", "random_phase", "random_onsite")
 # dense eigenvectors take 8 N^2 bytes: 3.2 GB at this many sites
 MAX_SITES = 20_000
+
+
+def read_integer(name: str, value: Any) -> int:
+    """An int, or text that parses as one; a fraction is refused, never truncated."""
+    try:
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def read_real(name: str, value: Any) -> float:
+    """A finite float from a number or numeric text."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def read_fields(obj: Any, reader, names, optional: bool = False) -> None:
+    """Store each named field of a frozen dataclass as read; an optional None stays None."""
+    for name in names:
+        if getattr(obj, name) is not None or not optional:
+            object.__setattr__(obj, name, reader(name, getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -39,6 +68,9 @@ class ProfileSpec:
     seed: int | None = None
 
     def __post_init__(self):
+        read_fields(self, read_integer, ("cells",))
+        read_fields(self, read_integer, ("revolutions", "seed"), optional=True)
+        read_fields(self, read_real, ("phi_start", "phi_end", "lf"), optional=True)
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.cells < 2:
@@ -58,6 +90,8 @@ class ProfileSpec:
             raise ValueError(f"{self.kind} profiles are deterministic and take no seed")
         if random and self.seed is None:
             raise ValueError(f"{self.kind} profiles require a seed")
+        if random and not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.kind == "random_onsite":
             if self.phi_start is not None or self.phi_end is not None:
                 raise ValueError("random_onsite randomizes on-site energies and carries no phases")
@@ -86,6 +120,7 @@ class ProfileSpec:
     @classmethod
     def linear(cls, center: float, lf: float, cells: int) -> "ProfileSpec":
         """Equispaced grid on [center - L/2, center + L/2] with L = (pi/4)/lf."""
+        center, lf = read_real("center", center), read_real("lf", lf)
         if lf <= 0:
             raise ValueError("lf must be positive")
         width = QUARTER_TURN / lf

@@ -12,7 +12,7 @@ from iplsim.cli import UsageError, main, parse_angle, parse_args
 from iplsim.eigensolver import DENSE_ORACLE_MAX_SITES, SolverError
 from iplsim.analysis import AnalysisThresholds
 from iplsim.experiments import (DEFAULT_CONFIG, PRESETS, RunConfig, RunManifest,
-                                preset_config, replay)
+                                configure, preset_config, replay)
 from iplsim.hamiltonian import CellParams
 from iplsim.profiles import QUARTER_TURN, ProfileSpec
 
@@ -88,7 +88,7 @@ class TestRunParsing:
             parse_args(["run", "--sites", "16", "--cells", "8", "--out", "x"])
 
     @pytest.mark.parametrize("argv,fragment", [
-        (["run", "--out", "x"], "sites or --cells"),
+        (["run", "--out", "x"], "one of the arguments --sites --cells is required"),
         (["run", "--sites", "15", "--out", "x"], "even"),
         (["run", "--sites", "2", "--out", "x"], "at least 4"),
         (["run", "--cells", "1", "--out", "x"], "at least 2"),
@@ -122,13 +122,14 @@ class TestRunParsing:
         (["run", "--cells", "8", "--phi-start", "0.1", "--phi-end", "0.7",
           "--center", "pi/4", "--out", "x"], "conflicts"),
         (["run", "--cells", "8", "--lf", "-1", "--out", "x"], "positive"),
-        (["run", "--cells", "8", "--profile", "revolutions", "--out", "x"], "phi-start"),
+        (["run", "--cells", "8", "--profile", "revolutions", "--out", "x"],
+         "need phi_start and phi_end"),
         (["run", "--cells", "8", "--profile", "revolutions", "--phi-start", "pi/8",
           "--phi-end", "3pi/8", "--lf", "2", "--out", "x"], "linear profiles only"),
         (["run", "--cells", "8", "--profile", "random-phase", "--phi-start", "pi/8",
           "--phi-end", "3pi/8", "--out", "x"], "seed"),
         (["run", "--cells", "8", "--profile", "random-onsite", "--seed", "1",
-          "--center", "pi/4", "--out", "x"], "no phases"),
+          "--center", "pi/4", "--out", "x"], "linear profiles only"),
         (["run", "--cells", "8", "--profile", "random-onsite", "--out", "x"], "seed"),
         (["run", "--cells", "8", "--profile", "random-phase", "--seed", "1", "--phi-start",
           "pi/8", "--phi-end", "3pi/8", "--center", "pi/4", "--out", "x"], "linear profiles only"),
@@ -182,9 +183,15 @@ class TestPresetParsing:
     def test_set_values_typed(self):
         cmd = parse_args(["preset", "fig1", "--set", "eps=0.3", "--set", "sites=32",
                           "--set", "phi-start=pi/8", "--out", "x"])
-        ov = cmd.flags["overrides"]
-        assert ov == {"eps": 0.3, "sites": 32, "phi_start": pytest.approx(math.pi / 8)}
-        assert isinstance(ov["sites"], int)
+        config = cmd.flags["config"]
+        assert config.params.eps == 0.3
+        assert config.profile == replace(PRESETS["fig1"].config.profile, cells=16, lf=None,
+                                         phi_start=math.pi / 8)
+        assert type(config.profile.cells) is int
+        assert type(config.params.eps) is float
+        # an integer setting is read, not truncated: 2.5 is refused, never 2
+        with pytest.raises(UsageError, match="n_b must be an integer, got '2.5'"):
+            parse_args(["preset", "fig1", "--set", "nb=2.5", "--out", "x"])
 
     def test_set_map_selection_stays_string(self):
         cmd = parse_args(["preset", "fig1", "--set", "map-selection=lowest:4", "--out", "x"])
@@ -199,7 +206,10 @@ class TestPresetParsing:
         # the parser is built once per process; --set appends to a copy of its default
         first = parse_args(["preset", "fig1", "--set", "eps=0.3", "--emit", "csv", "--out", "x"])
         second = parse_args(["preset", "fig1", "--out", "y"])
-        assert first.flags["overrides"] == {"eps": 0.3}
+        assert first.flags["config"] == preset_config("fig1", {"eps": 0.3})
+        assert first.flags["config"].params.eps == 0.3
+        with pytest.raises(UsageError, match="n_b must be an integer"):
+            parse_args(["preset", "fig1", "--set", "nb=2.5", "--out", "z"])
         assert second.flags["overrides"] == {}
         assert second.flags["emit"] is None
         assert second.flags["config"] == preset_config("fig1")
@@ -451,6 +461,91 @@ class TestRefusedBeforeCompute:
         with pytest.raises(ValueError, match=match):
             replay(path, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+
+_REV = ["--cells", "8", "--profile", "revolutions", "--phi-start", "pi/8", "--phi-end", "3pi/8"]
+_RANDOM = ["--cells", "8", "--profile", "random-phase", "--phi-start", "pi/8",
+           "--phi-end", "3pi/8"]
+
+# One value per row that was once truncated, let through or caught only after
+# compute. Columns: the key and its text, the value as a number (library and
+# manifest routes), the run flags (None: no run flag), a preset that takes the
+# key (None: not a preset key), its manifest field (None: not recorded), and
+# the refusal, which names the setting.
+REFUSALS = [
+    ("nb", "2.5", 2.5, ["--cells", "8", "--nb", "2.5"], "fig4", ("thresholds", "n_b"),
+     "n_b must be an integer"),
+    ("cells", "300.7", 300.7, ["--cells", "300.7"], "fig1", ("profile", "cells"),
+     "cells must be an integer"),
+    ("sites", "10.5", 10.5, ["--sites", "10.5"], "fig1", None, "sites must be an integer"),
+    ("revolutions", "1.5", 1.5, [*_REV, "--revolutions", "1.5"], "fig9_10",
+     ("profile", "revolutions"), "revolutions must be an integer"),
+    ("seed", "7.9", 7.9, [*_RANDOM, "--seed", "7.9"], "fig6", ("profile", "seed"),
+     "seed must be an integer"),
+    ("seed", "-1", -1, [*_RANDOM, "--seed", "-1"], "fig6", ("profile", "seed"),
+     r"seed must lie in \[0, 2\^64\)"),
+    ("seed", str(2**64), 2**64, [*_RANDOM, "--seed", str(2**64)], "fig6", ("profile", "seed"),
+     r"seed must lie in \[0, 2\^64\)"),
+    ("lf", "nan", math.nan, ["--cells", "8", "--lf", "nan"], "fig2_3", ("profile", "lf"),
+     "lf must be finite"),
+    ("lf", "inf", math.inf, ["--cells", "8", "--lf", "inf"], "fig2_3", ("profile", "lf"),
+     "lf must be finite"),
+    ("phi_start", "1e999", math.inf, ["--cells", "8", "--phi-start", "1e999", "--phi-end", "1"],
+     "fig7_8", ("profile", "phi_start"), "phi_start"),
+    ("phi_end", "1e999", math.nan, ["--cells", "8", "--phi-start", "0", "--phi-end", "1e999"],
+     "fig9_10", ("profile", "phi_end"), "phi_end"),
+    ("center", "1e999", math.inf, ["--cells", "8", "--center", "1e999"], None, None, "center"),
+]
+
+
+class TestOneReaderPerSetting:
+    """Every route reads a setting with the same reader and refuses before compute."""
+
+    @pytest.mark.parametrize("key,text,number,run,preset,field,match", REFUSALS)
+    def test_refused_on_every_route(self, key, text, number, run, preset, field, match,
+                                    tmp_path, no_compute, capsys):
+        out = tmp_path / "out"
+        argvs = [["run", *run]] if run is not None else []
+        if preset is not None:
+            argvs.append(["preset", preset, "--set", f"{key.replace('_', '-')}={text}"])
+        for argv in argvs:
+            assert main([*argv, "--out", str(out)]) == 2, argv
+            # the message names the setting (argparse names an angle's flag)
+            assert match.split()[0] in capsys.readouterr().err.replace("-", "_")
+        base = PRESETS[preset].config if preset is not None else DEFAULT_CONFIG
+        with pytest.raises(ValueError, match=match):
+            configure(base, {key: number})
+        if preset is not None:
+            with pytest.raises(ValueError, match=match):
+                preset_config(preset, {key: number})
+        if field is not None:
+            section, name = field
+            doc = RunManifest.of(PRESETS[preset].config, "run", ("csv",), {}).to_dict()
+            doc[section][name] = number
+            path = tmp_path / "manifest.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=match):
+                replay(path, out)
+        assert not out.exists()
+
+    def test_a_fraction_is_never_truncated(self):
+        with pytest.raises(ValueError, match="cells must be an integer, got 12.9"):
+            configure(DEFAULT_CONFIG, {"cells": 12.9})
+        assert configure(DEFAULT_CONFIG, {"cells": "12"}).profile.cells == 12
+
+    @pytest.mark.parametrize("grid", [["--lf-max", "inf"], ["--lf-min", "nan"],
+                                      ["--lf-min", "nan", "--lf-max", "nan"]])
+    def test_sweep_grid_must_be_finite(self, grid, tmp_path, no_compute, capsys):
+        argv = ["sweep", "--cells", "8", *grid, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "lf-min < lf-max < inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [["--phi-start", "0.1"], ["--phi-end", "0.7"],
+                                      ["--emit", "csv"]])
+    def test_sweep_defines_no_phi_or_emit_flags(self, flag, capsys):
+        with pytest.raises(UsageError, match="unrecognized arguments"):
+            parse_args(["sweep", *flag, "--out", "x"])
 
 
 class TestMainExitCodes:

@@ -30,10 +30,9 @@ from iplsim.eigensolver import (
     _scale,
     dense_oracle,
     eigh_tridiagonal,
-    node_count,
 )
 from iplsim.hamiltonian import CellParams, TridiagonalHamiltonian, assemble, assemble_onsite
-from iplsim.measures import state_measures
+from iplsim.measures import node_count, state_measures
 from iplsim.profiles import ProfileSpec, random_onsite_sequence, realize_profile
 from iplsim.rng import SplitMix64
 from iplsim.experiments import PRESETS, build_hamiltonian, preset_config, random_instance

@@ -305,6 +305,17 @@ class TestSweep:
         with pytest.raises(ValueError, match="linear"):
             sweep_lf([1.0], cfg)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lf_refused_before_any_point(self, bad, monkeypatch):
+        import iplsim.experiments as exp
+
+        def forbidden(config):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setattr(exp, "run_config", forbidden)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sweep_lf([1.0, bad], small_config())
+
     def test_point_failure_becomes_row(self, monkeypatch):
         import iplsim.experiments as exp
 
@@ -399,7 +410,7 @@ class TestConfigure:
 
 class TestPresetConfigOverrides:
     def test_unknown_preset(self):
-        with pytest.raises(KeyError, match="fig1"):
+        with pytest.raises(ValueError, match="unknown preset 'fig99'; known: fig1"):
             preset_config("fig99")
 
     def test_no_overrides_returns_table_entry(self):
@@ -539,3 +550,22 @@ def test_manifest_from_dict_tolerates_missing_optionals():
     assert manifest.label is None
     assert manifest.lf_values is None
     assert manifest.config().map_selection == "full"
+
+
+@pytest.mark.parametrize("kind,lf_values,match", [
+    ("bogus", None, "unknown manifest kind 'bogus'"),
+    ("bogus", [1.0, 2.0], "unknown manifest kind 'bogus'"),
+    ("sweep", None, "sweep manifest needs its lf_values"),
+])
+def test_manifest_kind_and_sweep_grid_checked(kind, lf_values, match, tmp_path):
+    doc = RunManifest.of(small_config(), "run", ("csv",), {}).to_dict()
+    doc["kind"] = kind
+    if lf_values is not None:
+        doc["lf_values"] = lf_values
+    with pytest.raises(ValueError, match=match):
+        RunManifest.from_dict(doc)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        replay(path, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
