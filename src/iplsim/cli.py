@@ -72,6 +72,13 @@ class CliCommand:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # any word that starts with "-" and a digit or ".digit" is a value,
+        # such as -1e-3, as in Python 3.13's argparse; before 3.13 only -N
+        # and -N.N were, and "--d1 -1e-3" failed with "expected one argument"
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits 2 on its own errors, which matches the usage exit code;
     # raise instead so parse_args stays a pure function for tests
     def error(self, message):

@@ -4,9 +4,11 @@ Two independent routes: ``eigh_tridiagonal`` works on the (diag, offdiag)
 arrays. It splits the operator into unreduced blocks, takes each block's
 eigenvalues from LAPACK's root-free QR (``sterf``), cuts them into spectral
 groups at gaps above ``GROUP_GAP_REL`` of the operator scale, and runs inverse
-iteration (``dstein``) once per group. It calls ``dstein`` through the function
-pointer in scipy's Cython LAPACK capsule, wrapped with ctypes, so the call
-releases the GIL and one thread per core solves its own chunk of the groups.
+iteration (``dstein``) once per group. It calls both routines with ctypes
+from the OpenBLAS that numpy's wheels bundle, which numpy has loaded already,
+so importing this module loads no scipy (see `_lapack`; elsewhere they come
+from scipy's Cython LAPACK capsules). A ctypes call releases the GIL, so one
+thread per core solves its own chunk of the groups.
 Each group writes its vectors as rows of one C-ordered (states x sites)
 matrix, and ``EigenSystem.vectors`` is its transposed view. dstein restarts
 its random seed on every call and each group owns its rows, so the bits do
@@ -38,18 +40,11 @@ import functools
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.cython_lapack
-
-# after scipy, which loads concurrent.futures itself: loading it first made a
-# fresh interpreter's `import iplsim` about 40 ms slower in about half of the
-# runs, against a sixth of them (2 vCPU Xeon, Python 3.11, scipy 1.17; cause
-# not found)
-from concurrent.futures import ThreadPoolExecutor
 
 SIGN_FLOOR = 1e-12
 RESIDUAL_REL_CAP = 1e-10
@@ -96,48 +91,52 @@ _WORKERS = os.cpu_count() or 1
 _THREAD_WORK = 1 << 18
 
 
-def _capsule_function(name: str, *argtypes):
-    """LAPACK routine `name` from scipy's Cython LAPACK capsules, as a ctypes function.
+def _lapack(bundled: bool = True):
+    """(thread setter or None, dsterf, dstein, LAPACK integer dtype) of the LAPACK numpy loads.
 
-    A CFUNCTYPE call releases the GIL. It is the same compiled routine that
-    `scipy.linalg.lapack` wraps, without the f2py wrapper that holds the GIL.
+    numpy's wheels (2.0 on) vendor an ILP64 OpenBLAS under numpy.libs (macOS:
+    numpy/.dylibs), and ctypes.CDLL on that path returns the copy numpy has
+    already loaded. It exports LAPACK as `scipy_<name>_64_`, with 64-bit
+    integers, and `openblas_set_num_threads_local`, which sets OpenBLAS's
+    thread count and returns the previous one (OpenBLAS 0.3.27 on). Where
+    numpy ships no such library (MKL or conda builds, numpy < 2.0), or with
+    `bundled` false, the two routines come from scipy's Cython LAPACK
+    capsules, with 32-bit integers, and the setter is None; scipy is imported
+    only then. Either way each routine is a CFUNCTYPE of pointers, whose call
+    releases the GIL. DSTERF(N, D, E, INFO) and DSTEIN(N, D, E, M, W, IBLOCK,
+    ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO) take no CHARACTER, so there is
+    no hidden string length to pass.
     """
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    def routine(address, arity):
+        return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * arity)(address)
+
+    root = Path(np.__file__).parent
+    paths = (*(root.parent / "numpy.libs").glob("*openblas*"),
+             *(root / ".dylibs").glob("*openblas*")) if bundled else ()
+    for path in paths:
+        try:
+            library = ctypes.CDLL(str(path))
+            dsterf, dstein = (ctypes.cast(getattr(library, f"scipy_{name}_64_"), ctypes.c_void_p)
+                              for name in ("dsterf", "dstein"))
+        except (OSError, AttributeError):
+            continue
+        setter = getattr(library, "openblas_set_num_threads_local", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter, routine(dsterf.value, 4), routine(dstein.value, 13), np.dtype(np.int64)
+    import scipy.linalg.cython_lapack
+
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+    capsules = scipy.linalg.cython_lapack.__pyx_capi__
+    dsterf, dstein = (get_pointer(capsules[name], get_name(capsules[name]))
+                      for name in ("dsterf", "dstein"))
+    return None, routine(dsterf, 4), routine(dstein, 13), np.dtype(np.int32)
 
 
-# DSTEIN(N, D, E, M, W, IBLOCK, ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO): all
-# thirteen arguments are pointers, and none is a CHARACTER, so there is no
-# hidden string length to pass
-_dstein = _capsule_function("dstein", *[ctypes.c_void_p] * 13)
-
-
-def _openblas_thread_setter():
-    """`openblas_set_num_threads_local` of numpy's bundled OpenBLAS as a ctypes function, or None.
-
-    numpy's wheels vendor the library under numpy.libs (macOS: numpy/.dylibs),
-    and ctypes.CDLL on that path returns the copy numpy has already loaded.
-    The function sets OpenBLAS's thread count and returns the previous one;
-    OpenBLAS has it from 0.3.27 on. Any other BLAS (MKL, a system OpenBLAS,
-    an older one) gives None.
-    """
-    root = Path(np.__file__).parent
-    for path in (*(root.parent / "numpy.libs").glob("*openblas*"),
-                 *(root / ".dylibs").glob("*openblas*")):
-        try:
-            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        return setter
-    return None
-
-
-_set_blas_threads = _openblas_thread_setter()
+_set_blas_threads, _dsterf, _dstein, _LAPACK_INT = _lapack()
 # numpy's wheels build OpenBLAS on pthreads, where the "local" count is in
 # fact the whole process's, so one pin is held at a time (see `_one_blas_thread`)
 _blas_pin = threading.Lock()
@@ -236,12 +235,18 @@ def eigh_tridiagonal(h) -> EigenSystem:
     d, e = diag / unit, offdiag / unit
     split = e**2 <= _ULP**2 * np.abs(d[:-1] * d[1:]) + _SAFE_MIN
     edges = np.concatenate(([0], np.flatnonzero(split) + 1, [n]))
-    try:
-        values = np.concatenate([
-            scipy.linalg.eigvalsh_tridiagonal(d[lo:hi], e[lo:hi - 1], lapack_driver="sterf")
-            for lo, hi in zip(edges[:-1], edges[1:])])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK non-convergence
-        raise SolverError(f"tridiagonal eigenvalue solver failed to converge: {exc}") from exc
+    # dsterf overwrites D and E with the block's ascending values and scratch,
+    # so it runs on copies; a block's last bond is a split, which it never reads
+    values, bonds = d.copy(), e.copy()
+    sizes = np.diff(edges).astype(_LAPACK_INT)
+    sterf_info = np.zeros(1, dtype=_LAPACK_INT)
+    sizes_at = sizes.ctypes.data + sizes.itemsize * np.arange(sizes.size)
+    for n_at, lo in zip(sizes_at.tolist(), edges[:-1].tolist()):
+        _dsterf(n_at, values.ctypes.data + 8 * lo, bonds.ctypes.data + 8 * lo,
+                sterf_info.ctypes.data)
+        if sterf_info[0]:  # pragma: no cover - LAPACK non-convergence
+            raise SolverError(f"tridiagonal eigenvalue solver failed to converge "
+                              f"(dsterf info {int(sterf_info[0])})")
     order = np.argsort(values, kind="stable")
     row = np.empty(n, dtype=np.intp)
     row[order] = np.arange(n)
@@ -254,12 +259,12 @@ def eigh_tridiagonal(h) -> EigenSystem:
     first = np.flatnonzero(starts)
     count = np.diff(np.append(first, n))
     block = np.searchsorted(edges, first, side="right") - 1
-    lo, size = edges[block], np.diff(edges)[block]
+    lo, size = edges[block], sizes[block]
 
     rows = np.zeros((n, n))
     # dstein's integer arguments N (= ISPLIT(1) = LDZ) and M, one row per group
-    ints = np.stack([size, count], axis=1).astype(np.int32)
-    at = ints.ctypes.data + 4 * np.arange(ints.size).reshape(ints.shape)
+    ints = np.stack([size, count], axis=1).astype(_LAPACK_INT)
+    at = ints.ctypes.data + ints.itemsize * np.arange(ints.size).reshape(ints.shape)
     tasks = list(zip(at[:, 0].tolist(), (d.ctypes.data + 8 * lo).tolist(),
                      (e.ctypes.data + 8 * lo).tolist(), at[:, 1].tolist(),
                      (values.ctypes.data + 8 * first).tolist(),
@@ -299,11 +304,11 @@ def _solve_groups(chunk, tasks, rows, sites: int, extent: int):
     the first failure, else None.
     """
     work = np.empty(5 * sites)
-    iwork = np.empty(sites, dtype=np.int32)
+    iwork = np.empty(sites, dtype=_LAPACK_INT)
     piece = np.empty(extent)
-    ifail = np.empty(sites, dtype=np.int32)
-    iblock = np.ones(sites, dtype=np.int32)
-    info = np.zeros(1, dtype=np.int32)
+    ifail = np.empty(sites, dtype=_LAPACK_INT)
+    iblock = np.ones(sites, dtype=_LAPACK_INT)
+    info = np.zeros(1, dtype=_LAPACK_INT)
     iblock_at, piece_at = iblock.ctypes.data, piece.ctypes.data
     arrays_at = (work.ctypes.data, iwork.ctypes.data, ifail.ctypes.data, info.ctypes.data)
     for task in chunk:

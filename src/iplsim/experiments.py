@@ -193,16 +193,19 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "RunManifest":
-        lf_values = doc.get("lf_values")
-        if doc["kind"] not in ("run", "sweep"):
-            raise ValueError(f"unknown manifest kind {doc['kind']!r}; known: run, sweep")
-        if doc["kind"] == "sweep" and lf_values is None:
-            raise ValueError("a sweep manifest needs its lf_values")
-        return cls(kind=doc["kind"], tool=doc["tool"], label=doc.get("label"),
-                   params=doc["params"], profile=doc["profile"],
-                   thresholds=doc["thresholds"], map_selection=doc["map_selection"],
-                   emit=tuple(doc["emit"]), checksums=doc["checksums"],
-                   lf_values=tuple(lf_values) if lf_values is not None else None)
+        try:
+            lf_values = doc.get("lf_values")
+            if doc["kind"] not in ("run", "sweep"):
+                raise ValueError(f"unknown manifest kind {doc['kind']!r}; known: run, sweep")
+            if doc["kind"] == "sweep" and lf_values is None:
+                raise ValueError("a sweep manifest needs its lf_values")
+            return cls(kind=doc["kind"], tool=doc["tool"], label=doc.get("label"),
+                       params=doc["params"], profile=doc["profile"],
+                       thresholds=doc["thresholds"], map_selection=doc["map_selection"],
+                       emit=tuple(doc["emit"]), checksums=doc["checksums"],
+                       lf_values=tuple(lf_values) if lf_values is not None else None)
+        except KeyError as exc:
+            raise ValueError(f"manifest is missing required key {exc}") from None
 
     @classmethod
     def of(cls, config: RunConfig, kind: str, emit: tuple[str, ...],
@@ -270,6 +273,17 @@ class SweepPoint:
     error: str = ""
 
 
+def _sweep_grid(lf_values, base: RunConfig) -> list[float]:
+    """The focusing grid as floats; refused unless every value is positive and
+    finite and the base profile is linear."""
+    lf_values = [float(x) for x in lf_values]
+    if not all(0 < x < math.inf for x in lf_values):
+        raise ValueError("all lf values must be positive and finite")
+    if base.profile.kind != "linear":
+        raise ValueError("the focusing sweep is defined for linear profiles")
+    return lf_values
+
+
 def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
     """Delocalized fraction vs focusing, one full pipeline run per grid value.
 
@@ -279,11 +293,7 @@ def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
     `eigh_tridiagonal`); a pool of points on top of that would only make the
     two compete for the same cores.
     """
-    lf_values = [float(x) for x in lf_values]
-    if not all(0 < x < math.inf for x in lf_values):
-        raise ValueError("all lf values must be positive and finite")
-    if base.profile.kind != "linear":
-        raise ValueError("the focusing sweep is defined for linear profiles")
+    lf_values = _sweep_grid(lf_values, base)
 
     def point(lf: float) -> SweepPoint:
         try:
@@ -296,6 +306,7 @@ def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
 
 
 def run_sweep(base: RunConfig, lf_values, out_dir: str | Path) -> RunManifest:
+    lf_values = _sweep_grid(lf_values, base)  # a refused grid leaves no directory behind
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = sweep_lf(lf_values, base)

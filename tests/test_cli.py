@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,6 +177,44 @@ class TestSweepParsing:
     def test_rejected(self, argv):
         with pytest.raises(UsageError):
             parse_args(argv)
+
+
+SETTING_FLAGS = {
+    "run": ("--d1", "--d2", "--eps", "--sites", "--cells", "--center", "--revolutions",
+            "--seed", "--phi-start", "--phi-end", "--lf", "--tau", "--delta-rel", "--gamma",
+            "--nb"),
+    "sweep": ("--d1", "--d2", "--eps", "--sites", "--cells", "--center", "--tau",
+              "--delta-rel", "--gamma", "--nb", "--lf-min", "--lf-max", "--points"),
+}
+
+
+class TestNegativeValues:
+    """A value in scientific notation that starts with "-" is a value, not a flag."""
+
+    @pytest.mark.parametrize("subcommand, flag", [
+        (subcommand, flag) for subcommand, flags in SETTING_FLAGS.items() for flag in flags])
+    @pytest.mark.parametrize("value", ["-1e-3", "-2E+1", "-1.", "-.5e1"])
+    def test_every_setting_flag_takes_it(self, subcommand, flag, value):
+        size = [] if flag in ("--sites", "--cells") else ["--cells", "8"]
+        try:
+            parse_args([subcommand, *size, flag, value, "--out", "x"])
+        except UsageError as exc:  # refused by the settings' own rules, if at all
+            assert "expected one argument" not in str(exc)
+
+    @pytest.mark.parametrize("flag", ["--d1", "--d2", "--eps"])
+    def test_it_reaches_the_config(self, flag):
+        # CellParams orders d1 <= d2, so -1e-3 given as d2 becomes d1
+        cmd = parse_args(["run", "--cells", "8", flag, "-1e-3", "--out", "x"])
+        assert -1e-3 in asdict(cmd.flags["config"].params).values()
+
+    def test_a_negative_start_angle(self):
+        cmd = parse_args(["run", "--cells", "8", "--phi-start", "-1e-3", "--phi-end", "pi/4",
+                          "--out", "x"])
+        assert cmd.flags["config"].profile.phi_start == -1e-3
+
+    def test_a_word_that_is_no_number_is_still_a_flag(self):
+        with pytest.raises(UsageError, match="expected one argument"):
+            parse_args(["run", "--cells", "8", "--d1", "--out", "x"])
 
 
 class TestPresetParsing:

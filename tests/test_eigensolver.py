@@ -42,6 +42,8 @@ from memory import traced_peak
 from sturm import eigenvalue_count_below
 
 PARAMS = CellParams(1.0, 2.0, 0.2)
+# the C type of the solver's LAPACK integers (int64 from numpy's OpenBLAS, int32 from scipy)
+lapack_int = np.ctypeslib.as_ctypes_type(eigensolver._LAPACK_INT)
 
 
 def small_lattice(cells=16):
@@ -300,7 +302,7 @@ class TestGroupedInverseIteration:
         calls = []
 
         def recording(*args):
-            calls.append(ctypes.c_int.from_address(args[3]).value)  # M
+            calls.append(lapack_int.from_address(args[3]).value)  # M
             kernel(*args)
 
         kernel = eigensolver._dstein
@@ -326,16 +328,30 @@ def kernel_dstein(d, e, w):
     """The solver's ctypes dstein on one unreduced block: (Z as (states x sites) rows, info)."""
     d, e, w = (np.ascontiguousarray(a, dtype=float) for a in (d, e, w))
     n, m = d.size, w.size
-    ints = np.array([n, m], dtype=np.int32)  # N = ISPLIT(1) = LDZ, then M
-    iblock = np.ones(m, dtype=np.int32)
+    integer = eigensolver._LAPACK_INT
+    ints = np.array([n, m], dtype=integer)  # N = ISPLIT(1) = LDZ, then M
+    iblock = np.ones(m, dtype=integer)
     rows = np.zeros((m, n))
-    work, iwork = np.empty(5 * n), np.empty(n, dtype=np.int32)
-    ifail, info = np.empty(m, dtype=np.int32), np.zeros(1, dtype=np.int32)
-    eigensolver._dstein(ints.ctypes.data, d.ctypes.data, e.ctypes.data, ints.ctypes.data + 4,
+    work, iwork = np.empty(5 * n), np.empty(n, dtype=integer)
+    ifail, info = np.empty(m, dtype=integer), np.zeros(1, dtype=integer)
+    eigensolver._dstein(ints.ctypes.data, d.ctypes.data, e.ctypes.data,
+                        ints.ctypes.data + ints.itemsize,
                         w.ctypes.data, iblock.ctypes.data, ints.ctypes.data, rows.ctypes.data,
                         ints.ctypes.data, work.ctypes.data, iwork.ctypes.data,
                         ifail.ctypes.data, info.ctypes.data)
     return rows, int(info[0])
+
+
+def sterf_blocks(h):
+    """The unreduced blocks (lo, hi) by DSTEBZ's split rule, and scipy's f2py sterf
+    values of each."""
+    d, e = h.diag, h.offdiag
+    split = e**2 <= eigensolver._ULP**2 * np.abs(d[:-1] * d[1:]) + eigensolver._SAFE_MIN
+    edges = np.concatenate(([0], np.flatnonzero(split) + 1, [d.size]))
+    blocks = list(zip(edges[:-1], edges[1:]))
+    return blocks, [scipy.linalg.eigvalsh_tridiagonal(d[lo:hi], e[lo:hi - 1],
+                                                      lapack_driver="sterf")
+                    for lo, hi in blocks]
 
 
 def f2py_vectors(h):
@@ -346,12 +362,7 @@ def f2py_vectors(h):
     """
     d, e = h.diag, h.offdiag
     n = d.size
-    split = e**2 <= eigensolver._ULP**2 * np.abs(d[:-1] * d[1:]) + eigensolver._SAFE_MIN
-    edges = np.concatenate(([0], np.flatnonzero(split) + 1, [n]))
-    blocks = list(zip(edges[:-1], edges[1:]))
-    block_values = [scipy.linalg.eigvalsh_tridiagonal(d[lo:hi], e[lo:hi - 1],
-                                                      lapack_driver="sterf")
-                    for lo, hi in blocks]
+    blocks, block_values = sterf_blocks(h)
     column = np.empty(n, dtype=np.intp)
     column[np.argsort(np.concatenate(block_values), kind="stable")] = np.arange(n)
     vectors = np.zeros((n, n))
@@ -465,7 +476,7 @@ class TestThreadedKernel:
         def failing(*args):
             kernel(*args)
             if ctypes.c_double.from_address(args[4]).value == target:  # W(1)
-                ctypes.c_int.from_address(args[12]).value = 1  # INFO
+                lapack_int.from_address(args[12]).value = 1  # INFO
 
         monkeypatch.setattr(eigensolver, "_dstein", failing)
         # level 29 of 40 falls in the last chunk, which a pool thread solves
@@ -489,10 +500,54 @@ class TestThreadedKernel:
         assert all(in_place)
 
 
-def in_child(code: str, blas_threads: int) -> None:
+class TestLapackRoute:
+    """dsterf and dstein come from numpy's bundled OpenBLAS, or else from scipy's capsules."""
+
+    @pytest.mark.skipif(eigensolver._LAPACK_INT.itemsize != 8,
+                        reason="numpy ships no bundled OpenBLAS with LAPACK, so the solver "
+                               "takes dsterf and dstein from scipy")
+    def test_import_and_a_fig13_run_load_no_scipy(self, tmp_path):
+        in_child(f"import sys, iplsim; from iplsim.cli import main; "
+                 f"assert main(['preset', 'fig13', '--out', {str(tmp_path)!r}]) == 0; "
+                 f"loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+                 f"assert not loaded, loaded")
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(preset_config("fig13"), id="fig13"),
+        pytest.param(preset_config("fig6", {"sites": 1802}), id="fig6-1802-sites"),
+        pytest.param(preset_config("fig1"), id="fig1"),
+    ])
+    def test_scipys_capsules_give_the_bundled_bits(self, config, monkeypatch):
+        h = build_hamiltonian(config)
+        bundled = eigh_tridiagonal(h)
+        setter, dsterf, dstein, integer = eigensolver._lapack(bundled=False)
+        assert setter is None and integer == np.int32
+        for name, value in (("_dsterf", dsterf), ("_dstein", dstein), ("_LAPACK_INT", integer)):
+            monkeypatch.setattr(eigensolver, name, value)
+        fallback = eigh_tridiagonal(h)
+        assert np.array_equal(fallback.values, bundled.values)
+        assert np.array_equal(fallback.vectors, bundled.vectors)
+        assert (fallback.residual_bound, fallback.ortho_bound) == (bundled.residual_bound,
+                                                                   bundled.ortho_bound)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: random_operator(300, 5), id="random"),
+        pytest.param(decoupled_close_levels, id="eps0-two-site-blocks"),
+        pytest.param(lambda: TridiagonalHamiltonian(np.array([0.7]), np.array([])),
+                     id="one-site"),
+    ])
+    def test_values_are_scipys_sterf_bits_block_by_block(self, make):
+        h = make()
+        want = np.sort(np.concatenate(sterf_blocks(h)[1]), kind="stable")
+        assert np.array_equal(eigh_tridiagonal(h).values, want)
+
+
+def in_child(code: str, blas_threads: int | None = None) -> None:
     """Run `code` in a fresh interpreter whose OpenBLAS gets `blas_threads`
-    threads before numpy loads; raise, with its stderr, if it fails."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    threads, if given, before numpy loads; raise, with its stderr, if it fails."""
+    env = dict(os.environ)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     src = str(Path(eigensolver.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -342,6 +342,23 @@ class TestSweep:
         fresh = replay(tmp_path / "orig" / "manifest.json", tmp_path / "redo")
         assert fresh.kind == "sweep"
 
+    @pytest.mark.parametrize("lf_values", [[1.0, -2.0], [1.0, math.nan]])
+    def test_a_refused_grid_leaves_no_directory(self, lf_values, tmp_path):
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_sweep(small_config(), lf_values, out)
+        assert not out.exists()
+
+    def test_an_edited_sweep_manifest_replays_to_no_directory(self, tmp_path):
+        run_sweep(small_config(cells=12), (0.5, 2.0), tmp_path / "orig")
+        path = tmp_path / "orig" / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["lf_values"] = [0.5, -2.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="positive and finite"):
+            replay(path, tmp_path / "redo")
+        assert not (tmp_path / "redo").exists()
+
 
 class TestConfigure:
     def test_no_settings_keep_the_base(self):
@@ -567,5 +584,19 @@ def test_manifest_kind_and_sweep_grid_checked(kind, lf_values, match, tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
+        replay(path, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["kind", "tool", "params", "profile", "thresholds",
+                                 "map_selection", "emit", "checksums"])
+def test_a_manifest_missing_a_required_key_is_refused_by_name(key, tmp_path):
+    doc = RunManifest.of(small_config(), "run", ("csv",), {}).to_dict()
+    del doc[key]
+    with pytest.raises(ValueError, match=f"missing required key '{key}'$"):
+        RunManifest.from_dict(doc)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=key):
         replay(path, tmp_path / "out")
     assert not (tmp_path / "out").exists()
