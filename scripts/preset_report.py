@@ -52,7 +52,7 @@ def main(argv=None) -> int:
         print(f"note: {report.labels.interior_localized} localized state(s) "
               f"strictly inside a B segment")
 
-    histogram = Counter(report.multiplets.sizes())
+    histogram = Counter(g.size for g in report.multiplets)
     pretty = ", ".join(f"{size}x{count}" for size, count in sorted(histogram.items()))
     print(f"multiplet sizes (size x count): {pretty}")
 

@@ -17,7 +17,7 @@ from .eigensolver import EigenSystem, SolverError, eigh_tridiagonal, dense_oracl
 from .measures import (StateMeasures, SpacingSpectrum, node_count, spacing_spectrum,
                        state_measures)
 from .analysis import (AnalysisThresholds, BandPartition, SubdomainLabels,
-                       Multiplet, MultipletReport, SpectralReport,
+                       Multiplet, SpectralReport,
                        detect_bands, classify_states, delocalized_fraction,
                        detect_multiplets, eigenstate_map, analyze)
 from .experiments import (Preset, PRESETS, RunConfig, RunManifest, SweepPoint,

@@ -8,13 +8,12 @@ grey-scale eigenstate figures.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .eigensolver import STATE_BLOCK, EigenSystem
-from .measures import (SpacingSpectrum, StateMeasures, rounding_floor, spacing_spectrum,
-                       state_measures)
+from .measures import SpacingSpectrum, StateMeasures, spacing_spectrum, state_measures
 from .profiles import read_fields, read_integer, read_real
 
 
@@ -80,35 +79,24 @@ class Multiplet:
     band: int
     start: int
     size: int
-    node_counts: tuple[int, ...] | None = None
 
     @property
     def members(self) -> range:
         return range(self.start, self.start + self.size)
 
 
-@dataclass(frozen=True)
-class MultipletReport:
-    groups: tuple[Multiplet, ...]
-
-    def sizes(self) -> list[int]:
-        return [g.size for g in self.groups]
-
-
-def detect_bands(values: np.ndarray, gamma: float = 20.0) -> BandPartition:
+def detect_bands(spacings: SpacingSpectrum, gamma: float = 20.0) -> BandPartition:
     """Split the sorted spectrum at every spacing above gamma times the median spacing.
 
-    A spacing at or below the rounding floor of the eigenvalues never splits,
-    so a spectrum of exact levels (a uniform chain: 0.8, 1.0, 1.2) splits at
-    its level gaps only, however small the median. If nothing qualifies, fall
-    back to the single largest spacing, flagged low confidence; a strictly
-    uniform ladder stays one band.
+    The spacings and their rounding floor come from `spacing_spectrum`. A
+    spacing at or below that floor never splits, so a spectrum of exact levels
+    (a uniform chain: 0.8, 1.0, 1.2) splits at its level gaps only, however
+    small the median. If nothing qualifies, fall back to the single largest
+    spacing, flagged low confidence; a strictly uniform ladder stays one band.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size < 4:
+    spac, floor = spacings.spacings, spacings.floor
+    if spac.size < 3:
         raise ValueError("band detection needs at least 4 states")
-    spac = np.diff(values)
-    floor = rounding_floor(values)
     median = float(np.median(spac))
     boundaries = np.nonzero(spac > max(gamma * median, floor))[0]
     low_confidence = False
@@ -119,7 +107,7 @@ def detect_bands(values: np.ndarray, gamma: float = 20.0) -> BandPartition:
             boundaries = np.array([], dtype=int)
         else:
             boundaries = np.array([int(np.argmax(spac))])
-    edges = [0, *(int(b) + 1 for b in boundaries), values.size]
+    edges = [0, *(int(b) + 1 for b in boundaries), spac.size + 1]
     bands = tuple(range(a, b) for a, b in zip(edges[:-1], edges[1:]))
     gaps = tuple((float(spac[int(b)]), int(b)) for b in boundaries)
     return BandPartition(bands=bands, gaps=gaps, low_confidence=low_confidence)
@@ -160,17 +148,16 @@ def delocalized_fraction(labels: SubdomainLabels) -> float:
 
 
 def detect_multiplets(spacings: SpacingSpectrum, bands: BandPartition,
-                      delta_rel: float = 0.05,
-                      node_counts: np.ndarray | None = None) -> MultipletReport:
+                      delta_rel: float = 0.05) -> tuple[Multiplet, ...]:
     """Group consecutive states whose spacings fall below delta_rel of the band median.
 
     Spacings below the spectrum's rounding floor always join, so exactly
-    degenerate levels group even when the band median is itself zero.
+    degenerate levels group even when the band median is itself zero. The
+    groups tile the spectrum in ascending order.
     """
     if delta_rel <= 0:
         raise ValueError("delta_rel must be positive")
     spac = spacings.spacings
-    nodes = None if node_counts is None else np.asarray(node_counts, dtype=int).tolist()
     groups: list[Multiplet] = []
     for band_index, band in enumerate(bands.bands):
         band_spac = spac[band.start:band.stop - 1]
@@ -180,10 +167,9 @@ def detect_multiplets(spacings: SpacingSpectrum, bands: BandPartition,
         ends = [*(band.start + np.flatnonzero(~(band_spac < threshold))).tolist(), band.stop - 1]
         start = band.start
         for end in ends:
-            groups.append(Multiplet(band=band_index, start=start, size=end - start + 1,
-                                    node_counts=None if nodes is None else tuple(nodes[start:end + 1])))
+            groups.append(Multiplet(band=band_index, start=start, size=end - start + 1))
             start = end + 1
-    return MultipletReport(groups=tuple(groups))
+    return tuple(groups)
 
 
 def eigenstate_map(eig: EigenSystem, selection: range) -> np.ndarray:
@@ -223,10 +209,8 @@ class SpectralReport:
     measures: StateMeasures
     bands: BandPartition
     labels: SubdomainLabels
-    multiplets: MultipletReport
+    multiplets: tuple[Multiplet, ...]
     thresholds: AnalysisThresholds
-    band_of: np.ndarray = field(repr=False)
-    multiplet_of: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -238,7 +222,7 @@ def analyze(eig: EigenSystem, thresholds: AnalysisThresholds | None = None,
     """Run the full per-state and spectrum-level analysis on one eigensystem."""
     th = thresholds or AnalysisThresholds()
     spacings = spacing_spectrum(eig.values)
-    bands = detect_bands(eig.values, gamma=th.gamma)
+    bands = detect_bands(spacings, gamma=th.gamma)
     if expect_two_bands and len(bands.bands) != 2:
         warnings.warn(f"expected 2 bands for a two-level cell lattice, found {len(bands.bands)}",
                       stacklevel=2)
@@ -246,17 +230,7 @@ def analyze(eig: EigenSystem, thresholds: AnalysisThresholds | None = None,
         state_measures(eig.vectors[:, k:k + STATE_BLOCK], n_b=th.n_b,
                        amplitude_floor=th.amplitude_floor)
         for k in range(0, eig.size, STATE_BLOCK)])
-    labels = classify_states(measures, bands, tau=th.tau)
-    multiplets = detect_multiplets(spacings, bands, delta_rel=th.delta_rel,
-                                   node_counts=measures.nodes)
-
-    band_of = np.empty(eig.size, dtype=int)
-    for i, band in enumerate(bands.bands):
-        band_of[band.start:band.stop] = i
-    multiplet_of = np.empty(eig.size, dtype=int)
-    for gid, group in enumerate(multiplets.groups):
-        multiplet_of[group.start:group.start + group.size] = gid
-
     return SpectralReport(values=eig.values, spacings=spacings, measures=measures,
-                          bands=bands, labels=labels, multiplets=multiplets,
-                          thresholds=th, band_of=band_of, multiplet_of=multiplet_of)
+                          bands=bands, labels=classify_states(measures, bands, tau=th.tau),
+                          multiplets=detect_multiplets(spacings, bands, delta_rel=th.delta_rel),
+                          thresholds=th)

@@ -74,19 +74,9 @@ STATE_BLOCK = 128
 
 # one thread per core runs a contiguous chunk of the spectral groups, but
 # only as many as get this much work each, counted in dstein's sites x
-# states (dstein takes about 0.2 us per site of each vector). Below that a
-# second thread is a bet on where the kernel puts the pool thread a call
-# starts. On a 2 vCPU Xeon VM, per-thread run and run-queue times
-# (/proc/self/task/*/schedstat) showed it on the caller's core in 497 of
-# 512 figure-preset solves at 2^14, the other core idle and each thread
-# waiting about as long as it ran: 188-207 ms for the eight presets against
-# 160-204 ms on one thread. Whole benchmark runs split in two: the figures
-# pass read 0.30, 0.31 and 0.40 s at 2^14 against 0.34-0.38 s. The Python
-# work between two dstein calls, which holds the GIL, stayed at 3-5 us, so
-# GIL hand-offs are not the cost. Lattices of up to about 720 sites run on
-# the calling thread alone. Above, the second thread paid: the 6-point
-# 1002-site sweep took 0.95-0.99 s on two threads against 1.22-1.25 s on one
-# (medians of two processes).
+# states. Below it a second thread did not pay: lattices of up to about 720
+# sites run on the calling thread alone (measurements in CHANGES.md, under
+# "Steadier `figures`").
 _WORKERS = os.cpu_count() or 1
 _THREAD_WORK = 1 << 18
 

@@ -199,6 +199,8 @@ class RunManifest:
                 raise ValueError(f"unknown manifest kind {doc['kind']!r}; known: run, sweep")
             if doc["kind"] == "sweep" and lf_values is None:
                 raise ValueError("a sweep manifest needs its lf_values")
+            if doc["kind"] == "run" and lf_values is not None:
+                raise ValueError("a run manifest takes no lf_values")
             return cls(kind=doc["kind"], tool=doc["tool"], label=doc.get("label"),
                        params=doc["params"], profile=doc["profile"],
                        thresholds=doc["thresholds"], map_selection=doc["map_selection"],
@@ -442,10 +444,14 @@ def oracle_check(instances: int = 50, max_sites: int = 64,
     hand-rolled Jacobi sweep on the dense expansion. Disagreement beyond
     1e-10, or a certification bound above 1e-10, raises SolverError.
     """
-    from .eigensolver import SolverError, dense_oracle
+    # at call time: a module-level import would bind dense_oracle before perfbench's tracer wraps it
+    from .eigensolver import DENSE_ORACLE_MAX_SITES, SolverError, dense_oracle
 
     if instances < 1:
         raise ValueError("need at least one instance")
+    if not 4 <= max_sites <= DENSE_ORACLE_MAX_SITES:
+        raise ValueError(f"max_sites must lie in [4, {DENSE_ORACLE_MAX_SITES}], "
+                         f"the dense oracle's size range")
     rng = SplitMix64(seed)
     max_dev = max_res = max_ortho = 0.0
     for i in range(instances):

@@ -27,7 +27,11 @@ def _fmt(x: float) -> str:
 
 
 def write_state_csv(report: SpectralReport, path: str | Path) -> Path:
-    """One row per state, ascending; spacing_next is empty on the last row."""
+    """One row per state, ascending; spacing_next is empty on the last row.
+
+    band and multiplet_id number each state's band and multiplet in order;
+    both partitions tile the spectrum in ascending order.
+    """
     path = Path(path)
     m = report.measures
     # each column becomes Python scalars once; repr of a float is what _fmt gives
@@ -36,9 +40,10 @@ def write_state_csv(report: SpectralReport, path: str | Path) -> Path:
         map(repr, report.values.tolist()),
         [*map(repr, report.spacings.spacings.tolist()), ""],
         *(map(repr, col.tolist()) for col in (m.ipr, m.cfs, m.com, m.w_left, m.w_right)),
-        *(map(str, col.tolist()) for col in (m.nodes, report.band_of)),
+        map(str, m.nodes.tolist()),
+        (str(i) for i, band in enumerate(report.bands.bands) for _ in band),
         report.labels.labels.tolist(),
-        map(str, report.multiplet_of.tolist()),
+        (str(i) for i, group in enumerate(report.multiplets) for _ in group.members),
     )
     lines = [STATE_HEADER]
     lines.extend(map(",".join, zip(*columns)))
@@ -118,7 +123,7 @@ def summary_document(report: SpectralReport, extras: dict[str, Any] | None = Non
     from .analysis import delocalized_fraction
 
     bands = [{"start": b.start, "stop": b.stop, "size": len(b)} for b in report.bands.bands]
-    sizes = report.multiplets.sizes()
+    sizes = [g.size for g in report.multiplets]
     histogram = {str(s): sizes.count(s) for s in sorted(set(sizes))}
     doc: dict[str, Any] = {
         "states": report.size,

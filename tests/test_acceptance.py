@@ -254,16 +254,16 @@ def test_08_revolution_pairing(preset_eig):
     values = eig.values
     noise_floor = 16 * np.finfo(float).eps * float(np.max(np.abs(values)))
     mid = (report.size + 1) / 2
+    nodes = report.measures.nodes
     checked = skipped = bad_nodes = bad_halves = 0
     for start in pairs:
-        group = group_of(groups, start)
         com_lo = report.measures.com[start]
         com_hi = report.measures.com[start + 1]
         if (com_lo - mid) * (com_hi - mid) >= 0:
             bad_halves += 1
         if values[start + 1] - values[start] > noise_floor:
             checked += 1
-            if abs(group.node_counts[1] - group.node_counts[0]) != 1:
+            if abs(nodes[start + 1] - nodes[start]) != 1:
                 bad_nodes += 1
         else:
             skipped += 1
@@ -290,7 +290,7 @@ def test_09_three_revolution_multiplets(preset_eig):
     """fig11_13: ground triplet, then sextets, dissolving toward the band center."""
     config, eig = preset_eig("fig11_13")
     report = analyze(eig, config.thresholds, expect_two_bands=True)
-    lower = [g for g in report.multiplets.groups if g.band == 0]
+    lower = [g for g in report.multiplets if g.band == 0]
 
     head = [g.size for g in lower[:4]]
     ground_in_triplet = 0 in lower[0].members

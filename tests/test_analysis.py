@@ -26,7 +26,7 @@ from memory import traced_peak
 class TestDetectBands:
     def test_two_clusters(self):
         values = np.concatenate([np.linspace(1.0, 1.1, 30), np.linspace(2.0, 2.1, 30)])
-        part = detect_bands(values)
+        part = detect_bands(spacing_spectrum(values))
         assert len(part.bands) == 2
         assert part.bands[0] == range(0, 30)
         assert part.bands[1] == range(30, 60)
@@ -39,11 +39,11 @@ class TestDetectBands:
         values = np.concatenate([np.linspace(0, 0.1, 10),
                                  np.linspace(5, 5.1, 10),
                                  np.linspace(9, 9.1, 10)])
-        part = detect_bands(values)
+        part = detect_bands(spacing_spectrum(values))
         assert len(part.bands) == 3
 
     def test_uniform_ladder_is_one_band(self):
-        part = detect_bands(np.arange(50, dtype=float))
+        part = detect_bands(spacing_spectrum(np.arange(50, dtype=float)))
         assert len(part.bands) == 1
         assert part.low_confidence
         assert part.gaps == ()
@@ -51,21 +51,21 @@ class TestDetectBands:
     def test_fallback_splits_at_largest_spacing(self):
         # no spacing clears gamma * median, but the ladder is not uniform
         values = np.cumsum(np.concatenate([np.full(20, 1.0), [3.0], np.full(20, 1.0)]))
-        part = detect_bands(values)
+        part = detect_bands(spacing_spectrum(values))
         assert part.low_confidence
         assert len(part.bands) == 2
         assert part.bands[0].stop == 20
 
     def test_gamma_tunes_sensitivity(self):
         values = np.cumsum(np.concatenate([np.full(20, 1.0), [10.0], np.full(20, 1.0)]))
-        confident = detect_bands(values, gamma=5.0)
+        confident = detect_bands(spacing_spectrum(values), gamma=5.0)
         assert len(confident.bands) == 2 and not confident.low_confidence
-        fallback = detect_bands(values, gamma=20.0)
+        fallback = detect_bands(spacing_spectrum(values), gamma=20.0)
         assert len(fallback.bands) == 2 and fallback.low_confidence
 
     def test_needs_four_states(self):
         with pytest.raises(ValueError):
-            detect_bands(np.array([1.0, 2.0, 3.0]))
+            detect_bands(spacing_spectrum(np.array([1.0, 2.0, 3.0])))
 
     @pytest.mark.parametrize("cells", [10, 20, 201])
     def test_uniform_chain_splits_at_its_three_levels(self, cells):
@@ -74,7 +74,7 @@ class TestDetectBands:
         h = assemble(realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, cells)),
                      CellParams(1.0, 1.0, 0.2))
         values = eigh_tridiagonal(h).values
-        part = detect_bands(values)
+        part = detect_bands(spacing_spectrum(values))
         assert [len(b) for b in part.bands] == [cells - 1, 2, cells - 1]
         assert not part.low_confidence
         assert [round(values[b.start], 12) for b in part.bands] == [0.8, 1.0, 1.2]
@@ -82,10 +82,10 @@ class TestDetectBands:
     def test_roundoff_spacings_never_split(self):
         levels = np.repeat([1.0, 2.0], 10) + np.tile([0.0, 2e-16, 4e-16, 2e-16, 0.0], 4)
         values = np.sort(levels)
-        assert [len(b) for b in detect_bands(values).bands] == [10, 10]
+        assert [len(b) for b in detect_bands(spacing_spectrum(values)).bands] == [10, 10]
         # all spacings at roundoff: no split at all, not a split at the largest
         flat = np.full(12, 2.0) + np.tile([0.0, 4.4e-16], 6)
-        part = detect_bands(np.sort(flat))
+        part = detect_bands(spacing_spectrum(np.sort(flat)))
         assert part.bands == (range(12),) and part.low_confidence
 
 
@@ -150,7 +150,7 @@ class TestDetectMultiplets:
     def test_groups_pairs(self):
         values, bands = self.ladder_with_pairs()
         rep = detect_multiplets(spacing_spectrum(values), bands)
-        assert rep.sizes() == [1, 2, 2, 1]
+        assert [g.size for g in rep] == [1, 2, 2, 1]
         assert group_of(rep, 1).members == range(1, 3)
         assert group_of(rep, 5).size == 1
         with pytest.raises(IndexError):
@@ -158,24 +158,17 @@ class TestDetectMultiplets:
 
     def test_shift_and_scale_invariance(self):
         values, bands = self.ladder_with_pairs()
-        base = detect_multiplets(spacing_spectrum(values), bands).sizes()
+        base = detect_multiplets(spacing_spectrum(values), bands)
         for scale, shift in ((7.0, 3.0), (0.001, -2.0), (123.4, 0.0)):
-            transformed = detect_multiplets(
-                spacing_spectrum(values * scale + shift), bands).sizes()
+            transformed = detect_multiplets(spacing_spectrum(values * scale + shift), bands)
             assert transformed == base
-
-    def test_node_counts_threaded(self):
-        values, bands = self.ladder_with_pairs()
-        nodes = np.arange(6)
-        rep = detect_multiplets(spacing_spectrum(values), bands, node_counts=nodes)
-        assert group_of(rep, 1).node_counts == (1, 2)
 
     def test_bands_partition_groups(self):
         values = np.array([0.0, 0.00001, 0.1, 5.0, 5.1, 5.2])
         from iplsim.analysis import BandPartition
         bands = BandPartition(bands=(range(0, 3), range(3, 6)), gaps=((4.9, 2),))
         rep = detect_multiplets(spacing_spectrum(values), bands)
-        for g in rep.groups:
+        for g in rep:
             span = range(bands.bands[g.band].start, bands.bands[g.band].stop)
             assert g.start in span and g.start + g.size - 1 in span
 
@@ -190,7 +183,7 @@ class TestDetectMultiplets:
         spec = ProfileSpec("linear", 20, phi_start=0.3, phi_end=0.3)
         h = assemble(realize_profile(spec), CellParams(1.0, 2.0, 0.0))
         report = analyze(eigh_tridiagonal(h))
-        assert report.multiplets.sizes() == [20, 20]
+        assert [g.size for g in report.multiplets] == [20, 20]
 
 
 class TestEigenstateMap:
@@ -289,12 +282,7 @@ class TestAnalyze:
         assert report.size == 60
         assert report.measures.ipr.size == 60
         assert len(report.bands.bands) == 2
-        # band_of and multiplet_of tile the spectrum consistently
-        for i, band in enumerate(report.bands.bands):
-            assert np.all(report.band_of[band.start:band.stop] == i)
-        for gid, group in enumerate(report.multiplets.groups):
-            assert np.all(report.multiplet_of[list(group.members)] == gid)
-        covered = sum(g.size for g in report.multiplets.groups)
+        covered = sum(g.size for g in report.multiplets)
         assert covered == 60
 
     def test_blocked_measures_match_one_pass(self):

@@ -536,6 +536,16 @@ class TestOracleCheck:
         with pytest.raises(ValueError):
             oracle_check(instances=0)
 
+    @pytest.mark.parametrize("max_sites", [600, 3, 0])
+    def test_size_refused_before_any_solve(self, max_sites, monkeypatch):
+        import iplsim.experiments as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "eigh_tridiagonal", lambda h: calls.append(h))
+        with pytest.raises(ValueError, match="max_sites"):
+            exp.oracle_check(instances=3, max_sites=max_sites, seed=1)
+        assert calls == []
+
     def test_disagreement_raises(self, monkeypatch):
         import iplsim.eigensolver as es
         import iplsim.experiments as exp
@@ -573,6 +583,7 @@ def test_manifest_from_dict_tolerates_missing_optionals():
     ("bogus", None, "unknown manifest kind 'bogus'"),
     ("bogus", [1.0, 2.0], "unknown manifest kind 'bogus'"),
     ("sweep", None, "sweep manifest needs its lf_values"),
+    ("run", [1.0, 2.0], "run manifest takes no lf_values"),
 ])
 def test_manifest_kind_and_sweep_grid_checked(kind, lf_values, match, tmp_path):
     doc = RunManifest.of(small_config(), "run", ("csv",), {}).to_dict()

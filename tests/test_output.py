@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from iplsim.analysis import analyze, eigenstate_map
+from iplsim.analysis import AnalysisThresholds, analyze, eigenstate_map
 from iplsim.eigensolver import eigh_tridiagonal
 from iplsim.hamiltonian import CellParams, assemble
 from iplsim.profiles import ProfileSpec, realize_profile
@@ -73,6 +73,29 @@ class TestStateCsv:
         rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
         assert {r[10] for r in rows} <= {"A", "B", "C"}
         assert [int(r[11]) for r in rows] == sorted(int(r[11]) for r in rows)
+
+    def test_band_and_multiplet_ids_number_the_partitions(self, tmp_path):
+        # one phase revolution at delta_rel 0.35: each band holds pairs among its singlets
+        spec = ProfileSpec("revolutions", 30, phi_start=math.pi / 8, phi_end=3 * math.pi / 8,
+                           revolutions=1)
+        h = assemble(realize_profile(spec), CellParams(1.0, 2.0, 0.3))
+        report = analyze(eigh_tridiagonal(h), AnalysisThresholds(delta_rel=0.35),
+                         expect_two_bands=True)
+        bands, multiplets = report.bands.bands, report.multiplets
+        assert len(bands) == 2
+        for i in range(len(bands)):
+            sizes = [g.size for g in multiplets if g.band == i]
+            assert len(sizes) > 1 and max(sizes) > 1
+        path = write_state_csv(report, tmp_path / "states.csv")
+        rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
+        band_ids = [int(r[9]) for r in rows]
+        multiplet_ids = [int(r[11]) for r in rows]
+        assert len(rows) == sum(len(b) for b in bands) == sum(g.size for g in multiplets)
+        for i, band in enumerate(bands):
+            assert band_ids[band.start:band.stop] == [i] * len(band)
+        for gid, group in enumerate(multiplets):
+            assert multiplet_ids[group.start:group.start + group.size] == [gid] * group.size
+            assert band_ids[group.start] == group.band
 
 
 def test_spectrum_csv(tmp_path):
