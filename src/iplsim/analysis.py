@@ -63,7 +63,6 @@ class SubdomainLabels:
 
     labels: np.ndarray
     localized: np.ndarray
-    crossovers: tuple[tuple[int, int] | None, ...]
     interior_localized: int = 0
 
     def __post_init__(self):
@@ -126,20 +125,16 @@ def classify_states(measures: StateMeasures, bands: BandPartition,
     localized = np.minimum(measures.w_left, measures.w_right) < tau
 
     labels = np.full(n, "A", dtype="<U1")
-    crossovers: list[tuple[int, int] | None] = []
     interior = 0
     for band in bands.bands:
         deloc = [k for k in band if not localized[k]]
         if not deloc:
-            crossovers.append(None)
             continue
         first, last = deloc[0], deloc[-1]
         labels[first:last + 1] = "B"
         labels[last + 1:band.stop] = "C"
-        crossovers.append((first, last))
         interior += int(np.sum(localized[first:last + 1]))
-    return SubdomainLabels(labels=labels, localized=localized,
-                           crossovers=tuple(crossovers), interior_localized=interior)
+    return SubdomainLabels(labels=labels, localized=localized, interior_localized=interior)
 
 
 def delocalized_fraction(labels: SubdomainLabels) -> float:

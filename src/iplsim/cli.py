@@ -19,12 +19,10 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Any
 
-import numpy as np
-
 from ._version import __version__
 from .eigensolver import DENSE_ORACLE_MAX_SITES, SolverError
 from .experiments import (DEFAULT_CONFIG, EMIT_KINDS, PRESETS, SETTING_KEYS, configure,
-                          execute, oracle_check, preset_config, run_sweep)
+                          execute, focusing_grid, oracle_check, preset_config, run_sweep)
 
 _ANGLE_CHARS = re.compile(r"^[0-9epi+\-*/(). ]+$")
 _ANGLE_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -186,9 +184,7 @@ def _validate_sweep(flags) -> None:
         raise UsageError("need points >= 2 and 0 < lf-min < lf-max < inf")
     config = configure(DEFAULT_CONFIG, {**_settings(flags), "lf": flags["lf_min"]})
     flags["config"] = replace(config, label="sweep")
-    flags["lf_values"] = [float(x) for x in
-                          np.logspace(math.log10(flags["lf_min"]),
-                                      math.log10(flags["lf_max"]), flags["points"])]
+    flags["lf_values"] = focusing_grid(flags["lf_min"], flags["lf_max"], flags["points"])
 
 
 def _validate_preset(flags) -> None:

@@ -8,8 +8,9 @@ deliberately nothing environment-bound: no timestamps, no absolute paths.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -92,7 +93,12 @@ def _preset(name: str, note: str, *, eps: float, profile: ProfileSpec,
     return Preset(name=name, config=config, note=note, sweep_lf_values=sweep)
 
 
-_SWEEP_GRID = tuple(float(x) for x in np.logspace(math.log10(0.5), 2.0, 25))
+def focusing_grid(lf_min: float, lf_max: float, points: int) -> tuple[float, ...]:
+    """`points` focusing values, log-spaced from lf_min to lf_max, both ends included."""
+    return tuple(float(x) for x in np.logspace(math.log10(lf_min), math.log10(lf_max), points))
+
+
+_SWEEP_GRID = focusing_grid(0.5, 100.0, 25)
 
 PRESETS: dict[str, Preset] = {p.name: p for p in (
     _preset("fig1", "symmetric linear grid, unit focusing, 1002 sites",
@@ -160,72 +166,81 @@ def resolve_selection(selection: str, report: SpectralReport) -> range:
     return bands[count]
 
 
+def _section(cls, key: str, data: Any) -> Any:
+    """`cls(**data)` for one manifest section, refused by key name unless `data` holds
+    each field of `cls` and no other key; only a field whose default is None may be absent."""
+    if not isinstance(data, dict):
+        raise ValueError(f"manifest {key} must be an object, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    missing = [f.name for f in fields(cls) if f.name not in data and f.default is not None]
+    if unknown or missing:
+        raise ValueError(f"manifest {key}: unknown key(s) {unknown}, missing key(s) {missing}")
+    return cls(**data)
+
+
 @dataclass(frozen=True)
 class RunManifest:
-    """Replayable record of one run or sweep."""
+    """Replayable record of one run, or of a sweep: a sweep exactly when it has lf_values."""
 
-    kind: str
     tool: str
-    label: str | None
     params: dict[str, float]
     profile: dict[str, Any]
     thresholds: dict[str, Any]
     map_selection: str
     emit: tuple[str, ...]
     checksums: dict[str, str]
+    label: str | None = None
     lf_values: tuple[float, ...] | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "kind": self.kind,
-            "tool": self.tool,
-            "label": self.label,
-            "params": self.params,
-            "profile": self.profile,
-            "thresholds": self.thresholds,
-            "map_selection": self.map_selection,
-            "emit": list(self.emit),
-            "checksums": self.checksums,
-        }
+    def __post_init__(self):
+        if not isinstance(self.emit, (list, tuple)):
+            raise ValueError(f"manifest emit must be a list of artifact kinds, got {self.emit!r}")
+        if not (isinstance(self.checksums, dict)
+                and all(isinstance(v, str) for v in self.checksums.values())):
+            raise ValueError(f"manifest checksums must map artifact names to digests, "
+                             f"got {self.checksums!r}")
+        object.__setattr__(self, "emit", tuple(self.emit))
         if self.lf_values is not None:
-            doc["lf_values"] = list(self.lf_values)
+            object.__setattr__(self, "lf_values", tuple(float(x) for x in self.lf_values))
+
+    @property
+    def kind(self) -> str:
+        return "run" if self.lf_values is None else "sweep"
+
+    def to_dict(self) -> dict[str, Any]:
+        doc = {"kind": self.kind, **asdict(self)}
+        if self.lf_values is None:
+            del doc["lf_values"]
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "RunManifest":
-        try:
-            lf_values = doc.get("lf_values")
-            if doc["kind"] not in ("run", "sweep"):
-                raise ValueError(f"unknown manifest kind {doc['kind']!r}; known: run, sweep")
-            if doc["kind"] == "sweep" and lf_values is None:
-                raise ValueError("a sweep manifest needs its lf_values")
-            if doc["kind"] == "run" and lf_values is not None:
-                raise ValueError("a run manifest takes no lf_values")
-            return cls(kind=doc["kind"], tool=doc["tool"], label=doc.get("label"),
-                       params=doc["params"], profile=doc["profile"],
-                       thresholds=doc["thresholds"], map_selection=doc["map_selection"],
-                       emit=tuple(doc["emit"]), checksums=doc["checksums"],
-                       lf_values=tuple(lf_values) if lf_values is not None else None)
-        except KeyError as exc:
-            raise ValueError(f"manifest is missing required key {exc}") from None
+        """The manifest a `to_dict` document records, refused at load if malformed."""
+        for key in ("kind", *(f.name for f in fields(cls) if f.default is not None)):
+            if key not in doc:
+                raise ValueError(f"manifest is missing required key {key!r}")
+        if doc["kind"] not in ("run", "sweep"):
+            raise ValueError(f"unknown manifest kind {doc['kind']!r}; known: run, sweep")
+        manifest = cls(**{f.name: doc.get(f.name) for f in fields(cls)})
+        if manifest.kind != doc["kind"]:
+            raise ValueError("a sweep manifest needs its lf_values" if doc["kind"] == "sweep"
+                             else "a run manifest takes no lf_values")
+        manifest.config()  # a bad setting is refused here, before any compute
+        return manifest
 
     @classmethod
-    def of(cls, config: RunConfig, kind: str, emit: tuple[str, ...],
-           checksums: dict[str, str], lf_values=None) -> "RunManifest":
+    def of(cls, config: RunConfig, emit: tuple[str, ...], checksums: dict[str, str],
+           lf_values=None) -> "RunManifest":
         """The manifest of one computed config; the inverse of `config`."""
-        if lf_values is not None:
-            lf_values = tuple(float(x) for x in lf_values)
-        return cls(kind=kind, tool=TOOL, label=config.label,
-                   params=asdict(config.params),
-                   profile=config.profile.to_dict(),
-                   thresholds=asdict(config.thresholds),
-                   map_selection=config.map_selection,
-                   emit=emit, checksums=checksums, lf_values=lf_values)
+        return cls(tool=TOOL, label=config.label, params=asdict(config.params),
+                   profile=config.profile.to_dict(), thresholds=asdict(config.thresholds),
+                   map_selection=config.map_selection, emit=emit, checksums=checksums,
+                   lf_values=lf_values)
 
     def config(self) -> RunConfig:
-        return RunConfig(params=CellParams(**self.params),
-                         profile=ProfileSpec.from_dict(self.profile),
-                         thresholds=AnalysisThresholds(**self.thresholds),
+        return RunConfig(params=_section(CellParams, "params", self.params),
+                         profile=_section(ProfileSpec, "profile", self.profile),
+                         thresholds=_section(AnalysisThresholds, "thresholds", self.thresholds),
                          map_selection=self.map_selection,
                          label=self.label)
 
@@ -263,7 +278,7 @@ def execute(config: RunConfig, out_dir: str | Path,
         checksums["summary.json"] = sha256_file(
             write_json(summary_document(report, extras), out / "summary.json"))
 
-    manifest = RunManifest.of(config, "run", emit, checksums)
+    manifest = RunManifest.of(config, emit, checksums)
     write_json(manifest.to_dict(), out / "manifest.json")
     return manifest
 
@@ -313,7 +328,7 @@ def run_sweep(base: RunConfig, lf_values, out_dir: str | Path) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     points = sweep_lf(lf_values, base)
     path = write_sweep_csv([(p.lf, p.fraction, p.error) for p in points], out / "sweep.csv")
-    manifest = RunManifest.of(base, "sweep", ("csv",), {"sweep.csv": sha256_file(path)},
+    manifest = RunManifest.of(base, ("csv",), {"sweep.csv": sha256_file(path)},
                               lf_values=lf_values)
     write_json(manifest.to_dict(), out / "manifest.json")
     return manifest
@@ -385,7 +400,7 @@ def _configure_profile(base: ProfileSpec, settings: dict[str, Any]) -> ProfileSp
     if ends:
         spec.update(ends)
         spec.pop("lf", None)
-    return ProfileSpec.from_dict(spec)
+    return ProfileSpec(**spec)
 
 
 def preset_config(name: str, overrides: dict[str, Any] | None = None) -> RunConfig:
@@ -416,15 +431,12 @@ def random_instance(rng: SplitMix64, max_sites: int = 64) -> TridiagonalHamilton
     hi = lo + rng.next_float() * (math.pi / 2 - margin - lo)
     hi = max(hi, lo + 1e-3)
     kind = _RANDOM_KINDS[int(rng.next_float() * len(_RANDOM_KINDS)) % len(_RANDOM_KINDS)]
-    if kind == "linear":
-        spec = ProfileSpec("linear", cells, phi_start=lo, phi_end=hi)
-    elif kind == "revolutions":
-        revs = 1 + int(rng.next_float() * 3)
-        spec = ProfileSpec("revolutions", cells, phi_start=lo, phi_end=hi,
-                           revolutions=revs)
-    else:
-        seed = rng.next_u64() >> 1
-        spec = ProfileSpec("random_phase", cells, phi_start=lo, phi_end=hi, seed=seed)
+    extra = {}
+    if kind == "revolutions":
+        extra["revolutions"] = 1 + int(rng.next_float() * 3)
+    elif kind == "random_phase":
+        extra["seed"] = rng.next_u64() >> 1
+    spec = ProfileSpec(kind, cells, phi_start=lo, phi_end=hi, **extra)
     return assemble(realize_profile(spec), params)
 
 
@@ -470,21 +482,17 @@ def oracle_check(instances: int = 50, max_sites: int = 64,
 
 
 def load_manifest(path: str | Path) -> RunManifest:
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        return RunManifest.from_dict(json.load(fh))
+    return RunManifest.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def replay(manifest_path: str | Path, out_dir: str | Path,
            verify: bool = True) -> RunManifest:
     """Re-run a recorded manifest; with verify, byte drift raises."""
     recorded = load_manifest(manifest_path)
-    config = recorded.config()
     if recorded.kind == "sweep":
-        fresh = run_sweep(config, recorded.lf_values, out_dir)
+        fresh = run_sweep(recorded.config(), recorded.lf_values, out_dir)
     else:
-        fresh = execute(config, out_dir, emit=recorded.emit)
+        fresh = execute(recorded.config(), out_dir, emit=recorded.emit)
     if verify:
         drifted = [name for name, digest in recorded.checksums.items()
                    if fresh.checksums.get(name) != digest]

@@ -15,7 +15,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .analysis import SpectralReport
+from .analysis import SpectralReport, delocalized_fraction
 
 STATE_HEADER = ("index,eigenvalue,spacing_next,ipr,cfs,com,"
                 "w_left,w_right,nodes,band,subdomain,multiplet_id")
@@ -120,8 +120,6 @@ def sha256_file(path: str | Path) -> str:
 
 def summary_document(report: SpectralReport, extras: dict[str, Any] | None = None) -> dict[str, Any]:
     """Condensed run statistics for summary.json."""
-    from .analysis import delocalized_fraction
-
     bands = [{"start": b.start, "stop": b.stop, "size": len(b)} for b in report.bands.bands]
     sizes = [g.size for g in report.multiplets]
     histogram = {str(s): sizes.count(s) for s in sorted(set(sizes))}

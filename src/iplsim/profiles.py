@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -104,18 +104,20 @@ class ProfileSpec:
                 raise ValueError("revolutions need phi_start below phi_end")
         if self.kind == "random_phase" and self.phi_start > self.phi_end:
             raise ValueError("random_phase needs phi_start not above phi_end")
+        if self.lf is not None:
+            if self.lf <= 0:
+                raise ValueError("lf must be positive")
+            # `linear` rounds each end once, so its width is off by at most an
+            # ulp of the larger end plus an ulp of the width; allow twice that
+            width = self.phi_end - self.phi_start
+            slack = 2 * (math.ulp(max(abs(self.phi_start), abs(self.phi_end))) + math.ulp(width))
+            if abs(width - QUARTER_TURN / self.lf) > slack:
+                raise ValueError(f"lf={self.lf} sets a width of (pi/4)/lf = "
+                                 f"{QUARTER_TURN / self.lf!r}, but phi_end - phi_start = {width!r}")
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind, "cells": self.cells}
-        for key in ("phi_start", "phi_end", "lf", "revolutions", "seed"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ProfileSpec":
-        return cls(**data)
+        """The fields that are set; `ProfileSpec(**d)` is the inverse."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     @classmethod
     def linear(cls, center: float, lf: float, cells: int) -> "ProfileSpec":

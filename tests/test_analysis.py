@@ -107,7 +107,6 @@ class TestClassifyStates:
         measures = self.build(["loc", "loc", "ext", "ext", "ext", "loc", "loc"])
         labels = classify_states(measures, self.band(7))
         assert "".join(labels.labels) == "AABBBCC"
-        assert labels.crossovers == ((2, 4),)
         assert labels.interior_localized == 0
 
     def test_interior_localized_states_stay_b(self):
@@ -120,7 +119,6 @@ class TestClassifyStates:
         measures = self.build(["loc", "loc", "loc", "loc"])
         labels = classify_states(measures, self.band(4))
         assert "".join(labels.labels) == "AAAA"
-        assert labels.crossovers == (None,)
 
     def test_all_delocalized_band_is_all_b(self):
         measures = self.build(["ext", "ext", "ext", "ext"])

@@ -402,7 +402,7 @@ class TestRefusedBeforeCompute:
                      "--out", str(tmp_path)]) == 2
         with pytest.raises(ValueError, match="below"):
             preset_config("fig9_10", {"phi_start": 1.0, "phi_end": 0.5})
-        doc = RunManifest.of(preset_config("fig9_10"), "run", ("csv",), {}).to_dict()
+        doc = RunManifest.of(preset_config("fig9_10"), ("csv",), {}).to_dict()
         doc["profile"].update(phi_start=1.0, phi_end=0.5)
         with pytest.raises(ValueError, match="below"):
             RunManifest.from_dict(doc).config()
@@ -419,7 +419,7 @@ class TestRefusedBeforeCompute:
                      "--out", str(tmp_path / "out")]) == 2
         with pytest.raises(ValueError, match=match):
             preset_config(preset, {field: value})
-        doc = RunManifest.of(preset_config(preset), "run", ("csv",), {}).to_dict()
+        doc = RunManifest.of(preset_config(preset), ("csv",), {}).to_dict()
         doc["profile"][field] = value
         with pytest.raises(ValueError, match=match):
             RunManifest.from_dict(doc).config()
@@ -492,7 +492,7 @@ class TestRefusedBeforeCompute:
     ])
     def test_bad_threshold_or_map_refused_by_replay(self, section, key, value, match,
                                                     tmp_path):
-        doc = RunManifest.of(preset_config("fig4"), "run", ("csv",), {}).to_dict()
+        doc = RunManifest.of(preset_config("fig4"), ("csv",), {}).to_dict()
         (doc[section] if section else doc)[key] = value
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(doc))
@@ -558,7 +558,7 @@ class TestOneReaderPerSetting:
                 preset_config(preset, {key: number})
         if field is not None:
             section, name = field
-            doc = RunManifest.of(PRESETS[preset].config, "run", ("csv",), {}).to_dict()
+            doc = RunManifest.of(PRESETS[preset].config, ("csv",), {}).to_dict()
             doc[section][name] = number
             path = tmp_path / "manifest.json"
             path.write_text(json.dumps(doc))

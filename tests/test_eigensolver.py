@@ -231,6 +231,15 @@ class TestBlockedCertificate:
             with pytest.raises(SolverError, match="not finite"):
                 _certify(h.diag, h.offdiag, eig.values, vectors)
 
+    def test_trace_drift_above_the_cap_fails_the_certificate(self, monkeypatch):
+        h = random_operator(16, seed=16)
+        eig = eigh_tridiagonal(h)
+        # the values' sum misses the diagonal's by rounding, far under the cap
+        assert float(np.sum(eig.values)) != float(np.sum(h.diag))
+        monkeypatch.setattr(eigensolver, "TRACE_REL_CAP", 0.0)
+        with pytest.raises(SolverError, match="trace drift"):
+            _certify(h.diag, h.offdiag, eig.values, eig.vectors.copy())
+
     def test_peak_memory_is_the_vector_matrix_plus_block_scratch(self):
         h = small_lattice(500)
         eig, peak = traced_peak(eigh_tridiagonal, h)

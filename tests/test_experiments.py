@@ -17,6 +17,7 @@ from iplsim.experiments import (
     build_hamiltonian,
     configure,
     execute,
+    focusing_grid,
     load_manifest,
     oracle_check,
     parse_selection,
@@ -106,6 +107,22 @@ class TestPresetTable:
         assert np.allclose(ratios, ratios[0])  # logarithmic spacing
         assert all(PRESETS[n].sweep_lf_values is None
                    for n in PRESETS if n != "fig4_inset_sweep")
+
+    def test_sweep_grid_is_the_focusing_grid_with_its_bits(self):
+        grid = PRESETS["fig4_inset_sweep"].sweep_lf_values
+        assert grid == focusing_grid(0.5, 100.0, 25)
+        assert grid == tuple(float(x) for x in np.logspace(math.log10(0.5), 2.0, 25))
+        assert all(type(x) is float for x in grid)
+
+    def test_every_linear_grid_keeps_an_lf_that_agrees_with_its_ends(self):
+        # ProfileSpec refuses an lf that contradicts phi_end - phi_start, so
+        # every preset and every point of both sweep grids must pass its check
+        sweep = PRESETS["fig4_inset_sweep"]
+        configs = [p.config for p in PRESETS.values()]
+        configs += [configure(sweep.config, {"lf": lf}) for lf in sweep.sweep_lf_values]
+        configs += [configure(DEFAULT_CONFIG, {"lf": lf}) for lf in focusing_grid(0.5, 100.0, 25)]
+        for config in configs:
+            assert ProfileSpec(**config.profile.to_dict()) == config.profile
 
     def test_default_thresholds_everywhere(self):
         defaults = PRESETS["fig1"].config.thresholds
@@ -248,12 +265,15 @@ class TestExecuteAndManifest:
 
     def test_manifest_of_inverts_config(self):
         cfg = small_config(cells=12, map_selection="lowest:3")
-        manifest = RunManifest.of(cfg, "sweep", ("csv",), {"sweep.csv": "0" * 64},
+        manifest = RunManifest.of(cfg, ("csv",), {"sweep.csv": "0" * 64},
                                   lf_values=[1, 2.5])
         assert manifest.config() == cfg
         assert manifest.tool.startswith("iplsim ")
         assert manifest.lf_values == (1.0, 2.5)
-        assert RunManifest.of(cfg, "run", ("csv",), {}).lf_values is None
+        assert manifest.kind == manifest.to_dict()["kind"] == "sweep"
+        run = RunManifest.of(cfg, ("csv",), {})
+        assert run.lf_values is None and run.kind == "run"
+        assert "lf_values" not in run.to_dict()
 
     def test_replay_matches(self, tmp_path):
         execute(small_config(), tmp_path / "orig")
@@ -586,7 +606,7 @@ def test_manifest_from_dict_tolerates_missing_optionals():
     ("run", [1.0, 2.0], "run manifest takes no lf_values"),
 ])
 def test_manifest_kind_and_sweep_grid_checked(kind, lf_values, match, tmp_path):
-    doc = RunManifest.of(small_config(), "run", ("csv",), {}).to_dict()
+    doc = RunManifest.of(small_config(), ("csv",), {}).to_dict()
     doc["kind"] = kind
     if lf_values is not None:
         doc["lf_values"] = lf_values
@@ -599,10 +619,56 @@ def test_manifest_kind_and_sweep_grid_checked(kind, lf_values, match, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def _with(section, **changes):
+    """An edit of one manifest section: a value of None deletes that key."""
+    def apply(doc):
+        target = doc if section is None else doc[section]
+        for key, value in changes.items():
+            if value is None:
+                del target[key]
+            else:
+                target[key] = value
+    return apply
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_with(None, checksums=[]), r"checksums must map artifact names to digests, got \[\]"),
+    (_with(None, checksums={"states.csv": 5}), "checksums must map artifact names"),
+    (_with(None, emit="csv"), "emit must be a list of artifact kinds, got 'csv'"),
+    (_with("params", d3=1.0), r"params: unknown key\(s\) \['d3'\], missing key\(s\) \[\]$"),
+    (_with("params", eps=None), r"params: unknown key\(s\) \[\], missing key\(s\) \['eps'\]$"),
+    (_with("profile", width=1.0), r"profile: unknown key\(s\) \['width'\], missing key\(s\) \[\]$"),
+    (_with("profile", cells=None), r"profile: unknown key\(s\) \[\], missing key\(s\) \['cells'\]$"),
+    (_with("thresholds", beta=1.0), r"thresholds: unknown key\(s\) \['beta'\], missing key\(s\) \[\]$"),
+    (_with("thresholds", tau=None), r"thresholds: unknown key\(s\) \[\], missing key\(s\) \['tau'\]$"),
+    (_with(None, params=[1.0, 2.0, 0.2]), "params must be an object"),
+    (_with("profile", lf=5.0), r"lf=5.0 sets a width of \(pi/4\)/lf"),
+    (_with("profile", lf=-1.0), "lf must be positive"),
+], ids=["checksums-list", "checksums-number", "emit-text", "params-unknown", "params-missing",
+        "profile-unknown", "profile-missing", "thresholds-unknown", "thresholds-missing",
+        "params-list", "lf-contradicts-ends", "lf-negative"])
+def test_a_malformed_manifest_is_refused_at_load(edit, match, tmp_path):
+    doc = RunManifest.of(small_config(), ("csv",), {}).to_dict()
+    edit(doc)
+    with pytest.raises(ValueError, match=match):
+        RunManifest.from_dict(doc)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        replay(path, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lf", ["-1", "0"])
+def test_configure_refuses_an_lf_that_is_not_positive(lf):
+    with pytest.raises(ValueError, match="lf must be positive"):
+        configure(DEFAULT_CONFIG, {"lf": lf})
+
+
 @pytest.mark.parametrize("key", ["kind", "tool", "params", "profile", "thresholds",
                                  "map_selection", "emit", "checksums"])
 def test_a_manifest_missing_a_required_key_is_refused_by_name(key, tmp_path):
-    doc = RunManifest.of(small_config(), "run", ("csv",), {}).to_dict()
+    doc = RunManifest.of(small_config(), ("csv",), {}).to_dict()
     del doc[key]
     with pytest.raises(ValueError, match=f"missing required key '{key}'$"):
         RunManifest.from_dict(doc)

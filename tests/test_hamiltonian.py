@@ -150,6 +150,12 @@ def test_operator_leaves_the_callers_arrays_writable():
         h.diag[0] = 2.0
 
 
+@pytest.mark.parametrize("length", [2, 4])
+def test_operator_refuses_an_offdiagonal_of_the_wrong_length(length):
+    with pytest.raises(ValueError, match="one entry less than diag"):
+        TridiagonalHamiltonian(np.ones(4), np.ones(length))
+
+
 class TestAssembleOnsite:
     def test_diagonal_is_the_sequence(self):
         seq = random_onsite_sequence(1.0, 2.0, 20, seed=4)

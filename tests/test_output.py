@@ -156,6 +156,12 @@ class TestPgm:
         with pytest.raises(ValueError):
             read_pgm(bad)
 
+    def test_read_rejects_a_maxval_other_than_255(self, tmp_path):
+        bad = tmp_path / "x.pgm"
+        bad.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
+        with pytest.raises(ValueError, match="unsupported maxval 65535"):
+            read_pgm(bad)
+
 
 class TestJson:
     def test_canonical_form(self, tmp_path):

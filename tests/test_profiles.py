@@ -56,7 +56,7 @@ class TestLinear:
         width = QUARTER_TURN / 3.0
         assert (spec.kind, spec.cells, spec.lf) == ("linear", 9, 3.0)
         assert (spec.phi_start, spec.phi_end) == (0.7 - width / 2, 0.7 + width / 2)
-        assert ProfileSpec.from_dict(spec.to_dict()) == spec
+        assert ProfileSpec(**spec.to_dict()) == spec
 
     @given(st.floats(min_value=0.1, max_value=2.0),
            st.floats(min_value=0.2, max_value=50.0),
@@ -157,7 +157,22 @@ class TestRandomProfiles:
 class TestProfileSpec:
     def test_round_trip_through_dict(self):
         spec = ProfileSpec("revolutions", 181, phi_start=0.1, phi_end=0.9, revolutions=3)
-        assert ProfileSpec.from_dict(spec.to_dict()) == spec
+        assert ProfileSpec(**spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("lf, match", [
+        (5.0, r"lf=5.0 sets a width of \(pi/4\)/lf = 0.157.*phi_end - phi_start = 1.0"),
+        (-1.0, "lf must be positive"),
+        (0.0, "lf must be positive"),
+    ])
+    def test_linear_lf_must_be_positive_and_agree_with_the_ends(self, lf, match):
+        with pytest.raises(ValueError, match=match):
+            ProfileSpec("linear", 8, phi_start=0.0, phi_end=1.0, lf=lf)
+
+    @given(st.floats(min_value=-10.0, max_value=10.0),
+           st.floats(min_value=1e-3, max_value=1e12))
+    def test_linear_grids_pass_the_lf_check(self, center, lf):
+        spec = ProfileSpec.linear(center, lf, 8)
+        assert ProfileSpec(**spec.to_dict()) == spec
 
     def test_dict_drops_unset_fields(self):
         spec = ProfileSpec("linear", 10, phi_start=0.0, phi_end=1.0)
