@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import STATE_BLOCK, EigenSystem
+from .eigensolver import STATE_BLOCK, EigenSystem, per_core, thread_count
 from .measures import SpacingSpectrum, StateMeasures, spacing_spectrum, state_measures
 from .profiles import read_fields, read_integer, read_real
 
@@ -214,17 +214,31 @@ class SpectralReport:
 
 def analyze(eig: EigenSystem, thresholds: AnalysisThresholds | None = None,
             expect_two_bands: bool = False) -> SpectralReport:
-    """Run the full per-state and spectrum-level analysis on one eigensystem."""
+    """Run the full per-state and spectrum-level analysis on one eigensystem.
+
+    The per-state measures are taken in blocks of `STATE_BLOCK` states, or,
+    where `per_core` gives the vectors w > 1 threads, in blocks of
+    `STATE_BLOCK // w` states split into one contiguous chunk per thread, so
+    the scratch in flight across the threads is still about one block's.
+    Each measure reduces along one state's own row, so the values do not
+    depend on the block size or on which thread took the block.
+    """
     th = thresholds or AnalysisThresholds()
     spacings = spacing_spectrum(eig.values)
     bands = detect_bands(spacings, gamma=th.gamma)
     if expect_two_bands and len(bands.bands) != 2:
         warnings.warn(f"expected 2 bands for a two-level cell lattice, found {len(bands.bands)}",
                       stacklevel=2)
-    measures = StateMeasures.concatenate([
-        state_measures(eig.vectors[:, k:k + STATE_BLOCK], n_b=th.n_b,
-                       amplitude_floor=th.amplitude_floor)
-        for k in range(0, eig.size, STATE_BLOCK)])
+    work = eig.size * eig.size
+    block = max(1, STATE_BLOCK // thread_count(work))
+
+    def measure(starts):
+        return [state_measures(eig.vectors[:, k:k + block], n_b=th.n_b,
+                               amplitude_floor=th.amplitude_floor)
+                for k in starts]
+
+    measures = StateMeasures.concatenate(
+        [m for chunk in per_core(measure, range(0, eig.size, block), work) for m in chunk])
     return SpectralReport(values=eig.values, spacings=spacings, measures=measures,
                           bands=bands, labels=classify_states(measures, bands, tau=th.tau),
                           multiplets=detect_multiplets(spacings, bands, delta_rel=th.delta_rel),

@@ -8,7 +8,9 @@ iteration (``dstein``) once per group. It calls both routines with ctypes
 from the OpenBLAS that numpy's wheels bundle, which numpy has loaded already,
 so importing this module loads no scipy (see `_lapack`; elsewhere they come
 from scipy's Cython LAPACK capsules). A ctypes call releases the GIL, so one
-thread per core solves its own chunk of the groups.
+thread per core solves its own chunk of the groups. `per_core` holds that
+thread rule, and `analysis.analyze` takes the per-state measures through it
+too.
 Each group writes its vectors as rows of one C-ordered (states x sites)
 matrix, and ``EigenSystem.vectors`` is its transposed view. dstein restarts
 its random seed on every call and each group owns its rows, so the bits do
@@ -72,13 +74,37 @@ _SAFE_MIN = float(np.finfo(float).tiny)
 # O(sites x block) next to the vector matrix
 STATE_BLOCK = 128
 
-# one thread per core runs a contiguous chunk of the spectral groups, but
-# only as many as get this much work each, counted in dstein's sites x
-# states. Below it a second thread did not pay: lattices of up to about 720
-# sites run on the calling thread alone (measurements in CHANGES.md, under
-# "Steadier `figures`").
+# `per_core` runs one thread per core, but only as many as get this much
+# work each, counted in sites x states: dstein's on the spectral groups, the
+# per-state measures' on the vectors. Below it a second thread did not pay, so
+# lattices of up to about 720 sites, every figure preset among them, are
+# solved and measured on the calling thread alone (measurements in
+# CHANGES.md, under "Steadier `figures`").
 _WORKERS = os.cpu_count() or 1
 _THREAD_WORK = 1 << 18
+
+
+def thread_count(work: int) -> int:
+    """Threads `per_core` gives `work` sites x states: one per core, each with `_THREAD_WORK`."""
+    return max(1, min(_WORKERS, int(work) // _THREAD_WORK))
+
+
+def per_core(fn, items, work: int) -> list:
+    """[fn(chunk) for each chunk] of `items` split into contiguous chunks, one per thread.
+
+    `thread_count(work)` threads, at most one per item: the calling thread
+    runs the first chunk while a pool runs the rest, and the results come
+    back in input order. `fn` should spend its time in native code that
+    releases the GIL (dstein through ctypes, numpy's loops).
+    """
+    workers = min(thread_count(work), len(items)) or 1
+    chunks = [items[len(items) * k // workers:len(items) * (k + 1) // workers]
+              for k in range(workers)]
+    if workers == 1:
+        return [fn(items)]
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        rest = pool.map(fn, chunks[1:])
+        return [fn(chunks[0]), *rest]
 
 
 def _lapack(bundled: bool = True):
@@ -200,13 +226,13 @@ def eigh_tridiagonal(h) -> EigenSystem:
     The vectors are stored state-major: row k of one C-ordered (states x
     sites) matrix is the vector of values[k], and `EigenSystem.vectors` is its
     transposed view. A Fortran column of dstein's Z is such a row, so each
-    group's vectors are copied to their rows as they come. The groups are
-    split into contiguous chunks, one per core, and each chunk's dstein calls
-    run on a thread of their own with the GIL released (see `_solve_groups`);
-    an operator with too little work for a second thread is solved on the
-    calling thread alone. dstein resets its random seed on every call and
-    every group lands in the same rows, so the bits do not depend on the
-    number of threads or on which thread solved a group.
+    group's vectors are copied to their rows as they come. `per_core` splits
+    the groups into contiguous chunks, one per core, and each chunk's dstein
+    calls run on a thread of their own with the GIL released (see
+    `_solve_groups`); an operator with too little work for a second thread is
+    solved on the calling thread alone. dstein resets its random seed on
+    every call and every group lands in the same rows, so the bits do not
+    depend on the number of threads or on which thread solved a group.
     """
     diag, offdiag = h.diag, h.offdiag
     if diag.size == 0:
@@ -261,17 +287,9 @@ def eigh_tridiagonal(h) -> EigenSystem:
                      [row[f:f + c] for f, c in zip(first.tolist(), count.tolist())],
                      lo.tolist(), (lo + size).tolist()))
     largest = int(size.max(initial=1)), int(np.max(count * size, initial=1))
-    workers = max(1, min(_WORKERS, int(np.sum(size * count)) // _THREAD_WORK))
-    chunks = [range(len(tasks) * k // workers, len(tasks) * (k + 1) // workers)
-              for k in range(workers)]
-
-    def solve(chunk):
-        return _solve_groups(chunk, tasks, rows, *largest)
-
-    # the calling thread solves the first chunk while the pool solves the rest
-    with ThreadPoolExecutor(max_workers=workers - 1 or 1) as pool:
-        rest = pool.map(solve, chunks[1:])
-        failures = [f for f in (solve(chunks[0]), *rest) if f is not None]
+    failures = [f for f in per_core(lambda chunk: _solve_groups(chunk, tasks, rows, *largest),
+                                    range(len(tasks)), int(np.sum(size * count)))
+                if f is not None]
     if failures:
         task, info = min(failures)
         raise SolverError(f"inverse iteration failed near {values[first[task]] * unit:.6g} "

@@ -200,7 +200,13 @@ class RunManifest:
             raise ValueError(f"manifest checksums must map artifact names to digests, "
                              f"got {self.checksums!r}")
         object.__setattr__(self, "emit", tuple(self.emit))
+        unknown = [kind for kind in self.emit if kind not in EMIT_KINDS]
+        if unknown:
+            raise ValueError(f"manifest emit holds unknown artifact kind(s) {unknown}; "
+                             f"known: {', '.join(EMIT_KINDS)}")
         if self.lf_values is not None:
+            if self.emit != ("csv",):
+                raise ValueError(f"a sweep manifest emits ['csv'], got {list(self.emit)}")
             object.__setattr__(self, "lf_values", tuple(float(x) for x in self.lf_values))
 
     @property
@@ -216,6 +222,9 @@ class RunManifest:
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "RunManifest":
         """The manifest a `to_dict` document records, refused at load if malformed."""
+        unknown = sorted(set(doc) - {"kind", *(f.name for f in fields(cls))})
+        if unknown:
+            raise ValueError(f"manifest has unknown key(s) {unknown}")
         for key in ("kind", *(f.name for f in fields(cls) if f.default is not None)):
             if key not in doc:
                 raise ValueError(f"manifest is missing required key {key!r}")
@@ -395,6 +404,8 @@ def _configure_profile(base: ProfileSpec, settings: dict[str, Any]) -> ProfileSp
         lf = grid.get("lf", spec.get("lf"))
         if lf is None:
             raise ValueError("center needs lf: this grid is placed by its ends")
+        if "center" not in grid and "phi_start" not in spec:
+            raise ValueError("a new linear grid placed by lf needs a center")
         center = grid["center"] if "center" in grid else (spec["phi_start"] + spec["phi_end"]) / 2
         spec.update(ProfileSpec.linear(center, lf, cells).to_dict())
     if ends:

@@ -106,7 +106,9 @@ def state_measures(vectors: np.ndarray, n_b: int = 2,
     cfs = hypot(sum cos(2 pi P) + N, sum sin(2 pi P)) / (2N), com = sum n * p
     (n from 1), w_left/w_right = sum p over the first/last n_b sites. Every
     reduction runs along the contiguous site axis of a (states x sites) copy,
-    so each value equals the one computed from that state's vector alone.
+    so each value equals the one computed from that state's vector alone,
+    whatever the block's size and whichever thread takes it; `analyze` relies
+    on that when it splits the states over threads.
     """
     rows = np.ascontiguousarray(np.asarray(vectors, dtype=float).T)
     if rows.ndim != 2:
@@ -114,12 +116,13 @@ def state_measures(vectors: np.ndarray, n_b: int = 2,
     sites = rows.shape[1]
     if not 1 <= n_b <= sites // 2:
         raise ValueError(f"edge window {n_b} out of range for {sites} sites")
-    if np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > NORM_TOL):
-        raise ValueError("vectors must be L2-normalized")
     # at most two (states x sites) float buffers live at once: prob, then its cumsum
     prob = rows * rows
+    # the bits of np.linalg.norm(rows, axis=1), which sums the same squares
+    if np.any(np.abs(np.sqrt(np.sum(prob, axis=1)) - 1.0) > NORM_TOL):
+        raise ValueError("vectors must be L2-normalized")
     ipr = np.sum(prob * prob, axis=1)
-    com = np.sum(np.arange(1, sites + 1) * prob, axis=1)
+    com = np.sum(np.arange(1.0, sites + 1) * prob, axis=1)  # float sites: no cast buffer
     w_left = np.sum(prob[:, :n_b], axis=1)
     w_right = np.sum(prob[:, sites - n_b:], axis=1)
     angles = np.cumsum(prob, axis=1)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import mpmath
@@ -507,6 +508,92 @@ class TestThreadedKernel:
         analysis.analyze(eig)
         assert len(in_place) == math.ceil(eig.size / STATE_BLOCK)
         assert all(in_place)
+
+    def test_per_core_runs_contiguous_chunks_in_order_with_the_caller_first(self, monkeypatch):
+        def chunk_and_thread(chunk):
+            return list(chunk), threading.get_ident()
+
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 10)
+        monkeypatch.setattr(eigensolver, "_WORKERS", 3)
+        # too little work for a second thread: one call on the caller with every item
+        assert eigensolver.per_core(chunk_and_thread, range(10), 19) == [
+            (list(range(10)), threading.get_ident())]
+        results = eigensolver.per_core(chunk_and_thread, range(10), 30)
+        assert [chunk for chunk, _ in results] == [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
+        assert results[0][1] == threading.get_ident()
+        assert all(thread != threading.get_ident() for _, thread in results[1:])
+        # never more threads than items
+        assert [chunk for chunk, _ in eigensolver.per_core(chunk_and_thread, range(2), 10**6)] == [
+            [0], [1]]
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: build_hamiltonian(preset_config("fig13")), id="fig13"),
+        pytest.param(lambda: build_hamiltonian(preset_config("fig6", {"sites": 1802})),
+                     id="fig6-1802-sites"),
+    ])
+    def test_threaded_measures_are_the_serial_bits(self, make, monkeypatch):
+        eig = eigh_tridiagonal(make())
+        many = 4 * eigensolver._WORKERS
+        monkeypatch.setattr(eigensolver, "_WORKERS", 1)
+        serial = analysis.analyze(eig)
+        # 4x the cores, each with a sliver of STATE_BLOCK states at a time
+        monkeypatch.setattr(eigensolver, "_WORKERS", many)
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
+        threads = set()
+
+        def recording(block, **kwargs):
+            threads.add(threading.get_ident())
+            return state_measures(block, **kwargs)
+
+        monkeypatch.setattr(analysis, "state_measures", recording)
+        assert_same_report(analysis.analyze(eig), serial)
+        assert len(threads) > 1
+
+    def test_concurrent_analyses_get_the_serial_bits(self, monkeypatch):
+        eigs = [eigh_tridiagonal(random_operator(300, seed)) for seed in (3, 4)]
+        serial = [analysis.analyze(eig) for eig in eigs]
+        monkeypatch.setattr(eigensolver, "_WORKERS", 4 * eigensolver._WORKERS)
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
+        results = [None] * len(eigs)
+
+        def run(i):
+            results[i] = analysis.analyze(eigs[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(eigs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, serial):
+            assert_same_report(got, want)
+
+    def test_threaded_measures_keep_one_blocks_scratch(self, monkeypatch):
+        eig = eigh_tridiagonal(build_hamiltonian(preset_config("fig13")))
+        analysis.analyze(eig)  # numpy's first-call set-up is not the analysis's scratch
+        monkeypatch.setattr(eigensolver, "_WORKERS", 2)
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
+        report, peak = traced_peak(analysis.analyze, eig)
+        # the measures count twice: as the blocks' pieces and joined
+        outputs = 2 * sum(getattr(report.measures, f.name).nbytes for f in fields(report.measures))
+        outputs += (report.labels.labels.nbytes + report.labels.localized.nbytes
+                    + report.spacings.spacings.nbytes)
+        # each thread's half-size blocks hold half of one serial block's two float buffers
+        assert peak <= 2.1 * 8 * STATE_BLOCK * eig.size + outputs
+
+
+def assert_same_report(got, want):
+    """The per-state measures, labels and multiplets of two reports are bit-equal."""
+    for f in fields(want.measures):
+        assert np.array_equal(getattr(got.measures, f.name), getattr(want.measures, f.name)), f.name
+    assert np.array_equal(got.labels.labels, want.labels.labels)
+    assert np.array_equal(got.labels.localized, want.labels.localized)
+    assert got.multiplets == want.multiplets
 
 
 class TestLapackRoute:

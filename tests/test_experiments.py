@@ -417,6 +417,9 @@ class TestConfigure:
                                             "phi_end": 0.5})
         assert config.profile == ProfileSpec("revolutions", 501, phi_start=0.1,
                                              phi_end=0.5, revolutions=1)
+        base = PRESETS["fig5"].config
+        config = configure(base, {"profile": "linear", "lf": 2.0, "center": 0.5})
+        assert config.profile == ProfileSpec.linear(0.5, 2.0, base.profile.cells)
 
     def test_center_and_lf_default_to_the_current_grid(self):
         base = PRESETS["fig4"].config
@@ -435,6 +438,7 @@ class TestConfigure:
         ("fig6", {"lf": 2.0}, "linear profiles only"),
         ("fig1", {"center": 0.5, "phi_end": 1.0}, "conflicts"),
         ("fig1", {"lf": 2.0, "phi_start": 0.1}, "conflicts"),
+        ("fig5", {"profile": "linear", "lf": 2.0}, "new linear grid placed by lf needs a center"),
     ])
     def test_grid_placement_refusals(self, base, settings, match):
         with pytest.raises(ValueError, match=match):
@@ -644,9 +648,13 @@ def _with(section, **changes):
     (_with(None, params=[1.0, 2.0, 0.2]), "params must be an object"),
     (_with("profile", lf=5.0), r"lf=5.0 sets a width of \(pi/4\)/lf"),
     (_with("profile", lf=-1.0), "lf must be positive"),
+    (_with(None, emit=["csv", "bogus"]), r"emit holds unknown artifact kind\(s\) \['bogus'\]"),
+    (_with(None, typo_key=1), r"manifest has unknown key\(s\) \['typo_key'\]$"),
+    (_with(None, lable="fig1"), r"manifest has unknown key\(s\) \['lable'\]$"),
 ], ids=["checksums-list", "checksums-number", "emit-text", "params-unknown", "params-missing",
         "profile-unknown", "profile-missing", "thresholds-unknown", "thresholds-missing",
-        "params-list", "lf-contradicts-ends", "lf-negative"])
+        "params-list", "lf-contradicts-ends", "lf-negative", "emit-unknown", "top-level-unknown",
+        "optional-misspelt"])
 def test_a_malformed_manifest_is_refused_at_load(edit, match, tmp_path):
     doc = RunManifest.of(small_config(), ("csv",), {}).to_dict()
     edit(doc)
@@ -657,6 +665,33 @@ def test_a_malformed_manifest_is_refused_at_load(edit, match, tmp_path):
     with pytest.raises(ValueError, match=match):
         replay(path, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("emit, extra, match", [
+    (["bogus"], {}, r"emit holds unknown artifact kind\(s\) \['bogus'\]"),
+    (["csv", "pgm"], {}, r"a sweep manifest emits \['csv'\], got \['csv', 'pgm'\]"),
+    ([], {}, r"a sweep manifest emits \['csv'\], got \[\]"),
+    (["csv"], {"typo_key": 1, "lable": "x"}, r"unknown key\(s\) \['lable', 'typo_key'\]"),
+])
+def test_a_sweep_manifest_emits_only_its_csv(emit, extra, match, tmp_path):
+    doc = RunManifest.of(small_config(), ("csv",), {}, lf_values=(1.0, 2.0)).to_dict()
+    doc.update(emit=emit, **extra)
+    with pytest.raises(ValueError, match=match):
+        RunManifest.from_dict(doc)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        replay(path, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_presets_manifest_loads(name):
+    # the emit that `iplsim preset <name>` records: every kind for a run, csv for a sweep
+    lf_values = PRESETS[name].sweep_lf_values
+    emit = EMIT_KINDS if lf_values is None else ("csv",)
+    manifest = RunManifest.of(PRESETS[name].config, emit, {}, lf_values=lf_values)
+    assert RunManifest.from_dict(json.loads(json.dumps(manifest.to_dict()))) == manifest
 
 
 @pytest.mark.parametrize("lf", ["-1", "0"])

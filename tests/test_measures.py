@@ -220,6 +220,13 @@ def test_ipr_cfs_match_textbook_formulas_on_random_blocks(seed):
     assert_matches_textbook(np.column_stack([random_state(rng, sites) for _ in range(16)]))
 
 
+@pytest.mark.parametrize("sites", [3, 128, 1802, 4001])
+def test_norm_check_reads_the_bits_of_linalg_norm(sites):
+    # state_measures checks sqrt(sum p) from the p it measures with
+    rows = np.random.default_rng(sites).normal(size=(16, sites))
+    assert np.array_equal(np.sqrt(np.sum(rows * rows, axis=1)), np.linalg.norm(rows, axis=1))
+
+
 def test_state_measures_input_checks():
     with pytest.raises(ValueError, match="block"):
         state_measures(uniform(10))
