@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import STATE_BLOCK, EigenSystem, per_core, thread_count
-from .measures import SpacingSpectrum, StateMeasures, spacing_spectrum, state_measures
+from .measures import (MeasureScratch, SpacingSpectrum, StateMeasures, spacing_spectrum,
+                       state_measures)
 from .profiles import read_fields, read_integer, read_real
 
 
@@ -218,10 +219,12 @@ def analyze(eig: EigenSystem, thresholds: AnalysisThresholds | None = None,
 
     The per-state measures are taken in blocks of `STATE_BLOCK` states, or,
     where `per_core` gives the vectors w > 1 threads, in blocks of
-    `STATE_BLOCK // w` states split into one contiguous chunk per thread, so
-    the scratch in flight across the threads is still about one block's.
-    Each measure reduces along one state's own row, so the values do not
-    depend on the block size or on which thread took the block.
+    `STATE_BLOCK // w` states split into one contiguous chunk per thread.
+    The calling thread makes the measure arrays and one `MeasureScratch` per
+    thread, so the threads allocate none of the (states x sites) scratch and
+    the scratch across the threads is still about one block's. Each measure
+    reduces along one state's own row, so the values do not depend on the
+    block size or on which thread took the block.
     """
     th = thresholds or AnalysisThresholds()
     spacings = spacing_spectrum(eig.values)
@@ -230,15 +233,22 @@ def analyze(eig: EigenSystem, thresholds: AnalysisThresholds | None = None,
         warnings.warn(f"expected 2 bands for a two-level cell lattice, found {len(bands.bands)}",
                       stacklevel=2)
     work = eig.size * eig.size
-    block = max(1, STATE_BLOCK // thread_count(work))
+    threads = thread_count(work)
+    block = max(1, STATE_BLOCK // threads)
+    starts = range(0, eig.size, block)
+    out = StateMeasures.empty(eig.size)
+    # per_core runs one chunk of starts per thread, and each chunk takes one scratch
+    scratches = [MeasureScratch(block, eig.size) for _ in range(min(threads, len(starts)))]
 
-    def measure(starts):
-        return [state_measures(eig.vectors[:, k:k + block], n_b=th.n_b,
-                               amplitude_floor=th.amplitude_floor)
-                for k in starts]
+    def measure(chunk):
+        scratch = scratches.pop()
+        for k in chunk:
+            state_measures(eig.vectors[:, k:k + block], n_b=th.n_b,
+                           amplitude_floor=th.amplitude_floor, scratch=scratch,
+                           out={name: values[k:k + block] for name, values in out.items()})
 
-    measures = StateMeasures.concatenate(
-        [m for chunk in per_core(measure, range(0, eig.size, block), work) for m in chunk])
+    per_core(measure, starts, work)
+    measures = StateMeasures(**out)
     return SpectralReport(values=eig.values, spacings=spacings, measures=measures,
                           bands=bands, labels=classify_states(measures, bands, tau=th.tau),
                           multiplets=detect_multiplets(spacings, bands, delta_rel=th.delta_rel),

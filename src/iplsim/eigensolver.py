@@ -12,7 +12,8 @@ thread per core solves its own chunk of the groups. `per_core` holds that
 thread rule, and `analysis.analyze` takes the per-state measures through it
 too.
 Each group writes its vectors as rows of one C-ordered (states x sites)
-matrix, and ``EigenSystem.vectors`` is its transposed view. dstein restarts
+matrix, held in a memory map of its own (see `_mapped_zeros`), and
+``EigenSystem.vectors`` is its transposed view. dstein restarts
 its random seed on every call and each group owns its rows, so the bits do
 not depend on the number of threads. The certificate's Gram panels run on
 one thread of numpy's bundled OpenBLAS, so on that build the bits depend on
@@ -40,6 +41,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -277,7 +279,7 @@ def eigh_tridiagonal(h) -> EigenSystem:
     block = np.searchsorted(edges, first, side="right") - 1
     lo, size = edges[block], sizes[block]
 
-    rows = np.zeros((n, n))
+    rows = _mapped_zeros(n)
     # dstein's integer arguments N (= ISPLIT(1) = LDZ) and M, one row per group
     ints = np.stack([size, count], axis=1).astype(_LAPACK_INT)
     at = ints.ctypes.data + ints.itemsize * np.arange(ints.size).reshape(ints.shape)
@@ -296,6 +298,27 @@ def eigh_tridiagonal(h) -> EigenSystem:
                           f"(dstein info {info})")
     values *= unit
     return _certify(diag, offdiag, values[order], rows.T)
+
+
+def _mapped_zeros(n: int) -> np.ndarray:
+    """An (n x n) float matrix of zeros in an anonymous memory map of its own.
+
+    glibc maps a large block afresh only until one is freed: it then raises
+    its mmap threshold to that block's size, so from the second solve on, the
+    N^2 vector matrix came from the malloc heap. Whether the next matrix found
+    the last one's space there depended on which small blocks other threads
+    and later imports had placed beside it, and the same run peaked with or
+    without a second matrix's worth of heap (CHANGES.md has the measurements).
+    A map of its own is zero-filled by the system and unmapped when its last
+    view is freed, so peak memory holds the matrices alive and nothing more.
+    The map is private (a shared one is slower to fault in), and on Linux it
+    asks for 2 MiB pages, which fault in an 1802-site matrix in about 3 ms
+    against about 12 ms with 4 KiB pages.
+    """
+    buffer = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buffer.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buffer, dtype=float).reshape(n, n)
 
 
 def _solve_groups(chunk, tasks, rows, sites: int, extent: int):

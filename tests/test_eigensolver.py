@@ -2,6 +2,7 @@ import ctypes
 import inspect
 import itertools
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -245,8 +246,21 @@ class TestBlockedCertificate:
         h = small_lattice(500)
         eig, peak = traced_peak(eigh_tridiagonal, h)
         assert eig.size == 1000
+        # tracemalloc does not see the vector matrix's own memory map, so it is added
+        assert isinstance(memory_map_of(eig.vectors), mmap.mmap)
         # the whole-matrix certificate held three (sites x states) buffers
-        assert peak <= 1.25 * 8 * eig.size ** 2
+        assert peak + eig.vectors.nbytes <= 1.25 * 8 * eig.size ** 2
+
+    def test_each_vector_matrix_has_a_memory_map_of_its_own(self):
+        h = small_lattice(50)
+        first, second = eigh_tridiagonal(h), eigh_tridiagonal(h)
+        maps = [memory_map_of(eig.vectors) for eig in (first, second)]
+        assert all(isinstance(m, mmap.mmap) for m in maps)
+        assert maps[0] is not maps[1] and len(maps[0]) == first.vectors.nbytes
+        assert np.array_equal(first.vectors, second.vectors)
+        # the map starts zero-filled: dstein writes only each group's block of sites
+        isolated = eigh_tridiagonal(TridiagonalHamiltonian(np.arange(4.0), np.zeros(3)))
+        assert np.array_equal(isolated.vectors, np.eye(4))
 
 
 class TestGroupedInverseIteration:
@@ -579,12 +593,19 @@ class TestThreadedKernel:
         monkeypatch.setattr(eigensolver, "_WORKERS", 2)
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
         report, peak = traced_peak(analysis.analyze, eig)
-        # the measures count twice: as the blocks' pieces and joined
-        outputs = 2 * sum(getattr(report.measures, f.name).nbytes for f in fields(report.measures))
+        # the threads write into the measure arrays themselves: no pieces to join
+        outputs = sum(getattr(report.measures, f.name).nbytes for f in fields(report.measures))
         outputs += (report.labels.labels.nbytes + report.labels.localized.nbytes
                     + report.spacings.spacings.nbytes)
-        # each thread's half-size blocks hold half of one serial block's two float buffers
+        # each thread's scratch for half-size blocks is half of one serial block's two float buffers
         assert peak <= 2.1 * 8 * STATE_BLOCK * eig.size + outputs
+
+
+def memory_map_of(array):
+    """The object that holds an array's memory, at the end of its chain of bases."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
 
 
 def assert_same_report(got, want):

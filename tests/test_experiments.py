@@ -233,8 +233,9 @@ class TestExecuteAndManifest:
         manifest, peak = traced_peak(execute, config, tmp_path)
         assert set(manifest.checksums) == {"spectrum.csv", "states.csv", "map.pgm", "summary.json"}
         sites = 2 * config.profile.cells
-        # a float map raster of band 0 alone would add 0.5 x 8N^2
-        assert peak <= 1.25 * 8 * sites ** 2
+        # a float map raster of band 0 alone would add 0.5 x 8N^2; tracemalloc
+        # does not see the vector matrix's own memory map, so it is added
+        assert peak + 8 * sites ** 2 <= 1.25 * 8 * sites ** 2
 
     def test_emit_subset(self, tmp_path):
         manifest = execute(small_config(), tmp_path, emit=("json",))

@@ -209,7 +209,7 @@ def test_block_peak_is_two_float_buffers(preset_eig):
     _, eig = preset_eig("fig13")
     block = eig.vectors[:, :STATE_BLOCK]
     _, peak = traced_peak(state_measures, block)
-    # prob and its cumsum, then node_count's own scratch once both are freed
+    # prob and its cumsum; node_count's magnitudes and flags reuse the same two buffers
     assert peak <= 2.1 * block.nbytes
 
 
