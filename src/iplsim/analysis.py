@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import STATE_BLOCK, EigenSystem, per_core, thread_count
-from .measures import (MeasureScratch, SpacingSpectrum, StateMeasures, spacing_spectrum,
-                       state_measures)
+from .eigensolver import STATE_BLOCK, EigenSystem
+from .measures import SpacingSpectrum, StateMeasures, spacing_spectrum, state_measures
 from .profiles import read_fields, read_integer, read_real
 
 
@@ -215,40 +214,14 @@ class SpectralReport:
 
 def analyze(eig: EigenSystem, thresholds: AnalysisThresholds | None = None,
             expect_two_bands: bool = False) -> SpectralReport:
-    """Run the full per-state and spectrum-level analysis on one eigensystem.
-
-    The per-state measures are taken in blocks of `STATE_BLOCK` states, or,
-    where `per_core` gives the vectors w > 1 threads, in blocks of
-    `STATE_BLOCK // w` states split into one contiguous chunk per thread.
-    The calling thread makes the measure arrays and one `MeasureScratch` per
-    thread, so the threads allocate none of the (states x sites) scratch and
-    the scratch across the threads is still about one block's. Each measure
-    reduces along one state's own row, so the values do not depend on the
-    block size or on which thread took the block.
-    """
+    """Run the full per-state and spectrum-level analysis on one eigensystem."""
     th = thresholds or AnalysisThresholds()
     spacings = spacing_spectrum(eig.values)
     bands = detect_bands(spacings, gamma=th.gamma)
     if expect_two_bands and len(bands.bands) != 2:
         warnings.warn(f"expected 2 bands for a two-level cell lattice, found {len(bands.bands)}",
                       stacklevel=2)
-    work = eig.size * eig.size
-    threads = thread_count(work)
-    block = max(1, STATE_BLOCK // threads)
-    starts = range(0, eig.size, block)
-    out = StateMeasures.empty(eig.size)
-    # per_core runs one chunk of starts per thread, and each chunk takes one scratch
-    scratches = [MeasureScratch(block, eig.size) for _ in range(min(threads, len(starts)))]
-
-    def measure(chunk):
-        scratch = scratches.pop()
-        for k in chunk:
-            state_measures(eig.vectors[:, k:k + block], n_b=th.n_b,
-                           amplitude_floor=th.amplitude_floor, scratch=scratch,
-                           out={name: values[k:k + block] for name, values in out.items()})
-
-    per_core(measure, starts, work)
-    measures = StateMeasures(**out)
+    measures = state_measures(eig.vectors, n_b=th.n_b, amplitude_floor=th.amplitude_floor)
     return SpectralReport(values=eig.values, spacings=spacings, measures=measures,
                           bands=bands, labels=classify_states(measures, bands, tau=th.tau),
                           multiplets=detect_multiplets(spacings, bands, delta_rel=th.delta_rel),

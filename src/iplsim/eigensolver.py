@@ -9,8 +9,8 @@ from the OpenBLAS that numpy's wheels bundle, which numpy has loaded already,
 so importing this module loads no scipy (see `_lapack`; elsewhere they come
 from scipy's Cython LAPACK capsules). A ctypes call releases the GIL, so one
 thread per core solves its own chunk of the groups. `per_core` holds that
-thread rule, and `analysis.analyze` takes the per-state measures through it
-too.
+thread rule, and `measures.state_measures` splits its blocks of states
+through it too.
 Each group writes its vectors as rows of one C-ordered (states x sites)
 matrix, held in a memory map of its own (see `_mapped_zeros`), and
 ``EigenSystem.vectors`` is its transposed view. dstein restarts

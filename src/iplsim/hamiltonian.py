@@ -9,6 +9,7 @@ lattice operator exactly real symmetric tridiagonal; it is stored as the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,12 @@ class CellParams:
             lo, hi = self.d2, self.d1
             object.__setattr__(self, "d1", lo)
             object.__setattr__(self, "d2", hi)
+        # bounds the assembled operator's scale max|diag| + 2 max|offdiag|, which the
+        # solver refuses when it overflows: refused here, before any compute
+        scale = max(abs(self.d1), abs(self.d2)) + max(self.d2 - self.d1, 2 * abs(self.eps))
+        if not math.isfinite(scale):
+            raise ValueError("cell parameters overflow: max(|d1|, |d2|) + "
+                             "max(d2 - d1, 2|eps|) must lie inside the float range")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .eigensolver import STATE_BLOCK, per_core, thread_count
+
 NORM_TOL = 1e-10
 # spacings within this many ulps of the largest |eigenvalue| are exact degeneracies
 DEGENERACY_ULPS = 4
@@ -43,12 +45,6 @@ class StateMeasures:
         for f in fields(self):
             getattr(self, f.name).setflags(write=False)
 
-    @staticmethod
-    def empty(states: int) -> dict[str, np.ndarray]:
-        """Writable arrays of `states` values, one per field, for `state_measures` to fill."""
-        return {f.name: np.empty(states, dtype=np.int64 if f.name == "nodes" else float)
-                for f in fields(StateMeasures)}
-
 
 @dataclass(frozen=True)
 class SpacingSpectrum:
@@ -79,21 +75,6 @@ def spacing_spectrum(values: np.ndarray) -> SpacingSpectrum:
 def rounding_floor(values: np.ndarray) -> float:
     """DEGENERACY_ULPS ulps of the largest |eigenvalue|: spacings below it are roundoff."""
     return DEGENERACY_ULPS * float(np.spacing(np.abs(values).max(initial=0.0)))
-
-
-class MeasureScratch:
-    """The work buffers of `state_measures` for blocks of up to `states` states of `sites` sites.
-
-    Two (states x sites) float buffers, one float per state and the 1-based
-    site index. A caller that hands each thread its own scratch keeps every
-    (states x sites) allocation on the calling thread.
-    """
-
-    def __init__(self, states: int, sites: int):
-        self.prob = np.empty((states, sites))
-        self.work = np.empty((states, sites))
-        self.per_state = np.empty(states)
-        self.site_index = np.arange(1.0, sites + 1)
 
 
 def node_count(vectors: np.ndarray, amplitude_floor: float = 1e-8):
@@ -141,41 +122,67 @@ def _count_nodes(rows, amplitude_floor, out, magnitude, flag_bytes, peak) -> Non
     np.sum(changes, axis=1, out=out)
 
 
-def state_measures(vectors: np.ndarray, n_b: int = 2, amplitude_floor: float = 1e-8, *,
-                   scratch: MeasureScratch | None = None,
-                   out: dict[str, np.ndarray] | None = None) -> StateMeasures:
-    """All per-state diagnostics of a (sites x states) block of eigenvectors.
+def state_measures(vectors: np.ndarray, n_b: int = 2,
+                   amplitude_floor: float = 1e-8) -> StateMeasures:
+    """All per-state diagnostics of a (sites x states) matrix of eigenvectors.
 
     With p = psi * psi per site and P its cumulative sum: ipr = sum p * p,
     cfs = hypot(sum cos(2 pi P) + N, sum sin(2 pi P)) / (2N), com = sum n * p
     (n from 1), w_left/w_right = sum p over the first/last n_b sites.
-    The (states x sites) work happens in two float buffers, scratch's if
-    given, and the values go to out's arrays if given (see
-    `StateMeasures.empty`); the result views them. So a block of state-major
-    vectors, whose transpose is already C-ordered, measured into a given
-    scratch and out allocates nothing of the block's size. Every reduction
-    runs along the contiguous site axis of the rows, so each value equals the
-    one computed from that state's vector alone, whatever the block's size
-    and whichever thread takes it; `analyze` relies on that when it splits
-    the states over threads.
+
+    The states go in blocks of `STATE_BLOCK // w` states, where `per_core`
+    gives the matrix w threads, one contiguous chunk of blocks per thread, so
+    the scratch of all threads together is about one block's. Each thread's
+    two (block x sites) float buffers are made on the calling thread, so no
+    thread's malloc arena is left holding freed scratch. State-major
+    vectors, whose transpose is C-ordered, are read in place. Each value
+    reduces along one state's own row, so it equals the value of that
+    state's vector alone, whatever the block and whichever thread.
     """
-    rows = np.ascontiguousarray(np.asarray(vectors, dtype=float).T)
-    if rows.ndim != 2:
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim != 2:
         raise ValueError("vectors must be a (sites x states) block")
-    states, sites = rows.shape
+    sites, states = vectors.shape
     if not 1 <= n_b <= sites // 2:
         raise ValueError(f"edge window {n_b} out of range for {sites} sites")
-    scratch = MeasureScratch(states, sites) if scratch is None else scratch
-    out = StateMeasures.empty(states) if out is None else out
-    prob, work = scratch.prob[:states], scratch.work[:states]
-    per_state = scratch.per_state[:states]
+    work = sites * states
+    threads = thread_count(work)
+    block = max(1, STATE_BLOCK // threads)
+    starts = range(0, states, block)
+    out = {f.name: np.empty(states, dtype=np.int64 if f.name == "nodes" else float)
+           for f in fields(StateMeasures)}
+    site_index = np.arange(1.0, sites + 1)
+    height = min(block, states)
+    # per_core runs one chunk of starts per thread, and each chunk takes one scratch
+    scratches = [(np.empty((height, sites)), np.empty((height, sites)), np.empty(height))
+                 for _ in range(min(threads, len(starts)) or 1)]
+
+    def measure(chunk):
+        scratch = scratches.pop()
+        for k in chunk:
+            _measure_block(vectors[:, k:k + block], n_b, amplitude_floor, site_index, scratch,
+                           {name: values[k:k + block] for name, values in out.items()})
+
+    per_core(measure, starts, work)
+    return StateMeasures(**out)
+
+
+def _measure_block(vectors, n_b, amplitude_floor, site_index, scratch, out) -> None:
+    """`state_measures` of a (sites x states) slice into out's arrays of as many values.
+
+    scratch holds the two (rows x sites) float buffers and the float per row
+    that the work happens in, for at least as many rows as states.
+    """
+    rows = np.ascontiguousarray(vectors.T)
+    states, sites = rows.shape
+    prob, work, per_state = (buffer[:states] for buffer in scratch)
     np.multiply(rows, rows, out=prob)
     # the bits of np.linalg.norm(rows, axis=1), which sums the same squares
     norm = np.sqrt(np.sum(prob, axis=1, out=per_state), out=per_state)
     if np.any(np.abs(norm - 1.0) > NORM_TOL):
         raise ValueError("vectors must be L2-normalized")
     np.sum(np.multiply(prob, prob, out=work), axis=1, out=out["ipr"])
-    np.sum(np.multiply(scratch.site_index, prob, out=work), axis=1, out=out["com"])
+    np.sum(np.multiply(site_index, prob, out=work), axis=1, out=out["com"])
     np.sum(prob[:, :n_b], axis=1, out=out["w_left"])
     np.sum(prob[:, sites - n_b:], axis=1, out=out["w_right"])
     angles = np.cumsum(prob, axis=1, out=work)
@@ -187,4 +194,3 @@ def state_measures(vectors: np.ndarray, n_b: int = 2, amplitude_floor: float = 1
     np.hypot(friedel_re, friedel_im, out=out["cfs"])
     out["cfs"] /= 2 * sites
     _count_nodes(rows, amplitude_floor, out["nodes"], prob, work, per_state)
-    return StateMeasures(**out)

@@ -7,6 +7,7 @@ decimal that round-trips; text files are UTF-8 with LF endings.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import asdict
@@ -61,13 +62,17 @@ def write_spectrum_csv(values: np.ndarray, path: str | Path) -> Path:
 
 def write_sweep_csv(rows: Iterable[tuple[float, float | None, str]],
                     path: str | Path) -> Path:
-    """Sweep table; a failed point keeps its row with an empty fraction."""
+    """Sweep table; a failed point keeps its row with an empty fraction.
+
+    An error that holds a comma, a quote or a newline is quoted as RFC 4180
+    does, so every row reads back as three fields.
+    """
     path = Path(path)
-    lines = [SWEEP_HEADER]
-    for lf, fraction, error in rows:
-        frac = _fmt(fraction) if fraction is not None else ""
-        lines.append(f"{_fmt(lf)},{frac},{error}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SWEEP_HEADER.split(","))
+        writer.writerows((_fmt(lf), "" if fraction is None else _fmt(fraction), error)
+                         for lf, fraction, error in rows)
     return path
 
 

@@ -579,6 +579,13 @@ class TestOneReaderPerSetting:
         assert "lf-min < lf-max < inf" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_refuses_cell_parameters_that_overflow(self, tmp_path, no_compute, capsys):
+        argv = ["sweep", "--cells", "8", "--points", "2", "--d1=-1e308", "--d2", "1e308",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "float range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", [["--phi-start", "0.1"], ["--phi-end", "0.7"],
                                       ["--emit", "csv"]])
     def test_sweep_defines_no_phi_or_emit_flags(self, flag, capsys):

@@ -19,6 +19,7 @@ from scipy.linalg.lapack import dstein
 
 import iplsim.analysis as analysis
 import iplsim.eigensolver as eigensolver
+import iplsim.measures as measures
 from iplsim.eigensolver import (
     DENSE_ORACLE_MAX_SITES,
     GROUP_GAP_REL,
@@ -512,13 +513,14 @@ class TestThreadedKernel:
         eig = eigh_tridiagonal(small_lattice(300))
         assert eig.vectors.T.flags.c_contiguous
         in_place = []
+        measure_block = measures._measure_block
 
-        def recording(block, **kwargs):
-            # the (states x sites) rows state_measures reduces along are a view
+        def recording(block, *args):
+            # the (states x sites) rows each block reduces along are a view
             in_place.append(np.shares_memory(np.ascontiguousarray(block.T), eig.vectors))
-            return state_measures(block, **kwargs)
+            return measure_block(block, *args)
 
-        monkeypatch.setattr(analysis, "state_measures", recording)
+        monkeypatch.setattr(measures, "_measure_block", recording)
         analysis.analyze(eig)
         assert len(in_place) == math.ceil(eig.size / STATE_BLOCK)
         assert all(in_place)
@@ -554,12 +556,13 @@ class TestThreadedKernel:
         monkeypatch.setattr(eigensolver, "_WORKERS", many)
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
         threads = set()
+        measure_block = measures._measure_block
 
-        def recording(block, **kwargs):
+        def recording(block, *args):
             threads.add(threading.get_ident())
-            return state_measures(block, **kwargs)
+            return measure_block(block, *args)
 
-        monkeypatch.setattr(analysis, "state_measures", recording)
+        monkeypatch.setattr(measures, "_measure_block", recording)
         assert_same_report(analysis.analyze(eig), serial)
         assert len(threads) > 1
 

@@ -76,6 +76,15 @@ def test_cell_params_rejects_nonfinite():
         CellParams(1.0, float("inf"), 0.1)
 
 
+@pytest.mark.parametrize("d1,d2,eps", [(-1e308, 1e308, 0.1), (1e308, 1.5e308, 0.1),
+                                       (0.0, 1.0, 1e308)])
+def test_cell_params_refuse_an_operator_scale_that_overflows(d1, d2, eps):
+    # each entry is finite, but max|diag| + 2 max|offdiag| of the operator need not be
+    with pytest.raises(ValueError, match="float range"):
+        CellParams(d1, d2, eps)
+    assert CellParams(d1 / 4, d2 / 4, eps / 4).d2 == max(d1, d2) / 4
+
+
 class TestAssemble:
     def test_shapes_and_interleaving(self):
         profile = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 5))

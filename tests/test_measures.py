@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -211,6 +212,14 @@ def test_block_peak_is_two_float_buffers(preset_eig):
     _, peak = traced_peak(state_measures, block)
     # prob and its cumsum; node_count's magnitudes and flags reuse the same two buffers
     assert peak <= 2.1 * block.nbytes
+
+
+def test_whole_matrix_peak_is_one_blocks_scratch(preset_eig):
+    _, eig = preset_eig("fig13")
+    m, peak = traced_peak(state_measures, eig.vectors)
+    outputs = sum(getattr(m, f.name).nbytes for f in fields(m))
+    # the two float buffers of one STATE_BLOCK, shared out over the threads, never N x N
+    assert peak <= 2.2 * 8 * STATE_BLOCK * eig.size + outputs
 
 
 @pytest.mark.parametrize("seed", range(4))

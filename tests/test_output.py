@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -105,12 +106,18 @@ def test_spectrum_csv(tmp_path):
 
 class TestSweepCsv:
     def test_rows_and_error_column(self, tmp_path):
-        rows = [(0.5, 0.25, ""), (1.0, None, "boom")]
+        errors = ["ValueError: max|d| + 2 max|e|, both finite", 'say "x"', "one\ntwo"]
+        rows = [(0.5, 0.25, ""), (1.0, None, "boom"), *((2.0, None, e) for e in errors)]
         path = write_sweep_csv(rows, tmp_path / "sweep.csv")
         text = path.read_text().splitlines()
         assert text[0] == "lf,fraction,error"
         assert text[1] == "0.5,0.25,"
         assert text[2] == "1.0,,boom"
+        assert text[3] == '2.0,,"ValueError: max|d| + 2 max|e|, both finite"'
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        assert table[1:] == [["0.5", "0.25", ""], ["1.0", "", "boom"],
+                             *(["2.0", "", e] for e in errors)]
 
 
 class TestPgm:
