@@ -18,6 +18,7 @@ from pathlib import Path
 
 from iplsim import PRESETS, load_manifest
 from iplsim.cli import main as iplsim_main
+from iplsim.experiments import EMIT_KINDS
 
 
 def main(argv=None) -> int:
@@ -28,7 +29,7 @@ def main(argv=None) -> int:
                         help="root output directory")
     parser.add_argument("--only", nargs="*", metavar="NAME",
                         help="subset of preset names (default: all)")
-    parser.add_argument("--emit", action="append", choices=("csv", "pgm", "json"),
+    parser.add_argument("--emit", action="append", choices=EMIT_KINDS,
                         help="artifact kinds for non-sweep presets (default: all)")
     args = parser.parse_args(argv)
 

@@ -3,8 +3,10 @@
 Subcommands: run (explicit lattice), sweep (delocalized fraction vs focusing),
 preset (named reproduction), oracle-check (solver cross-validation),
 list-presets. Setting flags and `--set` values reach `experiments.configure` as
-text (angles parsed here), and the config types read and check each one. Exit
-codes: 0 success, 2 usage, 3 solver failure, 4 I/O failure.
+text (angles parsed here), and the config types read and check each one;
+`focusing_grid` checks the sweep grid and `oracle_check` its own bounds. Each
+refusal exits 2 with the library's message. Exit codes: 0 success, 2 usage,
+3 solver failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from ._version import __version__
-from .eigensolver import DENSE_ORACLE_MAX_SITES, SolverError
+from .eigensolver import SolverError
 from .experiments import (DEFAULT_CONFIG, EMIT_KINDS, PRESETS, SETTING_KEYS, configure,
                           execute, focusing_grid, oracle_check, preset_config, run_sweep)
 
@@ -148,11 +150,13 @@ def _build_parser() -> _Parser:
 
 
 def parse_args(argv) -> CliCommand:
-    """Validate flags fully (combinations included) before any computation."""
+    """Validate flags fully (combinations included) before any computation; the
+    oracle-check bounds are left to `oracle_check`, which refuses them before its
+    first instance."""
     flags = vars(_build_parser().parse_args(argv))
     sub = flags.pop("subcommand")
     validate = {"run": _validate_run, "sweep": _validate_sweep,
-                "preset": _validate_preset, "oracle-check": _validate_oracle}.get(sub)
+                "preset": _validate_preset}.get(sub)
     try:
         if validate is not None:
             validate(flags)
@@ -179,12 +183,9 @@ def _validate_run(flags) -> None:
 
 
 def _validate_sweep(flags) -> None:
-    # comparisons with NaN are false, so a NaN end fails the chain too
-    if flags["points"] < 2 or not 0 < flags["lf_min"] < flags["lf_max"] < math.inf:
-        raise UsageError("need points >= 2 and 0 < lf-min < lf-max < inf")
+    flags["lf_values"] = focusing_grid(flags["lf_min"], flags["lf_max"], flags["points"])
     config = configure(DEFAULT_CONFIG, {**_settings(flags), "lf": flags["lf_min"]})
     flags["config"] = replace(config, label="sweep")
-    flags["lf_values"] = focusing_grid(flags["lf_min"], flags["lf_max"], flags["points"])
 
 
 def _validate_preset(flags) -> None:
@@ -200,14 +201,6 @@ def _validate_preset(flags) -> None:
             raise UsageError(f"{flags['name']} is a sweep and writes no map")
         if set(flags["emit"] or ("csv",)) != {"csv"}:
             raise UsageError(f"{flags['name']} is a sweep and writes csv only")
-
-
-def _validate_oracle(flags) -> None:
-    if flags["instances"] < 1:
-        raise UsageError("--instances must be at least 1")
-    if not 4 <= flags["max_sites"] <= DENSE_ORACLE_MAX_SITES:
-        raise UsageError(f"--max-sites must lie in [4, {DENSE_ORACLE_MAX_SITES}], "
-                         f"the dense oracle's size range")
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, Any]:

@@ -16,20 +16,35 @@ from typing import Any
 
 import numpy as np
 
+from . import eigensolver
 from ._version import __version__
 from .analysis import (AnalysisThresholds, SpectralReport, analyze,
                        delocalized_fraction, eigenstate_map)
-from .eigensolver import EigenSystem, eigh_tridiagonal
+from .eigensolver import DENSE_ORACLE_MAX_SITES, EigenSystem, SolverError, eigh_tridiagonal
 from .hamiltonian import (CellParams, TridiagonalHamiltonian, assemble,
                           assemble_onsite)
 from .output import (summary_document, write_json, write_pgm, write_state_csv,
                      write_spectrum_csv, write_sweep_csv, sha256_file)
 from .profiles import (QUARTER_TURN, ProfileSpec, random_onsite_sequence, read_integer,
-                       realize_profile)
+                       read_real, realize_profile)
 from .rng import SplitMix64
 
 TOOL = f"iplsim {__version__}"
 EMIT_KINDS = ("csv", "pgm", "json")
+
+
+def _normalize_emit(emit) -> tuple[str, ...]:
+    """The requested artifact kinds in EMIT_KINDS order; refused unless a non-empty list
+    of known kinds."""
+    if not isinstance(emit, (list, tuple)):
+        raise ValueError(f"emit must be a list of artifact kinds, got {emit!r}")
+    unknown = [kind for kind in emit if kind not in EMIT_KINDS]
+    if unknown:
+        raise ValueError(f"emit holds unknown artifact kind(s) {unknown}; "
+                         f"known: {', '.join(EMIT_KINDS)}")
+    if not emit:
+        raise ValueError(f"emit must request at least one of {', '.join(EMIT_KINDS)}")
+    return tuple(kind for kind in EMIT_KINDS if kind in emit)
 
 
 def parse_selection(selection: str) -> tuple[str, int]:
@@ -38,6 +53,8 @@ def parse_selection(selection: str) -> tuple[str, int]:
     Returns the kind and its count (0 for 'full'). Whether band I exists is
     known only once the spectrum is, so `resolve_selection` checks that.
     """
+    if not isinstance(selection, str):
+        raise ValueError(f"map selection must be text, got {selection!r}")
     if selection == "full":
         return "full", 0
     kind, _, count = selection.partition(":")
@@ -94,7 +111,11 @@ def _preset(name: str, note: str, *, eps: float, profile: ProfileSpec,
 
 
 def focusing_grid(lf_min: float, lf_max: float, points: int) -> tuple[float, ...]:
-    """`points` focusing values, log-spaced from lf_min to lf_max, both ends included."""
+    """`points` focusing values, log-spaced from lf_min to lf_max, both ends included;
+    refused unless points >= 2 and 0 < lf_min < lf_max < inf, which a NaN end fails."""
+    if points < 2 or not 0 < lf_min < lf_max < math.inf:
+        raise ValueError(f"a focusing grid needs points >= 2 and 0 < lf_min < lf_max < inf, "
+                         f"got points={points}, lf_min={lf_min}, lf_max={lf_max}")
     return tuple(float(x) for x in np.logspace(math.log10(lf_min), math.log10(lf_max), points))
 
 
@@ -193,21 +214,15 @@ class RunManifest:
     lf_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.emit, (list, tuple)):
-            raise ValueError(f"manifest emit must be a list of artifact kinds, got {self.emit!r}")
         if not (isinstance(self.checksums, dict)
                 and all(isinstance(v, str) for v in self.checksums.values())):
             raise ValueError(f"manifest checksums must map artifact names to digests, "
                              f"got {self.checksums!r}")
-        object.__setattr__(self, "emit", tuple(self.emit))
-        unknown = [kind for kind in self.emit if kind not in EMIT_KINDS]
-        if unknown:
-            raise ValueError(f"manifest emit holds unknown artifact kind(s) {unknown}; "
-                             f"known: {', '.join(EMIT_KINDS)}")
+        object.__setattr__(self, "emit", _normalize_emit(self.emit))
         if self.lf_values is not None:
             if self.emit != ("csv",):
                 raise ValueError(f"a sweep manifest emits ['csv'], got {list(self.emit)}")
-            object.__setattr__(self, "lf_values", tuple(float(x) for x in self.lf_values))
+            object.__setattr__(self, "lf_values", _sweep_grid(self.lf_values, self.config()))
 
     @property
     def kind(self) -> str:
@@ -222,17 +237,14 @@ class RunManifest:
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "RunManifest":
         """The manifest a `to_dict` document records, refused at load if malformed."""
-        unknown = sorted(set(doc) - {"kind", *(f.name for f in fields(cls))})
-        if unknown:
-            raise ValueError(f"manifest has unknown key(s) {unknown}")
-        for key in ("kind", *(f.name for f in fields(cls) if f.default is not None)):
-            if key not in doc:
-                raise ValueError(f"manifest is missing required key {key!r}")
-        if doc["kind"] not in ("run", "sweep"):
-            raise ValueError(f"unknown manifest kind {doc['kind']!r}; known: run, sweep")
-        manifest = cls(**{f.name: doc.get(f.name) for f in fields(cls)})
-        if manifest.kind != doc["kind"]:
-            raise ValueError("a sweep manifest needs its lf_values" if doc["kind"] == "sweep"
+        if not isinstance(doc, dict) or "kind" not in doc:
+            raise ValueError("manifest is missing required key 'kind'")
+        kind = doc["kind"]
+        if kind not in ("run", "sweep"):
+            raise ValueError(f"unknown manifest kind {kind!r}; known: run, sweep")
+        manifest = _section(cls, "top level", {k: v for k, v in doc.items() if k != "kind"})
+        if manifest.kind != kind:
+            raise ValueError("a sweep manifest needs its lf_values" if kind == "sweep"
                              else "a run manifest takes no lf_values")
         manifest.config()  # a bad setting is refused here, before any compute
         return manifest
@@ -252,16 +264,6 @@ class RunManifest:
                          thresholds=_section(AnalysisThresholds, "thresholds", self.thresholds),
                          map_selection=self.map_selection,
                          label=self.label)
-
-
-def _normalize_emit(emit) -> tuple[str, ...]:
-    chosen = tuple(kind for kind in EMIT_KINDS if kind in set(emit))
-    bad = set(emit) - set(EMIT_KINDS)
-    if bad:
-        raise ValueError(f"unknown emit kind(s): {sorted(bad)}")
-    if not chosen:
-        raise ValueError("emit must request at least one of csv, pgm, json")
-    return chosen
 
 
 def execute(config: RunConfig, out_dir: str | Path,
@@ -299,12 +301,15 @@ class SweepPoint:
     error: str = ""
 
 
-def _sweep_grid(lf_values, base: RunConfig) -> list[float]:
-    """The focusing grid as floats; refused unless every value is positive and
-    finite and the base profile is linear."""
-    lf_values = [float(x) for x in lf_values]
-    if not all(0 < x < math.inf for x in lf_values):
-        raise ValueError("all lf values must be positive and finite")
+def _sweep_grid(lf_values, base: RunConfig) -> tuple[float, ...]:
+    """The focusing grid as floats, for the sweep and its manifest alike; refused
+    unless it is a non-empty list of positive finite values and the base profile
+    is linear."""
+    if not isinstance(lf_values, (list, tuple)) or not lf_values:
+        raise ValueError(f"lf_values must be a non-empty list, got {lf_values!r}")
+    lf_values = tuple(read_real("lf", x) for x in lf_values)
+    if min(lf_values) <= 0:
+        raise ValueError(f"lf must be positive, got {min(lf_values)!r}")
     if base.profile.kind != "linear":
         raise ValueError("the focusing sweep is defined for linear profiles")
     return lf_values
@@ -467,20 +472,17 @@ def oracle_check(instances: int = 50, max_sites: int = 64,
     hand-rolled Jacobi sweep on the dense expansion. Disagreement beyond
     1e-10, or a certification bound above 1e-10, raises SolverError.
     """
-    # at call time: a module-level import would bind dense_oracle before perfbench's tracer wraps it
-    from .eigensolver import DENSE_ORACLE_MAX_SITES, SolverError, dense_oracle
-
     if instances < 1:
-        raise ValueError("need at least one instance")
+        raise ValueError(f"instances must be at least 1, got {instances}")
     if not 4 <= max_sites <= DENSE_ORACLE_MAX_SITES:
         raise ValueError(f"max_sites must lie in [4, {DENSE_ORACLE_MAX_SITES}], "
-                         f"the dense oracle's size range")
+                         f"the dense oracle's size range, got {max_sites}")
     rng = SplitMix64(seed)
     max_dev = max_res = max_ortho = 0.0
     for i in range(instances):
         h = random_instance(rng, max_sites)
         eig = eigh_tridiagonal(h)
-        ora = dense_oracle(h)
+        ora = eigensolver.dense_oracle(h)
         dev = float(np.max(np.abs(eig.values - ora.values)))
         max_dev = max(max_dev, dev)
         max_res = max(max_res, eig.residual_bound, ora.residual_bound)

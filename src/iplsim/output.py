@@ -7,7 +7,6 @@ decimal that round-trips; text files are UTF-8 with LF endings.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict
@@ -64,15 +63,16 @@ def write_sweep_csv(rows: Iterable[tuple[float, float | None, str]],
                     path: str | Path) -> Path:
     """Sweep table; a failed point keeps its row with an empty fraction.
 
-    An error that holds a comma, a quote or a newline is quoted as RFC 4180
-    does, so every row reads back as three fields.
+    An error that holds a comma, a quote, a carriage return or a newline is
+    quoted as RFC 4180 does, so every row reads back as three fields.
     """
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_HEADER.split(","))
-        writer.writerows((_fmt(lf), "" if fraction is None else _fmt(fraction), error)
-                         for lf, fraction, error in rows)
+    lines = [SWEEP_HEADER]
+    for lf, fraction, error in rows:
+        if any(c in error for c in ',"\r\n'):  # csv.writer would leave a bare CR unquoted
+            error = '"' + error.replace('"', '""') + '"'
+        lines.append(f"{_fmt(lf)},{'' if fraction is None else _fmt(fraction)},{error}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 
 

@@ -12,7 +12,7 @@ from iplsim.cli import UsageError, main, parse_angle, parse_args
 from iplsim.eigensolver import DENSE_ORACLE_MAX_SITES, SolverError
 from iplsim.analysis import AnalysisThresholds
 from iplsim.experiments import (DEFAULT_CONFIG, PRESETS, RunConfig, RunManifest,
-                                configure, preset_config, replay)
+                                configure, focusing_grid, oracle_check, preset_config, replay)
 from iplsim.hamiltonian import CellParams
 from iplsim.profiles import QUARTER_TURN, ProfileSpec
 
@@ -21,14 +21,17 @@ PI = math.pi
 
 @pytest.fixture
 def no_compute(monkeypatch):
-    """Make any run or sweep that gets past validation fail the test."""
+    """Make any run, sweep or oracle instance that gets past validation fail the test."""
     import iplsim.cli as cli
+    import iplsim.experiments as experiments
 
     def forbidden(*args, **kwargs):
         raise AssertionError("computation started")
 
-    for name in ("execute", "run_sweep", "oracle_check"):
+    for name in ("execute", "run_sweep"):
         monkeypatch.setattr(cli, name, forbidden)
+    # oracle_check refuses its bounds itself, before it draws its first instance
+    monkeypatch.setattr(experiments, "random_instance", forbidden)
 
 
 class TestParseAngle:
@@ -177,6 +180,14 @@ class TestSweepParsing:
     def test_rejected(self, argv):
         with pytest.raises(UsageError):
             parse_args(argv)
+
+    def test_a_one_point_grid_exits_2_and_writes_nothing(self, tmp_path, no_compute, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--cells", "8", "--points", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "iplsim: a focusing grid needs points >= 2 and 0 < lf_min < lf_max < inf, "
+            "got points=1, lf_min=0.5, lf_max=100.0\n")
+        assert not out.exists()
 
 
 SETTING_FLAGS = {
@@ -360,10 +371,12 @@ class TestOracleParsing:
         (["oracle-check", "--max-sites", "1000"], "max-sites"),
     ])
     def test_rejected_before_compute(self, argv, fragment, no_compute, capsys):
-        with pytest.raises(UsageError, match=fragment):
-            parse_args(argv)
+        # the bound is oracle_check's own, and the command line gives its message
+        with pytest.raises(ValueError) as refusal:
+            oracle_check(**{fragment.replace("-", "_"): int(argv[-1])})
+        assert fragment.replace("-", "_") in str(refusal.value)
         assert main(argv) == 2
-        assert fragment in capsys.readouterr().err
+        assert capsys.readouterr().err == f"iplsim: {refusal.value}\n"
 
 
 class TestRefusedBeforeCompute:
@@ -576,7 +589,10 @@ class TestOneReaderPerSetting:
     def test_sweep_grid_must_be_finite(self, grid, tmp_path, no_compute, capsys):
         argv = ["sweep", "--cells", "8", *grid, "--out", str(tmp_path / "out")]
         assert main(argv) == 2
-        assert "lf-min < lf-max < inf" in capsys.readouterr().err
+        ends = {"--lf-min": 0.5, "--lf-max": 100.0, **dict(zip(grid[::2], map(float, grid[1::2])))}
+        with pytest.raises(ValueError) as refusal:
+            focusing_grid(ends["--lf-min"], ends["--lf-max"], 25)
+        assert capsys.readouterr().err == f"iplsim: {refusal.value}\n"
         assert not (tmp_path / "out").exists()
 
     def test_sweep_refuses_cell_parameters_that_overflow(self, tmp_path, no_compute, capsys):

@@ -349,6 +349,60 @@ class TestGroupedInverseIteration:
         assert eig.vectors.tolist() == [[1.0]]
 
 
+def glued_wilkinson(half: int, copies: int, glue: float) -> TridiagonalHamiltonian:
+    """`copies` Wilkinson W(2 half + 1)+ matrices joined by off-diagonal entries `glue`:
+    every level of one copy comes `copies` times, split only as far as the glue splits it."""
+    diag = np.tile(np.abs(np.arange(-half, half + 1.0)), copies)
+    offdiag = np.tile(np.append(np.ones(2 * half), glue), copies)[:-1]
+    return TridiagonalHamiltonian(diag, offdiag)
+
+
+def graded(n: int = 40) -> TridiagonalHamiltonian:
+    """d_k = 10^-k and e_k = 10^-(k + 1/2): entries that fall over 40 decades."""
+    k = np.arange(n, dtype=float)
+    return TridiagonalHamiltonian(10.0 ** -k, 10.0 ** -(k[:-1] + 0.5))
+
+
+def clement(n: int = 400) -> TridiagonalHamiltonian:
+    """Zero diagonal and e_k = sqrt(k (n - k)): the integer levels -(n-1), -(n-3), ..., n-1."""
+    k = np.arange(1.0, n)
+    return TridiagonalHamiltonian(np.zeros(n), np.sqrt(k * (n - k)))
+
+
+def uniform_chain(n: int = 3000) -> TridiagonalHamiltonian:
+    return TridiagonalHamiltonian(np.zeros(n), np.ones(n - 1))
+
+
+HARD_TRIDIAGONALS = {
+    "glued-W21-x10-1e-14": lambda: glued_wilkinson(10, 10, 1e-14),
+    "glued-W21-x10-1e-8": lambda: glued_wilkinson(10, 10, 1e-8),
+    "glued-W201-x20-1e-14": lambda: glued_wilkinson(100, 20, 1e-14),
+    "glued-W201-x20-1e-8": lambda: glued_wilkinson(100, 20, 1e-8),
+    "graded-40": graded,
+    "clement-400": clement,
+    "uniform-chain-3000": uniform_chain,
+}
+
+
+class TestHardTridiagonals:
+    """Operators that break careless tridiagonal solvers: clusters of near-equal
+    levels (glued Wilkinson), entries over many decades (graded), evenly spaced
+    large levels (Clement) and a long uniform chain. A change to the solver's
+    kernel must keep every case certified and on scipy's values, which come
+    from LAPACK's MRRR (stemr), not from the solver's own QL/QR (sterf); its
+    bisection (stebz) gives the same values but takes 3 s on the chain alone."""
+
+    @pytest.mark.parametrize("name", list(HARD_TRIDIAGONALS))
+    def test_certified_on_scipys_eigenvalues(self, name):
+        h = HARD_TRIDIAGONALS[name]()
+        eig = eigh_tridiagonal(h)  # raises SolverError if the certificate fails
+        scale = _scale(h.diag, h.offdiag)
+        assert eig.residual_bound <= eigensolver.RESIDUAL_REL_CAP * scale
+        assert eig.ortho_bound <= ORTHO_CAP
+        reference = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag)
+        assert np.max(np.abs(eig.values - reference)) <= 1e-12 * scale
+
+
 def kernel_dstein(d, e, w):
     """The solver's ctypes dstein on one unreduced block: (Z as (states x sites) rows, info)."""
     d, e, w = (np.ascontiguousarray(a, dtype=float) for a in (d, e, w))

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -247,9 +247,10 @@ class TestExecuteAndManifest:
         assert manifest.emit == ("csv", "json")  # canonical order, not call order
 
     def test_emit_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown emit"):
+        with pytest.raises(ValueError, match=r"^emit holds unknown artifact kind\(s\) \['svg'\]; "
+                                             r"known: csv, pgm, json$"):
             execute(small_config(), tmp_path, emit=("csv", "svg"))
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match="^emit must request at least one of csv, pgm, json$"):
             execute(small_config(), tmp_path, emit=())
 
     def test_manifest_round_trip(self, tmp_path):
@@ -297,6 +298,14 @@ class TestExecuteAndManifest:
         replay(tmp_path / "orig" / "manifest.json", tmp_path / "redo", verify=False)
 
 
+# the message that refuses each focusing grid, whichever route reads it
+REFUSED_GRIDS = {
+    "[1.0, -2.0]": "^lf must be positive, got -2.0$",
+    "[1.0, nan]": "^lf must be finite, got nan$",
+    "[]": r"^lf_values must be a non-empty list, got \[\]$",
+}
+
+
 class TestSweep:
     def test_order_and_determinism(self):
         lf_values = [2.0, 0.5, 2.0, 8.0]
@@ -319,7 +328,7 @@ class TestSweep:
         assert points[1].fraction > points[0].fraction
 
     def test_input_validation(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^lf must be positive, got -2.0$"):
             sweep_lf([1.0, -2.0], small_config())
         cfg = RunConfig(params=CellParams(1.0, 2.0, 0.2),
                         profile=ProfileSpec("random_onsite", 10, seed=1))
@@ -334,7 +343,7 @@ class TestSweep:
             raise AssertionError("a point was computed")
 
         monkeypatch.setattr(exp, "run_config", forbidden)
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=f"^lf must be finite, got {bad}$"):
             sweep_lf([1.0, bad], small_config())
 
     def test_point_failure_becomes_row(self, monkeypatch):
@@ -363,10 +372,10 @@ class TestSweep:
         fresh = replay(tmp_path / "orig" / "manifest.json", tmp_path / "redo")
         assert fresh.kind == "sweep"
 
-    @pytest.mark.parametrize("lf_values", [[1.0, -2.0], [1.0, math.nan]])
+    @pytest.mark.parametrize("lf_values", [[1.0, -2.0], [1.0, math.nan], []])
     def test_a_refused_grid_leaves_no_directory(self, lf_values, tmp_path):
         out = tmp_path / "sweep"
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=REFUSED_GRIDS[str(lf_values)]):
             run_sweep(small_config(), lf_values, out)
         assert not out.exists()
 
@@ -376,7 +385,7 @@ class TestSweep:
         doc = json.loads(path.read_text())
         doc["lf_values"] = [0.5, -2.0]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="^lf must be positive, got -2.0$"):
             replay(path, tmp_path / "redo")
         assert not (tmp_path / "redo").exists()
 
@@ -558,7 +567,7 @@ class TestOracleCheck:
         assert result.max_ortho <= 1e-10
 
     def test_instance_count_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^instances must be at least 1, got 0$"):
             oracle_check(instances=0)
 
     @pytest.mark.parametrize("max_sites", [600, 3, 0])
@@ -567,7 +576,8 @@ class TestOracleCheck:
 
         calls = []
         monkeypatch.setattr(exp, "eigh_tridiagonal", lambda h: calls.append(h))
-        with pytest.raises(ValueError, match="max_sites"):
+        with pytest.raises(ValueError, match=rf"^max_sites must lie in \[4, 256\], the dense "
+                                             rf"oracle's size range, got {max_sites}$"):
             exp.oracle_check(instances=3, max_sites=max_sites, seed=1)
         assert calls == []
 
@@ -649,13 +659,24 @@ def _with(section, **changes):
     (_with(None, params=[1.0, 2.0, 0.2]), "params must be an object"),
     (_with("profile", lf=5.0), r"lf=5.0 sets a width of \(pi/4\)/lf"),
     (_with("profile", lf=-1.0), "lf must be positive"),
-    (_with(None, emit=["csv", "bogus"]), r"emit holds unknown artifact kind\(s\) \['bogus'\]"),
-    (_with(None, typo_key=1), r"manifest has unknown key\(s\) \['typo_key'\]$"),
-    (_with(None, lable="fig1"), r"manifest has unknown key\(s\) \['lable'\]$"),
+    (_with(None, emit=["csv", "bogus"]),
+     r"^emit holds unknown artifact kind\(s\) \['bogus'\]; known: csv, pgm, json$"),
+    (_with(None, emit=[]), "^emit must request at least one of csv, pgm, json$"),
+    (_with(None, typo_key=1),
+     r"^manifest top level: unknown key\(s\) \['typo_key'\], missing key\(s\) \[\]$"),
+    (_with(None, lable="fig1"),
+     r"^manifest top level: unknown key\(s\) \['lable'\], missing key\(s\) \[\]$"),
+    (_with(None, map_selection=5), "^map selection must be text, got 5$"),
+    (_with(None, kind="sweep", lf_values=5),
+     "^lf_values must be a non-empty list, got 5$"),
+    (_with(None, kind="sweep", lf_values=[None]), "^lf must be a number, got None$"),
+    (_with(None, kind="sweep", lf_values=[-1.0]), "^lf must be positive, got -1.0$"),
+    (_with(None, kind="sweep", lf_values=[]), REFUSED_GRIDS["[]"]),
 ], ids=["checksums-list", "checksums-number", "emit-text", "params-unknown", "params-missing",
         "profile-unknown", "profile-missing", "thresholds-unknown", "thresholds-missing",
-        "params-list", "lf-contradicts-ends", "lf-negative", "emit-unknown", "top-level-unknown",
-        "optional-misspelt"])
+        "params-list", "lf-contradicts-ends", "lf-negative", "emit-unknown", "emit-empty",
+        "top-level-unknown", "optional-misspelt", "map-selection-number", "lf-values-number",
+        "lf-values-null", "lf-values-negative", "lf-values-empty"])
 def test_a_malformed_manifest_is_refused_at_load(edit, match, tmp_path):
     doc = RunManifest.of(small_config(), ("csv",), {}).to_dict()
     edit(doc)
@@ -668,10 +689,37 @@ def test_a_malformed_manifest_is_refused_at_load(edit, match, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+JSON_VALUES = (None, True, -1, 1.5, 1e308, "", "x", [], [None], [1.0], ["csv"], [[]], {},
+               {"a": 1})
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig4_inset_sweep", "fig5", "fig9_10"])
+def test_any_json_value_in_any_field_loads_or_is_refused_with_value_error(name):
+    preset = PRESETS[name]
+    emit = EMIT_KINDS if preset.sweep_lf_values is None else ("csv",)
+    recorded = RunManifest.of(preset.config, emit, {}, lf_values=preset.sweep_lf_values).to_dict()
+    recorded = json.loads(json.dumps(recorded))
+    # every key of the document and of its params and thresholds, and every profile field
+    places = [(None, key) for key in recorded]
+    places += [(section, key) for section in ("params", "thresholds") for key in recorded[section]]
+    places += [("profile", f.name) for f in fields(ProfileSpec)]
+    for section, key in places:
+        for value in JSON_VALUES:
+            doc = json.loads(json.dumps(recorded))
+            (doc if section is None else doc[section])[key] = value
+            try:
+                RunManifest.from_dict(doc)
+            except ValueError:
+                pass
+    for doc in JSON_VALUES:
+        with pytest.raises(ValueError, match="^manifest is missing required key 'kind'$"):
+            RunManifest.from_dict(doc)
+
+
 @pytest.mark.parametrize("emit, extra, match", [
     (["bogus"], {}, r"emit holds unknown artifact kind\(s\) \['bogus'\]"),
     (["csv", "pgm"], {}, r"a sweep manifest emits \['csv'\], got \['csv', 'pgm'\]"),
-    ([], {}, r"a sweep manifest emits \['csv'\], got \[\]"),
+    ([], {}, "emit must request at least one of csv, pgm, json$"),
     (["csv"], {"typo_key": 1, "lable": "x"}, r"unknown key\(s\) \['lable', 'typo_key'\]"),
 ])
 def test_a_sweep_manifest_emits_only_its_csv(emit, extra, match, tmp_path):
@@ -706,10 +754,12 @@ def test_configure_refuses_an_lf_that_is_not_positive(lf):
 def test_a_manifest_missing_a_required_key_is_refused_by_name(key, tmp_path):
     doc = RunManifest.of(small_config(), ("csv",), {}).to_dict()
     del doc[key]
-    with pytest.raises(ValueError, match=f"missing required key '{key}'$"):
+    match = ("^manifest is missing required key 'kind'$" if key == "kind" else
+             rf"^manifest top level: unknown key\(s\) \[\], missing key\(s\) \['{key}'\]$")
+    with pytest.raises(ValueError, match=match):
         RunManifest.from_dict(doc)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=match):
         replay(path, tmp_path / "out")
     assert not (tmp_path / "out").exists()

@@ -106,7 +106,7 @@ def test_spectrum_csv(tmp_path):
 
 class TestSweepCsv:
     def test_rows_and_error_column(self, tmp_path):
-        errors = ["ValueError: max|d| + 2 max|e|, both finite", 'say "x"', "one\ntwo"]
+        errors = ["ValueError: max|d| + 2 max|e|, both finite", 'say "x"', "one\ntwo", "cr\rx"]
         rows = [(0.5, 0.25, ""), (1.0, None, "boom"), *((2.0, None, e) for e in errors)]
         path = write_sweep_csv(rows, tmp_path / "sweep.csv")
         text = path.read_text().splitlines()
