@@ -91,22 +91,23 @@ def thread_count(work: int) -> int:
     return max(1, min(_WORKERS, int(work) // _THREAD_WORK))
 
 
-def per_core(fn, items, work: int) -> list:
-    """[fn(chunk) for each chunk] of `items` split into contiguous chunks, one per thread.
+def per_core(fn, items, work: int, scratch) -> list:
+    """[fn(chunk, scratch(chunk)) for each chunk] of `items` in contiguous chunks, one per thread.
 
-    `thread_count(work)` threads, at most one per item: the calling thread
-    runs the first chunk while a pool runs the rest, and the results come
-    back in input order. `fn` should spend its time in native code that
-    releases the GIL (dstein through ctypes, numpy's loops).
+    `thread_count(work)` threads, at most one per item. `scratch` makes every
+    chunk's buffers on the calling thread first, so no thread's malloc arena
+    keeps freed scratch. The caller runs the first chunk while a pool runs the
+    rest, starting one thread per chunk it gets, and the results come back in
+    input order. `fn` should spend its time in native code that releases the
+    GIL (dstein, numpy).
     """
-    workers = min(thread_count(work), len(items)) or 1
+    workers = max(1, min(thread_count(work), len(items)))
     chunks = [items[len(items) * k // workers:len(items) * (k + 1) // workers]
               for k in range(workers)]
-    if workers == 1:
-        return [fn(items)]
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        rest = pool.map(fn, chunks[1:])
-        return [fn(chunks[0]), *rest]
+    buffers = [scratch(chunk) for chunk in chunks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rest = pool.map(fn, chunks[1:], buffers[1:])
+        return [fn(chunks[0], buffers[0]), *rest]
 
 
 def _lapack(bundled: bool = True):
@@ -288,10 +289,19 @@ def eigh_tridiagonal(h) -> EigenSystem:
                      (values.ctypes.data + 8 * first).tolist(),
                      [row[f:f + c] for f, c in zip(first.tolist(), count.tolist())],
                      lo.tolist(), (lo + size).tolist()))
-    largest = int(size.max(initial=1)), int(np.max(count * size, initial=1))
-    failures = [f for f in per_core(lambda chunk: _solve_groups(chunk, tasks, rows, *largest),
-                                    range(len(tasks)), int(np.sum(size * count)))
-                if f is not None]
+    extent = size * count
+
+    def scratch(chunk):
+        # dstein's IBLOCK, Z, WORK, IWORK, IFAIL and INFO for the chunk's largest block and group
+        sites = int(size[chunk.start:chunk.stop].max())
+        return (np.ones(sites, dtype=_LAPACK_INT),
+                np.empty(int(extent[chunk.start:chunk.stop].max())), np.empty(5 * sites),
+                np.empty(sites, dtype=_LAPACK_INT), np.empty(sites, dtype=_LAPACK_INT),
+                np.zeros(1, dtype=_LAPACK_INT))
+
+    results = per_core(lambda chunk, buffers: _solve_groups(chunk, tasks, rows, buffers),
+                       range(len(tasks)), int(np.sum(extent)), scratch)
+    failures = [f for f in results if f is not None]
     if failures:
         task, info = min(failures)
         raise SolverError(f"inverse iteration failed near {values[first[task]] * unit:.6g} "
@@ -321,27 +331,20 @@ def _mapped_zeros(n: int) -> np.ndarray:
     return np.frombuffer(buffer, dtype=float).reshape(n, n)
 
 
-def _solve_groups(chunk, tasks, rows, sites: int, extent: int):
-    """Run dstein on tasks[chunk] with this thread's own work arrays.
+def _solve_groups(chunk, tasks, rows, buffers):
+    """Run dstein on tasks[chunk] in the chunk's IBLOCK, Z, WORK, IWORK, IFAIL and INFO buffers.
 
     Each task holds plain-int addresses (N, D, E, M, W) laid out by
     `eigh_tridiagonal`, whose arrays outlive the call, then the group's rows
     and its block's first and last-plus-one site. dstein writes the group's
-    vectors into this thread's scratch as Fortran columns (LDZ = N), which
-    are C rows, and one assignment copies them to their rows; rows of
-    different groups never overlap. The GIL is released during each dstein
-    call. Every group is one block: IBLOCK is all ones and ISPLIT(1) = N; a
-    one-site block is dstein's quick return, Z = 1. Returns (task, info) of
-    the first failure, else None.
+    vectors into Z as Fortran columns (LDZ = N), which are C rows, and one
+    assignment copies them to their rows; rows of different groups never
+    overlap. The GIL is released during each dstein call. Every group is one
+    block: IBLOCK is all ones and ISPLIT(1) = N; a one-site block is dstein's
+    quick return, Z = 1. Returns (task, info) of the first failure, else None.
     """
-    work = np.empty(5 * sites)
-    iwork = np.empty(sites, dtype=_LAPACK_INT)
-    piece = np.empty(extent)
-    ifail = np.empty(sites, dtype=_LAPACK_INT)
-    iblock = np.ones(sites, dtype=_LAPACK_INT)
-    info = np.zeros(1, dtype=_LAPACK_INT)
-    iblock_at, piece_at = iblock.ctypes.data, piece.ctypes.data
-    arrays_at = (work.ctypes.data, iwork.ctypes.data, ifail.ctypes.data, info.ctypes.data)
+    piece, info = buffers[1], buffers[-1]
+    iblock_at, piece_at, *arrays_at = (buffer.ctypes.data for buffer in buffers)
     for task in chunk:
         n_at, d_at, e_at, m_at, w_at, members, lo, hi = tasks[task]
         _dstein(n_at, d_at, e_at, m_at, w_at, iblock_at, n_at, piece_at, n_at, *arrays_at)

@@ -112,7 +112,10 @@ def _preset(name: str, note: str, *, eps: float, profile: ProfileSpec,
 
 def focusing_grid(lf_min: float, lf_max: float, points: int) -> tuple[float, ...]:
     """`points` focusing values, log-spaced from lf_min to lf_max, both ends included;
-    refused unless points >= 2 and 0 < lf_min < lf_max < inf, which a NaN end fails."""
+    refused unless the ends read as finite numbers and points as an integer, with
+    points >= 2 and 0 < lf_min < lf_max."""
+    lf_min, lf_max = read_real("lf_min", lf_min), read_real("lf_max", lf_max)
+    points = read_integer("points", points)
     if points < 2 or not 0 < lf_min < lf_max < math.inf:
         raise ValueError(f"a focusing grid needs points >= 2 and 0 < lf_min < lf_max < inf, "
                          f"got points={points}, lf_min={lf_min}, lf_max={lf_max}")
@@ -472,12 +475,14 @@ def oracle_check(instances: int = 50, max_sites: int = 64,
     hand-rolled Jacobi sweep on the dense expansion. Disagreement beyond
     1e-10, or a certification bound above 1e-10, raises SolverError.
     """
+    instances = read_integer("instances", instances)
+    max_sites = read_integer("max_sites", max_sites)
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
     if not 4 <= max_sites <= DENSE_ORACLE_MAX_SITES:
         raise ValueError(f"max_sites must lie in [4, {DENSE_ORACLE_MAX_SITES}], "
                          f"the dense oracle's size range, got {max_sites}")
-    rng = SplitMix64(seed)
+    rng = SplitMix64(read_integer("seed", seed))
     max_dev = max_res = max_ortho = 0.0
     for i in range(instances):
         h = random_instance(rng, max_sites)

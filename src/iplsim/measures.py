@@ -83,13 +83,19 @@ def node_count(vectors: np.ndarray, amplitude_floor: float = 1e-8):
     The floor is relative to the largest component; it suppresses sign noise in
     the numerically zero tails of strongly localized states. Pass 0 to count
     every strict sign change (the Sturm-oscillation regime). A (sites x states)
-    block gives one count per column; a single vector gives an int.
+    matrix gives one count per column, in blocks of `STATE_BLOCK` states that
+    share one pair of (block x sites) buffers; a single vector gives an int.
     """
     v = np.asarray(vectors, dtype=float)
-    rows = np.ascontiguousarray(v.T.reshape(-1, v.shape[0]))
-    counts = np.empty(rows.shape[0], dtype=np.int64)
-    _count_nodes(rows, amplitude_floor, counts, np.empty_like(rows), np.empty_like(rows),
-                 np.empty(rows.shape[0]))
+    columns = v.reshape(v.shape[0], -1)
+    counts = np.empty(columns.shape[1], dtype=np.int64)
+    height = min(STATE_BLOCK, counts.size)
+    magnitude, flag_bytes = np.empty((height, v.shape[0])), np.empty((height, v.shape[0]))
+    for lo in range(0, counts.size, STATE_BLOCK):
+        rows = np.ascontiguousarray(columns[:, lo:lo + STATE_BLOCK].T)
+        k = rows.shape[0]
+        _count_nodes(rows, amplitude_floor, counts[lo:lo + k], magnitude[:k], flag_bytes[:k],
+                     np.empty(k))
     return int(counts[0]) if v.ndim == 1 else counts
 
 
@@ -132,9 +138,8 @@ def state_measures(vectors: np.ndarray, n_b: int = 2,
 
     The states go in blocks of `STATE_BLOCK // w` states, where `per_core`
     gives the matrix w threads, one contiguous chunk of blocks per thread, so
-    the scratch of all threads together is about one block's. Each thread's
-    two (block x sites) float buffers are made on the calling thread, so no
-    thread's malloc arena is left holding freed scratch. State-major
+    the scratch of all threads together is about one block's: each thread's
+    two (block x sites) float buffers, which `per_core` makes. State-major
     vectors, whose transpose is C-ordered, are read in place. Each value
     reduces along one state's own row, so it equals the value of that
     state's vector alone, whatever the block and whichever thread.
@@ -146,24 +151,20 @@ def state_measures(vectors: np.ndarray, n_b: int = 2,
     if not 1 <= n_b <= sites // 2:
         raise ValueError(f"edge window {n_b} out of range for {sites} sites")
     work = sites * states
-    threads = thread_count(work)
-    block = max(1, STATE_BLOCK // threads)
+    block = max(1, STATE_BLOCK // thread_count(work))
     starts = range(0, states, block)
     out = {f.name: np.empty(states, dtype=np.int64 if f.name == "nodes" else float)
            for f in fields(StateMeasures)}
     site_index = np.arange(1.0, sites + 1)
     height = min(block, states)
-    # per_core runs one chunk of starts per thread, and each chunk takes one scratch
-    scratches = [(np.empty((height, sites)), np.empty((height, sites)), np.empty(height))
-                 for _ in range(min(threads, len(starts)) or 1)]
 
-    def measure(chunk):
-        scratch = scratches.pop()
+    def measure(chunk, scratch):
         for k in chunk:
             _measure_block(vectors[:, k:k + block], n_b, amplitude_floor, site_index, scratch,
                            {name: values[k:k + block] for name, values in out.items()})
 
-    per_core(measure, starts, work)
+    per_core(measure, starts, work, lambda chunk: (
+        np.empty((height, sites)), np.empty((height, sites)), np.empty(height)))
     return StateMeasures(**out)
 
 

@@ -38,7 +38,8 @@ from iplsim.hamiltonian import CellParams, TridiagonalHamiltonian, assemble, ass
 from iplsim.measures import node_count, state_measures
 from iplsim.profiles import ProfileSpec, random_onsite_sequence, realize_profile
 from iplsim.rng import SplitMix64
-from iplsim.experiments import PRESETS, build_hamiltonian, preset_config, random_instance
+from iplsim.experiments import (DEFAULT_CONFIG, PRESETS, build_hamiltonian, configure,
+                                preset_config, random_instance)
 
 from certificate import certificate_values
 from memory import traced_peak
@@ -251,6 +252,14 @@ class TestBlockedCertificate:
         assert isinstance(memory_map_of(eig.vectors), mmap.mmap)
         # the whole-matrix certificate held three (sites x states) buffers
         assert peak + eig.vectors.nbytes <= 1.25 * 8 * eig.size ** 2
+
+    def test_solver_threads_size_their_buffers_by_their_own_chunk(self, monkeypatch):
+        # the default lattice at 1802 sites holds a spectral group of 200 states
+        h = build_hamiltonian(configure(DEFAULT_CONFIG, {"sites": 1802}))
+        monkeypatch.setattr(eigensolver, "_WORKERS", 8)
+        eig, peak = traced_peak(eigh_tridiagonal, h)
+        # eight Z buffers each sized by the whole operator's largest group held 0.96 x 8N^2
+        assert peak <= 0.4 * 8 * eig.size ** 2
 
     def test_each_vector_matrix_has_a_memory_map_of_its_own(self):
         h = small_lattice(50)
@@ -580,21 +589,42 @@ class TestThreadedKernel:
         assert all(in_place)
 
     def test_per_core_runs_contiguous_chunks_in_order_with_the_caller_first(self, monkeypatch):
-        def chunk_and_thread(chunk):
+        caller = threading.get_ident()
+        events, threads = [], []
+
+        def scratch(chunk):
+            events.append(("scratch", list(chunk), threading.get_ident()))
+            return f"buffers of {list(chunk)}"
+
+        def chunk_and_thread(chunk, buffers):
+            events.append(("run", list(chunk), threading.get_ident()))
+            assert buffers == f"buffers of {list(chunk)}"
+            threads.append(threading.active_count())
             return list(chunk), threading.get_ident()
+
+        def per_core(items, work):
+            events.clear()
+            threads.clear()
+            results = eigensolver.per_core(chunk_and_thread, items, work, scratch)
+            # every chunk's buffers are made on the calling thread before any chunk runs
+            made = [event for event in events if event[0] == "scratch"]
+            assert events[:len(made)] == made
+            assert [chunk for _, chunk, _ in made] == [chunk for chunk, _ in results]
+            assert all(thread == caller for _, _, thread in made)
+            return results
 
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 10)
         monkeypatch.setattr(eigensolver, "_WORKERS", 3)
-        # too little work for a second thread: one call on the caller with every item
-        assert eigensolver.per_core(chunk_and_thread, range(10), 19) == [
-            (list(range(10)), threading.get_ident())]
-        results = eigensolver.per_core(chunk_and_thread, range(10), 30)
+        # too little work for a second thread: one call on the caller with every item,
+        # and no thread started
+        assert per_core(range(10), 19) == [(list(range(10)), caller)]
+        assert threads == [threading.active_count()]
+        results = per_core(range(10), 30)
         assert [chunk for chunk, _ in results] == [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
-        assert results[0][1] == threading.get_ident()
-        assert all(thread != threading.get_ident() for _, thread in results[1:])
+        assert results[0][1] == caller
+        assert all(thread != caller for _, thread in results[1:])
         # never more threads than items
-        assert [chunk for chunk, _ in eigensolver.per_core(chunk_and_thread, range(2), 10**6)] == [
-            [0], [1]]
+        assert [chunk for chunk, _ in per_core(range(2), 10**6)] == [[0], [1]]
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: build_hamiltonian(preset_config("fig13")), id="fig13"),

@@ -114,6 +114,22 @@ class TestPresetTable:
         assert grid == tuple(float(x) for x in np.logspace(math.log10(0.5), 2.0, 25))
         assert all(type(x) is float for x in grid)
 
+    @pytest.mark.parametrize("args,match", [
+        ((0.5, 100.0, 2.5), "^points must be an integer, got 2.5$"),
+        ((0.5, 100.0, "three"), "^points must be an integer, got 'three'$"),
+        (("half", 100.0, 3), "^lf_min must be a number, got 'half'$"),
+        ((0.5, math.inf, 3), "^lf_max must be finite, got inf$"),
+        ((math.nan, 100.0, 3), "^lf_min must be finite, got nan$"),
+    ])
+    def test_focusing_grid_reads_its_arguments_before_the_grid_check(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            focusing_grid(*args)
+
+    def test_focusing_grid_reads_numeric_text_as_its_number(self):
+        # the rule of profiles.read_real / read_integer, as for every other setting
+        assert focusing_grid("0.5", 100.0, 3) == focusing_grid(0.5, 100.0, "3") == focusing_grid(
+            0.5, 100.0, 3)
+
     def test_every_linear_grid_keeps_an_lf_that_agrees_with_its_ends(self):
         # ProfileSpec refuses an lf that contradicts phi_end - phi_start, so
         # every preset and every point of both sweep grids must pass its check
@@ -580,6 +596,27 @@ class TestOracleCheck:
                                              rf"oracle's size range, got {max_sites}$"):
             exp.oracle_check(instances=3, max_sites=max_sites, seed=1)
         assert calls == []
+
+    @pytest.mark.parametrize("args,kwargs,match", [
+        ((1.5, 16), {}, "^instances must be an integer, got 1.5$"),
+        ((1, 16.5), {}, "^max_sites must be an integer, got 16.5$"),
+        ((1, "sixteen"), {}, "^max_sites must be an integer, got 'sixteen'$"),
+        ((1, 16), {"seed": 2.5}, "^seed must be an integer, got 2.5$"),
+        ((1, 16), {"seed": "five"}, "^seed must be an integer, got 'five'$"),
+    ])
+    def test_arguments_that_are_not_integers_are_refused_before_any_solve(
+            self, args, kwargs, match, monkeypatch):
+        import iplsim.experiments as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "eigh_tridiagonal", lambda h: calls.append(h))
+        with pytest.raises(ValueError, match=match):
+            exp.oracle_check(*args, **kwargs)
+        assert calls == []
+
+    def test_integer_text_is_read_as_its_integer(self):
+        want = oracle_check(1, 16, seed=5)
+        assert oracle_check(1, "16", seed=5) == oracle_check(1, 16, seed="5") == want
 
     def test_disagreement_raises(self, monkeypatch):
         import iplsim.eigensolver as es

@@ -222,6 +222,14 @@ def test_whole_matrix_peak_is_one_blocks_scratch(preset_eig):
     assert peak <= 2.2 * 8 * STATE_BLOCK * eig.size + outputs
 
 
+def test_node_count_peak_is_one_blocks_scratch(preset_eig):
+    _, eig = preset_eig("fig13")
+    counts, peak = traced_peak(node_count, eig.vectors)
+    # one pair of STATE_BLOCK-state buffers for the whole matrix, never N x N
+    assert peak <= 2.2 * 8 * STATE_BLOCK * eig.size + counts.nbytes
+    assert np.array_equal(counts, state_measures(eig.vectors).nodes)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_ipr_cfs_match_textbook_formulas_on_random_blocks(seed):
     rng = np.random.default_rng(seed)
