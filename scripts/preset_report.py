@@ -18,9 +18,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("name", choices=sorted(PRESETS), metavar="NAME",
                         help="preset name; see `iplsim list-presets`")
-    parser.add_argument("--sites", type=int, help="override the lattice size")
-    parser.add_argument("--eps", type=float, help="override the cell coupling")
-    parser.add_argument("--tau", type=float, help="override the delocalization threshold")
+    parser.add_argument("--sites", help="override the lattice size")
+    parser.add_argument("--eps", help="override the cell coupling")
+    parser.add_argument("--tau", help="override the delocalization threshold")
     parser.add_argument("--top", type=int, default=5,
                         help="how many of the most localized states to list (default 5)")
     args = parser.parse_args(argv)
@@ -28,7 +28,10 @@ def main(argv=None) -> int:
     overrides = {key: value for key, value in
                  (("sites", args.sites), ("eps", args.eps), ("tau", args.tau))
                  if value is not None}
-    config = preset_config(args.name, overrides or None)
+    try:  # the config types read and check the overrides
+        config = preset_config(args.name, overrides or None)
+    except ValueError as exc:
+        parser.error(str(exc))
     h, eig, report = run_config(config)
 
     print(f"{args.name}: {h.sites} sites, {config.profile.kind} profile, "

@@ -4,9 +4,9 @@ Subcommands: run (explicit lattice), sweep (delocalized fraction vs focusing),
 preset (named reproduction), oracle-check (solver cross-validation),
 list-presets. Setting flags and `--set` values reach `experiments.configure` as
 text (angles parsed here), and the config types read and check each one;
-`focusing_grid` checks the sweep grid and `oracle_check` its own bounds. Each
-refusal exits 2 with the library's message. Exit codes: 0 success, 2 usage,
-3 solver failure, 4 I/O failure.
+the sweep grid's and oracle-check's flags stay text too, for `focusing_grid`
+and `oracle_check` to read and check. Each refusal exits 2 with the library's
+message. Exit codes: 0 success, 2 usage, 3 solver failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ def _build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="delocalized fraction across a focusing grid")
     add_lattice_flags(p_sweep, for_sweep=True)
     add_threshold_flags(p_sweep)
-    p_sweep.add_argument("--lf-min", type=float, default=0.5)
-    p_sweep.add_argument("--lf-max", type=float, default=100.0)
-    p_sweep.add_argument("--points", type=int, default=25)
+    p_sweep.add_argument("--lf-min", default=0.5)
+    p_sweep.add_argument("--lf-max", default=100.0)
+    p_sweep.add_argument("--points", default=25)
     p_sweep.add_argument("--out", required=True, metavar="DIR")
 
     p_preset = sub.add_parser("preset", help="run a named bundled design")
@@ -141,9 +141,9 @@ def _build_parser() -> _Parser:
     add_output_flags(p_preset)
 
     p_oracle = sub.add_parser("oracle-check", help="cross-validate the two eigensolver routes")
-    p_oracle.add_argument("--instances", type=int, default=50)
-    p_oracle.add_argument("--max-sites", type=int, default=64)
-    p_oracle.add_argument("--seed", type=int, default=0xA5EED)
+    p_oracle.add_argument("--instances", default=50)
+    p_oracle.add_argument("--max-sites", default=64)
+    p_oracle.add_argument("--seed", default=0xA5EED)
 
     sub.add_parser("list-presets", help="show the bundled designs")
     return parser

@@ -452,13 +452,17 @@ def _scale(diag, offdiag) -> float:
 def _certify(diag, offdiag, values, vectors) -> EigenSystem:
     """Sign-fix (in place), measure residual/orthonormality, and enforce the output contract.
 
-    `values` must ascend. Both passes walk the vectors in blocks of
-    `STATE_BLOCK` columns. The first fixes signs and takes each column's
-    residual r = T u - lambda u, as its largest entry (`residual_bound`) and as
-    its 2-norm. The second measures orthonormality only between nearby levels:
-    the Gram row panel V_b^T V[:, lo:end] of the block starting at column lo
-    stops at the first level at least W = ORTHO_WINDOW_REL * scale above the
-    block's top level.
+    `values` must ascend. One walk over the vectors, in blocks of
+    `STATE_BLOCK` columns, does three things per block: it fixes the block's
+    signs, takes each column's residual r = T u - lambda u, as its largest
+    entry (`residual_bound`) and as its 2-norm, and measures orthonormality
+    between nearby levels: the Gram row panel V_b^T V[:, lo:end] of the block
+    starting at column lo stops at the first level at least W =
+    ORTHO_WINDOW_REL * scale above the block's top level. The panel's columns
+    past the block have not had their signs fixed yet; a flip negates each of
+    their products exactly and the panel is taken in absolute value, so the
+    bounds are the same bits either way. The whole walk runs on one BLAS
+    thread (see `_one_blas_thread`).
 
     Every pair beyond the window is bounded instead. Evaluating u_i^T T u_j
     both ways gives (lambda_j - lambda_i) u_i^T u_j = r_i^T u_j - u_i^T r_j, so
@@ -476,22 +480,16 @@ def _certify(diag, offdiag, values, vectors) -> EigenSystem:
     n = vectors.shape[1]
     scale = _scale(diag, offdiag)
     unit = max(scale, 1e-300)
-    starts = range(0, n, STATE_BLOCK)
-    residual = 0.0
-    sumsq = np.empty(n)  # |r|^2 / unit^2 per column
-    for lo in starts:
-        hi = lo + STATE_BLOCK
-        block = _fix_signs(vectors[:, lo:hi])
-        worst, sumsq[lo:hi] = _block_residual(diag, offdiag, values[lo:hi], block, 1.0 / unit)
-        residual = max(residual, worst)
-    if not np.all(np.isfinite(sumsq)):
-        raise SolverError("residual not finite: the eigenpairs hold NaN or inf")
     tops = np.minimum(np.arange(STATE_BLOCK, n + STATE_BLOCK, STATE_BLOCK), n)
     ends = np.maximum(np.searchsorted(values, values[tops - 1] + ORTHO_WINDOW_REL * unit), tops)
-    ortho = norm_defect = 0.0
+    residual = ortho = norm_defect = 0.0
+    sumsq = np.empty(n)  # |r|^2 / unit^2 per column
     with _one_blas_thread():
-        for lo, end in zip(starts, ends):
-            block = vectors[:, lo:lo + STATE_BLOCK]
+        for lo, end in zip(range(0, n, STATE_BLOCK), ends):
+            hi = lo + STATE_BLOCK
+            block = _fix_signs(vectors[:, lo:hi])
+            worst, sumsq[lo:hi] = _block_residual(diag, offdiag, values[lo:hi], block, 1.0 / unit)
+            residual = max(residual, worst)
             panel = block.T @ vectors[:, lo:end]
             k = block.shape[1]
             diagonal = np.arange(k), np.arange(k)
@@ -500,6 +498,8 @@ def _certify(diag, offdiag, values, vectors) -> EigenSystem:
             norm_defect = max(norm_defect, float(np.max(panel[diagonal])))
             ortho = max(ortho, float(np.max(panel)))
             del panel  # freed before the next panel is made
+    if not np.all(np.isfinite(sumsq)):
+        raise SolverError("residual not finite: the eigenpairs hold NaN or inf")
     if ends[0] < n:  # ends ascend, so some pair lies beyond the window
         nu = math.sqrt(1.0 + norm_defect)
         rho = math.sqrt(float(np.max(sumsq))) + 10 * _ULP * nu

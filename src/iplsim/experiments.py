@@ -82,6 +82,8 @@ class RunConfig:
     label: str | None = None
 
     def __post_init__(self):
+        if self.label is not None and not isinstance(self.label, str):
+            raise ValueError(f"label must be text, got {self.label!r}")
         parse_selection(self.map_selection)
         if self.thresholds.n_b > self.profile.cells:
             raise ValueError(f"edge window n_b={self.thresholds.n_b} exceeds the "

@@ -30,16 +30,20 @@ MAX_SITES = 20_000
 
 
 def read_integer(name: str, value: Any) -> int:
-    """An int, or text that parses as one; a fraction is refused, never truncated."""
+    """An int (not a bool), or text that parses as one; a fraction is refused, never truncated."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         return int(value) if isinstance(value, str) else operator.index(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def read_real(name: str, value: Any) -> float:
-    """A finite float from a number or numeric text."""
+    """A finite float from a number (not a bool) or numeric text."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None

@@ -14,7 +14,7 @@ from iplsim.analysis import AnalysisThresholds
 from iplsim.experiments import (DEFAULT_CONFIG, PRESETS, RunConfig, RunManifest,
                                 configure, focusing_grid, oracle_check, preset_config, replay)
 from iplsim.hamiltonian import CellParams
-from iplsim.profiles import QUARTER_TURN, ProfileSpec
+from iplsim.profiles import QUARTER_TURN, ProfileSpec, read_integer
 
 PI = math.pi
 
@@ -360,7 +360,9 @@ class TestOracleParsing:
     def test_bounds_accepted(self):
         for sites in ("4", str(DENSE_ORACLE_MAX_SITES)):
             cmd = parse_args(["oracle-check", "--instances", "1", "--max-sites", sites])
-            assert cmd.flags["max_sites"] == int(sites)
+            # the flag holds its text, which oracle_check reads
+            assert cmd.flags["max_sites"] == sites
+            assert read_integer("max_sites", cmd.flags["max_sites"]) == int(sites)
 
     @pytest.mark.parametrize("argv,fragment", [
         (["oracle-check", "--instances", "0"], "instances"),
@@ -589,11 +591,32 @@ class TestOneReaderPerSetting:
     def test_sweep_grid_must_be_finite(self, grid, tmp_path, no_compute, capsys):
         argv = ["sweep", "--cells", "8", *grid, "--out", str(tmp_path / "out")]
         assert main(argv) == 2
-        ends = {"--lf-min": 0.5, "--lf-max": 100.0, **dict(zip(grid[::2], map(float, grid[1::2])))}
+        # the owner gets the text the command line passes, and quotes it
+        ends = {"--lf-min": 0.5, "--lf-max": 100.0, **dict(zip(grid[::2], grid[1::2]))}
         with pytest.raises(ValueError) as refusal:
             focusing_grid(ends["--lf-min"], ends["--lf-max"], 25)
         assert capsys.readouterr().err == f"iplsim: {refusal.value}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, owner, message", [
+        (["sweep", "--cells", "8", "--points", "2.5"],
+         lambda: focusing_grid(0.5, 100.0, "2.5"), "points must be an integer, got '2.5'"),
+        (["sweep", "--cells", "8", "--lf-min", "abc"],
+         lambda: focusing_grid("abc", 100.0, 25), "lf_min must be a number, got 'abc'"),
+        (["oracle-check", "--instances", "1.5"],
+         lambda: oracle_check(instances="1.5"), "instances must be an integer, got '1.5'"),
+        (["oracle-check", "--max-sites", "1e2"],
+         lambda: oracle_check(max_sites="1e2"), "max_sites must be an integer, got '1e2'"),
+    ], ids=["sweep-points", "sweep-lf-min", "oracle-instances", "oracle-max-sites"])
+    def test_command_line_numbers_are_read_by_their_owner(self, argv, owner, message, tmp_path,
+                                                          no_compute, capsys):
+        with pytest.raises(ValueError) as refusal:
+            owner()
+        assert str(refusal.value) == message
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)] if argv[0] == "sweep" else argv) == 2
+        assert capsys.readouterr().err == f"iplsim: {message}\n"
+        assert not out.exists()
 
     def test_sweep_refuses_cell_parameters_that_overflow(self, tmp_path, no_compute, capsys):
         argv = ["sweep", "--cells", "8", "--points", "2", "--d1=-1e308", "--d2", "1e308",

@@ -176,6 +176,40 @@ class TestBlockedCertificate:
         # headroom: the far-pair bound stays a decade under the cap
         assert eig.ortho_bound <= ORTHO_CAP / 10
 
+    @pytest.mark.parametrize("source", ["fig13", "narrow-300-sites"])
+    def test_signs_not_fixed_yet_leave_every_bit_in_place(self, source, preset_eig):
+        # a block's Gram panel reads the columns past it before their signs
+        # are fixed; flipping any of them negates those products exactly
+        if source == "fig13":
+            config, eig = preset_eig(source)
+            h = build_hamiltonian(config)
+        else:
+            wide = random_operator(300, seed=300)
+            h = TridiagonalHamiltonian(10.0 + 1e-3 * wide.diag, 1e-3 * wide.offdiag)
+            eig = eigh_tridiagonal(h)
+        assert eig.size > 2 * STATE_BLOCK
+        rows = eig.vectors.T.copy()  # the solver's (states x sites) layout
+        later = STATE_BLOCK + 10
+        if source == "narrow-300-sites":
+            # every level lies in every window, so the first block's panel
+            # measures this overlap with a state of the second block, and the
+            # overlap is the measured Gram defect
+            rows[later] += 1e-12 * rows[10]
+        want = _certify(h.diag, h.offdiag, eig.values, rows.copy().T)
+        flipped = np.random.default_rng(eig.size).random(eig.size) < 0.5
+        flipped[later] = True
+        assert not flipped.all()
+        rows[flipped] *= -1.0
+        got = _certify(h.diag, h.offdiag, eig.values, rows.T)
+        assert got.residual_bound == want.residual_bound
+        assert got.ortho_bound == want.ortho_bound
+        assert np.array_equal(got.vectors, want.vectors)
+        if source == "narrow-300-sites":
+            assert want.ortho_bound > 0.5e-12
+        else:
+            assert (want.residual_bound, want.ortho_bound) == (eig.residual_bound, eig.ortho_bound)
+            assert np.array_equal(want.vectors, eig.vectors)
+
     def test_gram_panels_stop_at_the_window(self):
         # 1000 sites whose two bands span about 1.3 scale: no block's window
         # holds more than 188 columns, so the largest Gram panel is well under

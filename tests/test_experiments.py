@@ -709,11 +709,15 @@ def _with(section, **changes):
     (_with(None, kind="sweep", lf_values=[None]), "^lf must be a number, got None$"),
     (_with(None, kind="sweep", lf_values=[-1.0]), "^lf must be positive, got -1.0$"),
     (_with(None, kind="sweep", lf_values=[]), REFUSED_GRIDS["[]"]),
+    (_with("profile", seed=True), "^seed must be an integer, got True$"),
+    (_with("params", eps=False), "^eps must be a number, got False$"),
+    (_with(None, label={"x": [1, 2]}), r"^label must be text, got \{'x': \[1, 2\]\}$"),
 ], ids=["checksums-list", "checksums-number", "emit-text", "params-unknown", "params-missing",
         "profile-unknown", "profile-missing", "thresholds-unknown", "thresholds-missing",
         "params-list", "lf-contradicts-ends", "lf-negative", "emit-unknown", "emit-empty",
         "top-level-unknown", "optional-misspelt", "map-selection-number", "lf-values-number",
-        "lf-values-null", "lf-values-negative", "lf-values-empty"])
+        "lf-values-null", "lf-values-negative", "lf-values-empty", "seed-bool", "eps-bool",
+        "label-object"])
 def test_a_malformed_manifest_is_refused_at_load(edit, match, tmp_path):
     doc = RunManifest.of(small_config(), ("csv",), {}).to_dict()
     edit(doc)
@@ -778,6 +782,17 @@ def test_every_presets_manifest_loads(name):
     emit = EMIT_KINDS if lf_values is None else ("csv",)
     manifest = RunManifest.of(PRESETS[name].config, emit, {}, lf_values=lf_values)
     assert RunManifest.from_dict(json.loads(json.dumps(manifest.to_dict()))) == manifest
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("nb", True, "^n_b must be an integer, got True$"),
+    ("seed", np.True_, "^seed must be an integer, got np.True_$"),
+    ("eps", False, "^eps must be a number, got False$"),
+    ("tau", np.False_, "^tau must be a number, got np.False_$"),
+])
+def test_configure_refuses_a_bool_as_a_number(key, value, match):
+    with pytest.raises(ValueError, match=match):
+        configure(DEFAULT_CONFIG, {key: value})
 
 
 @pytest.mark.parametrize("lf", ["-1", "0"])

@@ -52,6 +52,19 @@ def test_preset_report_prints_the_structure(capsys):
     assert "most localized states" in out
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--sites", "2.5", "sites must be an integer, got '2.5'"),
+    ("--eps", "abc", "eps must be a number, got 'abc'"),
+    ("--tau", "nan", "tau must be finite, got 'nan'"),
+])
+def test_preset_report_overrides_are_read_by_the_config_types(flag, text, message, capsys):
+    preset_report = load("preset_report")
+    with pytest.raises(SystemExit) as exit_:
+        preset_report.main(["fig2_3", flag, text])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_artifact_diff_finds_no_drift_between_reruns_and_names_a_perturbed_column(
         tmp_path, capsys):
     run_presets, artifact_diff = load("run_presets"), load("artifact_diff")
