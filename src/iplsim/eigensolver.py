@@ -4,7 +4,8 @@ Two independent routes: ``eigh_tridiagonal`` works on the (diag, offdiag)
 arrays. It splits the operator into unreduced blocks, takes each block's
 eigenvalues from LAPACK's root-free QR (``sterf``), cuts them into spectral
 groups at gaps above ``GROUP_GAP_REL`` of the operator scale, and runs inverse
-iteration (``dstein``) once per group. It calls both routines with ctypes
+iteration (``dstein``) once per group (of each half-size sector of an even
+mirror-symmetric operator, see `_unfold`). It calls both routines with ctypes
 from the OpenBLAS that numpy's wheels bundle, which numpy has loaded already,
 so importing this module loads no scipy (see `_lapack`; elsewhere they come
 from scipy's Cython LAPACK capsules). A ctypes call releases the GIL, so one
@@ -71,6 +72,10 @@ ORTHO_WINDOW_REL = 1e-2
 _ULP = float(np.finfo(float).eps)
 _SAFE_MIN = float(np.finfo(float).tiny)
 
+# spacings within this many ulps of the largest |eigenvalue| are exact
+# degeneracies, and entries this many ulps of the scale apart are equal
+DEGENERACY_ULPS = 4
+
 # states per block in every pass over the (sites x states) vectors once they
 # are solved (certificate, measures, map raster), so a pass's scratch stays
 # O(sites x block) next to the vector matrix
@@ -78,12 +83,17 @@ STATE_BLOCK = 128
 
 # `per_core` runs one thread per core, but only as many as get this much
 # work each, counted in sites x states: dstein's on the spectral groups, the
-# per-state measures' on the vectors. Below it a second thread did not pay, so
-# lattices of up to about 720 sites, every figure preset among them, are
-# solved and measured on the calling thread alone (measurements in
-# CHANGES.md, under "Steadier `figures`").
+# per-state measures' on the vectors. Below it a second thread costs more CPU
+# than it saves wall time: at 2^17 on 2 vCPUs, which threads fig10 and the
+# 1002-site sweep points, `figures` took 2.5% more CPU for no resolved wall
+# gain and `sweep_oracle` 1.6% more for 14% less wall time (CHANGES.md).
 _WORKERS = os.cpu_count() or 1
 _THREAD_WORK = 1 << 18
+
+
+def rounding_floor(values: np.ndarray) -> float:
+    """DEGENERACY_ULPS ulps of the largest |eigenvalue|: spacings below it are roundoff."""
+    return DEGENERACY_ULPS * float(np.spacing(np.abs(values).max(initial=0.0)))
 
 
 def thread_count(work: int) -> int:
@@ -224,7 +234,8 @@ def eigh_tridiagonal(h) -> EigenSystem:
     vector from its eigenvalue, so the exponential tails of localized states
     come out with the right signs and magnitudes instead of QR noise; dstein
     reorthogonalizes only inside one spectral group (exact and near
-    degeneracies), never across a whole band.
+    degeneracies), never across a whole band. Levels closer than the rounding
+    floor get the site-index basis (`_sub_floor_basis`) before the certificate.
 
     The vectors are stored state-major: row k of one C-ordered (states x
     sites) matrix is the vector of values[k], and `EigenSystem.vectors` is its
@@ -252,6 +263,15 @@ def eigh_tridiagonal(h) -> EigenSystem:
     exponent = math.frexp(scale)[1]
     unit = math.ldexp(1.0, exponent - 1) if abs(exponent) > 255 else 1.0
     d, e = diag / unit, offdiag / unit
+    # an even operator that is its own mirror image, to 4 ulps of the scale, is
+    # solved as its two sectors side by side, split by a zero bond (`_unfold`)
+    m, equal = n // 2, DEGENERACY_ULPS * float(np.spacing(scale / unit))
+    mirrored = n % 2 == 0 and max(np.max(np.abs(d - d[::-1])),
+                                  np.max(np.abs(e - e[::-1]))) <= equal
+    if mirrored:
+        middle = e[m - 1]
+        d, e = np.tile(d[:m], 2), np.concatenate((e[:m - 1], [0.0], e[:m - 1]))
+        d[[m - 1, -1]] += middle, -middle
     split = e**2 <= _ULP**2 * np.abs(d[:-1] * d[1:]) + _SAFE_MIN
     edges = np.concatenate(([0], np.flatnonzero(split) + 1, [n]))
     # dsterf overwrites D and E with the block's ascending values and scratch,
@@ -306,8 +326,46 @@ def eigh_tridiagonal(h) -> EigenSystem:
         task, info = min(failures)
         raise SolverError(f"inverse iteration failed near {values[first[task]] * unit:.6g} "
                           f"(dstein info {info})")
-    values *= unit
-    return _certify(diag, offdiag, values[order], rows.T)
+    if mirrored:
+        _unfold(rows, order >= m)
+    values = values[order] * unit
+    _sub_floor_basis(rows, values)
+    return _certify(diag, offdiag, values, rows.T)
+
+
+def _unfold(rows, odd) -> None:
+    """Turn each row x of a sector solve into [x; Jx]/sqrt2, or [x; -Jx]/sqrt2 where odd, in place.
+
+    T of 2m sites equal to its mirror image commutes with the reversal J: the
+    even and odd vectors solve its leading m x m block with d_m + e_m and
+    d_m - e_m, whose x the solve left in the first and second half of a row.
+    """
+    m = rows.shape[1] // 2
+    for lo in range(0, rows.shape[0], STATE_BLOCK):
+        block, flip = rows[lo:lo + STATE_BLOCK], odd[lo:lo + STATE_BLOCK, None]
+        half = np.where(flip, block[:, m:], block[:, :m])  # the one (block x m) temporary
+        half /= math.sqrt(2.0)
+        block[:, :m] = half
+        np.multiply(half[:, ::-1], np.where(flip, -1.0, 1.0), out=block[:, m:])
+
+
+def _sub_floor_basis(rows, values) -> None:
+    """Rotate the rows of each cluster of levels spaced at or below `rounding_floor`, in place.
+
+    Any orthonormal mix of them is as good an eigenbasis; the site index's
+    (a k x k `eigh`, on one BLAS thread) gives one-sided states in ascending
+    center of mass, whichever solve mixed them.
+    """
+    close = np.concatenate(([0], np.diff(values) <= rounding_floor(values), [0]))
+    edges = np.flatnonzero(np.diff(close))  # each cluster's first and last state
+    if edges.size == 0:  # no cluster, and no BLAS pin to take
+        return
+    site = np.arange(1.0, rows.shape[1] + 1)
+    with _one_blas_thread():
+        for lo, hi in zip(edges[0::2], edges[1::2] + 1):
+            cluster = rows[lo:hi]
+            basis = np.linalg.eigh((cluster * site) @ cluster.T)[1]
+            rows[lo:hi] = basis.T @ cluster
 
 
 def _mapped_zeros(n: int) -> np.ndarray:

@@ -11,11 +11,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .eigensolver import STATE_BLOCK, per_core, thread_count
+from .eigensolver import STATE_BLOCK, per_core, rounding_floor, thread_count
 
 NORM_TOL = 1e-10
-# spacings within this many ulps of the largest |eigenvalue| are exact degeneracies
-DEGENERACY_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,8 @@ class StateMeasures:
 class SpacingSpectrum:
     """Consecutive eigenvalue differences, clamped at zero.
 
-    floor: the rounding scale of the eigenvalues (DEGENERACY_ULPS ulps of the
-    largest magnitude); a spacing below it is an exact degeneracy.
+    floor: the rounding scale of the eigenvalues (`rounding_floor`, a few ulps
+    of the largest magnitude); a spacing below it is an exact degeneracy.
     """
 
     spacings: np.ndarray
@@ -70,11 +68,6 @@ def spacing_spectrum(values: np.ndarray) -> SpacingSpectrum:
     if np.any(diffs < -1e-12):
         raise ValueError("eigenvalues must be sorted ascending")
     return SpacingSpectrum(np.maximum(diffs, 0.0), floor=rounding_floor(values))
-
-
-def rounding_floor(values: np.ndarray) -> float:
-    """DEGENERACY_ULPS ulps of the largest |eigenvalue|: spacings below it are roundoff."""
-    return DEGENERACY_ULPS * float(np.spacing(np.abs(values).max(initial=0.0)))
 
 
 def node_count(vectors: np.ndarray, amplitude_floor: float = 1e-8):

@@ -39,7 +39,7 @@ from iplsim.measures import node_count, state_measures
 from iplsim.profiles import ProfileSpec, random_onsite_sequence, realize_profile
 from iplsim.rng import SplitMix64
 from iplsim.experiments import (DEFAULT_CONFIG, PRESETS, build_hamiltonian, configure,
-                                preset_config, random_instance)
+                                preset_config, random_instance, sweep_lf)
 
 from certificate import certificate_values
 from memory import traced_peak
@@ -421,6 +421,7 @@ HARD_TRIDIAGONALS = {
     "glued-W21-x10-1e-8": lambda: glued_wilkinson(10, 10, 1e-8),
     "glued-W201-x20-1e-14": lambda: glued_wilkinson(100, 20, 1e-14),
     "glued-W201-x20-1e-8": lambda: glued_wilkinson(100, 20, 1e-8),
+    "glued-W21-x2-1e-14": lambda: glued_wilkinson(10, 2, 1e-14),
     "graded-40": graded,
     "clement-400": clement,
     "uniform-chain-3000": uniform_chain,
@@ -445,6 +446,163 @@ class TestHardTridiagonals:
         reference = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag)
         assert np.max(np.abs(eig.values - reference)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("name", list(HARD_TRIDIAGONALS))
+    def test_every_even_palindrome_is_solved_as_two_sectors(self, name, unfolds):
+        # glued copies of one Wilkinson matrix, Clement's matrix and the
+        # uniform chain are their own mirror images; the graded one is not
+        eigh_tridiagonal(HARD_TRIDIAGONALS[name]())
+        assert bool(unfolds) == (name != "graded-40")
+
+
+@pytest.fixture
+def unfolds(monkeypatch):
+    """The state count of every sector solve `eigh_tridiagonal` unfolds."""
+    calls = []
+    unfold = eigensolver._unfold
+
+    def recording(rows, odd):
+        calls.append(rows.shape[0])
+        unfold(rows, odd)
+
+    monkeypatch.setattr(eigensolver, "_unfold", recording)
+    return calls
+
+
+def palindrome(half=20, middle=2.0, seed=7):
+    """An even mirror-symmetric operator of 2 half sites, with d_0 = 1 and the given middle
+    bond; every other |entry| is below 1.5, so with middle = 2 its scale is 5."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-1.0, 1.0, half), rng.uniform(-1.5, 1.5, half - 1)
+    a[0] = 1.0
+    return TridiagonalHamiltonian(np.concatenate((a, a[::-1])),
+                                  np.concatenate((b, [middle], b[::-1])))
+
+
+def sub_floor_states(values):
+    """Mask of the states in a cluster of levels spaced at or below the rounding floor."""
+    close = np.diff(values) <= eigensolver.rounding_floor(values)
+    return np.concatenate((close, [False])) | np.concatenate(([False], close))
+
+
+class TestMirrorSectors:
+    """Even palindromes solved as their even and odd sectors, then unfolded."""
+
+    @pytest.mark.parametrize("asymmetry, folds", [(2.0**-48, True), (1e-12, False)],
+                             ids=["4-ulps", "1e-12"])
+    def test_four_ulps_of_asymmetry_fold_and_1e_minus_12_does_not(self, asymmetry, folds,
+                                                                   unfolds):
+        h = palindrome()
+        assert _scale(h.diag, h.offdiag) == 5.0
+        assert 2.0**-48 == eigensolver.DEGENERACY_ULPS * np.spacing(5.0)
+        diag = h.diag.copy()
+        diag[0] += asymmetry
+        # certified against the asymmetric operator, as it is
+        eig = eigh_tridiagonal(TridiagonalHamiltonian(diag, h.offdiag))
+        assert unfolds == ([h.sites] if folds else [])
+        reference = scipy.linalg.eigvalsh_tridiagonal(diag, h.offdiag)
+        assert np.max(np.abs(eig.values - reference)) <= 1e-13 * 5.0
+
+    @pytest.mark.parametrize("name", ["fig1", "fig4"])
+    def test_sector_vectors_are_mirror_even_or_odd_bit_for_bit(self, name, preset_eig):
+        _, eig = preset_eig(name)
+        rotated = sub_floor_states(eig.values)
+        assert rotated.sum() == (0 if name == "fig1" else 2)
+        v = eig.vectors[:, ~rotated]
+        even = np.all(v[::-1] == v, axis=0)
+        odd = np.all(v[::-1] == -v, axis=0)
+        assert np.all(even ^ odd)
+        assert even.sum() == odd.sum() == (eig.size - rotated.sum()) // 2
+
+    def test_an_odd_palindrome_is_solved_whole(self, unfolds):
+        h = palindrome()
+        odd = TridiagonalHamiltonian(np.insert(h.diag, 20, 0.5), np.insert(h.offdiag, 20, 2.0))
+        eig = eigh_tridiagonal(odd)
+        assert unfolds == []
+        reference = scipy.linalg.eigvalsh_tridiagonal(odd.diag, odd.offdiag)
+        assert np.max(np.abs(eig.values - reference)) <= 1e-13 * 5.0
+
+    def test_two_sites_are_two_one_site_sectors(self, unfolds):
+        eig = eigh_tridiagonal(TridiagonalHamiltonian(np.array([0.3, 0.3]), np.array([0.5])))
+        assert unfolds == [2]
+        # the sectors are d -+ e; their one-site vectors unfold to [1, -+1]/sqrt2
+        assert eig.values.tolist() == [0.3 - 0.5, 0.3 + 0.5]
+        assert np.array_equal(eig.vectors, np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0))
+
+    def test_a_zero_middle_bond_gives_one_sided_pairs(self, unfolds):
+        h = palindrome(middle=0.0)
+        eig = eigh_tridiagonal(h)
+        assert unfolds == [40]
+        # both sectors are the left half's block: every level twice, to the bit
+        left = eigh_tridiagonal(TridiagonalHamiltonian(h.diag[:20], h.offdiag[:19]))
+        assert np.array_equal(eig.values, np.repeat(left.values, 2))
+        # each exact pair is rotated back into the two halves, left one first
+        first, second = eig.vectors[:, 0::2], eig.vectors[:, 1::2]
+        assert np.max(np.abs(first[20:])) <= 1e-15 and np.max(np.abs(second[:20])) <= 1e-15
+
+    @pytest.mark.parametrize("factor", [2.0**300, 2.0**-300])
+    def test_scales_beyond_2_to_the_255_fold_like_the_unit_operator(self, factor, unfolds):
+        h = palindrome(middle=0.7)
+        unit = math.ldexp(1.0, math.frexp(_scale(h.diag, h.offdiag))[1] - 1)
+        base = eigh_tridiagonal(TridiagonalHamiltonian(h.diag / unit, h.offdiag / unit))
+        scaled = eigh_tridiagonal(TridiagonalHamiltonian(h.diag / unit * factor,
+                                                         h.offdiag / unit * factor))
+        assert unfolds == [40, 40]
+        assert np.array_equal(scaled.values / factor, base.values)
+        assert np.array_equal(scaled.vectors, base.vectors)
+
+
+class TestSubFloorBasis:
+    """Clusters of levels below the rounding floor get the site-index eigenbasis."""
+
+    def test_rounding_floor_has_one_owner(self):
+        assert measures.rounding_floor is eigensolver.rounding_floor
+
+    def test_a_sub_floor_pair_comes_out_one_sided_in_ascending_com(self, preset_eig):
+        # fig4's one sub-floor pair: an even and an odd sector state, which
+        # the rotation turns into a state on each half of the lattice
+        _, eig = preset_eig("fig4")
+        pair = np.flatnonzero(sub_floor_states(eig.values))
+        assert pair.size == 2
+        half = eig.size // 2
+        v = eig.vectors[:, pair]
+        left = np.sum(v[:half] ** 2, axis=0)
+        assert left[0] >= 1.0 - 1e-12 and left[1] <= 1e-12
+        assert state_measures(v).com[0] < state_measures(v).com[1]
+
+    @pytest.mark.parametrize("lf, delocalized", [(None, 38 / 302), (0.5, 42 / 1002)],
+                             ids=["fig4", "sweep-lf-0.5"])
+    def test_the_readout_is_the_whole_lattice_solves(self, lf, delocalized):
+        # each of these lattices has one sub-floor pair; left as the sector
+        # solve gives it, an even and an odd two-sided state, both count as
+        # delocalized (0.132450 on fig4, 0.043912 at lf = 0.5)
+        if lf is None:
+            fraction = analysis.delocalized_fraction(analysis.analyze(
+                eigh_tridiagonal(build_hamiltonian(preset_config("fig4")))).labels)
+        else:
+            [point] = sweep_lf([lf], preset_config("fig4_inset_sweep"))
+            fraction = point.fraction
+        assert fraction == delocalized
+
+    def test_every_cluster_comes_out_in_ascending_com(self, preset_eig):
+        # fig13 is not a palindrome: its exact 3- and 6-fold levels are
+        # dstein's groups, rotated as they come
+        _, eig = preset_eig("fig13")
+        rotated = sub_floor_states(eig.values)
+        assert rotated.sum() > 100
+        com = state_measures(eig.vectors).com
+        close = np.diff(eig.values) <= eigensolver.rounding_floor(eig.values)
+        assert np.all(np.diff(com)[close] > 0.0)
+
+    def test_resolved_nodal_pairs_are_not_rotated(self, monkeypatch):
+        # fig11_13's near-degenerate pairs lie above the floor: its vectors,
+        # and so its artifacts, are those of the solve without the rotation
+        h = build_hamiltonian(preset_config("fig11_13"))
+        eig = eigh_tridiagonal(h)
+        assert np.any(np.diff(eig.values) < 1e-10 * _scale(h.diag, h.offdiag))
+        assert not sub_floor_states(eig.values).any()
+        monkeypatch.setattr(eigensolver, "_sub_floor_basis", lambda rows, values: None)
+        assert np.array_equal(eigh_tridiagonal(h).vectors, eig.vectors)
+
 
 def kernel_dstein(d, e, w):
     """The solver's ctypes dstein on one unreduced block: (Z as (states x sites) rows, info)."""
@@ -464,10 +622,9 @@ def kernel_dstein(d, e, w):
     return rows, int(info[0])
 
 
-def sterf_blocks(h):
-    """The unreduced blocks (lo, hi) by DSTEBZ's split rule, and scipy's f2py sterf
-    values of each."""
-    d, e = h.diag, h.offdiag
+def sterf_blocks(d, e):
+    """The unreduced blocks (lo, hi) of (d, e) by DSTEBZ's split rule, and scipy's f2py
+    sterf values of each."""
     split = e**2 <= eigensolver._ULP**2 * np.abs(d[:-1] * d[1:]) + eigensolver._SAFE_MIN
     edges = np.concatenate(([0], np.flatnonzero(split) + 1, [d.size]))
     blocks = list(zip(edges[:-1], edges[1:]))
@@ -476,32 +633,60 @@ def sterf_blocks(h):
                     for lo, hi in blocks]
 
 
+def mirror_sectors(h):
+    """(d, e, folded): the two mirror sectors of an even palindrome side by side, split by
+    a zero middle bond, with folded true; any other operator as it is, with folded false.
+
+    A palindrome here is what the solver takes for one: every entry within
+    DEGENERACY_ULPS ulps of the scale of its mirror image.
+    """
+    d, e = h.diag, h.offdiag
+    n, m = d.size, d.size // 2
+    equal = eigensolver.DEGENERACY_ULPS * np.spacing(_scale(d, e))
+    if n % 2 or np.any(np.abs(d - d[::-1]) > equal) or np.any(np.abs(e - e[::-1]) > equal):
+        return d, e, False
+    even, odd = d[:m].copy(), d[:m].copy()
+    even[-1] += e[m - 1]
+    odd[-1] -= e[m - 1]
+    return np.concatenate((even, odd)), np.concatenate((e[:m - 1], [0.0], e[:m - 1])), True
+
+
 def f2py_vectors(h):
     """The grouped solve with scipy's f2py dstein, one call per group in order, sign-fixed.
 
     The (sites x states) reference for `eigh_tridiagonal`'s threaded ctypes
-    path: the same blocks, sterf values and group cuts, solved serially.
+    path: the same blocks, sterf values and group cuts, solved serially. An
+    even palindrome is solved as its two mirror sectors, whose vectors x
+    become [x; Jx]/sqrt2 and [x; -Jx]/sqrt2; then every cluster of levels
+    below the rounding floor gets the solver's site-index basis.
     """
-    d, e = h.diag, h.offdiag
+    d, e, folded = mirror_sectors(h)
     n = d.size
-    blocks, block_values = sterf_blocks(h)
-    column = np.empty(n, dtype=np.intp)
-    column[np.argsort(np.concatenate(block_values), kind="stable")] = np.arange(n)
-    vectors = np.zeros((n, n))
+    blocks, block_values = sterf_blocks(d, e)
+    values = np.concatenate(block_values)
+    order = np.argsort(values, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    rows = np.zeros((n, n))  # state-major, as the solver keeps them
+    cut = GROUP_GAP_REL * _scale(h.diag, h.offdiag)
     for (lo, hi), w in zip(blocks, block_values):
         size = hi - lo
         if size == 1:
-            vectors[lo, column[lo]] = 1.0
+            rows[rank[lo], lo] = 1.0
             continue
         iblock, isplit = np.ones(size, dtype=np.int32), np.zeros(size, dtype=np.int32)
         isplit[0] = size
-        cut = GROUP_GAP_REL * _scale(d, e)
         cuts = np.concatenate(([0], np.flatnonzero(np.diff(w) > cut) + 1, [size]))
         for g0, g1 in zip(cuts[:-1], cuts[1:]):
             z, info = dstein(d[lo:hi], e[lo:hi - 1], w[g0:g1], iblock, isplit)
             assert info == 0
-            vectors[lo:hi, column[lo + g0:lo + g1]] = z
-    return _fix_signs(vectors)
+            rows[rank[lo + g0:lo + g1], lo:hi] = z.T
+    if folded:
+        m, odd = n // 2, order[:, None] >= n // 2
+        half = np.where(odd, rows[:, m:], rows[:, :m]) / math.sqrt(2.0)
+        rows = np.concatenate((half, np.where(odd, -half[:, ::-1], half[:, ::-1])), axis=1)
+    eigensolver._sub_floor_basis(rows, values[order])
+    return _fix_signs(rows.T)
 
 
 def interleaved_blocks():
@@ -547,6 +732,7 @@ class TestThreadedKernel:
         pytest.param(lambda: build_hamiltonian(preset_config("fig13")), id="fig13"),
         pytest.param(lambda: build_hamiltonian(preset_config("fig6", {"sites": 1802})),
                      id="fig6-1802-sites"),
+        pytest.param(lambda: build_hamiltonian(preset_config("fig1")), id="fig1"),
         pytest.param(decoupled_close_levels, id="eps0-interleaved-pairs"),
         pytest.param(interleaved_blocks, id="interleaved-60-state-groups"),
     ])
@@ -560,7 +746,8 @@ class TestThreadedKernel:
         assert np.array_equal(threaded.values, serial.values)
         assert np.array_equal(threaded.vectors, serial.vectors)
         assert threaded.ortho_bound == serial.ortho_bound
-        # and both are the f2py wrapper's bits, group by group
+        # and both are the f2py wrapper's bits, group by group (sector by
+        # sector for fig1), in the same site-index basis below the floor
         assert np.array_equal(threaded.vectors, f2py_vectors(h))
 
     def test_concurrent_calls_get_the_serial_bits(self, monkeypatch):
@@ -776,7 +963,7 @@ class TestLapackRoute:
     ])
     def test_values_are_scipys_sterf_bits_block_by_block(self, make):
         h = make()
-        want = np.sort(np.concatenate(sterf_blocks(h)[1]), kind="stable")
+        want = np.sort(np.concatenate(sterf_blocks(h.diag, h.offdiag)[1]), kind="stable")
         assert np.array_equal(eigh_tridiagonal(h).values, want)
 
 
