@@ -14,8 +14,7 @@ from .profiles import (QUARTER_TURN, PROFILE_KINDS, MAX_SITES, ProfileSpec,
                        realize_profile, random_onsite_sequence)
 from .hamiltonian import CellParams, TridiagonalHamiltonian, assemble, assemble_onsite
 from .eigensolver import EigenSystem, SolverError, eigh_tridiagonal, dense_oracle
-from .measures import (StateMeasures, SpacingSpectrum, node_count, spacing_spectrum,
-                       state_measures)
+from .measures import StateMeasures, SpacingSpectrum, spacing_spectrum, state_measures
 from .analysis import (AnalysisThresholds, BandPartition, SubdomainLabels,
                        Multiplet, SpectralReport,
                        detect_bands, classify_states, delocalized_fraction,

@@ -45,10 +45,12 @@ class AnalysisThresholds:
 
 @dataclass(frozen=True)
 class BandPartition:
-    """Disjoint index ranges over the sorted spectrum, split at outlier spacings."""
+    """Disjoint index ranges over the sorted spectrum, split at outlier spacings.
+
+    Each band but the last ends at a gap: the spacing after its last state.
+    """
 
     bands: tuple[range, ...]
-    gaps: tuple[tuple[float, int], ...]
     low_confidence: bool = False
 
 
@@ -108,8 +110,7 @@ def detect_bands(spacings: SpacingSpectrum, gamma: float = 20.0) -> BandPartitio
             boundaries = np.array([int(np.argmax(spac))])
     edges = [0, *(int(b) + 1 for b in boundaries), spac.size + 1]
     bands = tuple(range(a, b) for a, b in zip(edges[:-1], edges[1:]))
-    gaps = tuple((float(spac[int(b)]), int(b)) for b in boundaries)
-    return BandPartition(bands=bands, gaps=gaps, low_confidence=low_confidence)
+    return BandPartition(bands=bands, low_confidence=low_confidence)
 
 
 def classify_states(measures: StateMeasures, bands: BandPartition,

@@ -29,7 +29,11 @@ class StateMeasures:
         all N-th roots of unity and cancel).
     com: probability-weighted mean site index (1-based, fractional).
     w_left, w_right: probability mass in the first and last n_b sites.
-    nodes: sign changes, counted by ``node_count``.
+    nodes: sign changes between consecutive components that both exceed
+        amplitude_floor times the state's largest magnitude; the relative
+        floor suppresses sign noise in the numerically zero tails of strongly
+        localized states, and a floor of 0 counts every strict sign change
+        (the Sturm-oscillation regime).
     """
 
     ipr: np.ndarray
@@ -65,60 +69,10 @@ def spacing_spectrum(values: np.ndarray) -> SpacingSpectrum:
     """Differences of an ascending eigenvalue array."""
     values = np.asarray(values, dtype=float)
     diffs = np.diff(values)
-    if np.any(diffs < -1e-12):
+    # written so that a NaN fails it too
+    if not np.all(diffs >= -1e-12):
         raise ValueError("eigenvalues must be sorted ascending")
     return SpacingSpectrum(np.maximum(diffs, 0.0), floor=rounding_floor(values))
-
-
-def node_count(vectors: np.ndarray, amplitude_floor: float = 1e-8):
-    """Sign changes between consecutive components that both clear the amplitude floor.
-
-    The floor is relative to the largest component; it suppresses sign noise in
-    the numerically zero tails of strongly localized states. Pass 0 to count
-    every strict sign change (the Sturm-oscillation regime). A (sites x states)
-    matrix gives one count per column, in blocks of `STATE_BLOCK` states that
-    share one pair of (block x sites) buffers; a single vector gives an int.
-    """
-    v = np.asarray(vectors, dtype=float)
-    columns = v.reshape(v.shape[0], -1)
-    counts = np.empty(columns.shape[1], dtype=np.int64)
-    height = min(STATE_BLOCK, counts.size)
-    magnitude, flag_bytes = np.empty((height, v.shape[0])), np.empty((height, v.shape[0]))
-    for lo in range(0, counts.size, STATE_BLOCK):
-        rows = np.ascontiguousarray(columns[:, lo:lo + STATE_BLOCK].T)
-        k = rows.shape[0]
-        _count_nodes(rows, amplitude_floor, counts[lo:lo + k], magnitude[:k], flag_bytes[:k],
-                     np.empty(k))
-    return int(counts[0]) if v.ndim == 1 else counts
-
-
-def _count_nodes(rows, amplitude_floor, out, magnitude, flag_bytes, peak) -> None:
-    """`node_count` of each of the (states x sites) rows into out, in the given buffers.
-
-    magnitude and flag_bytes are C-ordered float buffers shaped like rows, and
-    peak holds one float per state. The bytes of flag_bytes hold the
-    significant flags, then the sign changes, both over the flattened rows, so
-    every operation runs on contiguous memory; the last pair of each row,
-    which straddles two states, is cleared before the count.
-    """
-    states, sites = rows.shape
-    if states == 0:
-        return
-    size = states * sites
-    np.abs(rows, out=magnitude)
-    np.max(magnitude, axis=1, out=peak)
-    peak *= amplitude_floor
-    flags = flag_bytes.reshape(-1).view(np.bool_)
-    significant = np.greater(magnitude, peak[:, None],
-                             out=flags[:size].reshape(states, sites)).reshape(-1)
-    flat = rows.reshape(-1)
-    product = np.multiply(flat[:-1], flat[1:], out=magnitude.reshape(-1)[:-1])
-    changes = np.less(product, 0.0, out=flags[size:2 * size - 1])
-    changes &= significant[:-1]
-    changes &= significant[1:]
-    changes = flags[size:2 * size].reshape(states, sites)
-    changes[:, -1] = False
-    np.sum(changes, axis=1, out=out)
 
 
 def state_measures(vectors: np.ndarray, n_b: int = 2,
@@ -173,7 +127,8 @@ def _measure_block(vectors, n_b, amplitude_floor, site_index, scratch, out) -> N
     np.multiply(rows, rows, out=prob)
     # the bits of np.linalg.norm(rows, axis=1), which sums the same squares
     norm = np.sqrt(np.sum(prob, axis=1, out=per_state), out=per_state)
-    if np.any(np.abs(norm - 1.0) > NORM_TOL):
+    # written so that a NaN fails it too
+    if not np.all(np.abs(norm - 1.0) <= NORM_TOL):
         raise ValueError("vectors must be L2-normalized")
     np.sum(np.multiply(prob, prob, out=work), axis=1, out=out["ipr"])
     np.sum(np.multiply(site_index, prob, out=work), axis=1, out=out["com"])
@@ -187,4 +142,22 @@ def _measure_block(vectors, n_b, amplitude_floor, site_index, scratch, out) -> N
     friedel_im = np.sum(np.sin(angles, out=angles), axis=1, out=per_state)
     np.hypot(friedel_re, friedel_im, out=out["cfs"])
     out["cfs"] /= 2 * sites
-    _count_nodes(rows, amplitude_floor, out["nodes"], prob, work, per_state)
+    # nodes: the bytes of work hold the significant flags, then the sign
+    # changes, both over the flattened rows, so every operation runs on
+    # contiguous memory; the last pair of each row, which straddles two
+    # states, is cleared before the count
+    size = states * sites
+    np.abs(rows, out=prob)
+    np.max(prob, axis=1, out=per_state)
+    per_state *= amplitude_floor
+    flags = work.reshape(-1).view(np.bool_)
+    significant = np.greater(prob, per_state[:, None],
+                             out=flags[:size].reshape(states, sites)).reshape(-1)
+    flat = rows.reshape(-1)
+    product = np.multiply(flat[:-1], flat[1:], out=prob.reshape(-1)[:-1])
+    changes = np.less(product, 0.0, out=flags[size:2 * size - 1])
+    changes &= significant[:-1]
+    changes &= significant[1:]
+    changes = flags[size:2 * size].reshape(states, sites)
+    changes[:, -1] = False
+    np.sum(changes, axis=1, out=out["nodes"])

@@ -132,7 +132,8 @@ def summary_document(report: SpectralReport, extras: dict[str, Any] | None = Non
         "states": report.size,
         "bands": bands,
         "band_low_confidence": report.bands.low_confidence,
-        "gaps": [{"width": w, "after_state": i} for w, i in report.bands.gaps],
+        "gaps": [{"width": float(report.spacings.spacings[b.stop - 1]), "after_state": b.stop - 1}
+                 for b in report.bands.bands[:-1]],
         "delocalized_fraction": delocalized_fraction(report.labels),
         "interior_localized": report.labels.interior_localized,
         "subdomain_counts": {

@@ -32,13 +32,13 @@ from iplsim import (
     assemble,
     delocalized_fraction,
     eigh_tridiagonal,
-    node_count,
     oracle_check,
     preset_config,
     random_instance,
     realize_profile,
     replay,
     run_config,
+    state_measures,
 )
 from iplsim.experiments import build_hamiltonian, execute, run_sweep, sweep_lf
 from iplsim.output import sha256_file
@@ -325,10 +325,8 @@ def test_10_node_count_law():
         h = random_instance(rng, max_sites=200)
         eig = eigh_tridiagonal(h)
         sizes.append(h.sites)
-        n = eig.size
-        violations += sum(
-            node_count(eig.vectors[:, j], amplitude_floor=0.0) != n - 1 - j
-            for j in range(n))
+        counts = state_measures(eig.vectors, amplitude_floor=0.0).nodes
+        violations += int(np.sum(counts != np.arange(eig.size - 1, -1, -1)))
 
     ok = violations == 0
     _record("10", ok, f"node-count law: {violations} violations over 20 lattices "

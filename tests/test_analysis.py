@@ -13,7 +13,7 @@ from iplsim.analysis import (
     detect_multiplets,
     eigenstate_map,
 )
-from iplsim.eigensolver import STATE_BLOCK, eigh_tridiagonal
+from iplsim.eigensolver import STATE_BLOCK, EigenSystem, eigh_tridiagonal
 from iplsim.hamiltonian import CellParams, assemble
 from iplsim.profiles import ProfileSpec, realize_profile
 from iplsim.measures import spacing_spectrum, state_measures
@@ -26,14 +26,14 @@ from memory import traced_peak
 class TestDetectBands:
     def test_two_clusters(self):
         values = np.concatenate([np.linspace(1.0, 1.1, 30), np.linspace(2.0, 2.1, 30)])
-        part = detect_bands(spacing_spectrum(values))
+        spacings = spacing_spectrum(values)
+        part = detect_bands(spacings)
         assert len(part.bands) == 2
         assert part.bands[0] == range(0, 30)
         assert part.bands[1] == range(30, 60)
         assert not part.low_confidence
-        width, boundary = part.gaps[0]
-        assert boundary == 29
-        assert width == pytest.approx(0.9, abs=0.01)
+        # the gap is the spacing after the first band's last state
+        assert spacings.spacings[29] == pytest.approx(0.9, abs=0.01)
 
     def test_three_clusters(self):
         values = np.concatenate([np.linspace(0, 0.1, 10),
@@ -46,7 +46,6 @@ class TestDetectBands:
         part = detect_bands(spacing_spectrum(np.arange(50, dtype=float)))
         assert len(part.bands) == 1
         assert part.low_confidence
-        assert part.gaps == ()
 
     def test_fallback_splits_at_largest_spacing(self):
         # no spacing clears gamma * median, but the ladder is not uniform
@@ -101,7 +100,7 @@ class TestClassifyStates:
 
     def band(self, n):
         from iplsim.analysis import BandPartition
-        return BandPartition(bands=(range(0, n),), gaps=())
+        return BandPartition(bands=(range(0, n),))
 
     def test_prefix_b_span_suffix(self):
         measures = self.build(["loc", "loc", "ext", "ext", "ext", "loc", "loc"])
@@ -142,7 +141,7 @@ class TestDetectMultiplets:
         # spacings: 1, 1e-4, 1, 1e-4, 1  -> median ~1, pairs under 5%
         values = np.array([0.0, 1.0, 1.0001, 2.0, 2.0001, 3.0])
         from iplsim.analysis import BandPartition
-        bands = BandPartition(bands=(range(0, 6),), gaps=())
+        bands = BandPartition(bands=(range(0, 6),))
         return values, bands
 
     def test_groups_pairs(self):
@@ -164,7 +163,7 @@ class TestDetectMultiplets:
     def test_bands_partition_groups(self):
         values = np.array([0.0, 0.00001, 0.1, 5.0, 5.1, 5.2])
         from iplsim.analysis import BandPartition
-        bands = BandPartition(bands=(range(0, 3), range(3, 6)), gaps=((4.9, 2),))
+        bands = BandPartition(bands=(range(0, 3), range(3, 6)))
         rep = detect_multiplets(spacing_spectrum(values), bands)
         for g in rep:
             span = range(bands.bands[g.band].start, bands.bands[g.band].stop)
@@ -292,6 +291,14 @@ class TestAnalyze:
         whole = state_measures(eig.vectors)
         for name in ("ipr", "cfs", "com", "w_left", "w_right", "nodes"):
             assert np.array_equal(getattr(report.measures, name), getattr(whole, name))
+
+    def test_refuses_nan_vectors(self):
+        # NaN states must be refused, not labelled delocalized
+        h = assemble(realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 10)),
+                     CellParams(1.0, 2.0, 0.2))
+        eig = eigh_tridiagonal(h)
+        with pytest.raises(ValueError, match="normalized"):
+            analyze(EigenSystem(eig.values, np.full(eig.vectors.shape, np.nan), 0.0, 0.0))
 
     def test_warns_when_band_count_surprises(self):
         # a uniform chain (d1 == d2) has three levels, so three bands

@@ -35,7 +35,7 @@ from iplsim.eigensolver import (
     eigh_tridiagonal,
 )
 from iplsim.hamiltonian import CellParams, TridiagonalHamiltonian, assemble, assemble_onsite
-from iplsim.measures import node_count, state_measures
+from iplsim.measures import state_measures
 from iplsim.profiles import ProfileSpec, random_onsite_sequence, realize_profile
 from iplsim.rng import SplitMix64
 from iplsim.experiments import (DEFAULT_CONFIG, PRESETS, build_hamiltonian, configure,
@@ -43,6 +43,7 @@ from iplsim.experiments import (DEFAULT_CONFIG, PRESETS, build_hamiltonian, conf
 
 from certificate import certificate_values
 from memory import traced_peak
+from nodes import sign_changes
 from sturm import eigenvalue_count_below
 
 PARAMS = CellParams(1.0, 2.0, 0.2)
@@ -1346,20 +1347,38 @@ def test_round_robin_schedule(n):
     assert sorted(seen) == list(itertools.combinations(range(n), 2))
 
 
+def measured_nodes(vectors, floor=0.0):
+    """Node counts of a (sites x states) block of normalized vectors, or of one vector."""
+    vectors = np.asarray(vectors)
+    block = vectors[:, None] if vectors.ndim == 1 else vectors
+    counts = state_measures(block, n_b=1, amplitude_floor=floor).nodes
+    return int(counts[0]) if vectors.ndim == 1 else counts
+
+
+def normalized(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
 class TestNodeCount:
     def test_contract_examples(self):
-        assert node_count(np.array([1.0, 1.0, 1.0]) / math.sqrt(3)) == 0
-        assert node_count(np.array([1.0, -1.0]) / math.sqrt(2)) == 1
+        assert measured_nodes(normalized([1.0, 1.0, 1.0]), 1e-8) == 0
+        assert measured_nodes(normalized([1.0, -1.0]), 1e-8) == 1
 
     def test_floor_masks_tail_noise(self):
         # alternating tail far below the floor must not register
-        v = np.array([1.0, 0.5, 1e-12, -1e-12, 1e-12])
-        assert node_count(v, amplitude_floor=1e-8) == 0
-        assert node_count(v, amplitude_floor=0.0) == 2
+        v = normalized([1.0, 0.5, 1e-12, -1e-12, 1e-12])
+        assert measured_nodes(v, 1e-8) == 0
+        assert measured_nodes(v, 0.0) == 2
 
     def test_floor_is_relative_to_peak(self):
-        v = np.array([1e-3, -1e-3])        # small but the largest there is
-        assert node_count(v, amplitude_floor=1e-8) == 1
+        # the peak is 0.5, so the floor is 0.25: every entry counts, where an
+        # absolute floor of 0.5 would mask them all
+        v = np.array([0.5, -0.5, 0.5, -0.5])
+        assert measured_nodes(v, 0.5) == 3
+        assert sign_changes(v, 0.5) == 3
+        # an entry exactly at the floor does not clear it
+        assert measured_nodes(v, 1.0) == 0
 
     def test_sturm_law_descending_rank(self):
         # positive off-diagonals: the highest state is nodeless, then one node
@@ -1367,20 +1386,18 @@ class TestNodeCount:
         h = assemble(realize_profile(ProfileSpec("linear", 12, phi_start=0.6, phi_end=0.6)), PARAMS)
         assert np.all(h.offdiag > 0)
         eig = eigh_tridiagonal(h)
-        for j in range(eig.size):
-            assert node_count(eig.vectors[:, j], amplitude_floor=0.0) == eig.size - 1 - j
+        assert measured_nodes(eig.vectors).tolist() == list(range(eig.size - 1, -1, -1))
 
     def test_block_counts_each_column(self):
         eig = eigh_tridiagonal(random_instance(SplitMix64(3), max_sites=60))
-        counts = node_count(eig.vectors, amplitude_floor=0.0)
-        assert counts.tolist() == [node_count(eig.vectors[:, j], amplitude_floor=0.0)
-                                   for j in range(eig.size)]
+        counts = measured_nodes(eig.vectors)
+        assert counts.tolist() == [measured_nodes(eig.vectors[:, j]) for j in range(eig.size)]
+        assert counts.tolist() == [sign_changes(eig.vectors[:, j], 0.0) for j in range(eig.size)]
 
     def test_sturm_law_on_a_random_instance(self):
         h = random_instance(SplitMix64(7), max_sites=120)
         eig = eigh_tridiagonal(h)
-        for j in range(eig.size):
-            assert node_count(eig.vectors[:, j], amplitude_floor=0.0) == eig.size - 1 - j
+        assert measured_nodes(eig.vectors).tolist() == list(range(eig.size - 1, -1, -1))
 
 
 class TestEigenvalueCountBelow:

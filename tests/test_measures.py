@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from iplsim.eigensolver import STATE_BLOCK
-from iplsim.measures import node_count, spacing_spectrum, state_measures
+from iplsim.measures import spacing_spectrum, state_measures
 
 from memory import traced_peak
+from nodes import sign_changes
 
 
 def unit(index, size):
@@ -144,6 +145,9 @@ class TestSpacingSpectrum:
     def test_rejects_descending(self):
         with pytest.raises(ValueError):
             spacing_spectrum(np.array([2.0, 1.0]))
+        # a NaN is not in ascending order either
+        with pytest.raises(ValueError, match="sorted"):
+            spacing_spectrum(np.array([0.0, np.nan, 1.0, 2.0, 3.0]))
 
     def test_clamps_float_noise_to_zero(self):
         s = spacing_spectrum(np.array([1.0, 1.0 - 1e-15]))
@@ -168,7 +172,7 @@ def reference_measures(v, n_b):
     return (float(np.sum(prob * prob)), float(friedel) / (2 * v.size),
             float(np.sum(np.arange(1, v.size + 1) * prob)),
             float(np.sum(prob[:n_b])), float(np.sum(prob[v.size - n_b:])),
-            node_count(v))
+            sign_changes(v, 1e-8))
 
 
 def textbook_ipr_cfs(block):
@@ -210,7 +214,7 @@ def test_block_peak_is_two_float_buffers(preset_eig):
     _, eig = preset_eig("fig13")
     block = eig.vectors[:, :STATE_BLOCK]
     _, peak = traced_peak(state_measures, block)
-    # prob and its cumsum; node_count's magnitudes and flags reuse the same two buffers
+    # prob and its cumsum; the node pass's magnitudes and flags reuse the same two buffers
     assert peak <= 2.1 * block.nbytes
 
 
@@ -222,12 +226,11 @@ def test_whole_matrix_peak_is_one_blocks_scratch(preset_eig):
     assert peak <= 2.2 * 8 * STATE_BLOCK * eig.size + outputs
 
 
-def test_node_count_peak_is_one_blocks_scratch(preset_eig):
+@pytest.mark.parametrize("floor", [0.0, 1e-8])
+def test_nodes_match_the_one_vector_rule_on_fig13(preset_eig, floor):
     _, eig = preset_eig("fig13")
-    counts, peak = traced_peak(node_count, eig.vectors)
-    # one pair of STATE_BLOCK-state buffers for the whole matrix, never N x N
-    assert peak <= 2.2 * 8 * STATE_BLOCK * eig.size + counts.nbytes
-    assert np.array_equal(counts, state_measures(eig.vectors).nodes)
+    nodes = state_measures(eig.vectors, amplitude_floor=floor).nodes
+    assert nodes.tolist() == [sign_changes(eig.vectors[:, k], floor) for k in range(eig.size)]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -249,3 +252,10 @@ def test_state_measures_input_checks():
         state_measures(uniform(10))
     with pytest.raises(ValueError, match="normalized"):
         state_measures(np.column_stack([uniform(10), np.ones(10)]))
+    # a NaN norm is no closer to 1 than any other
+    with pytest.raises(ValueError, match="normalized"):
+        state_measures(np.full((4, 1), np.nan))
+    block = np.column_stack([uniform(4), uniform(4)])
+    block[1, 1] = np.nan
+    with pytest.raises(ValueError, match="normalized"):
+        state_measures(block)

@@ -188,6 +188,11 @@ class TestJson:
         assert sum(doc["subdomain_counts"].values()) == report.size
         hist = doc["multiplet_size_histogram"]
         assert sum(int(k) * v for k, v in hist.items()) == report.size
+        # one gap after each band but the last: the level spacing across it
+        assert [g["after_state"] for g in doc["gaps"]] == [b["stop"] - 1 for b in doc["bands"][:-1]]
+        for g in doc["gaps"]:
+            i = g["after_state"]
+            assert g["width"] == report.values[i + 1] - report.values[i]
         # document must be serializable in canonical mode
         json.dumps(doc, sort_keys=True, allow_nan=False)
 
