@@ -83,10 +83,10 @@ STATE_BLOCK = 128
 
 # `per_core` runs one thread per core, but only as many as get this much
 # work each, counted in sites x states: dstein's on the spectral groups, the
-# per-state measures' on the vectors. Below it a second thread costs more CPU
-# than it saves wall time: at 2^17 on 2 vCPUs, which threads fig10 and the
+# per-state measures' on the vectors. Below it a second thread buys wall time
+# only with more CPU: at 2^17 on 2 vCPUs, which threads fig10 and the
 # 1002-site sweep points, `figures` took 2.5% more CPU for no resolved wall
-# gain and `sweep_oracle` 1.6% more for 14% less wall time (CHANGES.md).
+# gain and `sweep_oracle` 14% less wall time for 1.6% more CPU (CHANGES.md).
 _WORKERS = os.cpu_count() or 1
 _THREAD_WORK = 1 << 18
 

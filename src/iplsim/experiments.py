@@ -121,7 +121,10 @@ def focusing_grid(lf_min: float, lf_max: float, points: int) -> tuple[float, ...
     if points < 2 or not 0 < lf_min < lf_max < math.inf:
         raise ValueError(f"a focusing grid needs points >= 2 and 0 < lf_min < lf_max < inf, "
                          f"got points={points}, lf_min={lf_min}, lf_max={lf_max}")
-    return tuple(float(x) for x in np.logspace(math.log10(lf_min), math.log10(lf_max), points))
+    grid = np.logspace(math.log10(lf_min), math.log10(lf_max), points)
+    # log10 and back can miss an end by an ulp (0.3 comes back as 0.29999999999999993)
+    grid[0], grid[-1] = lf_min, lf_max
+    return tuple(float(x) for x in grid)
 
 
 _SWEEP_GRID = focusing_grid(0.5, 100.0, 25)
@@ -324,10 +327,13 @@ def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
     """Delocalized fraction vs focusing, one full pipeline run per grid value.
 
     Points run one after another, in the input order, and per-point failures
-    become rows, not aborts. The parallelism lives inside each point's solve,
-    which spreads its inverse iteration over the cores (see
-    `eigh_tridiagonal`); a pool of points on top of that would only make the
-    two compete for the same cores.
+    become rows, not aborts. A point reads only the edge weights, so its
+    profile measures are never computed (see `measures.StateMeasures`).
+    Within a point, `eigensolver.per_core` gives the solve and the measures
+    one thread per `_THREAD_WORK` sites x states: a 1002-site point's two
+    mirror sectors hold 502 002 of them, under two threads' worth, so its
+    solve runs on one thread. Two points in flight would hold two vector
+    matrices at once.
     """
     lf_values = _sweep_grid(lf_values, base)
 

@@ -797,18 +797,25 @@ class TestThreadedKernel:
     def test_vectors_are_state_major_and_analyze_reads_them_in_place(self, monkeypatch):
         eig = eigh_tridiagonal(small_lattice(300))
         assert eig.vectors.T.flags.c_contiguous
-        in_place = []
-        measure_block = measures._measure_block
+        in_place = {"_edge_block": [], "_measure_block": []}
 
-        def recording(block, *args):
-            # the (states x sites) rows each block reduces along are a view
-            in_place.append(np.shares_memory(np.ascontiguousarray(block.T), eig.vectors))
-            return measure_block(block, *args)
+        def recording(name):
+            kernel = getattr(measures, name)
 
-        monkeypatch.setattr(measures, "_measure_block", recording)
-        analysis.analyze(eig)
-        assert len(in_place) == math.ceil(eig.size / STATE_BLOCK)
-        assert all(in_place)
+            def record(block, *args):
+                # the (states x sites) rows each block reduces along are a view
+                in_place[name].append(np.shares_memory(np.ascontiguousarray(block.T),
+                                                       eig.vectors))
+                return kernel(block, *args)
+            return record
+
+        for name in in_place:
+            monkeypatch.setattr(measures, name, recording(name))
+        measured(analysis.analyze(eig))
+        # both walks: the norm and edge weights in analyze, the profile measures on first read
+        for blocks in in_place.values():
+            assert len(blocks) == math.ceil(eig.size / STATE_BLOCK)
+            assert all(blocks)
 
     def test_per_core_runs_contiguous_chunks_in_order_with_the_caller_first(self, monkeypatch):
         caller = threading.get_ident()
@@ -857,7 +864,7 @@ class TestThreadedKernel:
         eig = eigh_tridiagonal(make())
         many = 4 * eigensolver._WORKERS
         monkeypatch.setattr(eigensolver, "_WORKERS", 1)
-        serial = analysis.analyze(eig)
+        serial = measured(analysis.analyze(eig))
         # 4x the cores, each with a sliver of STATE_BLOCK states at a time
         monkeypatch.setattr(eigensolver, "_WORKERS", many)
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
@@ -869,18 +876,19 @@ class TestThreadedKernel:
             return measure_block(block, *args)
 
         monkeypatch.setattr(measures, "_measure_block", recording)
-        assert_same_report(analysis.analyze(eig), serial)
+        assert_same_report(measured(analysis.analyze(eig)), serial)
         assert len(threads) > 1
 
     def test_concurrent_analyses_get_the_serial_bits(self, monkeypatch):
         eigs = [eigh_tridiagonal(random_operator(300, seed)) for seed in (3, 4)]
-        serial = [analysis.analyze(eig) for eig in eigs]
+        serial = [measured(analysis.analyze(eig)) for eig in eigs]
         monkeypatch.setattr(eigensolver, "_WORKERS", 4 * eigensolver._WORKERS)
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
         results = [None] * len(eigs)
 
         def run(i):
-            results[i] = analysis.analyze(eigs[i])
+            # both walks run on this thread: analyze's, and the first read's
+            results[i] = measured(analysis.analyze(eigs[i]))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -902,12 +910,15 @@ class TestThreadedKernel:
         monkeypatch.setattr(eigensolver, "_WORKERS", 2)
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
         report, peak = traced_peak(analysis.analyze, eig)
+        _, walk_peak = traced_peak(measured, report)
         # the threads write into the measure arrays themselves: no pieces to join
         outputs = sum(getattr(report.measures, f.name).nbytes for f in fields(report.measures))
         outputs += (report.labels.labels.nbytes + report.labels.localized.nbytes
                     + report.spacings.spacings.nbytes)
-        # each thread's scratch for half-size blocks is half of one serial block's two float buffers
-        assert peak <= 2.1 * 8 * STATE_BLOCK * eig.size + outputs
+        # each thread's scratch for half-size blocks is half of one serial block's
+        # float buffers, in analyze's walk and in the deferred one alike
+        for walk in (peak, walk_peak):
+            assert walk <= 2.1 * 8 * STATE_BLOCK * eig.size + outputs
 
 
 def memory_map_of(array):
@@ -917,8 +928,16 @@ def memory_map_of(array):
     return array.obj if isinstance(array, memoryview) else array
 
 
+def measured(report):
+    """The report, after the first read of a profile measure has run its deferred walk."""
+    report.measures.ipr
+    return report
+
+
 def assert_same_report(got, want):
     """The per-state measures, labels and multiplets of two reports are bit-equal."""
+    assert [f.name for f in fields(want.measures)] == [
+        "ipr", "cfs", "com", "w_left", "w_right", "nodes"]
     for f in fields(want.measures):
         assert np.array_equal(getattr(got.measures, f.name), getattr(want.measures, f.name)), f.name
     assert np.array_equal(got.labels.labels, want.labels.labels)

@@ -36,7 +36,13 @@ from iplsim.output import sha256_file
 from iplsim.profiles import QUARTER_TURN, ProfileSpec
 from iplsim.rng import SplitMix64
 
+from iplsim import measures
+
 from memory import traced_peak
+
+
+def forbidden_walk(*args):
+    raise AssertionError("the profile walk ran")
 
 PI = math.pi
 
@@ -124,6 +130,16 @@ class TestPresetTable:
     def test_focusing_grid_reads_its_arguments_before_the_grid_check(self, args, match):
         with pytest.raises(ValueError, match=match):
             focusing_grid(*args)
+
+    @pytest.mark.parametrize("points", [2, 3, 5, 6, 25])
+    def test_focusing_grid_holds_both_ends_exactly(self, points):
+        # np.logspace goes through log10 and back, which can miss an end by an ulp
+        ends = [(0.3, 7.0), (0.1, 0.7), (0.7, 3.0), (0.5, 100.0), (0.25, 1e3), (1.1, 1.3),
+                (0.3, 10.0), (1e-3, 0.9), (2.0, 3.0), (0.6, 60.0)]
+        for lf_min, lf_max in ends:
+            grid = focusing_grid(lf_min, lf_max, points)
+            assert (grid[0], grid[-1]) == (lf_min, lf_max)
+            assert len(grid) == points and all(np.diff(grid) > 0)
 
     def test_focusing_grid_reads_numeric_text_as_its_number(self):
         # the rule of profiles.read_real / read_integer, as for every other setting
@@ -258,6 +274,16 @@ class TestExecuteAndManifest:
         assert set(manifest.checksums) == {"summary.json"}
         assert not (tmp_path / "states.csv").exists()
 
+    @pytest.mark.parametrize("emit", [("json",), ("pgm",), ("pgm", "json")])
+    def test_runs_without_states_csv_skip_the_profile_walk(self, emit, tmp_path, monkeypatch):
+        # summary.json and map.pgm read labels and vectors, never a profile measure
+        monkeypatch.setattr(measures, "_profile_walk", forbidden_walk)
+        names = {"json": "summary.json", "pgm": "map.pgm"}
+        assert set(execute(small_config(), tmp_path, emit=emit).checksums) == {
+            names[kind] for kind in emit}
+        with pytest.raises(AssertionError, match="profile walk"):
+            execute(small_config(), tmp_path / "csv", emit=("csv",))
+
     def test_emit_order_normalized(self, tmp_path):
         manifest = execute(small_config(), tmp_path, emit=("json", "csv"))
         assert manifest.emit == ("csv", "json")  # canonical order, not call order
@@ -338,6 +364,12 @@ class TestSweep:
                        configure(base, {"lf": 3.0})):
             _, _, report = run_config(config)
             assert point.fraction == delocalized_fraction(report.labels)
+
+    def test_a_point_never_runs_the_profile_walk(self, monkeypatch):
+        # a point reads only the edge weights; a walk would turn it into an error row
+        monkeypatch.setattr(measures, "_profile_walk", forbidden_walk)
+        points = sweep_lf([0.5, 2.0], small_config(cells=16))
+        assert [p.error for p in points] == ["", ""]
 
     def test_fraction_rises_with_focusing(self):
         points = sweep_lf([0.5, 50.0], small_config(cells=24))
