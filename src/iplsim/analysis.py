@@ -8,7 +8,7 @@ grey-scale eigenstate figures.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -168,24 +168,23 @@ def detect_multiplets(spacings: SpacingSpectrum, bands: BandPartition,
     return tuple(groups)
 
 
-def eigenstate_map(eig: EigenSystem, selection: range) -> np.ndarray:
-    """Read-only (states x sites) uint8 pixels of |psi| for the selected states.
+def eigenstate_map(vectors: np.ndarray, selection: range) -> np.ndarray:
+    """Read-only (states x sites) uint8 pixels of |psi| for the selected columns of `vectors`.
 
-    Each row is one state renormalized to max 1, then pixel = round(255 * value),
-    so every row holds a 255. Row order is descending in state index so the
-    highest selected state sits on top, matching the usual band-map orientation;
-    `write_pgm` writes the pixels as they are. Rows are quantized in blocks of
-    `STATE_BLOCK` states, so the float scratch is one block, never the raster.
+    Each row is one state renormalized to max 1, then pixel = round(255 *
+    value). Rows descend in state index (the highest on top, as `write_pgm`
+    writes them) and are quantized on their own, in blocks of `STATE_BLOCK`,
+    so the float scratch is one block and a walk's blocks give the same bytes.
     """
     indices = np.array(sorted(selection, reverse=True), dtype=int)
     if indices.size == 0:
         raise ValueError("empty state selection")
-    if indices[-1] < 0 or indices[0] >= eig.size:
+    if indices[-1] < 0 or indices[0] >= vectors.shape[1]:
         raise ValueError("selection out of bounds")
-    pixels = np.empty((indices.size, eig.size), dtype=np.uint8)
+    pixels = np.empty((indices.size, vectors.shape[0]), dtype=np.uint8)
     for lo in range(0, indices.size, STATE_BLOCK):
         # the fancy-index copy is the block's only float buffer
-        rows = eig.vectors[:, indices[lo:lo + STATE_BLOCK]].T
+        rows = vectors[:, indices[lo:lo + STATE_BLOCK]].T
         np.abs(rows, out=rows)
         rows /= rows.max(axis=1, keepdims=True)
         np.clip(rows, 0.0, 1.0, out=rows)
@@ -194,6 +193,27 @@ def eigenstate_map(eig: EigenSystem, selection: range) -> np.ndarray:
         del rows  # freed before the next block is made
     pixels.setflags(write=False)
     return pixels
+
+
+class Measuring:
+    """A reader of a solve's walk (`eigh_tridiagonal`): `state_measures` of each block.
+
+    `measures()` joins the blocks once the solve has returned. Without
+    `profile` the PROFILE_MEASURES stay None.
+    """
+
+    def __init__(self, thresholds: AnalysisThresholds, profile: bool = True):
+        self.thresholds, self.profile, self.blocks = thresholds, profile, {}
+
+    def __call__(self, lo: int, rows: np.ndarray) -> None:
+        self.blocks[lo] = state_measures(rows.T, n_b=self.thresholds.n_b, profile=self.profile,
+                                         amplitude_floor=self.thresholds.amplitude_floor)
+
+    def measures(self) -> StateMeasures:
+        blocks = [self.blocks[lo] for lo in sorted(self.blocks)]
+        return StateMeasures(**{f.name: None if getattr(blocks[0], f.name) is None else
+                                np.concatenate([getattr(block, f.name) for block in blocks])
+                                for f in fields(StateMeasures)})
 
 
 @dataclass(frozen=True)
@@ -214,15 +234,18 @@ class SpectralReport:
 
 
 def analyze(eig: EigenSystem, thresholds: AnalysisThresholds | None = None,
-            expect_two_bands: bool = False) -> SpectralReport:
-    """Run the full per-state and spectrum-level analysis on one eigensystem."""
+            expect_two_bands: bool = False, measures: StateMeasures | None = None
+            ) -> SpectralReport:
+    """The per-state and spectrum-level analysis of one eigensystem, with a walk's `measures`
+    (`Measuring`) or else `state_measures` of eig.vectors."""
     th = thresholds or AnalysisThresholds()
     spacings = spacing_spectrum(eig.values)
     bands = detect_bands(spacings, gamma=th.gamma)
     if expect_two_bands and len(bands.bands) != 2:
         warnings.warn(f"expected 2 bands for a two-level cell lattice, found {len(bands.bands)}",
                       stacklevel=2)
-    measures = state_measures(eig.vectors, n_b=th.n_b, amplitude_floor=th.amplitude_floor)
+    if measures is None:
+        measures = state_measures(eig.vectors, n_b=th.n_b, amplitude_floor=th.amplitude_floor)
     return SpectralReport(values=eig.values, spacings=spacings, measures=measures,
                           bands=bands, labels=classify_states(measures, bands, tau=th.tau),
                           multiplets=detect_multiplets(spacings, bands, delta_rel=th.delta_rel),

@@ -1,39 +1,22 @@
-"""Full eigendecomposition of the lattice operator, with certified residuals.
+"""Full eigendecomposition of the lattice operator, with certified residuals, in one walk.
 
-Two independent routes: ``eigh_tridiagonal`` works on the (diag, offdiag)
-arrays. It splits the operator into unreduced blocks, takes each block's
-eigenvalues from LAPACK's root-free QR (``sterf``), cuts them into spectral
-groups at gaps above ``GROUP_GAP_REL`` of the operator scale, and runs inverse
-iteration (``dstein``) once per group (of each half-size sector of an even
-mirror-symmetric operator, see `_unfold`). It calls both routines with ctypes
-from the OpenBLAS that numpy's wheels bundle, which numpy has loaded already,
-so importing this module loads no scipy (see `_lapack`; elsewhere they come
-from scipy's Cython LAPACK capsules). A ctypes call releases the GIL, so one
-thread per core solves its own chunk of the groups. `per_core` holds that
-thread rule, and `measures.state_measures` splits its blocks of states
-through it too.
-Each group writes its vectors as rows of one C-ordered (states x sites)
-matrix, held in a memory map of its own (see `_mapped_zeros`), and
-``EigenSystem.vectors`` is its transposed view. dstein restarts
-its random seed on every call and each group owns its rows, so the bits do
-not depend on the number of threads. The certificate's Gram panels run on
-one thread of numpy's bundled OpenBLAS, so on that build the bits depend on
-neither the core count nor the BLAS thread settings either (see
-`_one_blas_thread`). ``dense_oracle`` runs self-contained Jacobi sweeps in
-round-robin (Brent–Luk) order on the expanded dense matrix. Tests
-cross-validate the two. Both return the same certified ``EigenSystem``
-contract: the residual r = T u - lambda u of every column is measured, and so
-is u_i^T u_j for every pair of levels within ``ORTHO_WINDOW_REL`` of the scale
-of each other. Any pair farther apart than that window W is bounded, not
-measured, by the identity (lambda_j - lambda_i) u_i^T u_j = r_i^T u_j -
-u_i^T r_j: its overlap is at most twice the largest residual norm over W.
-Inverse iteration matters here: it resolves the exponential tails
-of localized eigenstates with componentwise accuracy, which the QR-family
-eigenvector drivers do not. That accuracy ends at an absolute floor set by
-the number of iterations dstein takes (about 1e-45 on the 200-site ground
-state that the tests check against a 60-digit reference), so tail components
-below it, such as fig1's ground-state edge amplitudes near 1e-46, are not
-resolved.
+``eigh_tridiagonal`` splits the operator into unreduced blocks, takes their
+eigenvalues from LAPACK's root-free QR (``sterf``), and runs inverse iteration
+(``dstein``, which resolves the tails of localized states componentwise down
+to about 1e-45) once per spectral group, cut at gaps above ``GROUP_GAP_REL``
+of the scale, of each half-size sector of a mirror-symmetric operator
+(`_unfold`). Both come by ctypes from numpy's bundled OpenBLAS (`_lapack`).
+
+One walk takes the states in ascending blocks of ``STATE_BLOCK``; ahead of
+each block, dstein solves a slab of whole groups, enough for the block's
+certificate window. Each block is then rotated below the rounding floor,
+sign-fixed, certified (`_Certificate`) and handed to the readers named before
+the solve, and a row is dropped once no window reaches it, so a solve with
+readers never holds its vectors whole. A `Crew` of threads per solve shares
+out the slabs and the readers; dstein reseeds on every call and each group
+owns its rows, so no bit depends on the threads or the slabs. ``dense_oracle``
+(round-robin Jacobi on the dense matrix) is the independent route the tests
+check against.
 """
 
 from __future__ import annotations
@@ -45,9 +28,10 @@ import math
 import mmap
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from queue import SimpleQueue
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -61,11 +45,9 @@ TRACE_REL_CAP = 1e-8
 # over a gap of at least 1e-4*scale bounds the overlap between vectors of
 # different groups by 1e-10, which is ORTHO_CAP.
 GROUP_GAP_REL = 1e-4
-# The certificate measures the overlap of two states only where their levels
-# lie within this fraction of the scale of each other; every pair farther
-# apart is bounded by twice its residual norm over the gap (see `_certify`).
-# A residual norm of 1e-14*scale then bounds those overlaps by 2e-12, 50x
-# under ORTHO_CAP, while the window holds under a tenth of the pairs.
+# The certificate measures the overlaps of levels within this fraction of the
+# scale of each other, and bounds the rest (`_Certificate`): a residual norm
+# of 1e-14*scale bounds them by 2e-12, while the window holds a tenth of them.
 ORTHO_WINDOW_REL = 1e-2
 # DSTEBZ's split rule: e_j^2 <= ULP^2 |d_j d_{j+1}| + SAFE_MIN decouples the
 # operator at bond j
@@ -76,17 +58,13 @@ _SAFE_MIN = float(np.finfo(float).tiny)
 # degeneracies, and entries this many ulps of the scale apart are equal
 DEGENERACY_ULPS = 4
 
-# states per block in every pass over the (sites x states) vectors once they
-# are solved (certificate, measures, map raster), so a pass's scratch stays
-# O(sites x block) next to the vector matrix
+# states per block of the walk and of every pass over a (sites x states)
+# matrix, so a pass's scratch stays O(sites x block)
 STATE_BLOCK = 128
 
-# `per_core` runs one thread per core, but only as many as get this much
-# work each, counted in sites x states: dstein's on the spectral groups, the
-# per-state measures' on the vectors. Below it a second thread buys wall time
-# only with more CPU: at 2^17 on 2 vCPUs, which threads fig10 and the
-# 1002-site sweep points, `figures` took 2.5% more CPU for no resolved wall
-# gain and `sweep_oracle` 14% less wall time for 1.6% more CPU (CHANGES.md).
+# one thread per core, but only as many as get this much work each (sites x
+# states): below it a second thread bought wall time only with more CPU
+# (2^17 cost `figures` 2.5% CPU for no wall gain; CHANGES.md)
 _WORKERS = os.cpu_count() or 1
 _THREAD_WORK = 1 << 18
 
@@ -97,44 +75,67 @@ def rounding_floor(values: np.ndarray) -> float:
 
 
 def thread_count(work: int) -> int:
-    """Threads `per_core` gives `work` sites x states: one per core, each with `_THREAD_WORK`."""
+    """Threads a `Crew` gives `work` sites x states: one per core, each with `_THREAD_WORK`."""
     return max(1, min(_WORKERS, int(work) // _THREAD_WORK))
 
 
-def per_core(fn, items, work: int, scratch) -> list:
-    """[fn(chunk, scratch(chunk)) for each chunk] of `items` in contiguous chunks, one per thread.
+class Crew:
+    """The caller and `size - 1` threads started for one solve, until its `with` ends.
 
-    `thread_count(work)` threads, at most one per item. `scratch` makes every
-    chunk's buffers on the calling thread first, so no thread's malloc arena
-    keeps freed scratch. The caller runs the first chunk while a pool runs the
-    rest, starting one thread per chunk it gets, and the results come back in
-    input order. `fn` should spend its time in native code that releases the
-    GIL (dstein, numpy).
+    A caller makes each call's buffers before `map`, so no started thread's
+    malloc arena keeps freed scratch. A call's exception reaches the caller
+    (the first call's first) once every call is done.
     """
-    workers = max(1, min(thread_count(work), len(items)))
-    chunks = [items[len(items) * k // workers:len(items) * (k + 1) // workers]
-              for k in range(workers)]
-    buffers = [scratch(chunk) for chunk in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rest = pool.map(fn, chunks[1:], buffers[1:])
-        return [fn(chunks[0], buffers[0]), *rest]
+
+    def __init__(self, size: int):
+        self.size = max(1, size)
+        self._pipes = [(SimpleQueue(), SimpleQueue()) for _ in range(self.size - 1)]
+        self._threads = [threading.Thread(target=self._serve, args=pipe, daemon=True)
+                         for pipe in self._pipes]
+        for thread in self._threads:
+            thread.start()
+
+    @staticmethod
+    def _serve(inbox, outbox) -> None:
+        for fn, arg in iter(inbox.get, None):
+            try:
+                outbox.put((fn(arg), None))
+            except BaseException as exc:  # handed to the caller, which raises it
+                outbox.put((None, exc))
+
+    def map(self, fn, args) -> list:
+        """[fn(arg) for arg in args], at most `size` of them: the first on the caller, the
+        rest on the threads."""
+        for (inbox, _), arg in zip(self._pipes, args[1:]):
+            inbox.put((fn, arg))
+        try:
+            done = [(fn(args[0]), None)]
+        except BaseException as exc:
+            done = [(None, exc)]
+        done += [outbox.get() for _, outbox in self._pipes[:len(args) - 1]]
+        for _, error in done:
+            if error is not None:
+                raise error
+        return [result for result, _ in done]
+
+    def __enter__(self) -> "Crew":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for inbox, _ in self._pipes:
+            inbox.put(None)
+        for thread in self._threads:
+            thread.join()
 
 
 def _lapack(bundled: bool = True):
     """(thread setter or None, dsterf, dstein, LAPACK integer dtype) of the LAPACK numpy loads.
 
     numpy's wheels (2.0 on) vendor an ILP64 OpenBLAS under numpy.libs (macOS:
-    numpy/.dylibs), and ctypes.CDLL on that path returns the copy numpy has
-    already loaded. It exports LAPACK as `scipy_<name>_64_`, with 64-bit
-    integers, and `openblas_set_num_threads_local`, which sets OpenBLAS's
-    thread count and returns the previous one (OpenBLAS 0.3.27 on). Where
-    numpy ships no such library (MKL or conda builds, numpy < 2.0), or with
-    `bundled` false, the two routines come from scipy's Cython LAPACK
-    capsules, with 32-bit integers, and the setter is None; scipy is imported
-    only then. Either way each routine is a CFUNCTYPE of pointers, whose call
-    releases the GIL. DSTERF(N, D, E, INFO) and DSTEIN(N, D, E, M, W, IBLOCK,
-    ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO) take no CHARACTER, so there is
-    no hidden string length to pass.
+    numpy/.dylibs); ctypes.CDLL returns the copy numpy loaded, which exports
+    `scipy_<name>_64_` and `openblas_set_num_threads_local` (0.3.27 on);
+    else the routines come from scipy's LAPACK capsules (32-bit integers, no
+    setter). Each is a CFUNCTYPE of pointers, whose call releases the GIL.
     """
     def routine(address, arity):
         return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * arity)(address)
@@ -173,14 +174,7 @@ _blas_pin = threading.Lock()
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body with numpy's OpenBLAS on one thread, then give back the caller's count.
-
-    On more threads OpenBLAS splits each product over its worker pool, whose
-    threads spin-wait on the other cores after it, and the split changes the
-    product's last bits. On one thread the pool is never woken and the bits
-    do not depend on the core count. Without the setter (another BLAS) the
-    body runs as it is.
-    """
+    """Run the body with OpenBLAS on one thread, whose bits no core count changes, if it can."""
     setter = _set_blas_threads
     if setter is None:
         yield
@@ -203,50 +197,43 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ascending eigenvalues with orthonormal eigenvectors (column k <-> values[k])."""
+    """Ascending eigenvalues with orthonormal eigenvectors (column k <-> values[k]).
+
+    `vectors` is None where the solve handed its blocks to readers instead.
+    """
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     residual_bound: float
     ortho_bound: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        vectors = np.asarray(self.vectors, dtype=float)
-        if values.ndim != 1 or vectors.ndim != 2 or vectors.shape[1] != values.size:
-            raise ValueError(f"need 1-D values and one vector column per value, got "
-                             f"{values.shape} values and {vectors.shape} vectors")
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "vectors", vectors)
+        vectors = None if self.vectors is None else np.asarray(self.vectors, dtype=float)
+        if values.ndim != 1 or vectors is not None and vectors.shape[1:] != (values.size,):
+            raise ValueError(f"need 1-D values and one vector column per value, got {values.shape}"
+                             f" values and {getattr(vectors, 'shape', None)} vectors")
+        for name, array in (("values", values), ("vectors", vectors)):
+            if array is not None:
+                array.setflags(write=False)
+                object.__setattr__(self, name, array)
 
     @property
     def size(self) -> int:
         return self.values.size
 
 
-def eigh_tridiagonal(h) -> EigenSystem:
+def eigh_tridiagonal(h, consumers: Callable[[np.ndarray], Iterable[Callable]] | None = None
+                     ) -> EigenSystem:
     """Diagonalize a TridiagonalHamiltonian; deterministic up to the sign convention.
 
-    Each unreduced block is solved on its own, so a decoupled lattice keeps
-    block-local vectors. Within a block, inverse iteration computes each
-    vector from its eigenvalue, so the exponential tails of localized states
-    come out with the right signs and magnitudes instead of QR noise; dstein
-    reorthogonalizes only inside one spectral group (exact and near
-    degeneracies), never across a whole band. Levels closer than the rounding
-    floor get the site-index basis (`_sub_floor_basis`) before the certificate.
-
-    The vectors are stored state-major: row k of one C-ordered (states x
-    sites) matrix is the vector of values[k], and `EigenSystem.vectors` is its
-    transposed view. A Fortran column of dstein's Z is such a row, so each
-    group's vectors are copied to their rows as they come. `per_core` splits
-    the groups into contiguous chunks, one per core, and each chunk's dstein
-    calls run on a thread of their own with the GIL released (see
-    `_solve_groups`); an operator with too little work for a second thread is
-    solved on the calling thread alone. dstein resets its random seed on
-    every call and every group lands in the same rows, so the bits do not
-    depend on the number of threads or on which thread solved a group.
+    `consumers`, if given, gets the ascending eigenvalues before any vector
+    is solved and returns the readers: reader(lo, rows) gets the read-only
+    (k x sites) rows of certified states lo..lo+k-1, one run per thread, and
+    the result holds no vectors; else it holds them all, in the window. The
+    verdict comes after the last block, so nothing a reader gathered may be
+    written before this returns. `thread_count` of the dstein work sizes each
+    slab's share of the crew, and that of the sites x states the crew.
     """
     diag, offdiag = h.diag, h.offdiag
     if diag.size == 0:
@@ -256,10 +243,8 @@ def eigh_tridiagonal(h) -> EigenSystem:
         raise ValueError("operator entries must be finite, with max|d| + 2 max|e| "
                          "inside the float range")
     n = diag.size
-    # an operator whose scale lies beyond 2^+-255 is solved over the power of
-    # two at its scale: the division is exact, and the squares in DSTEBZ's
-    # split rule below and dstein's work vectors then neither overflow nor
-    # underflow. Any other operator is solved as it is.
+    # beyond 2^+-255, solve over the power of two at the scale (an exact division),
+    # so the squares in the split rule and in dstein neither overflow nor underflow
     exponent = math.frexp(scale)[1]
     unit = math.ldexp(1.0, exponent - 1) if abs(exponent) > 255 else 1.0
     d, e = diag / unit, offdiag / unit
@@ -274,8 +259,7 @@ def eigh_tridiagonal(h) -> EigenSystem:
         d[[m - 1, -1]] += middle, -middle
     split = e**2 <= _ULP**2 * np.abs(d[:-1] * d[1:]) + _SAFE_MIN
     edges = np.concatenate(([0], np.flatnonzero(split) + 1, [n]))
-    # dsterf overwrites D and E with the block's ascending values and scratch,
-    # so it runs on copies; a block's last bond is a split, which it never reads
+    # dsterf overwrites D and E (it never reads a block's last bond, a split)
     values, bonds = d.copy(), e.copy()
     sizes = np.diff(edges).astype(_LAPACK_INT)
     sterf_info = np.zeros(1, dtype=_LAPACK_INT)
@@ -289,6 +273,8 @@ def eigh_tridiagonal(h) -> EigenSystem:
     order = np.argsort(values, kind="stable")
     row = np.empty(n, dtype=np.intp)
     row[order] = np.arange(n)
+    levels = values[order] * unit
+    levels.setflags(write=False)
 
     # a spectral group starts at each block start and wherever the block's
     # ascending values jump by more than the cut gap
@@ -298,39 +284,97 @@ def eigh_tridiagonal(h) -> EigenSystem:
     first = np.flatnonzero(starts)
     count = np.diff(np.append(first, n))
     block = np.searchsorted(edges, first, side="right") - 1
-    lo, size = edges[block], sizes[block]
-
-    rows = _mapped_zeros(n)
+    offset, size = edges[block], sizes[block]
     # dstein's integer arguments N (= ISPLIT(1) = LDZ) and M, one row per group
     ints = np.stack([size, count], axis=1).astype(_LAPACK_INT)
     at = ints.ctypes.data + ints.itemsize * np.arange(ints.size).reshape(ints.shape)
-    tasks = list(zip(at[:, 0].tolist(), (d.ctypes.data + 8 * lo).tolist(),
-                     (e.ctypes.data + 8 * lo).tolist(), at[:, 1].tolist(),
+    tasks = list(zip(at[:, 0].tolist(), (d.ctypes.data + 8 * offset).tolist(),
+                     (e.ctypes.data + 8 * offset).tolist(), at[:, 1].tolist(),
                      (values.ctypes.data + 8 * first).tolist(),
                      [row[f:f + c] for f, c in zip(first.tolist(), count.tolist())],
-                     lo.tolist(), (lo + size).tolist()))
+                     offset.tolist(), (offset + size).tolist()))
     extent = size * count
 
-    def scratch(chunk):
-        # dstein's IBLOCK, Z, WORK, IWORK, IFAIL and INFO for the chunk's largest block and group
-        sites = int(size[chunk.start:chunk.stop].max())
-        return (np.ones(sites, dtype=_LAPACK_INT),
-                np.empty(int(extent[chunk.start:chunk.stop].max())), np.empty(5 * sites),
-                np.empty(sites, dtype=_LAPACK_INT), np.empty(sites, dtype=_LAPACK_INT),
-                np.zeros(1, dtype=_LAPACK_INT))
+    def scratch(slab):
+        # dstein's IBLOCK, Z, WORK, IWORK, IFAIL and INFO for the slab's largest block and group
+        sites = int(size[slab].max())
+        return (np.ones(sites, dtype=_LAPACK_INT), np.empty(int(extent[slab].max())),
+                np.empty(5 * sites), np.empty(sites, dtype=_LAPACK_INT),
+                np.empty(sites, dtype=_LAPACK_INT), np.zeros(1, dtype=_LAPACK_INT))
 
-    results = per_core(lambda chunk, buffers: _solve_groups(chunk, tasks, rows, buffers),
-                       range(len(tasks)), int(np.sum(extent)), scratch)
-    failures = [f for f in results if f is not None]
-    if failures:
-        task, info = min(failures)
-        raise SolverError(f"inverse iteration failed near {values[first[task]] * unit:.6g} "
-                          f"(dstein info {info})")
-    if mirrored:
-        _unfold(rows, order >= m)
-    values = values[order] * unit
-    _sub_floor_basis(rows, values)
-    return _certify(diag, offdiag, values, rows.T)
+    certificate = _Certificate(diag, offdiag, levels)
+    floor = rounding_floor(levels)
+    slabs, frontier = _walk_plan(row, first, count, levels, floor, certificate.ends)
+    if consumers is None:  # the window holds every state, and the result keeps them
+        window, readers = _mapped_zeros(n), ()
+    else:
+        window = np.zeros((int(np.max(frontier - np.arange(0, n, STATE_BLOCK))), n))
+        readers = tuple(consumers(levels))
+    # a row is written on its own block's sites only: clear reused rows where that matters
+    clear = sizes.size > 1 + mirrored
+
+    def read(run):  # one thread's contiguous run of the block's states
+        start, stop = int(run[0]), int(run[-1]) + 1
+        for reader in readers:
+            reader(lo + start, rows[start:stop])
+
+    base = solved = 0  # window row 0 holds state `base`; states below `solved` are complete
+    with Crew(thread_count(n * n)) as crew:
+        solvers = thread_count(int(np.sum(extent)))
+        for lo, end, need in zip(range(0, n, STATE_BLOCK), certificate.ends.tolist(),
+                                 frontier.tolist()):
+            if need > solved:
+                if need - base > window.shape[0]:  # full: drop the states below this block
+                    _slide(window, lo - base, solved - base)
+                    base = lo
+                fresh = window[solved - base:need - base]
+                if clear:
+                    fresh.fill(0.0)
+                slab = slabs[need]
+                queue = iter(slab.tolist())  # each thread takes the next group left
+                failures = [f for f in crew.map(
+                    lambda buffers: _solve_groups(queue, tasks, window, base, buffers),
+                    [scratch(slab) for _ in range(min(solvers, slab.size))]) if f is not None]
+                if failures:
+                    task, info = min(failures)
+                    raise SolverError(f"inverse iteration failed near "
+                                      f"{values[first[task]] * unit:.6g} (dstein info {info})")
+                if mirrored:
+                    _unfold(fresh, order[solved:need] >= m)
+                _sub_floor_basis(fresh, levels[solved:need], floor)
+                solved = need
+            with _one_blas_thread():
+                certificate.block(lo, window[lo - base:end - base].T)
+            if readers:
+                rows = window[lo - base:min(lo + STATE_BLOCK, n) - base].view()
+                rows.flags.writeable = False
+                crew.map(read, np.array_split(range(rows.shape[0]), min(crew.size, rows.shape[0])))
+    residual, ortho = certificate.bounds()
+    return EigenSystem(levels, None if consumers else window.T,
+                       residual_bound=residual, ortho_bound=ortho)
+
+
+def _walk_plan(row, first, count, levels, floor, ends):
+    """(slabs, frontier): slabs[f] lists the groups solved up to cut f; frontier[b] is the
+    first cut at or past block b's window end, where a cut is a state count that no group
+    (states row[first[g]:first[g] + count[g]]) or sub-floor cluster straddles."""
+    n = levels.size
+    reach = np.empty(n, dtype=np.intp)  # the last state of each state's group or cluster
+    reach[row] = np.repeat(np.maximum.reduceat(row, first), count)
+    cluster = np.flatnonzero(np.diff(np.concatenate(([0], np.diff(levels) <= floor, [0]))))
+    np.maximum.at(reach, cluster[0::2], cluster[1::2])
+    cuts = np.flatnonzero(np.maximum.accumulate(reach) == np.arange(n)) + 1
+    frontier = cuts[np.searchsorted(cuts, ends)]
+    bounds = frontier[np.diff(frontier, prepend=-1) > 0]  # not np.unique: it imports numpy.ma
+    home = np.searchsorted(bounds, np.minimum.reduceat(row, first), side="right")
+    groups = np.split(np.argsort(home, kind="stable"), np.cumsum(np.bincount(home))[:-1])
+    return dict(zip(bounds.tolist(), groups)), frontier
+
+
+def _slide(window, by: int, stop: int) -> None:
+    """Move the window's rows [by, stop) to its start, `by` rows at a time so no copy overlaps."""
+    for at in range(by, stop, by):
+        window[at - by:min(at, stop - by)] = window[at:min(at + by, stop)]
 
 
 def _unfold(rows, odd) -> None:
@@ -349,14 +393,14 @@ def _unfold(rows, odd) -> None:
         np.multiply(half[:, ::-1], np.where(flip, -1.0, 1.0), out=block[:, m:])
 
 
-def _sub_floor_basis(rows, values) -> None:
-    """Rotate the rows of each cluster of levels spaced at or below `rounding_floor`, in place.
+def _sub_floor_basis(rows, values, floor: float) -> None:
+    """Rotate the rows of each cluster of `values` spaced at or below `floor`, in place.
 
     Any orthonormal mix of them is as good an eigenbasis; the site index's
     (a k x k `eigh`, on one BLAS thread) gives one-sided states in ascending
     center of mass, whichever solve mixed them.
     """
-    close = np.concatenate(([0], np.diff(values) <= rounding_floor(values), [0]))
+    close = np.concatenate(([0], np.diff(values) <= floor, [0]))
     edges = np.flatnonzero(np.diff(close))  # each cluster's first and last state
     if edges.size == 0:  # no cluster, and no BLAS pin to take
         return
@@ -369,46 +413,30 @@ def _sub_floor_basis(rows, values) -> None:
 
 
 def _mapped_zeros(n: int) -> np.ndarray:
-    """An (n x n) float matrix of zeros in an anonymous memory map of its own.
-
-    glibc maps a large block afresh only until one is freed: it then raises
-    its mmap threshold to that block's size, so from the second solve on, the
-    N^2 vector matrix came from the malloc heap. Whether the next matrix found
-    the last one's space there depended on which small blocks other threads
-    and later imports had placed beside it, and the same run peaked with or
-    without a second matrix's worth of heap (CHANGES.md has the measurements).
-    A map of its own is zero-filled by the system and unmapped when its last
-    view is freed, so peak memory holds the matrices alive and nothing more.
-    The map is private (a shared one is slower to fault in), and on Linux it
-    asks for 2 MiB pages, which fault in an 1802-site matrix in about 3 ms
-    against about 12 ms with 4 KiB pages.
-    """
+    """(n x n) zeros in a private map on 2 MiB pages, unmapped with its last view (unlike
+    glibc's heap, whose layout peak memory depended on; CHANGES.md)."""
     buffer = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         buffer.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buffer, dtype=float).reshape(n, n)
 
 
-def _solve_groups(chunk, tasks, rows, buffers):
-    """Run dstein on tasks[chunk] in the chunk's IBLOCK, Z, WORK, IWORK, IFAIL and INFO buffers.
+def _solve_groups(tasks_left, tasks, rows, base, buffers):
+    """Run dstein on each task taken from `tasks_left`, in one thread's buffers.
 
-    Each task holds plain-int addresses (N, D, E, M, W) laid out by
-    `eigh_tridiagonal`, whose arrays outlive the call, then the group's rows
-    and its block's first and last-plus-one site. dstein writes the group's
-    vectors into Z as Fortran columns (LDZ = N), which are C rows, and one
-    assignment copies them to their rows; rows of different groups never
-    overlap. The GIL is released during each dstein call. Every group is one
-    block: IBLOCK is all ones and ISPLIT(1) = N; a one-site block is dstein's
-    quick return, Z = 1. Returns (task, info) of the first failure, else None.
+    buffers: IBLOCK (all ones), Z, WORK, IWORK, IFAIL, INFO; a task: the
+    addresses of N (= ISPLIT(1) = LDZ), D, E, M and W, the group's states and
+    its block's sites. Z's columns are rows of the window, whose row 0 holds
+    state `base`. Returns (task, info) of the first failure, else None.
     """
     piece, info = buffers[1], buffers[-1]
     iblock_at, piece_at, *arrays_at = (buffer.ctypes.data for buffer in buffers)
-    for task in chunk:
+    for task in tasks_left:
         n_at, d_at, e_at, m_at, w_at, members, lo, hi = tasks[task]
         _dstein(n_at, d_at, e_at, m_at, w_at, iblock_at, n_at, piece_at, n_at, *arrays_at)
         if info[0]:
             return task, int(info[0])
-        rows[members, lo:hi] = piece[:members.size * (hi - lo)].reshape(-1, hi - lo)
+        rows[members - base, lo:hi] = piece[:members.size * (hi - lo)].reshape(-1, hi - lo)
     return None
 
 
@@ -427,54 +455,58 @@ def dense_oracle(h) -> EigenSystem:
 def _jacobi(a: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
     """Round-robin (Brent–Luk) Jacobi rotations until the off-diagonal mass is negligible.
 
-    A sweep visits every pair once, in rounds of disjoint pairs (see
-    `_round_robin`). The rotations of a round touch disjoint rows and columns,
-    so they commute and are applied together: columns of A, rows of A, then
-    rows of V^T. A pair whose coupling is already zero is left alone. V is kept
-    transposed because a row update of a C-ordered array touches contiguous
-    memory and a column update does not; the returned vectors are its transpose.
+    The rotations of a round (`_round_robin`) touch disjoint lines, so they
+    are applied together: columns of A, then the rows of A and V^T, which sit
+    side by side in one (n x 2n) array. Each update takes the p and q lines as
+    one (2, k) stack, [c; s] x_p + [-s; c] x_q, whose bits are those of
+    c x_p - s x_q and s x_p + c x_q. A pair with zero coupling is left alone.
     """
-    a = a.copy()
     n = a.shape[0]
-    vt = np.eye(n)
+    av = np.hstack((a, np.eye(n)))
+    a, diag = av[:, :n], av[:, :n].diagonal()  # views: A's updates land in av
     # not np.linalg.norm: that is a BLAS dot product, which OpenBLAS splits
     # over all cores above 10 000 entries
     scale = math.sqrt(float(np.sum(a * a)))
     if scale == 0.0 or n == 1:
-        return np.diag(a).copy(), vt
-    rounds = _round_robin(n)
+        return diag.copy(), np.eye(n)
+    rounds = [(p, q, np.concatenate((p, q))) for p, q in _round_robin(n)]
+    coefficients = np.empty((2, 2, n // 2 + 1))  # [[c; s], [-s; c]] of a round's pairs
     for _ in range(max_sweeps):
         # Sum the off-diagonal mass directly; subtracting the diagonal mass from
         # the total Frobenius mass cancels catastrophically near convergence and
         # can report zero while 1e-10-scale entries remain.
-        off = math.sqrt(float(np.sum((a - np.diag(np.diag(a))) ** 2)))
+        off = math.sqrt(float(np.sum((a - np.diag(diag)) ** 2)))
         if off <= 1e-14 * scale:
-            return np.diag(a).copy(), vt.T
-        for p, q in rounds:
+            return diag.copy(), av[:, n:].T.copy()
+        for p, q, pq in rounds:
             apq = a[p, q]
             coupled = apq != 0.0
             if not coupled.all():
                 p, q, apq = p[coupled], q[coupled], apq[coupled]
                 if not p.size:
                     continue
-            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
-            big = abs(theta) > 1e150
-            if big.any():
+                pq = np.concatenate((p, q))
+            theta = (diag[q] - diag[p]) / (2.0 * apq)
+            size = np.abs(theta)
+            t = np.copysign(1.0, theta) / (size + np.hypot(theta, 1.0))
+            if size.max() > 1e150:
+                big = size > 1e150
                 t[big] = 1.0 / (2.0 * theta[big])
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
+            k = p.size
+            first, second = coefficients[:, :, :k]
+            c = np.divide(1.0, np.sqrt(t * t + 1.0), out=first[0])
+            np.negative(np.multiply(t, c, out=first[1]), out=second[0])
+            second[1] = c
             # fancy indexing copies, so each update reads the values from before it
-            col_p, col_q = a[:, p], a[:, q]
-            a[:, p] = c * col_p - s * col_q
-            a[:, q] = s * col_p + c * col_q
-            row_p, row_q = a[p, :], a[q, :]
-            a[p, :] = c[:, None] * row_p - s[:, None] * row_q
-            a[q, :] = s[:, None] * row_p + c[:, None] * row_q
+            cols = a[:, pq].reshape(n, 2, k)
+            new = first * cols[:, :1]
+            new += second * cols[:, 1:]
+            a[:, pq] = new.reshape(n, 2 * k)
+            rows = av[pq].reshape(2, k, 2 * n)
+            new = first[:, :, None] * rows[0]
+            new += second[:, :, None] * rows[1]
+            av[pq] = new.reshape(2 * k, 2 * n)
             a[p, q] = a[q, p] = 0.0
-            vec_p, vec_q = vt[p, :], vt[q, :]
-            vt[p, :] = c[:, None] * vec_p - s[:, None] * vec_q
-            vt[q, :] = s[:, None] * vec_p + c[:, None] * vec_q
     raise SolverError(f"Jacobi sweep cap ({max_sweeps}) reached before convergence")
 
 
@@ -482,12 +514,9 @@ def _jacobi(a: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.nda
 def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """One Jacobi sweep's pairs (p < q) as rounds of disjoint pairs.
 
-    The round-robin tournament ordering of R. P. Brent and F. T. Luk, SIAM J.
-    Sci. Stat. Comput. 6 (1985) 69-84: index 0 stays put while the others
-    rotate one place per round, and position i meets position m-1-i. An odd n
-    is padded with a bye index n, whose pairs are dropped, so every pair of
-    indices below n appears exactly once in the m-1 rounds (m = n rounded up
-    to even).
+    Brent and Luk's round robin (SIAM J. Sci. Stat. Comput. 6 (1985) 69-84):
+    index 0 stays put while the others rotate, and position i meets m-1-i.
+    An odd n gets a bye index n, whose pairs are dropped.
     """
     m = n + n % 2
     ring = list(range(m))
@@ -508,79 +537,79 @@ def _scale(diag, offdiag) -> float:
 
 
 def _certify(diag, offdiag, values, vectors) -> EigenSystem:
-    """Sign-fix (in place), measure residual/orthonormality, and enforce the output contract.
-
-    `values` must ascend. One walk over the vectors, in blocks of
-    `STATE_BLOCK` columns, does three things per block: it fixes the block's
-    signs, takes each column's residual r = T u - lambda u, as its largest
-    entry (`residual_bound`) and as its 2-norm, and measures orthonormality
-    between nearby levels: the Gram row panel V_b^T V[:, lo:end] of the block
-    starting at column lo stops at the first level at least W =
-    ORTHO_WINDOW_REL * scale above the block's top level. The panel's columns
-    past the block have not had their signs fixed yet; a flip negates each of
-    their products exactly and the panel is taken in absolute value, so the
-    bounds are the same bits either way. The whole walk runs on one BLAS
-    thread (see `_one_blas_thread`).
-
-    Every pair beyond the window is bounded instead. Evaluating u_i^T T u_j
-    both ways gives (lambda_j - lambda_i) u_i^T u_j = r_i^T u_j - u_i^T r_j, so
-    |lambda_j - lambda_i| >= W implies |u_i^T u_j| <= 2 rho nu / W. Here nu =
-    sqrt(1 + the measured diagonal defect) is the largest column norm and rho
-    the largest computed residual norm plus 10 ulps of scale * nu: evaluating
-    r's four terms errs by at most 8 ulps of (|T| + |lambda|)|u| <= 2 scale nu,
-    and 2 more cover the scaling, the sum of squares and the square root of a
-    norm the residual cap keeps small. Rounding in the measured norms and in
-    the window's edge moves the bound by a relative N ulps at most. `ortho_bound`
-    is the larger of the measured in-window defect and that far-pair bound.
-    When every panel runs to the last column no pair is far, and it is the
-    full Gram defect.
-    """
-    n = vectors.shape[1]
-    scale = _scale(diag, offdiag)
-    unit = max(scale, 1e-300)
-    tops = np.minimum(np.arange(STATE_BLOCK, n + STATE_BLOCK, STATE_BLOCK), n)
-    ends = np.maximum(np.searchsorted(values, values[tops - 1] + ORTHO_WINDOW_REL * unit), tops)
-    residual = ortho = norm_defect = 0.0
-    sumsq = np.empty(n)  # |r|^2 / unit^2 per column
+    """Sign-fix (in place) and certify a whole (sites x states) matrix of ascending `values`."""
+    certificate = _Certificate(diag, offdiag, values)
     with _one_blas_thread():
-        for lo, end in zip(range(0, n, STATE_BLOCK), ends):
-            hi = lo + STATE_BLOCK
-            block = _fix_signs(vectors[:, lo:hi])
-            worst, sumsq[lo:hi] = _block_residual(diag, offdiag, values[lo:hi], block, 1.0 / unit)
-            residual = max(residual, worst)
-            panel = block.T @ vectors[:, lo:end]
-            k = block.shape[1]
-            diagonal = np.arange(k), np.arange(k)
-            panel[diagonal] -= 1.0
-            np.abs(panel, out=panel)
-            norm_defect = max(norm_defect, float(np.max(panel[diagonal])))
-            ortho = max(ortho, float(np.max(panel)))
-            del panel  # freed before the next panel is made
-    if not np.all(np.isfinite(sumsq)):
-        raise SolverError("residual not finite: the eigenpairs hold NaN or inf")
-    if ends[0] < n:  # ends ascend, so some pair lies beyond the window
-        nu = math.sqrt(1.0 + norm_defect)
-        rho = math.sqrt(float(np.max(sumsq))) + 10 * _ULP * nu
-        ortho = max(ortho, 2.0 * rho * nu / ORTHO_WINDOW_REL)
-
-    if residual > RESIDUAL_REL_CAP * unit:
-        raise SolverError(f"residual {residual:.3e} above certificate {RESIDUAL_REL_CAP * scale:.3e}")
-    if ortho > ORTHO_CAP:
-        raise SolverError(f"orthonormality defect {ortho:.3e} above {ORTHO_CAP:.1e}")
-    trace_gap = abs(float(np.sum(values)) - float(np.sum(diag)))
-    if trace_gap > TRACE_REL_CAP * diag.size * max(scale, 1.0):
-        raise SolverError(f"trace drift {trace_gap:.3e} for {diag.size} sites")
+        for lo, end in zip(range(0, values.size, STATE_BLOCK), certificate.ends.tolist()):
+            certificate.block(lo, vectors[:, lo:end])
+    residual, ortho = certificate.bounds()
     return EigenSystem(values, vectors, residual_bound=residual, ortho_bound=ortho)
+
+
+class _Certificate:
+    """The certificate of ascending `values`, taken block by block of `STATE_BLOCK` states.
+
+    `block` fixes a block's signs, takes each residual r = T u - lambda u as
+    its largest entry and its 2-norm, and the block's Gram row panel up to
+    ends[b], the first level at least W = ORTHO_WINDOW_REL * scale above its
+    top. Panel columns not sign-fixed yet only negate exact products, which
+    the absolute value hides. `bounds` bounds every pair beyond the window:
+    (lambda_j - lambda_i) u_i^T u_j = r_i^T u_j - u_i^T r_j gives |u_i^T u_j|
+    <= 2 rho nu / W, with nu = sqrt(1 + the diagonal defect) and rho the
+    largest residual norm plus 10 ulps of scale * nu (8 for r's four terms,
+    2 for scaling, squares and root); rounding moves it by N ulps at most.
+    """
+
+    def __init__(self, diag, offdiag, values):
+        n = values.size
+        self.diag, self.offdiag, self.values = diag, offdiag, values
+        self.scale = _scale(diag, offdiag)
+        self.unit = max(self.scale, 1e-300)
+        tops = np.minimum(np.arange(STATE_BLOCK, n + STATE_BLOCK, STATE_BLOCK), n)
+        self.ends = np.maximum(np.searchsorted(values, values[tops - 1]
+                                               + ORTHO_WINDOW_REL * self.unit), tops)
+        self.residual = self.ortho = self.norm_defect = 0.0
+        self.sumsq = np.empty(n)  # |r|^2 / unit^2 per column
+
+    def block(self, lo: int, columns) -> None:
+        """Certify the block of states from lo, given the vectors' columns lo..ends[b] - 1."""
+        hi = lo + STATE_BLOCK
+        block = _fix_signs(columns[:, :STATE_BLOCK])
+        worst, self.sumsq[lo:hi] = _block_residual(self.diag, self.offdiag, self.values[lo:hi],
+                                                   block, 1.0 / self.unit)
+        if not np.all(np.isfinite(self.sumsq[lo:hi])):
+            raise SolverError("residual not finite: the eigenpairs hold NaN or inf")
+        self.residual = max(self.residual, worst)
+        panel = block.T @ columns
+        diagonal = np.arange(block.shape[1]), np.arange(block.shape[1])
+        panel[diagonal] -= 1.0
+        np.abs(panel, out=panel)
+        self.norm_defect = max(self.norm_defect, float(np.max(panel[diagonal])))
+        self.ortho = max(self.ortho, float(np.max(panel)))
+
+    def bounds(self) -> tuple[float, float]:
+        """(residual_bound, ortho_bound) once every block is in; SolverError above a cap."""
+        residual, ortho, scale = self.residual, self.ortho, self.scale
+        if self.ends[0] < self.values.size:  # ends ascend, so some pair lies beyond the window
+            nu = math.sqrt(1.0 + self.norm_defect)
+            rho = math.sqrt(float(np.max(self.sumsq))) + 10 * _ULP * nu
+            ortho = max(ortho, 2.0 * rho * nu / ORTHO_WINDOW_REL)
+        if residual > RESIDUAL_REL_CAP * self.unit:
+            raise SolverError(f"residual {residual:.3e} above certificate "
+                              f"{RESIDUAL_REL_CAP * scale:.3e}")
+        if ortho > ORTHO_CAP:
+            raise SolverError(f"orthonormality defect {ortho:.3e} above {ORTHO_CAP:.1e}")
+        trace_gap = abs(float(np.sum(self.values)) - float(np.sum(self.diag)))
+        if trace_gap > TRACE_REL_CAP * self.diag.size * max(scale, 1.0):
+            raise SolverError(f"trace drift {trace_gap:.3e} for {self.diag.size} sites")
+        return residual, ortho
 
 
 def _block_residual(diag, offdiag, values, block, inv_scale):
     """(max |T v - lambda v|, sum of (inv_scale (T v - lambda v))^2 per column) of one block.
 
-    Each entry is d v + e v_next + e v_prev - lambda v, summed in that order,
-    in tiles of `STATE_BLOCK` sites: a full-height block would need two
-    (sites x block) buffers, a tile needs block^2. The squares are of the
-    residual over the scale, so they neither overflow nor underflow at huge or
-    tiny energies.
+    d v + e v_next + e v_prev - lambda v in that order, in (STATE_BLOCK)^2
+    tiles; the squares of r / scale neither overflow nor underflow.
     """
     n = diag.size
     worst = 0.0
@@ -600,12 +629,7 @@ def _block_residual(diag, offdiag, values, block, inv_scale):
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """First component with magnitude above the floor is made positive (reproducibility).
-
-    Flips the columns in place and returns the same array, so no second
-    (sites x states) buffer is made; `_certify` passes one column block of
-    vectors it has just built.
-    """
+    """Make each column's first component above the floor positive, in place; returns it."""
     significant = vectors > SIGN_FLOOR
     significant |= vectors < -SIGN_FLOOR
     lead = vectors[np.argmax(significant, axis=0), np.arange(vectors.shape[1])]

@@ -18,11 +18,12 @@ import numpy as np
 
 from . import eigensolver
 from ._version import __version__
-from .analysis import (AnalysisThresholds, SpectralReport, analyze,
-                       delocalized_fraction, eigenstate_map)
+from .analysis import (AnalysisThresholds, BandPartition, Measuring, SpectralReport, analyze,
+                       delocalized_fraction, detect_bands, eigenstate_map)
 from .eigensolver import DENSE_ORACLE_MAX_SITES, EigenSystem, SolverError, eigh_tridiagonal
 from .hamiltonian import (CellParams, TridiagonalHamiltonian, assemble,
                           assemble_onsite)
+from .measures import spacing_spectrum
 from .output import (summary_document, write_json, write_pgm, write_state_csv,
                      write_spectrum_csv, write_sweep_csv, sha256_file)
 from .profiles import (QUARTER_TURN, ProfileSpec, random_onsite_sequence, read_integer,
@@ -171,28 +172,56 @@ def build_hamiltonian(config: RunConfig) -> TridiagonalHamiltonian:
     return assemble(realize_profile(config.profile), config.params)
 
 
-def run_config(config: RunConfig) -> tuple[TridiagonalHamiltonian, EigenSystem, SpectralReport]:
-    """Compute without touching the filesystem."""
+def run_config(config: RunConfig, profile: bool = True
+               ) -> tuple[TridiagonalHamiltonian, EigenSystem, SpectralReport]:
+    """Compute without touching the filesystem; the eigensystem holds no vectors, and without
+    `profile` the measures hold the edge weights only (`StateMeasures`)."""
+    return _compute(config, profile, pixels=False)[:3]
+
+
+def _compute(config: RunConfig, profile: bool, pixels: bool):
+    """(h, eig, report, map pixels or None) of one config, from one walk over its vectors,
+    whose readers take the measures and, with `pixels`, the selection's map rows."""
     h = build_hamiltonian(config)
-    eig = eigh_tridiagonal(h)
+    th = config.thresholds
+    measuring, raster = Measuring(th, profile), None
+
+    def consumers(values):
+        nonlocal raster
+        if not pixels:
+            return (measuring,)
+        selection = resolve_selection(config.map_selection,
+                                      detect_bands(spacing_spectrum(values), gamma=th.gamma))
+        raster = np.empty((len(selection), values.size), dtype=np.uint8)
+
+        def map_rows(lo, rows):  # the raster's rows descend from the selection's last state
+            start, stop = max(lo, selection.start), min(lo + rows.shape[0], selection.stop)
+            if start < stop:
+                raster[selection.stop - stop:selection.stop - start] = eigenstate_map(
+                    rows.T, range(start - lo, stop - lo))
+        return measuring, map_rows
+
+    eig = eigh_tridiagonal(h, consumers)
     # a cell lattice should split into two bands; the random on-site
     # comparison has no such structure, so skip the diagnostic there
     two_bands = config.profile.kind != "random_onsite"
-    report = analyze(eig, config.thresholds, expect_two_bands=two_bands)
-    return h, eig, report
+    report = analyze(eig, th, expect_two_bands=two_bands, measures=measuring.measures())
+    if raster is not None:
+        raster.setflags(write=False)
+    return h, eig, report, raster
 
 
-def resolve_selection(selection: str, report: SpectralReport) -> range:
-    """The state indices a map selection (see `parse_selection`) picks from a report."""
+def resolve_selection(selection: str, bands: BandPartition) -> range:
+    """The state indices a map selection (see `parse_selection`) picks from a band partition."""
     kind, count = parse_selection(selection)
+    size = bands.bands[-1].stop
     if kind == "full":
-        return range(report.size)
+        return range(size)
     if kind == "lowest":
-        return range(min(count, report.size))
-    bands = report.bands.bands
-    if count >= len(bands):
-        raise ValueError(f"band {count} out of range (found {len(bands)} bands)")
-    return bands[count]
+        return range(min(count, size))
+    if count >= len(bands.bands):
+        raise ValueError(f"band {count} out of range (found {len(bands.bands)} bands)")
+    return bands.bands[count]
 
 
 def _section(cls, key: str, data: Any) -> Any:
@@ -281,13 +310,13 @@ def execute(config: RunConfig, out_dir: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    _, eig, report = run_config(config)
+    # nothing is written until the solve's certificate has passed
+    _, eig, report, raster = _compute(config, profile="csv" in emit, pixels="pgm" in emit)
     checksums: dict[str, str] = {}
     if "csv" in emit:
         checksums["spectrum.csv"] = sha256_file(write_spectrum_csv(eig.values, out / "spectrum.csv"))
         checksums["states.csv"] = sha256_file(write_state_csv(report, out / "states.csv"))
     if "pgm" in emit:
-        raster = eigenstate_map(eig, resolve_selection(config.map_selection, report))
         checksums["map.pgm"] = sha256_file(write_pgm(raster, out / "map.pgm"))
     if "json" in emit:
         extras = {
@@ -327,19 +356,15 @@ def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
     """Delocalized fraction vs focusing, one full pipeline run per grid value.
 
     Points run one after another, in the input order, and per-point failures
-    become rows, not aborts. A point reads only the edge weights, so its
-    profile measures are never computed (see `measures.StateMeasures`).
-    Within a point, `eigensolver.per_core` gives the solve and the measures
-    one thread per `_THREAD_WORK` sites x states: a 1002-site point's two
-    mirror sectors hold 502 002 of them, under two threads' worth, so its
-    solve runs on one thread. Two points in flight would hold two vector
-    matrices at once.
+    become rows, not aborts. A point's walk holds a fifth of a 1002-site
+    point's vectors and measures the edge weights only; its dstein work (two
+    501-site mirror sectors) is under two threads' worth (`thread_count`).
     """
     lf_values = _sweep_grid(lf_values, base)
 
     def point(lf: float) -> SweepPoint:
         try:
-            _, _, report = run_config(configure(base, {"lf": lf}))
+            _, _, report = run_config(configure(base, {"lf": lf}), profile=False)
             return SweepPoint(lf=lf, fraction=delocalized_fraction(report.labels))
         except Exception as exc:  # per-point isolation, sweep must go on
             return SweepPoint(lf=lf, fraction=None, error=f"{type(exc).__name__}: {exc}")
@@ -494,7 +519,7 @@ def oracle_check(instances: int = 50, max_sites: int = 64,
     max_dev = max_res = max_ortho = 0.0
     for i in range(instances):
         h = random_instance(rng, max_sites)
-        eig = eigh_tridiagonal(h)
+        eig = eigh_tridiagonal(h, lambda values: ())  # values and bounds only
         ora = eigensolver.dense_oracle(h)
         dev = float(np.max(np.abs(eig.values - ora.values)))
         max_dev = max(max_dev, dev)

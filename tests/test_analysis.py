@@ -198,7 +198,7 @@ class TestEigenstateMap:
 
     def test_rows_descending_and_normalized(self):
         eig = self.system()
-        pixels = eigenstate_map(eig, range(0, 5))
+        pixels = eigenstate_map(eig.vectors, range(0, 5))
         assert pixels.dtype == np.uint8
         assert pixels.shape == (5, 20)
         assert np.array_equal(pixels, self.expected(eig, [4, 3, 2, 1, 0]))
@@ -209,7 +209,7 @@ class TestEigenstateMap:
 
     def test_row_content_matches_vectors(self):
         eig = self.system()
-        pixels = eigenstate_map(eig, range(3, 6))
+        pixels = eigenstate_map(eig.vectors, range(3, 6))
         assert np.array_equal(pixels, self.expected(eig, [5, 4, 3]))
         top = np.abs(eig.vectors[:, 5])
         assert np.array_equal(pixels[0], np.rint(255 * (top / top.max())).astype(np.uint8))
@@ -217,7 +217,7 @@ class TestEigenstateMap:
     def test_peak_is_the_pixels_plus_block_scratch(self, preset_eig):
         _, eig = preset_eig("fig2_3")
         assert eig.size > 2 * STATE_BLOCK  # the selection spans several blocks
-        pixels, peak = traced_peak(eigenstate_map, eig, range(eig.size))
+        pixels, peak = traced_peak(eigenstate_map, eig.vectors, range(eig.size))
         assert pixels.shape == (eig.size, eig.size)
         assert np.array_equal(pixels, self.expected(eig, np.arange(eig.size)[::-1]))
         # a float raster would be 8 bytes per pixel; here at most two blocks are float
@@ -226,9 +226,9 @@ class TestEigenstateMap:
     def test_selection_validation(self):
         eig = self.system()
         with pytest.raises(ValueError):
-            eigenstate_map(eig, range(0, 0))
+            eigenstate_map(eig.vectors, range(0, 0))
         with pytest.raises(ValueError):
-            eigenstate_map(eig, range(18, 25))
+            eigenstate_map(eig.vectors, range(18, 25))
 
 
 class TestSmooth:

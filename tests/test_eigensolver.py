@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -39,8 +40,9 @@ from iplsim.measures import state_measures
 from iplsim.profiles import ProfileSpec, random_onsite_sequence, realize_profile
 from iplsim.rng import SplitMix64
 from iplsim.experiments import (DEFAULT_CONFIG, PRESETS, build_hamiltonian, configure,
-                                preset_config, random_instance, sweep_lf)
+                                preset_config, random_instance, run_config, sweep_lf)
 
+import jacobi_reference
 from certificate import certificate_values
 from memory import traced_peak
 from nodes import sign_changes
@@ -288,12 +290,13 @@ class TestBlockedCertificate:
         # the whole-matrix certificate held three (sites x states) buffers
         assert peak + eig.vectors.nbytes <= 1.25 * 8 * eig.size ** 2
 
-    def test_solver_threads_size_their_buffers_by_their_own_chunk(self, monkeypatch):
+    def test_solver_threads_size_their_buffers_by_their_own_slab(self, monkeypatch):
         # the default lattice at 1802 sites holds a spectral group of 200 states
         h = build_hamiltonian(configure(DEFAULT_CONFIG, {"sites": 1802}))
         monkeypatch.setattr(eigensolver, "_WORKERS", 8)
         eig, peak = traced_peak(eigh_tridiagonal, h)
-        # eight Z buffers each sized by the whole operator's largest group held 0.96 x 8N^2
+        # eight Z buffers each sized by the whole operator's largest group held
+        # 0.96 x 8N^2; only the slab that holds that group sizes them so here
         assert peak <= 0.4 * 8 * eig.size ** 2
 
     def test_each_vector_matrix_has_a_memory_map_of_its_own(self):
@@ -601,7 +604,7 @@ class TestSubFloorBasis:
         eig = eigh_tridiagonal(h)
         assert np.any(np.diff(eig.values) < 1e-10 * _scale(h.diag, h.offdiag))
         assert not sub_floor_states(eig.values).any()
-        monkeypatch.setattr(eigensolver, "_sub_floor_basis", lambda rows, values: None)
+        monkeypatch.setattr(eigensolver, "_sub_floor_basis", lambda rows, values, floor: None)
         assert np.array_equal(eigh_tridiagonal(h).vectors, eig.vectors)
 
 
@@ -686,7 +689,7 @@ def f2py_vectors(h):
         m, odd = n // 2, order[:, None] >= n // 2
         half = np.where(odd, rows[:, m:], rows[:, :m]) / math.sqrt(2.0)
         rows = np.concatenate((half, np.where(odd, -half[:, ::-1], half[:, ::-1])), axis=1)
-    eigensolver._sub_floor_basis(rows, values[order])
+    eigensolver._sub_floor_basis(rows, values[order], eigensolver.rounding_floor(values))
     return _fix_signs(rows.T)
 
 
@@ -794,106 +797,102 @@ class TestThreadedKernel:
         with pytest.raises(SolverError, match=rf"failed near {target:.6g} \(dstein info 1\)"):
             eigh_tridiagonal(h)
 
-    def test_vectors_are_state_major_and_analyze_reads_them_in_place(self, monkeypatch):
+    def test_vectors_are_state_major_and_the_readers_get_views_of_the_window(self,
+                                                                           monkeypatch):
         eig = eigh_tridiagonal(small_lattice(300))
         assert eig.vectors.T.flags.c_contiguous
-        in_place = {"_edge_block": [], "_measure_block": []}
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)  # every core reads each block
+        blocks = []
 
-        def recording(name):
-            kernel = getattr(measures, name)
+        def reader(lo, rows):
+            blocks.append((lo, rows.shape[0], window_of(rows).shape[0],
+                           rows.flags.c_contiguous and not rows.flags.writeable))
 
-            def record(block, *args):
-                # the (states x sites) rows each block reduces along are a view
-                in_place[name].append(np.shares_memory(np.ascontiguousarray(block.T),
-                                                       eig.vectors))
-                return kernel(block, *args)
-            return record
+        eigh_tridiagonal(small_lattice(300), lambda values: (reader,))
+        assert all(height < eig.size and view for _, _, height, view in blocks)
+        # every state reaches the reader once, in runs that tile each block
+        runs = sorted((lo, k) for lo, k, *_ in blocks)
+        assert [lo for lo, _ in runs] == list(itertools.accumulate([0] + [k for _, k in runs[:-1]]))
+        assert sum(k for _, k in runs) == eig.size
+        assert len(runs) == math.ceil(eig.size / STATE_BLOCK) * min(eigensolver._WORKERS,
+                                                                    STATE_BLOCK)
 
-        for name in in_place:
-            monkeypatch.setattr(measures, name, recording(name))
-        measured(analysis.analyze(eig))
-        # both walks: the norm and edge weights in analyze, the profile measures on first read
-        for blocks in in_place.values():
-            assert len(blocks) == math.ceil(eig.size / STATE_BLOCK)
-            assert all(blocks)
-
-    def test_per_core_runs_contiguous_chunks_in_order_with_the_caller_first(self, monkeypatch):
+    def test_crew_runs_each_call_on_a_thread_of_its_own_with_the_caller_first(self):
         caller = threading.get_ident()
-        events, threads = [], []
 
-        def scratch(chunk):
-            events.append(("scratch", list(chunk), threading.get_ident()))
-            return f"buffers of {list(chunk)}"
+        def call(arg):
+            return arg, threading.get_ident()
 
-        def chunk_and_thread(chunk, buffers):
-            events.append(("run", list(chunk), threading.get_ident()))
-            assert buffers == f"buffers of {list(chunk)}"
-            threads.append(threading.active_count())
-            return list(chunk), threading.get_ident()
+        before = threading.active_count()
+        with eigensolver.Crew(1) as crew:
+            # one thread: every call runs on the caller, and no thread is started
+            assert threading.active_count() == before
+            assert crew.map(call, ["a"]) == [("a", caller)]
+        with eigensolver.Crew(3) as crew:
+            assert threading.active_count() == before + 2
+            first = crew.map(call, ["a", "b", "c"])
+            assert [arg for arg, _ in first] == ["a", "b", "c"]
+            assert first[0][1] == caller and len({thread for _, thread in first}) == 3
+            # the same threads serve every map, and fewer calls use fewer of them
+            assert crew.map(call, ["d", "e", "f"])[1:] == [("e", first[1][1]),
+                                                           ("f", first[2][1])]
+            assert crew.map(call, ["g", "h"]) == [("g", caller), ("h", first[1][1])]
+        assert threading.active_count() == before
 
-        def per_core(items, work):
-            events.clear()
-            threads.clear()
-            results = eigensolver.per_core(chunk_and_thread, items, work, scratch)
-            # every chunk's buffers are made on the calling thread before any chunk runs
-            made = [event for event in events if event[0] == "scratch"]
-            assert events[:len(made)] == made
-            assert [chunk for _, chunk, _ in made] == [chunk for chunk, _ in results]
-            assert all(thread == caller for _, _, thread in made)
-            return results
+    def test_a_failing_call_raises_in_the_caller_after_every_call_is_done(self):
+        done = []
 
-        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 10)
-        monkeypatch.setattr(eigensolver, "_WORKERS", 3)
-        # too little work for a second thread: one call on the caller with every item,
-        # and no thread started
-        assert per_core(range(10), 19) == [(list(range(10)), caller)]
-        assert threads == [threading.active_count()]
-        results = per_core(range(10), 30)
-        assert [chunk for chunk, _ in results] == [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
-        assert results[0][1] == caller
-        assert all(thread != caller for _, thread in results[1:])
-        # never more threads than items
-        assert [chunk for chunk, _ in per_core(range(2), 10**6)] == [[0], [1]]
+        def call(arg):
+            if arg in (2, 3):
+                raise ValueError(f"call {arg}")
+            time.sleep(0.05)
+            done.append(arg)
 
-    @pytest.mark.parametrize("make", [
-        pytest.param(lambda: build_hamiltonian(preset_config("fig13")), id="fig13"),
-        pytest.param(lambda: build_hamiltonian(preset_config("fig6", {"sites": 1802})),
-                     id="fig6-1802-sites"),
-    ])
-    def test_threaded_measures_are_the_serial_bits(self, make, monkeypatch):
-        eig = eigh_tridiagonal(make())
-        many = 4 * eigensolver._WORKERS
-        monkeypatch.setattr(eigensolver, "_WORKERS", 1)
-        serial = measured(analysis.analyze(eig))
-        # 4x the cores, each with a sliver of STATE_BLOCK states at a time
-        monkeypatch.setattr(eigensolver, "_WORKERS", many)
+        with eigensolver.Crew(4) as crew:
+            with pytest.raises(ValueError, match="^call 2$"):
+                crew.map(call, [0, 1, 2, 3])
+            assert sorted(done) == [0, 1]
+            assert crew.map(lambda arg: -arg, [0, 1, 2, 3]) == [0, -1, -2, -3]
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("fig13", {}), ("fig6", {"sites": 1802}), ("fig10", {}),
+    ], ids=["fig13", "fig6-1802-sites", "fig10"])
+    def test_threaded_walk_measures_and_pixels_are_the_serial_bits(self, name, overrides,
+                                                                    monkeypatch, preset_eig):
+        config, eig = preset_eig(name, **overrides)
+        selection = range(eig.size)
+        want = state_measures(eig.vectors)
+        # 4x the cores, each reading a sliver of every block
+        monkeypatch.setattr(eigensolver, "_WORKERS", 4 * eigensolver._WORKERS)
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
         threads = set()
         measure_block = measures._measure_block
 
-        def recording(block, *args):
+        def recording(*args):
             threads.add(threading.get_ident())
-            return measure_block(block, *args)
+            return measure_block(*args)
 
         monkeypatch.setattr(measures, "_measure_block", recording)
-        assert_same_report(measured(analysis.analyze(eig)), serial)
+        got, pixels = walked(build_hamiltonian(config), selection)
+        assert_same_measures(got, want)
+        assert np.array_equal(pixels, analysis.eigenstate_map(eig.vectors, selection))
         assert len(threads) > 1
 
-    def test_concurrent_analyses_get_the_serial_bits(self, monkeypatch):
-        eigs = [eigh_tridiagonal(random_operator(300, seed)) for seed in (3, 4)]
-        serial = [measured(analysis.analyze(eig)) for eig in eigs]
+    def test_concurrent_walks_get_the_serial_bits(self, monkeypatch):
+        configs = [configure(DEFAULT_CONFIG, {"sites": 600, "lf": lf}) for lf in (0.7, 3.0)]
+        serial = [run_config(config) for config in configs]
         monkeypatch.setattr(eigensolver, "_WORKERS", 4 * eigensolver._WORKERS)
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
-        results = [None] * len(eigs)
+        results = [None] * len(configs)
 
         def run(i):
-            # both walks run on this thread: analyze's, and the first read's
-            results[i] = measured(analysis.analyze(eigs[i]))
+            # each thread's walk measures every block on a crew of its own
+            results[i] = run_config(configs[i])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(eigs))]
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
             for t in threads:
                 t.start()
             for t in threads:
@@ -901,24 +900,102 @@ class TestThreadedKernel:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for got, want in zip(results, serial):
+        for (_, got_eig, got), (_, want_eig, want) in zip(results, serial):
+            assert np.array_equal(got_eig.values, want_eig.values)
+            assert (got_eig.residual_bound, got_eig.ortho_bound) == (want_eig.residual_bound,
+                                                                     want_eig.ortho_bound)
             assert_same_report(got, want)
 
-    def test_threaded_measures_keep_one_blocks_scratch(self, monkeypatch):
-        eig = eigh_tridiagonal(build_hamiltonian(preset_config("fig13")))
-        analysis.analyze(eig)  # numpy's first-call set-up is not the analysis's scratch
+    def test_threaded_readers_keep_one_blocks_scratch(self, monkeypatch):
+        h = build_hamiltonian(preset_config("fig13"))
+        walked(h, range(10))  # numpy's first-call set-up is not the walk's scratch
         monkeypatch.setattr(eigensolver, "_WORKERS", 2)
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
-        report, peak = traced_peak(analysis.analyze, eig)
-        _, walk_peak = traced_peak(measured, report)
-        # the threads write into the measure arrays themselves: no pieces to join
-        outputs = sum(getattr(report.measures, f.name).nbytes for f in fields(report.measures))
-        outputs += (report.labels.labels.nbytes + report.labels.localized.nbytes
-                    + report.spacings.spacings.nbytes)
-        # each thread's scratch for half-size blocks is half of one serial block's
-        # float buffers, in analyze's walk and in the deferred one alike
-        for walk in (peak, walk_peak):
-            assert walk <= 2.1 * 8 * STATE_BLOCK * eig.size + outputs
+        (measured, pixels), peak = traced_peak(walked, h, range(10))
+        window = 221 * h.sites * 8  # fig13's widest certificate window, in states
+        outputs = sum(getattr(measured, f.name).nbytes for f in fields(measured)) + pixels.nbytes
+        # each thread measures half of a block: together one block's two float
+        # buffers, next to the window and the certificate's panel
+        assert peak <= window + 2.5 * 8 * STATE_BLOCK * h.sites + outputs
+
+
+class TestStreamedWalk:
+    """A walk with readers holds one window of states and hands them what the whole matrix holds."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: build_hamiltonian(preset_config("fig1")), id="mirrored-fig1"),
+        pytest.param(lambda: split_operator(600, every=50), id="twelve-unreduced-blocks"),
+        pytest.param(lambda: build_hamiltonian(preset_config("fig10")),
+                     id="fig10-sub-floor-clusters"),
+        pytest.param(lambda: build_hamiltonian(configure(DEFAULT_CONFIG, {"sites": 1802})),
+                     id="default-1802-sites-200-state-group"),
+    ])
+    def test_small_slabs_give_the_whole_matrix_measures_and_pixels(self, make, monkeypatch):
+        h = make()
+        # 16-state blocks: every lattice here needs many slabs
+        monkeypatch.setattr(eigensolver, "STATE_BLOCK", 16)
+        plan, slabs = eigensolver._walk_plan, []
+
+        def recording(*args):
+            slabs.append(plan(*args)[0])
+            return slabs[-1], plan(*args)[1]
+
+        monkeypatch.setattr(eigensolver, "_walk_plan", recording)
+        eig = eigh_tridiagonal(h)
+        selection = range(eig.size // 3, eig.size)
+        got, pixels = walked(h, selection)
+        assert len(slabs[-1]) > 4
+        assert_same_measures(got, state_measures(eig.vectors))
+        assert np.array_equal(pixels, analysis.eigenstate_map(eig.vectors, selection))
+
+    @pytest.mark.parametrize("config, states", [
+        (preset_config("fig13"), 221), (preset_config("fig6", {"sites": 1802}), 266),
+        (preset_config("fig1"), 195),
+        # the default lattice at 1802 sites holds a 200-state group per sector
+        (configure(DEFAULT_CONFIG, {"sites": 1802}), 0.25 * 1802),
+    ], ids=["fig13", "fig6-1802-sites", "fig1", "default-1802-sites"])
+    def test_the_window_holds_a_fraction_of_the_states(self, config, states, monkeypatch):
+        h = build_hamiltonian(config)
+        monkeypatch.setattr(eigensolver, "_WORKERS", 2)  # two solver threads' Z buffers
+        heights = set()
+        _, peak = traced_peak(eigh_tridiagonal, h, lambda values: (
+            lambda lo, rows: heights.add(window_of(rows).shape[0]),))
+        [height] = heights
+        assert STATE_BLOCK < height <= states
+        # the window, and the scratch of dstein (a group of up to 56 states on
+        # each of two threads), of the mirror unfold and of the certificate
+        assert peak <= (height + 2 * STATE_BLOCK) * 8 * h.sites
+
+
+def split_operator(sites, every):
+    """A random operator cut into unreduced blocks of `every` sites by zero bonds."""
+    h = random_operator(sites, seed=every)
+    offdiag = h.offdiag.copy()
+    offdiag[every - 1::every] = 0.0
+    return TridiagonalHamiltonian(h.diag, offdiag)
+
+
+def window_of(rows):
+    """The array that holds a view's memory: the walk's window for the rows a reader gets."""
+    while rows.base is not None:
+        rows = rows.base
+    return rows
+
+
+def walked(h, selection):
+    """(StateMeasures, map pixels of `selection`) read from the walk of h's solve."""
+    measuring = analysis.Measuring(analysis.AnalysisThresholds())
+    pixels = np.empty((len(selection), h.sites), dtype=np.uint8)
+
+    def map_rows(lo, rows):
+        start, stop = max(lo, selection.start), min(lo + rows.shape[0], selection.stop)
+        if start < stop:
+            pixels[selection.stop - stop:selection.stop - start] = analysis.eigenstate_map(
+                rows.T, range(start - lo, stop - lo))
+
+    eig = eigh_tridiagonal(h, lambda values: (measuring, map_rows))
+    assert eig.vectors is None
+    return measuring.measures(), pixels
 
 
 def memory_map_of(array):
@@ -928,18 +1005,16 @@ def memory_map_of(array):
     return array.obj if isinstance(array, memoryview) else array
 
 
-def measured(report):
-    """The report, after the first read of a profile measure has run its deferred walk."""
-    report.measures.ipr
-    return report
+def assert_same_measures(got, want):
+    """All six per-state measures of two StateMeasures are bit-equal."""
+    assert [f.name for f in fields(want)] == ["ipr", "cfs", "com", "w_left", "w_right", "nodes"]
+    for f in fields(want):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
 def assert_same_report(got, want):
     """The per-state measures, labels and multiplets of two reports are bit-equal."""
-    assert [f.name for f in fields(want.measures)] == [
-        "ipr", "cfs", "com", "w_left", "w_right", "nodes"]
-    for f in fields(want.measures):
-        assert np.array_equal(getattr(got.measures, f.name), getattr(want.measures, f.name)), f.name
+    assert_same_measures(got.measures, want.measures)
     assert np.array_equal(got.labels.labels, want.labels.labels)
     assert np.array_equal(got.labels.localized, want.labels.localized)
     assert got.multiplets == want.multiplets
@@ -956,6 +1031,20 @@ class TestLapackRoute:
                  f"assert main(['preset', 'fig13', '--out', {str(tmp_path)!r}]) == 0; "
                  f"loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
                  f"assert not loaded, loaded")
+
+    def test_import_loads_no_thread_pool_module(self):
+        # the solve's threads are plain threading.Threads: concurrent.futures
+        # (and the logging it imports) cost milliseconds of every run's set-up
+        in_child("import sys, iplsim, iplsim.cli; "
+                 "loaded = [m for m in sys.modules if m.split('.')[0] in "
+                 "('concurrent', 'logging')]; assert not loaded, loaded")
+
+    def test_a_solve_loads_no_masked_array_module(self):
+        # np.unique's first call imports numpy.ma, about 20 ms of a process's first solve
+        in_child("import sys, numpy as np, iplsim; "
+                 "from iplsim.hamiltonian import TridiagonalHamiltonian; "
+                 "iplsim.eigh_tridiagonal(TridiagonalHamiltonian(np.arange(4.0), np.ones(3))); "
+                 "assert 'numpy.ma' not in sys.modules")
 
     @pytest.mark.parametrize("config", [
         pytest.param(preset_config("fig13"), id="fig13"),
@@ -1340,6 +1429,20 @@ class TestJacobi:
     def test_matches_eigvalsh_on_dense_matrices(self, n):
         a = symmetric(n, 100 + n)
         assert_eigensystem(a, *eigensolver._jacobi(a))
+
+    def test_bits_of_the_separate_updates(self):
+        # the first 50 instances of acceptance criterion 2's battery, and 10
+        # of up to 16 sites: values, vectors and signs bit for bit
+        battery, small = SplitMix64(0xA5EED), SplitMix64(12345)
+        matrices = [random_instance(battery, max_sites=64).dense() for _ in range(50)]
+        matrices += [random_instance(small, max_sites=16).dense() for _ in range(10)]
+        matrices += [degenerate_matrix(), theta_guard_matrix(), symmetric(31, 31)]
+        for a in matrices:
+            values, vectors = eigensolver._jacobi(a)
+            want_values, want_vectors = jacobi_reference._jacobi(a)
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(vectors, want_vectors)
+            assert np.array_equal(np.signbit(vectors), np.signbit(want_vectors))
 
     def test_no_floating_point_warnings(self):
         rng = SplitMix64(0xA5EED)   # the first instances of acceptance criterion 2

@@ -41,8 +41,8 @@ from iplsim import measures
 from memory import traced_peak
 
 
-def forbidden_walk(*args):
-    raise AssertionError("the profile walk ran")
+def forbidden_profile(*args):
+    raise AssertionError("a profile measure was computed")
 
 PI = math.pi
 
@@ -201,28 +201,28 @@ def report():
 
 class TestResolveSelection:
     def test_full(self, report):
-        assert resolve_selection("full", report) == range(report.size)
+        assert resolve_selection("full", report.bands) == range(report.size)
 
     def test_band(self, report):
-        assert resolve_selection("band:0", report) == report.bands.bands[0]
-        assert resolve_selection("band:1", report) == report.bands.bands[1]
+        assert resolve_selection("band:0", report.bands) == report.bands.bands[0]
+        assert resolve_selection("band:1", report.bands) == report.bands.bands[1]
 
     def test_band_out_of_range(self, report):
         with pytest.raises(ValueError, match="out of range"):
-            resolve_selection("band:2", report)
+            resolve_selection("band:2", report.bands)
 
     def test_lowest(self, report):
-        assert resolve_selection("lowest:5", report) == range(5)
+        assert resolve_selection("lowest:5", report.bands) == range(5)
         # clamped to the spectrum size
-        assert resolve_selection("lowest:999", report) == range(report.size)
+        assert resolve_selection("lowest:999", report.bands) == range(report.size)
 
     def test_lowest_rejects_nonpositive(self, report):
         with pytest.raises(ValueError):
-            resolve_selection("lowest:0", report)
+            resolve_selection("lowest:0", report.bands)
 
     def test_unknown_selection(self, report):
         with pytest.raises(ValueError, match="unknown map selection"):
-            resolve_selection("bands", report)
+            resolve_selection("bands", report.bands)
 
     @pytest.mark.parametrize("selection,parsed", [
         ("full", ("full", 0)), ("band:0", ("band", 0)), ("band:7", ("band", 7)),
@@ -260,14 +260,44 @@ class TestExecuteAndManifest:
         assert manifest.kind == "run"
         assert manifest.tool.startswith("iplsim ")
 
-    def test_peak_memory_is_the_vector_matrix_plus_block_scratch(self, tmp_path):
+    def test_peak_memory_is_one_window_of_vectors_plus_block_scratch(self, tmp_path):
         config = preset_config("fig13")
         manifest, peak = traced_peak(execute, config, tmp_path)
         assert set(manifest.checksums) == {"spectrum.csv", "states.csv", "map.pgm", "summary.json"}
         sites = 2 * config.profile.cells
-        # a float map raster of band 0 alone would add 0.5 x 8N^2; tracemalloc
-        # does not see the vector matrix's own memory map, so it is added
-        assert peak + 8 * sites ** 2 <= 1.25 * 8 * sites ** 2
+        # the walk's window (221 of 1802 states), the measures' and the
+        # certificate's block scratch and the band-0 pixels; no vector matrix
+        # is made, and the window is a traced allocation
+        assert peak <= 0.6 * 8 * sites ** 2
+
+    def test_a_missing_map_band_is_refused_before_any_vector_is_solved(self, tmp_path,
+                                                                       monkeypatch):
+        import iplsim.eigensolver as es
+
+        def forbidden(*args):
+            raise AssertionError("a vector was solved")
+
+        monkeypatch.setattr(es, "_solve_groups", forbidden)
+        with pytest.raises(ValueError, match=r"band 2 out of range \(found 2 bands\)"):
+            execute(small_config(map_selection="band:2"), tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_a_certificate_failing_on_the_last_block_writes_nothing(self, tmp_path,
+                                                                    monkeypatch):
+        import iplsim.eigensolver as es
+
+        config = preset_config("fig13")
+        block = es._Certificate.block
+        last = (2 * config.profile.cells - 1) // es.STATE_BLOCK * es.STATE_BLOCK
+
+        def failing(certificate, lo, columns):
+            block(certificate, lo, columns)
+            if lo == last:
+                certificate.residual = 1.0
+        monkeypatch.setattr(es._Certificate, "block", failing)
+        with pytest.raises(SolverError, match="residual"):
+            execute(config, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_emit_subset(self, tmp_path):
         manifest = execute(small_config(), tmp_path, emit=("json",))
@@ -275,13 +305,14 @@ class TestExecuteAndManifest:
         assert not (tmp_path / "states.csv").exists()
 
     @pytest.mark.parametrize("emit", [("json",), ("pgm",), ("pgm", "json")])
-    def test_runs_without_states_csv_skip_the_profile_walk(self, emit, tmp_path, monkeypatch):
+    def test_runs_without_states_csv_compute_no_profile_measure(self, emit, tmp_path,
+                                                                monkeypatch):
         # summary.json and map.pgm read labels and vectors, never a profile measure
-        monkeypatch.setattr(measures, "_profile_walk", forbidden_walk)
+        monkeypatch.setattr(measures, "_measure_block", forbidden_profile)
         names = {"json": "summary.json", "pgm": "map.pgm"}
         assert set(execute(small_config(), tmp_path, emit=emit).checksums) == {
             names[kind] for kind in emit}
-        with pytest.raises(AssertionError, match="profile walk"):
+        with pytest.raises(AssertionError, match="profile measure"):
             execute(small_config(), tmp_path / "csv", emit=("csv",))
 
     def test_emit_order_normalized(self, tmp_path):
@@ -365,11 +396,17 @@ class TestSweep:
             _, _, report = run_config(config)
             assert point.fraction == delocalized_fraction(report.labels)
 
-    def test_a_point_never_runs_the_profile_walk(self, monkeypatch):
-        # a point reads only the edge weights; a walk would turn it into an error row
-        monkeypatch.setattr(measures, "_profile_walk", forbidden_walk)
+    def test_a_point_never_computes_a_profile_measure(self, monkeypatch):
+        # a point reads only the edge weights; a profile measure would turn it into an error row
+        monkeypatch.setattr(measures, "_measure_block", forbidden_profile)
         points = sweep_lf([0.5, 2.0], small_config(cells=16))
         assert [p.error for p in points] == ["", ""]
+
+    def test_a_1002_site_point_holds_under_half_the_vector_matrix(self):
+        config = configure(preset_config("fig4_inset_sweep"), {"lf": 0.5})
+        (_, eig, report), peak = traced_peak(run_config, config, False)
+        assert eig.size == 1002 and eig.vectors is None and report.measures.ipr is None
+        assert peak <= 0.5 * 8 * eig.size ** 2
 
     def test_fraction_rises_with_focusing(self):
         points = sweep_lf([0.5, 50.0], small_config(cells=24))

@@ -1,9 +1,6 @@
 import copy
 import math
 import pickle
-import sys
-import threading
-import time
 import weakref
 from dataclasses import fields
 
@@ -217,117 +214,64 @@ def test_ipr_cfs_match_textbook_formulas_on_fig13(preset_eig):
     assert_matches_textbook(eig.vectors[:, eig.size // 2 - 64:eig.size // 2 + 64])
 
 
-def measured(*args, **kwargs):
-    """state_measures, with the first read of a profile measure running its deferred walk."""
-    m = state_measures(*args, **kwargs)
-    m.ipr
-    return m
+class TestProfileMeasuresOnRequest:
+    """state_measures computes the profile measures only when asked, and holds no vectors."""
 
+    def test_edge_weights_alone_compute_no_profile_measure(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a profile measure was computed")
 
-class TestDeferredProfileMeasures:
-    """state_measures computes the norm check and edge weights; the rest waits for a read."""
-
-    def counting(self, monkeypatch, delay=0.0):
-        calls = []
-        walk = measures._profile_walk
-
-        def counted(*args):
-            calls.append(threading.get_ident())
-            time.sleep(delay)  # long enough for every reader to arrive during the walk
-            return walk(*args)
-
-        monkeypatch.setattr(measures, "_profile_walk", counted)
-        return calls
-
-    def test_one_walk_on_the_first_read_of_any_profile_measure(self, monkeypatch):
-        calls = self.counting(monkeypatch)
         block = np.column_stack([random_state(np.random.default_rng(k), 50) for k in range(5)])
-        m = state_measures(block, n_b=3)
+        want = state_measures(block, n_b=3)
+        monkeypatch.setattr(measures, "_measure_block", forbidden)
+        m = state_measures(block, n_b=3, profile=False)
         assert m.w_left.tolist() == [reference_measures(block[:, k], 3)[3] for k in range(5)]
-        assert m.w_right[0] == reference_measures(block[:, 0], 3)[4]
-        assert calls == []
-        assert m.nodes.dtype == np.int64
-        assert len(calls) == 1
+        assert np.array_equal(m.w_right, want.w_right)
         assert [f.name for f in fields(m)] == ["ipr", "cfs", "com", "w_left", "w_right", "nodes"]
+        assert all(getattr(m, name) is None for name in measures.PROFILE_MEASURES)
+        with pytest.raises(ValueError, match="normalized"):
+            state_measures(2 * block, profile=False)  # the norm check still runs
+
+    def test_all_six_measures_are_read_only_arrays(self):
+        block = np.column_stack([random_state(np.random.default_rng(k), 30) for k in range(3)])
+        m = state_measures(block)
+        assert m.nodes.dtype == np.int64
         for f in fields(m):
             assert not getattr(m, f.name).flags.writeable
-        assert len(calls) == 1
         with pytest.raises(AttributeError, match="'StateMeasures' object has no attribute 'iqr'"):
             m.iqr
 
-    def test_the_walk_drops_the_vectors(self):
+    def test_the_result_holds_no_vectors(self):
         block = np.column_stack([uniform(8), unit(3, 8)])
         held = weakref.ref(block)
         m = state_measures(block)
         del block
-        assert held() is not None  # the walk has yet to read them
-        assert m.ipr.tolist() == pytest.approx([1 / 8, 1.0])
         assert held() is None
-
-    def test_concurrent_first_reads_walk_once(self, monkeypatch):
-        calls = self.counting(monkeypatch, delay=0.2)
-        block = np.column_stack([random_state(np.random.default_rng(k), 400) for k in range(64)])
-        want = measured(block)
-        m = state_measures(block)
-        barrier = threading.Barrier(4)
-        got = [None] * 4
-
-        def read(i):
-            barrier.wait()
-            got[i] = getattr(m, measures.PROFILE_MEASURES[i])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(calls) == 2  # want's walk and one of m's
-        for name, values in zip(measures.PROFILE_MEASURES, got):
-            assert np.array_equal(values, getattr(want, name))
+        assert m.ipr.tolist() == pytest.approx([1 / 8, 1.0])
 
     @pytest.mark.parametrize("duplicate", [copy.deepcopy,
                                            lambda m: pickle.loads(pickle.dumps(m))])
     def test_a_copy_holds_all_six_measures(self, duplicate):
         block = np.column_stack([random_state(np.random.default_rng(k), 30) for k in range(3)])
-        want, m = measured(block), state_measures(block)
-        got = duplicate(m)
+        want = state_measures(block)
+        got = duplicate(want)
         for f in fields(want):
             assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
-        assert np.array_equal(m.nodes, want.nodes)  # the copy ran the original's walk
-
-    def test_a_failed_walk_is_run_again_on_the_next_read(self, monkeypatch):
-        m = state_measures(np.column_stack([uniform(8)]))
-        walk = measures._profile_walk
-
-        def failing(*args):
-            raise MemoryError("no scratch")
-
-        monkeypatch.setattr(measures, "_profile_walk", failing)
-        with pytest.raises(MemoryError):
-            m.cfs
-        monkeypatch.setattr(measures, "_profile_walk", walk)
-        assert m.cfs[0] == pytest.approx(0.5)
 
 
 def test_block_peak_is_two_float_buffers(preset_eig):
     _, eig = preset_eig("fig13")
     block = eig.vectors[:, :STATE_BLOCK]
-    _, peak = traced_peak(measured, block)
+    _, peak = traced_peak(state_measures, block)
     # prob and its cumsum; the node pass's magnitudes and flags reuse the same two buffers
     assert peak <= 2.1 * block.nbytes
 
 
 def test_whole_matrix_peak_is_one_blocks_scratch(preset_eig):
     _, eig = preset_eig("fig13")
-    m, peak = traced_peak(measured, eig.vectors)
+    m, peak = traced_peak(state_measures, eig.vectors)
     outputs = sum(getattr(m, f.name).nbytes for f in fields(m))
-    # the two float buffers of one STATE_BLOCK, shared out over the threads, never N x N
+    # the two float buffers of one STATE_BLOCK, never N x N
     assert peak <= 2.2 * 8 * STATE_BLOCK * eig.size + outputs
 
 

@@ -122,7 +122,7 @@ class TestSweepCsv:
 
 class TestPgm:
     def test_header_and_round_trip(self, eig, tmp_path):
-        pixels = eigenstate_map(eig, range(0, 20))
+        pixels = eigenstate_map(eig.vectors, range(0, 20))
         path = write_pgm(pixels, tmp_path / "map.pgm")
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n40 20\n255\n")
@@ -136,7 +136,7 @@ class TestPgm:
 
     def test_every_row_reaches_white(self, eig, tmp_path):
         # per-row renormalization puts one 255 pixel in every row
-        rows = eigenstate_map(eig, range(0, 12))
+        rows = eigenstate_map(eig.vectors, range(0, 12))
         pixels = read_pgm(write_pgm(rows, tmp_path / "map.pgm"))
         assert np.all(pixels.max(axis=1) == 255)
 
