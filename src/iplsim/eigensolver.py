@@ -13,8 +13,9 @@ certificate window. Each block is then rotated below the rounding floor,
 sign-fixed, certified (`_Certificate`) and handed to the readers named before
 the solve, and a row is dropped once no window reaches it, so a solve with
 readers never holds its vectors whole. A `Crew` of threads per solve shares
-out the slabs and the readers; dstein reseeds on every call and each group
-owns its rows, so no bit depends on the threads or the slabs. ``dense_oracle``
+out the slabs and the readers (a solve on a sweep's crew gets one thread);
+dstein reseeds on every call and each group owns its rows, so no bit depends
+on the threads or the slabs. ``dense_oracle``
 (round-robin Jacobi on the dense matrix) is the independent route the tests
 check against.
 """
@@ -62,11 +63,14 @@ DEGENERACY_ULPS = 4
 # matrix, so a pass's scratch stays O(sites x block)
 STATE_BLOCK = 128
 
-# one thread per core, but only as many as get this much work each (sites x
-# states): below it a second thread bought wall time only with more CPU
-# (2^17 cost `figures` 2.5% CPU for no wall gain; CHANGES.md)
-_WORKERS = os.cpu_count() or 1
+# one thread per core the process may run on, but only as many as get this much
+# work each (sites x states): below it a second thread bought wall time only
+# with more CPU (2^17 cost `figures` 2.5% CPU for no wall gain; CHANGES.md)
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 _THREAD_WORK = 1 << 18
+# `busy` is set on a thread while it runs a `Crew` call, whose work gets no crew of its own
+_crew_call = threading.local()
 
 
 def rounding_floor(values: np.ndarray) -> float:
@@ -75,16 +79,20 @@ def rounding_floor(values: np.ndarray) -> float:
 
 
 def thread_count(work: int) -> int:
-    """Threads a `Crew` gives `work` sites x states: one per core, each with `_THREAD_WORK`."""
+    """Threads a `Crew` gives `work` sites x states: one per core, each with `_THREAD_WORK`,
+    and one inside a `Crew` call, so crews do not nest."""
+    if getattr(_crew_call, "busy", False):
+        return 1
     return max(1, min(_WORKERS, int(work) // _THREAD_WORK))
 
 
 class Crew:
-    """The caller and `size - 1` threads started for one solve, until its `with` ends.
+    """The caller and `size - 1` threads started for one solve or sweep, until its `with` ends.
 
     A caller makes each call's buffers before `map`, so no started thread's
     malloc arena keeps freed scratch. A call's exception reaches the caller
-    (the first call's first) once every call is done.
+    (the first call's first) once every call is done. Work done inside a call
+    gets `thread_count` 1, so a solve on a sweep's crew starts no thread.
     """
 
     def __init__(self, size: int):
@@ -97,6 +105,7 @@ class Crew:
 
     @staticmethod
     def _serve(inbox, outbox) -> None:
+        _crew_call.busy = True  # this thread runs nothing but calls
         for fn, arg in iter(inbox.get, None):
             try:
                 outbox.put((fn(arg), None))
@@ -104,14 +113,20 @@ class Crew:
                 outbox.put((None, exc))
 
     def map(self, fn, args) -> list:
-        """[fn(arg) for arg in args], at most `size` of them: the first on the caller, the
-        rest on the threads."""
+        """[fn(arg) for arg in args], 1 to `size` of them: the first on the caller, the
+        rest on the threads; ValueError for any other count, before any call."""
+        if not 0 < len(args) <= self.size:
+            raise ValueError(f"a crew of {self.size} runs 1 to {self.size} calls, "
+                             f"got {len(args)}")
         for (inbox, _), arg in zip(self._pipes, args[1:]):
             inbox.put((fn, arg))
+        busy, _crew_call.busy = getattr(_crew_call, "busy", False), True
         try:
             done = [(fn(args[0]), None)]
         except BaseException as exc:
             done = [(None, exc)]
+        finally:
+            _crew_call.busy = busy
         done += [outbox.get() for _, outbox in self._pipes[:len(args) - 1]]
         for _, error in done:
             if error is not None:
@@ -334,7 +349,8 @@ def eigh_tridiagonal(h, consumers: Callable[[np.ndarray], Iterable[Callable]] | 
                 queue = iter(slab.tolist())  # each thread takes the next group left
                 failures = [f for f in crew.map(
                     lambda buffers: _solve_groups(queue, tasks, window, base, buffers),
-                    [scratch(slab) for _ in range(min(solvers, slab.size))]) if f is not None]
+                    [scratch(slab) for _ in range(min(solvers, crew.size, slab.size))])
+                    if f is not None]
                 if failures:
                     task, info = min(failures)
                     raise SolverError(f"inverse iteration failed near "

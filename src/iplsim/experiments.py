@@ -355,10 +355,13 @@ def _sweep_grid(lf_values, base: RunConfig) -> tuple[float, ...]:
 def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
     """Delocalized fraction vs focusing, one full pipeline run per grid value.
 
-    Points run one after another, in the input order, and per-point failures
-    become rows, not aborts. A point's walk holds a fifth of a 1002-site
-    point's vectors and measures the edge weights only; its dstein work (two
-    501-site mirror sectors) is under two threads' worth (`thread_count`).
+    Points run side by side on one `eigensolver.Crew`, up to one per core
+    (`thread_count` of their summed sites x states), each thread taking the
+    next point left; each point is stored at its index, so the rows keep the
+    input order, and per-point failures become rows, not aborts. A point's
+    solve inside the crew starts no thread of its own, so the working set is
+    one point's window per point in flight: a fifth of a 1002-site point's
+    vectors, and the edge weights only.
     """
     lf_values = _sweep_grid(lf_values, base)
 
@@ -369,7 +372,18 @@ def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
         except Exception as exc:  # per-point isolation, sweep must go on
             return SweepPoint(lf=lf, fraction=None, error=f"{type(exc).__name__}: {exc}")
 
-    return [point(lf) for lf in lf_values]
+    points: list[SweepPoint | None] = [None] * len(lf_values)
+    left = iter(enumerate(lf_values))  # each thread takes the next point left
+
+    def run(_) -> None:
+        for i, lf in left:
+            points[i] = point(lf)
+
+    sites = 2 * base.profile.cells
+    threads = min(eigensolver.thread_count(len(lf_values) * sites * sites), len(lf_values))
+    with eigensolver.Crew(threads) as crew:
+        crew.map(run, range(crew.size))
+    return points
 
 
 def run_sweep(base: RunConfig, lf_values, out_dir: str | Path) -> RunManifest:

@@ -854,6 +854,38 @@ class TestThreadedKernel:
             assert sorted(done) == [0, 1]
             assert crew.map(lambda arg: -arg, [0, 1, 2, 3]) == [0, -1, -2, -3]
 
+    @pytest.mark.parametrize("size, calls", [(1, 2), (3, 4), (3, 0)])
+    def test_a_crew_refuses_more_calls_than_it_has_threads_before_any_call(self, size, calls):
+        ran = []
+        with eigensolver.Crew(size) as crew:
+            with pytest.raises(ValueError, match=f"^a crew of {size} runs 1 to {size} calls, "
+                                                 f"got {calls}$"):
+                crew.map(ran.append, list(range(calls)))
+            assert ran == []
+            assert crew.map(lambda arg: arg, list(range(size))) == list(range(size))
+
+    def test_work_inside_a_crew_call_gets_one_thread(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_WORKERS", 3)
+        work = 3 * eigensolver._THREAD_WORK
+        assert eigensolver.thread_count(work) == 3
+        with eigensolver.Crew(3) as crew:
+            # on the caller and on each thread, while a call runs
+            assert crew.map(lambda _: eigensolver.thread_count(work), [0, 1, 2]) == [1, 1, 1]
+        # the caller's flag is put back after its call, also when the call raised
+        with eigensolver.Crew(2) as crew:
+            with pytest.raises(ZeroDivisionError):
+                crew.map(lambda arg: 1 / arg, [0, 1])
+        assert eigensolver.thread_count(work) == 3
+
+    def test_workers_are_the_cores_the_process_may_run_on(self):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("the platform sets no CPU affinity")
+        assert eigensolver._WORKERS == len(os.sched_getaffinity(0))
+        # a process pinned to one core solves on that core alone
+        in_child("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                 "from iplsim import eigensolver; assert eigensolver._WORKERS == 1; "
+                 "assert eigensolver.thread_count(1 << 40) == 1")
+
     @pytest.mark.parametrize("name, overrides", [
         ("fig13", {}), ("fig6", {"sites": 1802}), ("fig10", {}),
     ], ids=["fig13", "fig6-1802-sites", "fig10"])

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -36,7 +38,7 @@ from iplsim.output import sha256_file
 from iplsim.profiles import QUARTER_TURN, ProfileSpec
 from iplsim.rng import SplitMix64
 
-from iplsim import measures
+from iplsim import eigensolver, measures
 
 from memory import traced_peak
 
@@ -407,6 +409,87 @@ class TestSweep:
         (_, eig, report), peak = traced_peak(run_config, config, False)
         assert eig.size == 1002 and eig.vectors is None and report.measures.ipr is None
         assert peak <= 0.5 * 8 * eig.size ** 2
+
+    def test_two_1002_site_points_in_flight_hold_under_twice_one_points_bound(self,
+                                                                              monkeypatch):
+        monkeypatch.setattr(eigensolver, "_WORKERS", 2)  # both points at once, on any host
+        base = preset_config("fig4_inset_sweep")
+        points, peak = traced_peak(sweep_lf, [0.5, 2.0], base)
+        assert [p.error for p in points] == ["", ""]
+        # twice test_a_1002_site_point_holds_under_half_the_vector_matrix's bound
+        assert peak <= 2 * 0.5 * 8 * (2 * base.profile.cells) ** 2
+
+    def test_points_are_the_same_bits_on_any_number_of_threads(self, monkeypatch):
+        lf_values = focusing_grid(0.5, 50.0, 9)
+        base, cores = small_config(cells=60), eigensolver._WORKERS
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)  # every sweep gets a crew
+        monkeypatch.setattr(eigensolver, "_WORKERS", 1)
+        serial = sweep_lf(lf_values, base)
+        assert [p.lf for p in serial] == list(lf_values)
+        assert all(p.error == "" for p in serial)
+        monkeypatch.setattr(eigensolver, "_WORKERS", cores)
+        assert sweep_lf(lf_values, base) == serial
+        # more threads than cores take the points, switching as often as they can
+        monkeypatch.setattr(eigensolver, "_WORKERS", 4 * cores)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert sweep_lf(lf_values, base) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_point_that_raises_on_a_worker_thread_is_the_error_row_at_its_index(
+            self, monkeypatch):
+        import iplsim.experiments as exp
+
+        lf_values = [0.5, 1.0, 2.0, 4.0, 8.0]
+        base = small_config(cells=16)
+        want = sweep_lf(lf_values, base)
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
+        monkeypatch.setattr(eigensolver, "_WORKERS", 2)
+        caller, solve, started, failed = threading.get_ident(), exp.run_config, threading.Event(), []
+
+        def run_config(config, profile=True):
+            if threading.get_ident() == caller:
+                assert started.wait(timeout=60)  # the worker holds a point first
+            else:
+                started.set()
+                if not failed:  # the worker's first point raises
+                    failed.append(config.profile.lf)
+                    raise RuntimeError("boom")
+            return solve(config, profile)
+
+        monkeypatch.setattr(exp, "run_config", run_config)
+        points = sweep_lf(lf_values, base)
+        [lf] = failed
+        at = lf_values.index(lf)
+        assert points[at] == replace(want[at], fraction=None, error="RuntimeError: boom")
+        assert points[:at] + points[at + 1:] == want[:at] + want[at + 1:]
+
+    def test_a_point_on_the_sweeps_crew_starts_no_thread_of_its_own(self, monkeypatch):
+        lf_values = [0.5, 1.0, 2.0, 4.0, 8.0]
+        base = small_config(cells=16)
+        want = sweep_lf(lf_values, base)
+        # without the rule every point's solve would start a crew of 4x the cores
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
+        monkeypatch.setattr(eigensolver, "_WORKERS", 4 * eigensolver._WORKERS)
+        sizes, threads = [], threading.active_count()
+
+        class Recording(eigensolver.Crew):
+            def __init__(self, size):
+                super().__init__(size)
+                sizes.append((self.size, threading.active_count() - threads))
+
+        monkeypatch.setattr(eigensolver, "Crew", Recording)
+        assert sweep_lf(lf_values, base) == want
+        crew = min(eigensolver._WORKERS, len(lf_values))
+        # the sweep's crew, then one single-thread crew per point's solve
+        assert sizes == [(crew, crew - 1)] + [(1, crew - 1)] * len(lf_values)
+        assert threading.active_count() == threads
+        # a solve outside the sweep's crew gets its threads again
+        sizes.clear()
+        run_config(configure(base, {"lf": 0.5}), profile=False)
+        assert sizes == [(eigensolver._WORKERS, eigensolver._WORKERS - 1)]
 
     def test_fraction_rises_with_focusing(self):
         points = sweep_lf([0.5, 50.0], small_config(cells=24))
