@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .eigensolver import STATE_BLOCK, EigenSystem
+from .eigensolver import EigenSystem
 from .measures import SpacingSpectrum, StateMeasures, spacing_spectrum, state_measures
 from .profiles import read_fields, read_integer, read_real
 
@@ -168,35 +168,25 @@ def detect_multiplets(spacings: SpacingSpectrum, bands: BandPartition,
     return tuple(groups)
 
 
-def eigenstate_map(vectors: np.ndarray, selection: range) -> np.ndarray:
-    """Read-only (states x sites) uint8 pixels of |psi| for the selected columns of `vectors`.
+def eigenstate_map(rows: np.ndarray) -> np.ndarray:
+    """Read-only uint8 pixels of |psi| for (states x sites) rows of eigenvectors.
 
     Each row is one state renormalized to max 1, then pixel = round(255 *
-    value). Rows descend in state index (the highest on top, as `write_pgm`
-    writes them) and are quantized on their own, in blocks of `STATE_BLOCK`,
-    so the float scratch is one block and a walk's blocks give the same bytes.
+    value). The pixel rows descend in state index (the highest on top, as
+    `write_pgm` writes them), each quantized on its own, so a walk's runs give
+    the same bytes however they are cut.
     """
-    indices = np.array(sorted(selection, reverse=True), dtype=int)
-    if indices.size == 0:
-        raise ValueError("empty state selection")
-    if indices[-1] < 0 or indices[0] >= vectors.shape[1]:
-        raise ValueError("selection out of bounds")
-    pixels = np.empty((indices.size, vectors.shape[0]), dtype=np.uint8)
-    for lo in range(0, indices.size, STATE_BLOCK):
-        # the fancy-index copy is the block's only float buffer
-        rows = vectors[:, indices[lo:lo + STATE_BLOCK]].T
-        np.abs(rows, out=rows)
-        rows /= rows.max(axis=1, keepdims=True)
-        np.clip(rows, 0.0, 1.0, out=rows)
-        rows *= 255.0
-        pixels[lo:lo + STATE_BLOCK] = np.rint(rows, out=rows)
-        del rows  # freed before the next block is made
+    scaled = np.abs(rows[::-1])  # the one float buffer
+    scaled /= scaled.max(axis=1, keepdims=True)
+    np.clip(scaled, 0.0, 1.0, out=scaled)
+    scaled *= 255.0
+    pixels = np.rint(scaled, out=scaled).astype(np.uint8)
     pixels.setflags(write=False)
     return pixels
 
 
 class Measuring:
-    """A reader of a solve's walk (`eigh_tridiagonal`): `state_measures` of each block.
+    """A reader of a solve's walk (`eigh_tridiagonal`): `state_measures` of each run.
 
     `measures()` joins the blocks once the solve has returned. Without
     `profile` the PROFILE_MEASURES stay None.
@@ -206,7 +196,7 @@ class Measuring:
         self.thresholds, self.profile, self.blocks = thresholds, profile, {}
 
     def __call__(self, lo: int, rows: np.ndarray) -> None:
-        self.blocks[lo] = state_measures(rows.T, n_b=self.thresholds.n_b, profile=self.profile,
+        self.blocks[lo] = state_measures(rows, n_b=self.thresholds.n_b, profile=self.profile,
                                          amplitude_floor=self.thresholds.amplitude_floor)
 
     def measures(self) -> StateMeasures:
@@ -233,19 +223,17 @@ class SpectralReport:
         return self.values.size
 
 
-def analyze(eig: EigenSystem, thresholds: AnalysisThresholds | None = None,
-            expect_two_bands: bool = False, measures: StateMeasures | None = None
-            ) -> SpectralReport:
-    """The per-state and spectrum-level analysis of one eigensystem, with a walk's `measures`
-    (`Measuring`) or else `state_measures` of eig.vectors."""
+def analyze(eig: EigenSystem, measures: StateMeasures,
+            thresholds: AnalysisThresholds | None = None,
+            expect_two_bands: bool = False) -> SpectralReport:
+    """The spectrum-level analysis of one eigensystem, with the per-state `measures` its
+    solve's walk took (`Measuring`)."""
     th = thresholds or AnalysisThresholds()
     spacings = spacing_spectrum(eig.values)
     bands = detect_bands(spacings, gamma=th.gamma)
     if expect_two_bands and len(bands.bands) != 2:
         warnings.warn(f"expected 2 bands for a two-level cell lattice, found {len(bands.bands)}",
                       stacklevel=2)
-    if measures is None:
-        measures = state_measures(eig.vectors, n_b=th.n_b, amplitude_floor=th.amplitude_floor)
     return SpectralReport(values=eig.values, spacings=spacings, measures=measures,
                           bands=bands, labels=classify_states(measures, bands, tau=th.tau),
                           multiplets=detect_multiplets(spacings, bands, delta_rel=th.delta_rel),

@@ -11,11 +11,11 @@ One walk takes the states in ascending blocks of ``STATE_BLOCK``; ahead of
 each block, dstein solves a slab of whole groups, enough for the block's
 certificate window. Each block is then rotated below the rounding floor,
 sign-fixed, certified (`_Certificate`) and handed to the readers named before
-the solve, and a row is dropped once no window reaches it, so a solve with
-readers never holds its vectors whole. A `Crew` of threads per solve shares
-out the slabs and the readers (a solve on a sweep's crew gets one thread);
-dstein reseeds on every call and each group owns its rows, so no bit depends
-on the threads or the slabs. ``dense_oracle``
+the solve, and a row is dropped once no window reaches it, so no solve holds
+its vectors whole: the readers are all that ever see them. A `Crew` of
+threads per solve shares out the slabs and the readers (a solve on a sweep's
+crew gets one thread); dstein reseeds on every call and each group owns its
+rows, so no bit depends on the threads or the slabs. ``dense_oracle``
 (round-robin Jacobi on the dense matrix) is the independent route the tests
 check against.
 """
@@ -26,7 +26,6 @@ import contextlib
 import ctypes
 import functools
 import math
-import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -59,8 +58,8 @@ _SAFE_MIN = float(np.finfo(float).tiny)
 # degeneracies, and entries this many ulps of the scale apart are equal
 DEGENERACY_ULPS = 4
 
-# states per block of the walk and of every pass over a (sites x states)
-# matrix, so a pass's scratch stays O(sites x block)
+# states per block of the walk and of the certificate's passes, so a pass's
+# scratch stays O(sites x block)
 STATE_BLOCK = 128
 
 # one thread per core the process may run on, but only as many as get this much
@@ -212,26 +211,19 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ascending eigenvalues with orthonormal eigenvectors (column k <-> values[k]).
-
-    `vectors` is None where the solve handed its blocks to readers instead.
-    """
+    """Ascending eigenvalues and the certificate bounds of their orthonormal eigenvectors,
+    which only the solve's readers see (`eigh_tridiagonal`)."""
 
     values: np.ndarray
-    vectors: np.ndarray | None
     residual_bound: float
     ortho_bound: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        vectors = None if self.vectors is None else np.asarray(self.vectors, dtype=float)
-        if values.ndim != 1 or vectors is not None and vectors.shape[1:] != (values.size,):
-            raise ValueError(f"need 1-D values and one vector column per value, got {values.shape}"
-                             f" values and {getattr(vectors, 'shape', None)} vectors")
-        for name, array in (("values", values), ("vectors", vectors)):
-            if array is not None:
-                array.setflags(write=False)
-                object.__setattr__(self, name, array)
+        if values.ndim != 1:
+            raise ValueError(f"need 1-D values, got {values.shape}")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def size(self) -> int:
@@ -244,11 +236,11 @@ def eigh_tridiagonal(h, consumers: Callable[[np.ndarray], Iterable[Callable]] | 
 
     `consumers`, if given, gets the ascending eigenvalues before any vector
     is solved and returns the readers: reader(lo, rows) gets the read-only
-    (k x sites) rows of certified states lo..lo+k-1, one run per thread, and
-    the result holds no vectors; else it holds them all, in the window. The
-    verdict comes after the last block, so nothing a reader gathered may be
-    written before this returns. `thread_count` of the dstein work sizes each
-    slab's share of the crew, and that of the sites x states the crew.
+    (k x sites) rows of certified states lo..lo+k-1, one run per thread; None
+    means no readers, for the values and bounds alone. The verdict comes after
+    the last block, so nothing a reader gathered may be written before this
+    returns. `thread_count` of the dstein work sizes each slab's share of the
+    crew, and that of the sites x states the crew.
     """
     diag, offdiag = h.diag, h.offdiag
     if diag.size == 0:
@@ -320,11 +312,8 @@ def eigh_tridiagonal(h, consumers: Callable[[np.ndarray], Iterable[Callable]] | 
     certificate = _Certificate(diag, offdiag, levels)
     floor = rounding_floor(levels)
     slabs, frontier = _walk_plan(row, first, count, levels, floor, certificate.ends)
-    if consumers is None:  # the window holds every state, and the result keeps them
-        window, readers = _mapped_zeros(n), ()
-    else:
-        window = np.zeros((int(np.max(frontier - np.arange(0, n, STATE_BLOCK))), n))
-        readers = tuple(consumers(levels))
+    window = np.zeros((int(np.max(frontier - np.arange(0, n, STATE_BLOCK))), n))
+    readers = () if consumers is None else tuple(consumers(levels))
     # a row is written on its own block's sites only: clear reused rows where that matters
     clear = sizes.size > 1 + mirrored
 
@@ -366,8 +355,7 @@ def eigh_tridiagonal(h, consumers: Callable[[np.ndarray], Iterable[Callable]] | 
                 rows.flags.writeable = False
                 crew.map(read, np.array_split(range(rows.shape[0]), min(crew.size, rows.shape[0])))
     residual, ortho = certificate.bounds()
-    return EigenSystem(levels, None if consumers else window.T,
-                       residual_bound=residual, ortho_bound=ortho)
+    return EigenSystem(levels, residual_bound=residual, ortho_bound=ortho)
 
 
 def _walk_plan(row, first, count, levels, floor, ends):
@@ -428,15 +416,6 @@ def _sub_floor_basis(rows, values, floor: float) -> None:
             rows[lo:hi] = basis.T @ cluster
 
 
-def _mapped_zeros(n: int) -> np.ndarray:
-    """(n x n) zeros in a private map on 2 MiB pages, unmapped with its last view (unlike
-    glibc's heap, whose layout peak memory depended on; CHANGES.md)."""
-    buffer = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buffer.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buffer, dtype=float).reshape(n, n)
-
-
 def _solve_groups(tasks_left, tasks, rows, base, buffers):
     """Run dstein on each task taken from `tasks_left`, in one thread's buffers.
 
@@ -457,7 +436,8 @@ def _solve_groups(tasks_left, tasks, rows, base, buffers):
 
 
 def dense_oracle(h) -> EigenSystem:
-    """Independent check path: round-robin Jacobi on the dense matrix, small sizes only."""
+    """Independent check path: the values and certified bounds of round-robin Jacobi on the
+    dense matrix, small sizes only."""
     n = h.sites
     if n > DENSE_ORACLE_MAX_SITES:
         raise ValueError(
@@ -553,13 +533,14 @@ def _scale(diag, offdiag) -> float:
 
 
 def _certify(diag, offdiag, values, vectors) -> EigenSystem:
-    """Sign-fix (in place) and certify a whole (sites x states) matrix of ascending `values`."""
+    """Sign-fix (in place) and certify a whole (sites x states) matrix of ascending `values`;
+    the eigensystem of the values and bounds."""
     certificate = _Certificate(diag, offdiag, values)
     with _one_blas_thread():
         for lo, end in zip(range(0, values.size, STATE_BLOCK), certificate.ends.tolist()):
             certificate.block(lo, vectors[:, lo:end])
     residual, ortho = certificate.bounds()
-    return EigenSystem(values, vectors, residual_bound=residual, ortho_bound=ortho)
+    return EigenSystem(values, residual_bound=residual, ortho_bound=ortho)
 
 
 class _Certificate:

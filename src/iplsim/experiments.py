@@ -174,8 +174,9 @@ def build_hamiltonian(config: RunConfig) -> TridiagonalHamiltonian:
 
 def run_config(config: RunConfig, profile: bool = True
                ) -> tuple[TridiagonalHamiltonian, EigenSystem, SpectralReport]:
-    """Compute without touching the filesystem; the eigensystem holds no vectors, and without
-    `profile` the measures hold the edge weights only (`StateMeasures`)."""
+    """Compute without touching the filesystem: the eigensystem's values and bounds, and the
+    report of the measures its walk took, which without `profile` are the edge weights only
+    (`StateMeasures`). A caller that wants the vectors names a reader to `eigh_tridiagonal`."""
     return _compute(config, profile, pixels=False)[:3]
 
 
@@ -198,14 +199,14 @@ def _compute(config: RunConfig, profile: bool, pixels: bool):
             start, stop = max(lo, selection.start), min(lo + rows.shape[0], selection.stop)
             if start < stop:
                 raster[selection.stop - stop:selection.stop - start] = eigenstate_map(
-                    rows.T, range(start - lo, stop - lo))
+                    rows[start - lo:stop - lo])
         return measuring, map_rows
 
     eig = eigh_tridiagonal(h, consumers)
     # a cell lattice should split into two bands; the random on-site
     # comparison has no such structure, so skip the diagnostic there
     two_bands = config.profile.kind != "random_onsite"
-    report = analyze(eig, th, expect_two_bands=two_bands, measures=measuring.measures())
+    report = analyze(eig, measuring.measures(), th, expect_two_bands=two_bands)
     if raster is not None:
         raster.setflags(write=False)
     return h, eig, report, raster
@@ -533,7 +534,7 @@ def oracle_check(instances: int = 50, max_sites: int = 64,
     max_dev = max_res = max_ortho = 0.0
     for i in range(instances):
         h = random_instance(rng, max_sites)
-        eig = eigh_tridiagonal(h, lambda values: ())  # values and bounds only
+        eig = eigh_tridiagonal(h)  # values and bounds only
         ora = eigensolver.dense_oracle(h)
         dev = float(np.max(np.abs(eig.values - ora.values)))
         max_dev = max(max_dev, dev)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .eigensolver import STATE_BLOCK, rounding_floor
+from .eigensolver import rounding_floor
 
 NORM_TOL = 1e-10
 # the measures of a state's whole profile, which a run computes only when it writes them
@@ -78,55 +78,50 @@ def spacing_spectrum(values: np.ndarray) -> SpacingSpectrum:
     return SpacingSpectrum(np.maximum(diffs, 0.0), floor=rounding_floor(values))
 
 
-def state_measures(vectors: np.ndarray, n_b: int = 2, amplitude_floor: float = 1e-8,
+def state_measures(rows: np.ndarray, n_b: int = 2, amplitude_floor: float = 1e-8,
                    profile: bool = True) -> StateMeasures:
-    """All per-state diagnostics of a (sites x states) matrix of eigenvectors.
+    """All per-state diagnostics of (states x sites) rows of eigenvectors, as a walk hands them.
 
     With p = psi * psi per site and P its cumulative sum: ipr = sum p * p,
     cfs = hypot(sum cos(2 pi P) + N, sum sin(2 pi P)) / (2N), com = sum n * p
     (n from 1), w_left/w_right = sum p over the first/last n_b sites. Without
     `profile`, only the norm check and the edge weights run.
 
-    Blocks of `STATE_BLOCK` states go through two (block x sites) float
-    buffers (one without `profile`); state-major vectors are read in place.
-    Each value reduces along one state's own row, so it is the same bits
-    whatever the block and thread (a solve's walk calls this per block).
+    The rows go through two (states x sites) float buffers (one without
+    `profile`) and are read in place. Each value reduces along one state's
+    own row, so it is the same bits whatever the run and thread (a solve's
+    walk calls this per run of a block).
     """
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim != 2:
-        raise ValueError("vectors must be a (sites x states) block")
-    sites, states = vectors.shape
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("rows must be a (states x sites) block")
+    states, sites = rows.shape
     if not 1 <= n_b <= sites // 2:
         raise ValueError(f"edge window {n_b} out of range for {sites} sites")
     names = ("w_left", "w_right", *(PROFILE_MEASURES if profile else ()))
     out = {name: np.empty(states, dtype=np.int64 if name == "nodes" else float) for name in names}
-    height = min(STATE_BLOCK, states)
-    scratch = (*(np.empty((height, sites)) for _ in range(1 + profile)), np.empty(height))
-    site_index = np.arange(1.0, sites + 1)
-    for lo in range(0, states, STATE_BLOCK):
-        rows = np.ascontiguousarray(vectors[:, lo:lo + STATE_BLOCK].T)
-        slots = {name: values[lo:lo + STATE_BLOCK] for name, values in out.items()}
-        prob, per_state = scratch[0][:rows.shape[0]], scratch[-1][:rows.shape[0]]
-        np.multiply(rows, rows, out=prob)
-        # the bits of np.linalg.norm(rows, axis=1), which sums the same squares;
-        # written so that a NaN fails it too
-        norm = np.sqrt(np.sum(prob, axis=1, out=per_state), out=per_state)
-        if not np.all(np.abs(norm - 1.0) <= NORM_TOL):
-            raise ValueError("vectors must be L2-normalized")
-        np.sum(prob[:, :n_b], axis=1, out=slots["w_left"])
-        np.sum(prob[:, sites - n_b:], axis=1, out=slots["w_right"])
-        if profile:
-            _measure_block(rows, amplitude_floor, site_index, scratch, slots)
+    scratch = (*(np.empty((states, sites)) for _ in range(1 + profile)), np.empty(states))
+    prob, per_state = scratch[0], scratch[-1]
+    np.multiply(rows, rows, out=prob)
+    # the bits of np.linalg.norm(rows, axis=1), which sums the same squares;
+    # written so that a NaN fails it too
+    norm = np.sqrt(np.sum(prob, axis=1, out=per_state), out=per_state)
+    if not np.all(np.abs(norm - 1.0) <= NORM_TOL):
+        raise ValueError("vectors must be L2-normalized")
+    np.sum(prob[:, :n_b], axis=1, out=out["w_left"])
+    np.sum(prob[:, sites - n_b:], axis=1, out=out["w_right"])
+    if profile:
+        _measure_block(rows, amplitude_floor, scratch, out)
     return StateMeasures(**{f.name: out.get(f.name) for f in fields(StateMeasures)})
 
 
-def _measure_block(rows, amplitude_floor, site_index, scratch, out) -> None:
+def _measure_block(rows, amplitude_floor, scratch, out) -> None:
     """The profile measures of (states x sites) rows into out's arrays, in scratch's two
-    (rows x sites) buffers (the first holding the probabilities) and one float per row."""
+    (states x sites) buffers (the first holding the probabilities) and one float per row."""
     states, sites = rows.shape
-    prob, work, per_state = (buffer[:states] for buffer in scratch)
+    prob, work, per_state = scratch
     np.sum(np.multiply(prob, prob, out=work), axis=1, out=out["ipr"])
-    np.sum(np.multiply(site_index, prob, out=work), axis=1, out=out["com"])
+    np.sum(np.multiply(np.arange(1.0, sites + 1), prob, out=work), axis=1, out=out["com"])
     angles = np.cumsum(prob, axis=1, out=work)
     angles *= 2.0 * np.pi
     # sum_n (exp(i angle_n) + 1) = (sum cos + N) + i sum sin, with real temporaries only

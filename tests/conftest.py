@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 import iplsim as ip
-from iplsim.eigensolver import eigh_tridiagonal
+from vectors import gather
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -30,14 +30,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def preset_eig():
-    """Solve a preset once and memoize: preset_eig("fig1") -> (config, EigenSystem)."""
+    """Solve a preset once and memoize: preset_eig("fig1") -> (config, EigenSystem, vectors),
+    the (sites x states) vectors gathered by a reader (`vectors.gather`)."""
     cache = {}
 
     def solve(name: str, **overrides):
         key = (name, tuple(sorted(overrides.items())))
         if key not in cache:
             config = ip.preset_config(name, overrides or None)
-            cache[key] = (config, eigh_tridiagonal(ip.build_hamiltonian(config)))
+            cache[key] = (config, *gather(ip.build_hamiltonian(config)))
         return cache[key]
 
     return solve

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,20 +23,18 @@ from cells import cell_blocks
 from conftest import record_criterion
 from curves import monotonicity_changes, smooth
 from multiplets import group_of
+from vectors import gather
 from iplsim import (
     PRESETS,
     AnalysisThresholds,
     CellParams,
     ProfileSpec,
     SplitMix64,
-    analyze,
     assemble,
     delocalized_fraction,
-    eigh_tridiagonal,
     oracle_check,
     preset_config,
     random_instance,
-    realize_profile,
     replay,
     run_config,
     state_measures,
@@ -61,9 +60,10 @@ def fig1_run():
 
 
 @pytest.fixture(scope="module")
-def fig2_3(preset_eig):
-    config, eig = preset_eig("fig2_3")
-    return config, eig, analyze(eig, config.thresholds, expect_two_bands=True)
+def fig2_3():
+    config = preset_config("fig2_3")
+    _, eig, report = run_config(config)
+    return config, eig, report
 
 
 def test_01_cell_isospectrality():
@@ -187,13 +187,11 @@ def test_05b_focusing_sweep():
     assert max_decrease <= 0.02
 
 
-def test_06_random_comparisons(fig2_3, preset_eig):
+def test_06_random_comparisons(fig2_3):
     """Mean IPR ordering: random on-site >> symmetric grid, random phases between."""
     _, _, report_ipl = fig2_3
-    cfg5, eig5 = preset_eig("fig5")
-    report_onsite = analyze(eig5, cfg5.thresholds)
-    cfg6, eig6 = preset_eig("fig6")
-    report_phase = analyze(eig6, cfg6.thresholds, expect_two_bands=True)
+    report_onsite = run_config(preset_config("fig5"))[2]
+    report_phase = run_config(preset_config("fig6"))[2]
 
     mean_onsite = _mean(report_onsite.measures.ipr)
     mean_ipl = _mean(report_ipl.measures.ipr)
@@ -207,10 +205,10 @@ def test_06_random_comparisons(fig2_3, preset_eig):
     assert mean_ipl < mean_phase < mean_onsite
 
 
-def test_07_one_sided_edge_states(preset_eig):
+def test_07_one_sided_edge_states():
     """fig7_8: ground state pinned to the right edge; mirroring the grid mirrors it."""
-    config, eig = preset_eig("fig7_8")
-    report = analyze(eig, config.thresholds, expect_two_bands=True)
+    config = preset_config("fig7_8")
+    report = run_config(config)[2]
     n_s = report.size
     ratio = report.measures.w_right[0] / report.measures.w_left[0]
 
@@ -220,8 +218,7 @@ def test_07_one_sided_edge_states(preset_eig):
     mirror_spec = ProfileSpec("linear", spec.cells,
                               phi_start=math.pi / 2 - spec.phi_end,
                               phi_end=math.pi / 2 - spec.phi_start)
-    mirror_eig = eigh_tridiagonal(assemble(realize_profile(mirror_spec), config.params))
-    mirror_report = analyze(mirror_eig, config.thresholds, expect_two_bands=True)
+    mirror_report = run_config(replace(config, profile=mirror_spec))[2]
     mirror_dev = abs(report.measures.com[0] + mirror_report.measures.com[0] - (n_s + 1))
 
     ok = ratio > 100 and report.measures.com[0] > 0.85 * n_s and mirror_dev <= 1e-6
@@ -233,13 +230,12 @@ def test_07_one_sided_edge_states(preset_eig):
     assert mirror_dev <= 1e-6
 
 
-def test_08_revolution_pairing(preset_eig):
+def test_08_revolution_pairing():
     """fig9_10: singlet ground state, then a run of two-state multiplets whose
     members sit in opposite halves with node counts one apart."""
-    config, eig = preset_eig("fig9_10")
     # 0.35 resolves the whole pair branch; the default 0.05 only the deepest pairs
     thresholds = AnalysisThresholds(delta_rel=0.35)
-    report = analyze(eig, thresholds, expect_two_bands=True)
+    _, eig, report = run_config(replace(preset_config("fig9_10"), thresholds=thresholds))
     groups = report.multiplets
 
     ground = group_of(groups, 0)
@@ -286,10 +282,9 @@ def test_08_revolution_pairing(preset_eig):
     assert mid_sizes == {1}
 
 
-def test_09_three_revolution_multiplets(preset_eig):
+def test_09_three_revolution_multiplets():
     """fig11_13: ground triplet, then sextets, dissolving toward the band center."""
-    config, eig = preset_eig("fig11_13")
-    report = analyze(eig, config.thresholds, expect_two_bands=True)
+    report = run_config(preset_config("fig11_13"))[2]
     lower = [g for g in report.multiplets if g.band == 0]
 
     head = [g.size for g in lower[:4]]
@@ -323,9 +318,9 @@ def test_10_node_count_law():
     sizes = []
     for _ in range(20):
         h = random_instance(rng, max_sites=200)
-        eig = eigh_tridiagonal(h)
+        eig, vectors = gather(h)
         sizes.append(h.sites)
-        counts = state_measures(eig.vectors, amplitude_floor=0.0).nodes
+        counts = state_measures(vectors.T, amplitude_floor=0.0).nodes
         violations += int(np.sum(counts != np.arange(eig.size - 1, -1, -1)))
 
     ok = violations == 0
@@ -334,17 +329,17 @@ def test_10_node_count_law():
     assert violations == 0
 
 
-def test_11_inversion_symmetry(fig2_3):
+def test_11_inversion_symmetry(preset_eig):
     """Symmetric profiles give palindromic operators and mirror-even eigenvectors."""
     h = build_hamiltonian(preset_config("fig1"))
     diag_dev = float(np.abs(h.diag - h.diag[::-1]).max())
     off_dev = float(np.abs(h.offdiag - h.offdiag[::-1]).max())
 
-    _, eig, _ = fig2_3
+    _, eig, vectors = preset_eig("fig2_3")
     min_spacing = float(np.diff(eig.values).min())
     assert min_spacing > 1e-6  # the whole spectrum is safely nondegenerate
     asym = max(
-        float(np.abs(np.abs(eig.vectors[:, k]) - np.abs(eig.vectors[::-1, k])).max())
+        float(np.abs(np.abs(vectors[:, k]) - np.abs(vectors[::-1, k])).max())
         for k in range(eig.size))
 
     ok = diag_dev <= 1e-12 and off_dev <= 1e-12 and asym <= 1e-8

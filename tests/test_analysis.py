@@ -6,6 +6,7 @@ import pytest
 
 from iplsim.analysis import (
     AnalysisThresholds,
+    Measuring,
     analyze,
     classify_states,
     delocalized_fraction,
@@ -13,7 +14,7 @@ from iplsim.analysis import (
     detect_multiplets,
     eigenstate_map,
 )
-from iplsim.eigensolver import STATE_BLOCK, EigenSystem, eigh_tridiagonal
+from iplsim.eigensolver import STATE_BLOCK, eigh_tridiagonal
 from iplsim.hamiltonian import CellParams, assemble
 from iplsim.profiles import ProfileSpec, realize_profile
 from iplsim.measures import spacing_spectrum, state_measures
@@ -21,6 +22,14 @@ from iplsim.measures import spacing_spectrum, state_measures
 from curves import monotonicity_changes, smooth
 from multiplets import group_of
 from memory import traced_peak
+from vectors import gather
+
+
+def analyzed(h, expect_two_bands=False):
+    """The report of h from the measures its walk's `Measuring` reader took, as a run's."""
+    measuring = Measuring(AnalysisThresholds())
+    eig = eigh_tridiagonal(h, lambda values: (measuring,))
+    return analyze(eig, measuring.measures(), expect_two_bands=expect_two_bands)
 
 
 class TestDetectBands:
@@ -96,7 +105,7 @@ class TestClassifyStates:
                 vectors[size // 2, k] = 1.0           # interior spike: reaches no edge
             else:
                 vectors[:, k] = 1.0 / math.sqrt(size)  # uniform: reaches both edges
-        return state_measures(vectors)
+        return state_measures(vectors.T)
 
     def band(self, n):
         from iplsim.analysis import BandPartition
@@ -179,7 +188,7 @@ class TestDetectMultiplets:
         # medians are 0, so only the rounding floor can join them
         spec = ProfileSpec("linear", 20, phi_start=0.3, phi_end=0.3)
         h = assemble(realize_profile(spec), CellParams(1.0, 2.0, 0.0))
-        report = analyze(eigh_tridiagonal(h))
+        report = analyzed(h)
         assert [g.size for g in report.multiplets] == [20, 20]
 
 
@@ -187,48 +196,42 @@ class TestEigenstateMap:
     def system(self):
         grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 10))
         h = assemble(grid, CellParams(1.0, 2.0, 0.2))
-        return eigh_tridiagonal(h)
+        return gather(h)[1]
 
     @staticmethod
-    def expected(eig, indices):
+    def expected(vectors, indices):
         """The pixels from the float rows |psi| / max |psi|, made here in one piece."""
-        rows = np.abs(eig.vectors[:, indices].T)
+        rows = np.abs(vectors[:, indices].T)
         rows = rows / rows.max(axis=1, keepdims=True)
         return np.rint(255 * rows).astype(np.uint8)
 
     def test_rows_descending_and_normalized(self):
-        eig = self.system()
-        pixels = eigenstate_map(eig.vectors, range(0, 5))
+        vectors = self.system()
+        pixels = eigenstate_map(vectors.T[0:5])
         assert pixels.dtype == np.uint8
         assert pixels.shape == (5, 20)
-        assert np.array_equal(pixels, self.expected(eig, [4, 3, 2, 1, 0]))
-        assert not np.array_equal(pixels, self.expected(eig, [0, 1, 2, 3, 4]))
+        assert np.array_equal(pixels, self.expected(vectors, [4, 3, 2, 1, 0]))
+        assert not np.array_equal(pixels, self.expected(vectors, [0, 1, 2, 3, 4]))
         assert np.all(pixels.max(axis=1) == 255)
         with pytest.raises(ValueError):
             pixels[0, 0] = 0
 
     def test_row_content_matches_vectors(self):
-        eig = self.system()
-        pixels = eigenstate_map(eig.vectors, range(3, 6))
-        assert np.array_equal(pixels, self.expected(eig, [5, 4, 3]))
-        top = np.abs(eig.vectors[:, 5])
+        vectors = self.system()
+        pixels = eigenstate_map(vectors.T[3:6])
+        assert np.array_equal(pixels, self.expected(vectors, [5, 4, 3]))
+        top = np.abs(vectors[:, 5])
         assert np.array_equal(pixels[0], np.rint(255 * (top / top.max())).astype(np.uint8))
 
-    def test_peak_is_the_pixels_plus_block_scratch(self, preset_eig):
-        _, eig = preset_eig("fig2_3")
-        assert eig.size > 2 * STATE_BLOCK  # the selection spans several blocks
-        pixels, peak = traced_peak(eigenstate_map, eig.vectors, range(eig.size))
-        assert pixels.shape == (eig.size, eig.size)
-        assert np.array_equal(pixels, self.expected(eig, np.arange(eig.size)[::-1]))
-        # a float raster would be 8 bytes per pixel; here at most two blocks are float
-        assert peak <= pixels.nbytes + 2 * 8 * STATE_BLOCK * eig.size
-
-    def test_selection_validation(self):
-        eig = self.system()
-        with pytest.raises(ValueError):
-            eigenstate_map(eig.vectors, range(0, 0))
-        with pytest.raises(ValueError):
-            eigenstate_map(eig.vectors, range(18, 25))
+    def test_peak_is_the_pixels_plus_one_float_copy_of_the_rows(self, preset_eig):
+        _, eig, vectors = preset_eig("fig2_3")
+        rows = vectors.T[:STATE_BLOCK]  # the most a walk hands one reader at once
+        pixels, peak = traced_peak(eigenstate_map, rows)
+        assert pixels.shape == (STATE_BLOCK, eig.size)
+        assert np.array_equal(pixels, self.expected(vectors, np.arange(STATE_BLOCK)[::-1]))
+        # |rows| is the one float buffer, next to the pixels, one maximum per row and
+        # numpy's ufunc buffers (15 KB here); a second float copy would double it
+        assert peak <= pixels.nbytes + 1.1 * rows.nbytes
 
 
 class TestSmooth:
@@ -275,7 +278,7 @@ class TestAnalyze:
     def test_end_to_end_consistency(self):
         grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 30))
         h = assemble(grid, CellParams(1.0, 2.0, 0.2))
-        report = analyze(eigh_tridiagonal(h), expect_two_bands=True)
+        report = analyzed(h, expect_two_bands=True)
         assert report.size == 60
         assert report.measures.ipr.size == 60
         assert len(report.bands.bands) == 2
@@ -286,33 +289,29 @@ class TestAnalyze:
         # 602 states span three measure blocks; joining them must change nothing
         grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 301))
         h = assemble(grid, CellParams(1.0, 2.0, 0.2))
-        eig = eigh_tridiagonal(h)
-        report = analyze(eig, expect_two_bands=True)
-        whole = state_measures(eig.vectors)
+        report = analyzed(h, expect_two_bands=True)
+        whole = state_measures(gather(h)[1].T)
         for name in ("ipr", "cfs", "com", "w_left", "w_right", "nodes"):
             assert np.array_equal(getattr(report.measures, name), getattr(whole, name))
 
-    def test_refuses_nan_vectors(self):
+    def test_the_walks_measures_refuse_nan_rows(self):
         # NaN states must be refused, not labelled delocalized
-        h = assemble(realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 10)),
-                     CellParams(1.0, 2.0, 0.2))
-        eig = eigh_tridiagonal(h)
         with pytest.raises(ValueError, match="normalized"):
-            analyze(EigenSystem(eig.values, np.full(eig.vectors.shape, np.nan), 0.0, 0.0))
+            Measuring(AnalysisThresholds())(0, np.full((3, 20), np.nan))
 
     def test_warns_when_band_count_surprises(self):
         # a uniform chain (d1 == d2) has three levels, so three bands
         grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 10))
         h = assemble(grid, CellParams(1.0, 1.0, 0.2))
         with pytest.warns(UserWarning, match="expected 2 bands"):
-            analyze(eigh_tridiagonal(h), expect_two_bands=True)
+            analyzed(h, expect_two_bands=True)
 
     def test_decoupled_cells_give_two_flat_bands(self, recwarn):
         # eps = 0: every cell has the exact levels d1 and d2, so the spectrum
         # is two flat bands whose roundoff spacings do not split them
         grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 10))
         h = assemble(grid, CellParams(1.0, 2.0, 0.0))
-        report = analyze(eigh_tridiagonal(h), expect_two_bands=True)
+        report = analyzed(h, expect_two_bands=True)
         assert report.bands.bands == (range(10), range(10, 20))
         assert not recwarn.list
 

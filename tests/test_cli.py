@@ -391,7 +391,7 @@ class TestRefusedBeforeCompute:
     ])
     def test_size_guard(self, argv, tmp_path, no_compute, capsys):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert "8*N^2" in capsys.readouterr().err
+        assert "exceed the limit of 20000" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", [

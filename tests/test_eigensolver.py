@@ -2,7 +2,6 @@ import ctypes
 import inspect
 import itertools
 import math
-import mmap
 import os
 import subprocess
 import sys
@@ -47,6 +46,7 @@ from certificate import certificate_values
 from memory import traced_peak
 from nodes import sign_changes
 from sturm import eigenvalue_count_below
+from vectors import gather
 
 PARAMS = CellParams(1.0, 2.0, 0.2)
 # the C type of the solver's LAPACK integers (int64 from numpy's OpenBLAS, int32 from scipy)
@@ -72,9 +72,9 @@ class TestEighTridiagonal:
         assert np.allclose(eig.values, ref, atol=1e-12)
 
     def test_sign_convention(self):
-        eig = eigh_tridiagonal(small_lattice(15))
+        eig, vectors = gather(small_lattice(15))
         for k in range(eig.size):
-            col = eig.vectors[:, k]
+            col = vectors[:, k]
             lead = col[np.abs(col) > 1e-12][0]
             assert lead > 0.0
 
@@ -129,17 +129,18 @@ class TestEighTridiagonal:
         # DSTEBZ's split rule squares the entries: unscaled, it would split every
         # bond at either factor, and dstein's work vectors overflow above 1e153
         h = small_lattice(20)
-        eig = eigh_tridiagonal(h)
-        scaled = eigh_tridiagonal(TridiagonalHamiltonian(factor * h.diag, factor * h.offdiag))
+        eig, vectors = gather(h)
+        scaled, scaled_vectors = gather(TridiagonalHamiltonian(factor * h.diag,
+                                                               factor * h.offdiag))
         error = np.max(np.abs(scaled.values / factor - eig.values))
         assert error <= 1e-13 * np.max(np.abs(eig.values))
-        assert np.allclose(scaled.vectors, eig.vectors, rtol=0.0, atol=1e-12)
+        assert np.allclose(scaled_vectors, vectors, rtol=0.0, atol=1e-12)
         assert scaled.residual_bound <= 1e-14 * factor
 
-    def test_vectors_are_frozen(self):
+    def test_values_are_frozen(self):
         eig = eigh_tridiagonal(small_lattice(6))
         with pytest.raises(ValueError):
-            eig.vectors[0, 0] = 7.0
+            eig.values[0] = 7.0
 
 
 def random_operator(sites, seed):
@@ -147,13 +148,13 @@ def random_operator(sites, seed):
     return TridiagonalHamiltonian(rng.normal(size=sites), rng.normal(size=sites - 1))
 
 
-def assert_bounds_hold_against_the_oracle(h, eig):
+def assert_bounds_hold_against_the_oracle(h, eig, vectors):
     """residual_bound bit-equal to the whole-matrix oracle; ortho_bound at least its Gram defect.
 
     Where the window from the first block's top level reaches the highest
     level, every pair is measured and ortho_bound is that defect, bit for bit.
     """
-    residual, ortho = certificate_values(h.diag, h.offdiag, eig.values, eig.vectors)
+    residual, ortho = certificate_values(h.diag, h.offdiag, eig.values, vectors)
     assert eig.residual_bound == residual
     assert ortho <= eig.ortho_bound <= ORTHO_CAP
     window = ORTHO_WINDOW_REL * _scale(h.diag, h.offdiag)
@@ -167,15 +168,15 @@ class TestBlockedCertificate:
     @pytest.mark.parametrize("sites", [1, 2, 127, 128, 129, 300])
     def test_bounds_equal_the_whole_matrix_oracle(self, sites):
         h = random_operator(sites, seed=sites)
-        assert_bounds_hold_against_the_oracle(h, eigh_tridiagonal(h))
+        assert_bounds_hold_against_the_oracle(h, *gather(h))
 
     @pytest.mark.parametrize("name, overrides", [
         *(pytest.param(name, {}, id=name) for name in PRESETS),
         pytest.param("fig6", {"sites": 1802}, id="fig6-1802-sites"),
     ])
     def test_preset_bounds_equal_the_whole_matrix_oracle(self, name, overrides, preset_eig):
-        config, eig = preset_eig(name, **overrides)
-        assert_bounds_hold_against_the_oracle(build_hamiltonian(config), eig)
+        config, eig, vectors = preset_eig(name, **overrides)
+        assert_bounds_hold_against_the_oracle(build_hamiltonian(config), eig, vectors)
         # headroom: the far-pair bound stays a decade under the cap
         assert eig.ortho_bound <= ORTHO_CAP / 10
 
@@ -184,21 +185,22 @@ class TestBlockedCertificate:
         # a block's Gram panel reads the columns past it before their signs
         # are fixed; flipping any of them negates those products exactly
         if source == "fig13":
-            config, eig = preset_eig(source)
+            config, eig, vectors = preset_eig(source)
             h = build_hamiltonian(config)
         else:
             wide = random_operator(300, seed=300)
             h = TridiagonalHamiltonian(10.0 + 1e-3 * wide.diag, 1e-3 * wide.offdiag)
-            eig = eigh_tridiagonal(h)
+            eig, vectors = gather(h)
         assert eig.size > 2 * STATE_BLOCK
-        rows = eig.vectors.T.copy()  # the solver's (states x sites) layout
+        rows = vectors.T.copy()  # the solver's (states x sites) layout
         later = STATE_BLOCK + 10
         if source == "narrow-300-sites":
             # every level lies in every window, so the first block's panel
             # measures this overlap with a state of the second block, and the
             # overlap is the measured Gram defect
             rows[later] += 1e-12 * rows[10]
-        want = _certify(h.diag, h.offdiag, eig.values, rows.copy().T)
+        fixed = rows.copy()  # _certify fixes the signs in place
+        want = _certify(h.diag, h.offdiag, eig.values, fixed.T)
         flipped = np.random.default_rng(eig.size).random(eig.size) < 0.5
         flipped[later] = True
         assert not flipped.all()
@@ -206,20 +208,20 @@ class TestBlockedCertificate:
         got = _certify(h.diag, h.offdiag, eig.values, rows.T)
         assert got.residual_bound == want.residual_bound
         assert got.ortho_bound == want.ortho_bound
-        assert np.array_equal(got.vectors, want.vectors)
+        assert np.array_equal(rows, fixed)
         if source == "narrow-300-sites":
             assert want.ortho_bound > 0.5e-12
         else:
             assert (want.residual_bound, want.ortho_bound) == (eig.residual_bound, eig.ortho_bound)
-            assert np.array_equal(want.vectors, eig.vectors)
+            assert np.array_equal(fixed.T, vectors)
 
     def test_gram_panels_stop_at_the_window(self):
         # 1000 sites whose two bands span about 1.3 scale: no block's window
         # holds more than 188 columns, so the largest Gram panel is well under
         # the (block x sites) one that a panel running to the last column makes
         h = small_lattice(500)
-        eig = eigh_tridiagonal(h)
-        _, peak = traced_peak(_certify, h.diag, h.offdiag, eig.values, eig.vectors.copy())
+        eig, vectors = gather(h)
+        _, peak = traced_peak(_certify, h.diag, h.offdiag, eig.values, vectors.copy())
         assert peak <= 0.5 * 8 * STATE_BLOCK * eig.size
 
     def test_the_window_covers_every_pair_of_a_narrow_spectrum(self):
@@ -227,11 +229,11 @@ class TestBlockedCertificate:
         # the last column and ortho_bound is the measured Gram defect
         h = random_operator(300, seed=300)
         narrow = TridiagonalHamiltonian(10.0 + 1e-3 * h.diag, 1e-3 * h.offdiag)
-        eig = eigh_tridiagonal(narrow)
+        eig, vectors = gather(narrow)
         window = ORTHO_WINDOW_REL * _scale(narrow.diag, narrow.offdiag)
         assert eig.values[-1] - eig.values[0] < window
         assert eig.ortho_bound == certificate_values(narrow.diag, narrow.offdiag,
-                                                     eig.values, eig.vectors)[1]
+                                                     eig.values, vectors)[1]
 
     # 150 decoupled identical cells: 300 sites in blocks [0, 128), [128, 256)
     # and [256, 300); states 0-149 sit at d1 and 150-299 at d2, so mixing two
@@ -250,8 +252,8 @@ class TestBlockedCertificate:
         assert STATE_BLOCK == 128
         spec = ProfileSpec("linear", 150, phi_start=0.3, phi_end=0.3)
         h = assemble(realize_profile(spec), CellParams(1.0, 2.0, 0.0))
-        eig = eigh_tridiagonal(h)
-        values, vectors = eig.values.copy(), eig.vectors.copy()
+        eig, vectors = gather(h)
+        values, vectors = eig.values.copy(), vectors.copy()
         if partner is None:
             values[column] += amount
         else:
@@ -265,30 +267,21 @@ class TestBlockedCertificate:
 
     def test_nan_vectors_fail_the_certificate(self):
         h = small_lattice(8)
-        eig = eigh_tridiagonal(h)
+        eig, solved = gather(h)
         for column in (0, eig.size - 1):
-            vectors = eig.vectors.copy()
+            vectors = solved.copy()
             vectors[3, column] = np.nan
             with pytest.raises(SolverError, match="not finite"):
                 _certify(h.diag, h.offdiag, eig.values, vectors)
 
     def test_trace_drift_above_the_cap_fails_the_certificate(self, monkeypatch):
         h = random_operator(16, seed=16)
-        eig = eigh_tridiagonal(h)
+        eig, vectors = gather(h)
         # the values' sum misses the diagonal's by rounding, far under the cap
         assert float(np.sum(eig.values)) != float(np.sum(h.diag))
         monkeypatch.setattr(eigensolver, "TRACE_REL_CAP", 0.0)
         with pytest.raises(SolverError, match="trace drift"):
-            _certify(h.diag, h.offdiag, eig.values, eig.vectors.copy())
-
-    def test_peak_memory_is_the_vector_matrix_plus_block_scratch(self):
-        h = small_lattice(500)
-        eig, peak = traced_peak(eigh_tridiagonal, h)
-        assert eig.size == 1000
-        # tracemalloc does not see the vector matrix's own memory map, so it is added
-        assert isinstance(memory_map_of(eig.vectors), mmap.mmap)
-        # the whole-matrix certificate held three (sites x states) buffers
-        assert peak + eig.vectors.nbytes <= 1.25 * 8 * eig.size ** 2
+            _certify(h.diag, h.offdiag, eig.values, vectors.copy())
 
     def test_solver_threads_size_their_buffers_by_their_own_slab(self, monkeypatch):
         # the default lattice at 1802 sites holds a spectral group of 200 states
@@ -299,16 +292,10 @@ class TestBlockedCertificate:
         # 0.96 x 8N^2; only the slab that holds that group sizes them so here
         assert peak <= 0.4 * 8 * eig.size ** 2
 
-    def test_each_vector_matrix_has_a_memory_map_of_its_own(self):
-        h = small_lattice(50)
-        first, second = eigh_tridiagonal(h), eigh_tridiagonal(h)
-        maps = [memory_map_of(eig.vectors) for eig in (first, second)]
-        assert all(isinstance(m, mmap.mmap) for m in maps)
-        assert maps[0] is not maps[1] and len(maps[0]) == first.vectors.nbytes
-        assert np.array_equal(first.vectors, second.vectors)
-        # the map starts zero-filled: dstein writes only each group's block of sites
-        isolated = eigh_tridiagonal(TridiagonalHamiltonian(np.arange(4.0), np.zeros(3)))
-        assert np.array_equal(isolated.vectors, np.eye(4))
+    def test_sites_outside_a_groups_block_read_zero(self):
+        # dstein writes only each group's block of sites, so the window starts zero-filled
+        _, vectors = gather(TridiagonalHamiltonian(np.arange(4.0), np.zeros(3)))
+        assert np.array_equal(vectors, np.eye(4))
 
 
 class TestGroupedInverseIteration:
@@ -333,38 +320,38 @@ class TestGroupedInverseIteration:
         # eps = 0: twenty identical 2x2 cells, so each level is 20-fold; a
         # solver that mixed cells would spread the states over several cells
         spec = ProfileSpec("linear", 20, phi_start=0.3, phi_end=0.3)
-        eig = eigh_tridiagonal(assemble(realize_profile(spec), CellParams(1.0, 2.0, 0.0)))
-        ipr = state_measures(eig.vectors).ipr
+        eig, vectors = gather(assemble(realize_profile(spec), CellParams(1.0, 2.0, 0.0)))
+        ipr = state_measures(vectors.T).ipr
         assert np.allclose(ipr, math.cos(0.3) ** 4 + math.sin(0.3) ** 4, rtol=0, atol=1e-12)
         for k in range(eig.size):
-            assert np.count_nonzero(eig.vectors[:, k]) <= 2
+            assert np.count_nonzero(vectors[:, k]) <= 2
 
     @pytest.mark.parametrize("name", ["fig1", "fig13", "fig6"])
     def test_eigenvalues_match_stebz(self, name, stebz, preset_eig):
         h, values, _ = stebz(name)
-        _, eig = preset_eig(name)
+        _, eig, _ = preset_eig(name)
         assert np.max(np.abs(eig.values - values)) <= 1e-13 * _scale(h.diag, h.offdiag)
 
     @pytest.mark.parametrize("name", ["fig1", "fig13", "fig6"])
     def test_isolated_vectors_match_stebz(self, name, stebz, preset_eig):
-        h, values, vectors = stebz(name)
-        _, eig = preset_eig(name)
+        h, values, want = stebz(name)
+        _, eig, vectors = preset_eig(name)
         gap = np.diff(eig.values) > GROUP_GAP_REL * _scale(h.diag, h.offdiag)
         isolated = np.concatenate(([True], gap)) & np.concatenate((gap, [True]))
         assert isolated.sum() > eig.size // 4
-        assert np.max(np.abs(eig.vectors[:, isolated] - vectors[:, isolated])) <= 1e-10
+        assert np.max(np.abs(vectors[:, isolated] - want[:, isolated])) <= 1e-10
 
     def test_exact_multiplets_are_orthonormal(self, preset_eig):
         # fig13's three revolutions give exactly degenerate 3- and 6-fold
         # levels; dstein picks their basis, which must still be orthonormal
-        config, eig = preset_eig("fig13")
+        config, eig, vectors = preset_eig("fig13")
         h = build_hamiltonian(config)
         scale = _scale(h.diag, h.offdiag)
         edges = np.flatnonzero(np.diff(eig.values) > 1e-13 * scale) + 1
         multiplets = [m for m in np.split(np.arange(eig.size), edges) if m.size > 1]
         assert max(m.size for m in multiplets) == 6
         for m in multiplets:
-            block = eig.vectors[:, m]
+            block = vectors[:, m]
             assert np.max(np.abs(block.T @ block - np.eye(m.size))) <= 1e-12
 
     @pytest.mark.parametrize("margin,groups", [(1.02, [1, 1, 1, 1]), (0.98, [2, 2])])
@@ -391,9 +378,9 @@ class TestGroupedInverseIteration:
 
     def test_single_site_operator(self):
         one = TridiagonalHamiltonian(diag=np.array([0.7]), offdiag=np.array([]))
-        eig = eigh_tridiagonal(one)
+        eig, vectors = gather(one)
         assert eig.values.tolist() == [0.7]
-        assert eig.vectors.tolist() == [[1.0]]
+        assert vectors.tolist() == [[1.0]]
 
 
 def glued_wilkinson(half: int, copies: int, glue: float) -> TridiagonalHamiltonian:
@@ -508,10 +495,10 @@ class TestMirrorSectors:
 
     @pytest.mark.parametrize("name", ["fig1", "fig4"])
     def test_sector_vectors_are_mirror_even_or_odd_bit_for_bit(self, name, preset_eig):
-        _, eig = preset_eig(name)
+        _, eig, vectors = preset_eig(name)
         rotated = sub_floor_states(eig.values)
         assert rotated.sum() == (0 if name == "fig1" else 2)
-        v = eig.vectors[:, ~rotated]
+        v = vectors[:, ~rotated]
         even = np.all(v[::-1] == v, axis=0)
         odd = np.all(v[::-1] == -v, axis=0)
         assert np.all(even ^ odd)
@@ -526,33 +513,33 @@ class TestMirrorSectors:
         assert np.max(np.abs(eig.values - reference)) <= 1e-13 * 5.0
 
     def test_two_sites_are_two_one_site_sectors(self, unfolds):
-        eig = eigh_tridiagonal(TridiagonalHamiltonian(np.array([0.3, 0.3]), np.array([0.5])))
+        eig, vectors = gather(TridiagonalHamiltonian(np.array([0.3, 0.3]), np.array([0.5])))
         assert unfolds == [2]
         # the sectors are d -+ e; their one-site vectors unfold to [1, -+1]/sqrt2
         assert eig.values.tolist() == [0.3 - 0.5, 0.3 + 0.5]
-        assert np.array_equal(eig.vectors, np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0))
+        assert np.array_equal(vectors, np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0))
 
     def test_a_zero_middle_bond_gives_one_sided_pairs(self, unfolds):
         h = palindrome(middle=0.0)
-        eig = eigh_tridiagonal(h)
+        eig, vectors = gather(h)
         assert unfolds == [40]
         # both sectors are the left half's block: every level twice, to the bit
         left = eigh_tridiagonal(TridiagonalHamiltonian(h.diag[:20], h.offdiag[:19]))
         assert np.array_equal(eig.values, np.repeat(left.values, 2))
         # each exact pair is rotated back into the two halves, left one first
-        first, second = eig.vectors[:, 0::2], eig.vectors[:, 1::2]
+        first, second = vectors[:, 0::2], vectors[:, 1::2]
         assert np.max(np.abs(first[20:])) <= 1e-15 and np.max(np.abs(second[:20])) <= 1e-15
 
     @pytest.mark.parametrize("factor", [2.0**300, 2.0**-300])
     def test_scales_beyond_2_to_the_255_fold_like_the_unit_operator(self, factor, unfolds):
         h = palindrome(middle=0.7)
         unit = math.ldexp(1.0, math.frexp(_scale(h.diag, h.offdiag))[1] - 1)
-        base = eigh_tridiagonal(TridiagonalHamiltonian(h.diag / unit, h.offdiag / unit))
-        scaled = eigh_tridiagonal(TridiagonalHamiltonian(h.diag / unit * factor,
-                                                         h.offdiag / unit * factor))
+        base, base_vectors = gather(TridiagonalHamiltonian(h.diag / unit, h.offdiag / unit))
+        scaled, scaled_vectors = gather(TridiagonalHamiltonian(h.diag / unit * factor,
+                                                               h.offdiag / unit * factor))
         assert unfolds == [40, 40]
         assert np.array_equal(scaled.values / factor, base.values)
-        assert np.array_equal(scaled.vectors, base.vectors)
+        assert np.array_equal(scaled_vectors, base_vectors)
 
 
 class TestSubFloorBasis:
@@ -564,14 +551,15 @@ class TestSubFloorBasis:
     def test_a_sub_floor_pair_comes_out_one_sided_in_ascending_com(self, preset_eig):
         # fig4's one sub-floor pair: an even and an odd sector state, which
         # the rotation turns into a state on each half of the lattice
-        _, eig = preset_eig("fig4")
+        _, eig, vectors = preset_eig("fig4")
         pair = np.flatnonzero(sub_floor_states(eig.values))
         assert pair.size == 2
         half = eig.size // 2
-        v = eig.vectors[:, pair]
+        v = vectors[:, pair]
         left = np.sum(v[:half] ** 2, axis=0)
         assert left[0] >= 1.0 - 1e-12 and left[1] <= 1e-12
-        assert state_measures(v).com[0] < state_measures(v).com[1]
+        com = state_measures(v.T).com
+        assert com[0] < com[1]
 
     @pytest.mark.parametrize("lf, delocalized", [(None, 38 / 302), (0.5, 42 / 1002)],
                              ids=["fig4", "sweep-lf-0.5"])
@@ -580,8 +568,7 @@ class TestSubFloorBasis:
         # solve gives it, an even and an odd two-sided state, both count as
         # delocalized (0.132450 on fig4, 0.043912 at lf = 0.5)
         if lf is None:
-            fraction = analysis.delocalized_fraction(analysis.analyze(
-                eigh_tridiagonal(build_hamiltonian(preset_config("fig4")))).labels)
+            fraction = analysis.delocalized_fraction(run_config(preset_config("fig4"))[2].labels)
         else:
             [point] = sweep_lf([lf], preset_config("fig4_inset_sweep"))
             fraction = point.fraction
@@ -590,10 +577,10 @@ class TestSubFloorBasis:
     def test_every_cluster_comes_out_in_ascending_com(self, preset_eig):
         # fig13 is not a palindrome: its exact 3- and 6-fold levels are
         # dstein's groups, rotated as they come
-        _, eig = preset_eig("fig13")
+        _, eig, vectors = preset_eig("fig13")
         rotated = sub_floor_states(eig.values)
         assert rotated.sum() > 100
-        com = state_measures(eig.vectors).com
+        com = state_measures(vectors.T).com
         close = np.diff(eig.values) <= eigensolver.rounding_floor(eig.values)
         assert np.all(np.diff(com)[close] > 0.0)
 
@@ -601,11 +588,11 @@ class TestSubFloorBasis:
         # fig11_13's near-degenerate pairs lie above the floor: its vectors,
         # and so its artifacts, are those of the solve without the rotation
         h = build_hamiltonian(preset_config("fig11_13"))
-        eig = eigh_tridiagonal(h)
+        eig, vectors = gather(h)
         assert np.any(np.diff(eig.values) < 1e-10 * _scale(h.diag, h.offdiag))
         assert not sub_floor_states(eig.values).any()
         monkeypatch.setattr(eigensolver, "_sub_floor_basis", lambda rows, values, floor: None)
-        assert np.array_equal(eigh_tridiagonal(h).vectors, eig.vectors)
+        assert np.array_equal(gather(h)[1], vectors)
 
 
 def kernel_dstein(d, e, w):
@@ -744,27 +731,27 @@ class TestThreadedKernel:
         h = make()
         # every operator here gets all the threads, however little work it holds
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
-        threaded = eigh_tridiagonal(h)
+        threaded, threaded_vectors = gather(h)
         monkeypatch.setattr(eigensolver, "_WORKERS", 1)
-        serial = eigh_tridiagonal(h)
+        serial, serial_vectors = gather(h)
         assert np.array_equal(threaded.values, serial.values)
-        assert np.array_equal(threaded.vectors, serial.vectors)
+        assert np.array_equal(threaded_vectors, serial_vectors)
         assert threaded.ortho_bound == serial.ortho_bound
         # and both are the f2py wrapper's bits, group by group (sector by
         # sector for fig1), in the same site-index basis below the floor
-        assert np.array_equal(threaded.vectors, f2py_vectors(h))
+        assert np.array_equal(threaded_vectors, f2py_vectors(h))
 
     def test_concurrent_calls_get_the_serial_bits(self, monkeypatch):
         # more solver threads than cores, in two calling threads at once, with
         # the interpreter switching threads as often as it can
         operators = [random_operator(300, seed) for seed in (3, 4)]
-        serial = [eigh_tridiagonal(h) for h in operators]
+        serial = [gather(h) for h in operators]
         monkeypatch.setattr(eigensolver, "_WORKERS", 4 * eigensolver._WORKERS)
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
         results = [None] * len(operators)
 
         def solve(i):
-            results[i] = eigh_tridiagonal(operators[i])
+            results[i] = gather(operators[i])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -777,9 +764,9 @@ class TestThreadedKernel:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for got, want in zip(results, serial):
+        for (got, got_vectors), (want, want_vectors) in zip(results, serial):
             assert np.array_equal(got.values, want.values)
-            assert np.array_equal(got.vectors, want.vectors)
+            assert np.array_equal(got_vectors, want_vectors)
 
     def test_a_failed_group_raises_in_the_caller_naming_its_eigenvalue(self, monkeypatch):
         h = small_lattice(20)
@@ -797,10 +784,7 @@ class TestThreadedKernel:
         with pytest.raises(SolverError, match=rf"failed near {target:.6g} \(dstein info 1\)"):
             eigh_tridiagonal(h)
 
-    def test_vectors_are_state_major_and_the_readers_get_views_of_the_window(self,
-                                                                           monkeypatch):
-        eig = eigh_tridiagonal(small_lattice(300))
-        assert eig.vectors.T.flags.c_contiguous
+    def test_the_readers_get_read_only_state_major_views_of_the_window(self, monkeypatch):
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)  # every core reads each block
         blocks = []
 
@@ -808,7 +792,7 @@ class TestThreadedKernel:
             blocks.append((lo, rows.shape[0], window_of(rows).shape[0],
                            rows.flags.c_contiguous and not rows.flags.writeable))
 
-        eigh_tridiagonal(small_lattice(300), lambda values: (reader,))
+        eig = eigh_tridiagonal(small_lattice(300), lambda values: (reader,))
         assert all(height < eig.size and view for _, _, height, view in blocks)
         # every state reaches the reader once, in runs that tile each block
         runs = sorted((lo, k) for lo, k, *_ in blocks)
@@ -891,9 +875,9 @@ class TestThreadedKernel:
     ], ids=["fig13", "fig6-1802-sites", "fig10"])
     def test_threaded_walk_measures_and_pixels_are_the_serial_bits(self, name, overrides,
                                                                     monkeypatch, preset_eig):
-        config, eig = preset_eig(name, **overrides)
+        config, eig, vectors = preset_eig(name, **overrides)
         selection = range(eig.size)
-        want = state_measures(eig.vectors)
+        want = state_measures(vectors.T)
         # 4x the cores, each reading a sliver of every block
         monkeypatch.setattr(eigensolver, "_WORKERS", 4 * eigensolver._WORKERS)
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
@@ -907,7 +891,7 @@ class TestThreadedKernel:
         monkeypatch.setattr(measures, "_measure_block", recording)
         got, pixels = walked(build_hamiltonian(config), selection)
         assert_same_measures(got, want)
-        assert np.array_equal(pixels, analysis.eigenstate_map(eig.vectors, selection))
+        assert np.array_equal(pixels, analysis.eigenstate_map(vectors.T))
         assert len(threads) > 1
 
     def test_concurrent_walks_get_the_serial_bits(self, monkeypatch):
@@ -952,7 +936,7 @@ class TestThreadedKernel:
 
 
 class TestStreamedWalk:
-    """A walk with readers holds one window of states and hands them what the whole matrix holds."""
+    """A walk holds one window of states and hands its readers what one slab of them all would."""
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: build_hamiltonian(preset_config("fig1")), id="mirrored-fig1"),
@@ -962,10 +946,8 @@ class TestStreamedWalk:
         pytest.param(lambda: build_hamiltonian(configure(DEFAULT_CONFIG, {"sites": 1802})),
                      id="default-1802-sites-200-state-group"),
     ])
-    def test_small_slabs_give_the_whole_matrix_measures_and_pixels(self, make, monkeypatch):
+    def test_small_slabs_give_the_one_slab_measures_and_pixels(self, make, monkeypatch):
         h = make()
-        # 16-state blocks: every lattice here needs many slabs
-        monkeypatch.setattr(eigensolver, "STATE_BLOCK", 16)
         plan, slabs = eigensolver._walk_plan, []
 
         def recording(*args):
@@ -973,12 +955,17 @@ class TestStreamedWalk:
             return slabs[-1], plan(*args)[1]
 
         monkeypatch.setattr(eigensolver, "_walk_plan", recording)
-        eig = eigh_tridiagonal(h)
-        selection = range(eig.size // 3, eig.size)
+        selection = range(h.sites // 3, h.sites)
+        # one block of every state: one slab, and a window that never slides
+        monkeypatch.setattr(eigensolver, "STATE_BLOCK", h.sites)
+        want, want_pixels = walked(h, selection)
+        assert len(slabs[-1]) == 1
+        # 16-state blocks: every lattice here needs many slabs
+        monkeypatch.setattr(eigensolver, "STATE_BLOCK", 16)
         got, pixels = walked(h, selection)
         assert len(slabs[-1]) > 4
-        assert_same_measures(got, state_measures(eig.vectors))
-        assert np.array_equal(pixels, analysis.eigenstate_map(eig.vectors, selection))
+        assert_same_measures(got, want)
+        assert np.array_equal(pixels, want_pixels)
 
     @pytest.mark.parametrize("config, states", [
         (preset_config("fig13"), 221), (preset_config("fig6", {"sites": 1802}), 266),
@@ -1023,18 +1010,10 @@ def walked(h, selection):
         start, stop = max(lo, selection.start), min(lo + rows.shape[0], selection.stop)
         if start < stop:
             pixels[selection.stop - stop:selection.stop - start] = analysis.eigenstate_map(
-                rows.T, range(start - lo, stop - lo))
+                rows[start - lo:stop - lo])
 
-    eig = eigh_tridiagonal(h, lambda values: (measuring, map_rows))
-    assert eig.vectors is None
+    eigh_tridiagonal(h, lambda values: (measuring, map_rows))
     return measuring.measures(), pixels
-
-
-def memory_map_of(array):
-    """The object that holds an array's memory, at the end of its chain of bases."""
-    while isinstance(array, np.ndarray):
-        array = array.base
-    return array.obj if isinstance(array, memoryview) else array
 
 
 def assert_same_measures(got, want):
@@ -1085,14 +1064,14 @@ class TestLapackRoute:
     ])
     def test_scipys_capsules_give_the_bundled_bits(self, config, monkeypatch):
         h = build_hamiltonian(config)
-        bundled = eigh_tridiagonal(h)
+        bundled, bundled_vectors = gather(h)
         setter, dsterf, dstein, integer = eigensolver._lapack(bundled=False)
         assert setter is None and integer == np.int32
         for name, value in (("_dsterf", dsterf), ("_dstein", dstein), ("_LAPACK_INT", integer)):
             monkeypatch.setattr(eigensolver, name, value)
-        fallback = eigh_tridiagonal(h)
+        fallback, fallback_vectors = gather(h)
         assert np.array_equal(fallback.values, bundled.values)
-        assert np.array_equal(fallback.vectors, bundled.vectors)
+        assert np.array_equal(fallback_vectors, bundled_vectors)
         assert (fallback.residual_bound, fallback.ortho_bound) == (bundled.residual_bound,
                                                                    bundled.ortho_bound)
 
@@ -1175,10 +1154,10 @@ class TestOneBlasThread:
     @needs_thread_setter
     def test_the_callers_count_comes_back_when_a_panel_raises(self):
         h = small_lattice(300)
-        eig = eigh_tridiagonal(h)
+        eig, vectors = gather(h)
         before = blas_threads()
         with pytest.raises(FloatingPointError, match="panel product"):
-            _certify(h.diag, h.offdiag, eig.values, np.array(eig.vectors).view(FailingProduct))
+            _certify(h.diag, h.offdiag, eig.values, np.array(vectors).view(FailingProduct))
         assert blas_threads() == before
 
     @needs_thread_setter
@@ -1243,11 +1222,11 @@ class TestOneBlasThread:
         assert blas_threads() == before
 
     def test_without_the_setter_the_panels_run_as_they_are(self, monkeypatch, preset_eig):
-        config, pinned = preset_eig("fig13")
+        config, _, pinned = preset_eig("fig13")
         monkeypatch.setattr(eigensolver, "_set_blas_threads", None)
-        eig = eigh_tridiagonal(build_hamiltonian(config))
+        eig, vectors = gather(build_hamiltonian(config))
         assert eig.ortho_bound <= ORTHO_CAP
-        assert np.array_equal(eig.vectors, pinned.vectors)
+        assert np.array_equal(vectors, pinned)
 
 
 def mp_ground_state(h, guess: float, dps: int = 60) -> tuple[float, np.ndarray]:
@@ -1297,11 +1276,11 @@ class TestTailOracle:
         # fig7_8's one-sided grid, started nearer phase 0 for a steeper tail
         spec = ProfileSpec("linear", cells, phi_start=0.05, phi_end=math.pi / 4)
         h = assemble(realize_profile(spec), CellParams(1.0, 2.0, 0.3))
-        eig = eigh_tridiagonal(h)
+        eig, vectors = gather(h)
         value, ref = mp_ground_state(h, float(eig.values[0]))
         assert abs(eig.values[0] - value) <= 1e-15 * _scale(h.diag, h.offdiag)
         counted = np.abs(ref) > 1e-250
-        rel = np.abs(eig.vectors[counted, 0] - ref[counted]) / np.abs(ref[counted])
+        rel = np.abs(vectors[counted, 0] - ref[counted]) / np.abs(ref[counted])
         return float(np.min(np.abs(ref))), float(np.max(rel))
 
     def test_tail_to_1e_minus_21(self):
@@ -1504,8 +1483,8 @@ def test_round_robin_schedule(n):
 def measured_nodes(vectors, floor=0.0):
     """Node counts of a (sites x states) block of normalized vectors, or of one vector."""
     vectors = np.asarray(vectors)
-    block = vectors[:, None] if vectors.ndim == 1 else vectors
-    counts = state_measures(block, n_b=1, amplitude_floor=floor).nodes
+    rows = vectors[None, :] if vectors.ndim == 1 else vectors.T
+    counts = state_measures(rows, n_b=1, amplitude_floor=floor).nodes
     return int(counts[0]) if vectors.ndim == 1 else counts
 
 
@@ -1539,19 +1518,19 @@ class TestNodeCount:
         # per step downward
         h = assemble(realize_profile(ProfileSpec("linear", 12, phi_start=0.6, phi_end=0.6)), PARAMS)
         assert np.all(h.offdiag > 0)
-        eig = eigh_tridiagonal(h)
-        assert measured_nodes(eig.vectors).tolist() == list(range(eig.size - 1, -1, -1))
+        eig, vectors = gather(h)
+        assert measured_nodes(vectors).tolist() == list(range(eig.size - 1, -1, -1))
 
     def test_block_counts_each_column(self):
-        eig = eigh_tridiagonal(random_instance(SplitMix64(3), max_sites=60))
-        counts = measured_nodes(eig.vectors)
-        assert counts.tolist() == [measured_nodes(eig.vectors[:, j]) for j in range(eig.size)]
-        assert counts.tolist() == [sign_changes(eig.vectors[:, j], 0.0) for j in range(eig.size)]
+        eig, vectors = gather(random_instance(SplitMix64(3), max_sites=60))
+        counts = measured_nodes(vectors)
+        assert counts.tolist() == [measured_nodes(vectors[:, j]) for j in range(eig.size)]
+        assert counts.tolist() == [sign_changes(vectors[:, j], 0.0) for j in range(eig.size)]
 
     def test_sturm_law_on_a_random_instance(self):
         h = random_instance(SplitMix64(7), max_sites=120)
-        eig = eigh_tridiagonal(h)
-        assert measured_nodes(eig.vectors).tolist() == list(range(eig.size - 1, -1, -1))
+        eig, vectors = gather(h)
+        assert measured_nodes(vectors).tolist() == list(range(eig.size - 1, -1, -1))
 
 
 class TestEigenvalueCountBelow:
@@ -1578,14 +1557,10 @@ class TestEigenvalueCountBelow:
         assert counts == sorted(counts)
 
 
-def test_eigensystem_requires_matching_shapes():
-    values = np.array([1.0, 2.0])
-    vectors = np.eye(2)
-    eig = EigenSystem(values, vectors, residual_bound=0.0, ortho_bound=0.0)
-    assert eig.size == 2
-    assert EigenSystem(values, np.ones((5, 2)), 0.0, 0.0).vectors.shape == (5, 2)
-    mismatches = [(np.ones(3), np.eye(2)), (np.ones(2), np.ones(2)),
-                  (np.ones((2, 1)), np.eye(2)), (np.ones(2), np.ones((2, 2, 1)))]
-    for bad_values, bad_vectors in mismatches:
-        with pytest.raises(ValueError, match="one vector column per value"):
-            EigenSystem(bad_values, bad_vectors, residual_bound=0.0, ortho_bound=0.0)
+def test_eigensystem_holds_read_only_1d_values_and_the_bounds():
+    eig = EigenSystem([1.0, 2.0], residual_bound=0.0, ortho_bound=0.0)
+    assert eig.size == 2 and not eig.values.flags.writeable
+    assert [f.name for f in fields(EigenSystem)] == ["values", "residual_bound", "ortho_bound"]
+    for bad_values in (np.ones((2, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="need 1-D values"):
+            EigenSystem(bad_values, residual_bound=0.0, ortho_bound=0.0)

@@ -32,8 +32,8 @@ def random_state(rng, size):
 
 
 def measure(v, n_b=1):
-    """Measures of one state: the batched pass on a one-column block."""
-    return state_measures(np.asarray(v)[:, None], n_b=n_b)
+    """Measures of one state: the batched pass on a one-row block."""
+    return state_measures(np.asarray(v)[None, :], n_b=n_b)
 
 
 def ipr(v):
@@ -179,29 +179,28 @@ def reference_measures(v, n_b):
             sign_changes(v, 1e-8))
 
 
-def textbook_ipr_cfs(block):
+def textbook_ipr_cfs(rows):
     """IPR as sum psi**4 and CFS from complex phase factors, summed in the same order."""
-    rows = np.ascontiguousarray(block.T)
     phases = np.exp(2j * np.pi * np.cumsum(rows**2, axis=1)) + 1.0
     return np.sum(rows**4, axis=1), np.abs(np.sum(phases, axis=1)) / (2 * rows.shape[1])
 
 
 def test_state_measures_bundles_consistently():
     rng = np.random.default_rng(11)
-    block = np.column_stack([random_state(rng, 300) for _ in range(7)])
+    block = np.stack([random_state(rng, 300) for _ in range(7)])
     m = state_measures(block, n_b=3)
     # each state is reduced along its own contiguous row, so every value is
-    # bit-identical to the one-vector formula on that column
+    # bit-identical to the one-vector formula on that row
     for k in range(7):
         got = (m.ipr[k], m.cfs[k], m.com[k], m.w_left[k], m.w_right[k], m.nodes[k])
-        assert got == reference_measures(block[:, k], 3)
+        assert got == reference_measures(block[k], 3)
     with pytest.raises(ValueError):
         m.ipr[0] = 0.5
 
 
-def assert_matches_textbook(block):
-    m = state_measures(block)
-    ipr, cfs = textbook_ipr_cfs(block)
+def assert_matches_textbook(rows):
+    m = state_measures(rows)
+    ipr, cfs = textbook_ipr_cfs(rows)
     # prob * prob and the real cos/sin sums differ from psi**4 and the complex
     # exponentials only by rounding
     assert np.max(np.abs(m.ipr - ipr) / ipr) <= 2e-15
@@ -209,9 +208,9 @@ def assert_matches_textbook(block):
 
 
 def test_ipr_cfs_match_textbook_formulas_on_fig13(preset_eig):
-    _, eig = preset_eig("fig13")
-    assert_matches_textbook(eig.vectors[:, :128])
-    assert_matches_textbook(eig.vectors[:, eig.size // 2 - 64:eig.size // 2 + 64])
+    _, eig, vectors = preset_eig("fig13")
+    assert_matches_textbook(vectors.T[:128])
+    assert_matches_textbook(vectors.T[eig.size // 2 - 64:eig.size // 2 + 64])
 
 
 class TestProfileMeasuresOnRequest:
@@ -221,11 +220,11 @@ class TestProfileMeasuresOnRequest:
         def forbidden(*args):
             raise AssertionError("a profile measure was computed")
 
-        block = np.column_stack([random_state(np.random.default_rng(k), 50) for k in range(5)])
+        block = np.stack([random_state(np.random.default_rng(k), 50) for k in range(5)])
         want = state_measures(block, n_b=3)
         monkeypatch.setattr(measures, "_measure_block", forbidden)
         m = state_measures(block, n_b=3, profile=False)
-        assert m.w_left.tolist() == [reference_measures(block[:, k], 3)[3] for k in range(5)]
+        assert m.w_left.tolist() == [reference_measures(block[k], 3)[3] for k in range(5)]
         assert np.array_equal(m.w_right, want.w_right)
         assert [f.name for f in fields(m)] == ["ipr", "cfs", "com", "w_left", "w_right", "nodes"]
         assert all(getattr(m, name) is None for name in measures.PROFILE_MEASURES)
@@ -233,7 +232,7 @@ class TestProfileMeasuresOnRequest:
             state_measures(2 * block, profile=False)  # the norm check still runs
 
     def test_all_six_measures_are_read_only_arrays(self):
-        block = np.column_stack([random_state(np.random.default_rng(k), 30) for k in range(3)])
+        block = np.stack([random_state(np.random.default_rng(k), 30) for k in range(3)])
         m = state_measures(block)
         assert m.nodes.dtype == np.int64
         for f in fields(m):
@@ -242,7 +241,7 @@ class TestProfileMeasuresOnRequest:
             m.iqr
 
     def test_the_result_holds_no_vectors(self):
-        block = np.column_stack([uniform(8), unit(3, 8)])
+        block = np.stack([uniform(8), unit(3, 8)])
         held = weakref.ref(block)
         m = state_measures(block)
         del block
@@ -252,7 +251,7 @@ class TestProfileMeasuresOnRequest:
     @pytest.mark.parametrize("duplicate", [copy.deepcopy,
                                            lambda m: pickle.loads(pickle.dumps(m))])
     def test_a_copy_holds_all_six_measures(self, duplicate):
-        block = np.column_stack([random_state(np.random.default_rng(k), 30) for k in range(3)])
+        block = np.stack([random_state(np.random.default_rng(k), 30) for k in range(3)])
         want = state_measures(block)
         got = duplicate(want)
         for f in fields(want):
@@ -260,33 +259,25 @@ class TestProfileMeasuresOnRequest:
 
 
 def test_block_peak_is_two_float_buffers(preset_eig):
-    _, eig = preset_eig("fig13")
-    block = eig.vectors[:, :STATE_BLOCK]
+    _, _, vectors = preset_eig("fig13")
+    block = vectors.T[:STATE_BLOCK]  # the most a walk hands one reader at once
     _, peak = traced_peak(state_measures, block)
     # prob and its cumsum; the node pass's magnitudes and flags reuse the same two buffers
     assert peak <= 2.1 * block.nbytes
 
 
-def test_whole_matrix_peak_is_one_blocks_scratch(preset_eig):
-    _, eig = preset_eig("fig13")
-    m, peak = traced_peak(state_measures, eig.vectors)
-    outputs = sum(getattr(m, f.name).nbytes for f in fields(m))
-    # the two float buffers of one STATE_BLOCK, never N x N
-    assert peak <= 2.2 * 8 * STATE_BLOCK * eig.size + outputs
-
-
 @pytest.mark.parametrize("floor", [0.0, 1e-8])
 def test_nodes_match_the_one_vector_rule_on_fig13(preset_eig, floor):
-    _, eig = preset_eig("fig13")
-    nodes = state_measures(eig.vectors, amplitude_floor=floor).nodes
-    assert nodes.tolist() == [sign_changes(eig.vectors[:, k], floor) for k in range(eig.size)]
+    _, eig, vectors = preset_eig("fig13")
+    nodes = state_measures(vectors.T, amplitude_floor=floor).nodes
+    assert nodes.tolist() == [sign_changes(vectors[:, k], floor) for k in range(eig.size)]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_ipr_cfs_match_textbook_formulas_on_random_blocks(seed):
     rng = np.random.default_rng(seed)
     sites = int(rng.integers(2, 2000))
-    assert_matches_textbook(np.column_stack([random_state(rng, sites) for _ in range(16)]))
+    assert_matches_textbook(np.stack([random_state(rng, sites) for _ in range(16)]))
 
 
 @pytest.mark.parametrize("sites", [3, 128, 1802, 4001])
@@ -300,11 +291,11 @@ def test_state_measures_input_checks():
     with pytest.raises(ValueError, match="block"):
         state_measures(uniform(10))
     with pytest.raises(ValueError, match="normalized"):
-        state_measures(np.column_stack([uniform(10), np.ones(10)]))
+        state_measures(np.stack([uniform(10), np.ones(10)]))
     # a NaN norm is no closer to 1 than any other
     with pytest.raises(ValueError, match="normalized"):
-        state_measures(np.full((4, 1), np.nan))
-    block = np.column_stack([uniform(4), uniform(4)])
+        state_measures(np.full((1, 4), np.nan))
+    block = np.stack([uniform(4), uniform(4)])
     block[1, 1] = np.nan
     with pytest.raises(ValueError, match="normalized"):
         state_measures(block)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from iplsim.analysis import AnalysisThresholds, analyze, eigenstate_map
-from iplsim.eigensolver import eigh_tridiagonal
+from iplsim.analysis import AnalysisThresholds, eigenstate_map
+from iplsim.experiments import RunConfig, run_config
 from iplsim.hamiltonian import CellParams, assemble
 from iplsim.profiles import ProfileSpec, realize_profile
 from iplsim.output import (
@@ -22,20 +22,19 @@ from iplsim.output import (
 )
 
 from memory import traced_peak
+from vectors import gather
 
 
 @pytest.fixture(scope="module")
 def report():
-    grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 20))
-    h = assemble(grid, CellParams(1.0, 2.0, 0.2))
-    return analyze(eigh_tridiagonal(h), expect_two_bands=True)
+    return run_config(RunConfig(CellParams(1.0, 2.0, 0.2),
+                                ProfileSpec.linear(math.pi / 4, 1.0, 20)))[2]
 
 
 @pytest.fixture(scope="module")
-def eig():
+def vectors():
     grid = realize_profile(ProfileSpec.linear(math.pi / 4, 1.0, 20))
-    h = assemble(grid, CellParams(1.0, 2.0, 0.2))
-    return eigh_tridiagonal(h)
+    return gather(assemble(grid, CellParams(1.0, 2.0, 0.2)))[1]
 
 
 class TestStateCsv:
@@ -79,9 +78,8 @@ class TestStateCsv:
         # one phase revolution at delta_rel 0.35: each band holds pairs among its singlets
         spec = ProfileSpec("revolutions", 30, phi_start=math.pi / 8, phi_end=3 * math.pi / 8,
                            revolutions=1)
-        h = assemble(realize_profile(spec), CellParams(1.0, 2.0, 0.3))
-        report = analyze(eigh_tridiagonal(h), AnalysisThresholds(delta_rel=0.35),
-                         expect_two_bands=True)
+        report = run_config(RunConfig(CellParams(1.0, 2.0, 0.3), spec,
+                                      AnalysisThresholds(delta_rel=0.35)))[2]
         bands, multiplets = report.bands.bands, report.multiplets
         assert len(bands) == 2
         for i in range(len(bands)):
@@ -121,22 +119,22 @@ class TestSweepCsv:
 
 
 class TestPgm:
-    def test_header_and_round_trip(self, eig, tmp_path):
-        pixels = eigenstate_map(eig.vectors, range(0, 20))
+    def test_header_and_round_trip(self, vectors, tmp_path):
+        pixels = eigenstate_map(vectors.T[0:20])
         path = write_pgm(pixels, tmp_path / "map.pgm")
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n40 20\n255\n")
         assert len(raw) == len(b"P5\n40 20\n255\n") + 20 * 40
         read = read_pgm(path)
         assert read.shape == (20, 40)
-        rows = np.abs(eig.vectors[:, 19::-1].T)
+        rows = np.abs(vectors[:, 19::-1].T)
         rows = rows / rows.max(axis=1, keepdims=True)
         assert np.array_equal(read, np.rint(255 * rows).astype(np.uint8))
         assert np.array_equal(read, pixels)
 
-    def test_every_row_reaches_white(self, eig, tmp_path):
+    def test_every_row_reaches_white(self, vectors, tmp_path):
         # per-row renormalization puts one 255 pixel in every row
-        rows = eigenstate_map(eig.vectors, range(0, 12))
+        rows = eigenstate_map(vectors.T[0:12])
         pixels = read_pgm(write_pgm(rows, tmp_path / "map.pgm"))
         assert np.all(pixels.max(axis=1) == 255)
 

@@ -123,3 +123,17 @@ def test_benchmark_view_of_the_api_resolves(capsys, monkeypatch):
     assert "assemble(iplsim.realize_profile(" in probe
     exec(compile(probe, "SETUP_PROBE", "exec"), {})
     assert capsys.readouterr().out.strip().endswith("__init__.py")
+
+
+def test_the_readmes_library_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3
+    # the raw vectors the reader kept are the certified eigenvectors of h
+    h, eig, vectors = scope["h"], scope["eig"], scope["vectors"]
+    residual = h.dense() @ vectors.T - vectors.T * eig.values
+    assert abs(residual).max() <= 1e-12
