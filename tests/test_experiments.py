@@ -34,13 +34,14 @@ from iplsim.experiments import (
 from iplsim.analysis import AnalysisThresholds, delocalized_fraction
 from iplsim.cli import main
 from iplsim.hamiltonian import CellParams
-from iplsim.output import sha256_file
+from iplsim.output import read_pgm, sha256_file
 from iplsim.profiles import QUARTER_TURN, ProfileSpec
 from iplsim.rng import SplitMix64
 
-from iplsim import eigensolver, measures
+from iplsim import analysis, eigensolver, experiments, measures
 
 from memory import traced_peak
+from vectors import gather
 
 
 def forbidden_profile(*args):
@@ -283,6 +284,26 @@ class TestExecuteAndManifest:
         with pytest.raises(ValueError, match=r"band 2 out of range \(found 2 bands\)"):
             execute(small_config(map_selection="band:2"), tmp_path / "out")
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("selection", ["full", "band:1", "lowest:20"])
+    def test_the_map_holds_the_selections_rows_however_the_walk_cuts_them(
+            self, selection, tmp_path, monkeypatch):
+        config = small_config(cells=40, map_selection=selection)
+        states = resolve_selection(selection, run_config(config)[2].bands)
+        _, vectors = gather(build_hamiltonian(config))
+        calls = []
+
+        def counting(rows):
+            calls.append(rows.shape[0])
+            return analysis.eigenstate_map(rows)
+
+        # 16-state runs cut every selection here across runs, some mid-run
+        monkeypatch.setattr(eigensolver, "STATE_BLOCK", 16)
+        monkeypatch.setattr(experiments, "eigenstate_map", counting)
+        execute(config, tmp_path, emit=("pgm",))
+        assert len(calls) > 1 and sum(calls) == len(states)
+        pixels = read_pgm(tmp_path / "map.pgm")
+        assert np.array_equal(pixels, analysis.eigenstate_map(vectors.T[states.start:states.stop]))
 
     def test_a_certificate_failing_on_the_last_block_writes_nothing(self, tmp_path,
                                                                     monkeypatch):
