@@ -12,12 +12,12 @@ each block, dstein solves a slab of whole groups, enough for the block's
 certificate window. Each block is then rotated below the rounding floor,
 sign-fixed, certified (`_Certificate`) and handed to the readers named before
 the solve, and a row is dropped once no window reaches it, so no solve holds
-its vectors whole: the readers are all that ever see them. A `Crew` of
-threads per solve shares out the slabs and the readers (a solve on a sweep's
-crew gets one thread); dstein reseeds on every call and each group owns its
-rows, so no bit depends on the threads or the slabs. ``dense_oracle``
-(round-robin Jacobi on the dense matrix) is the independent route the tests
-check against.
+its vectors whole: the readers are all that ever see them. Each slab and each
+block's readers are shared out over threads started for that step alone
+(`share`; a solve on a sweep's thread starts none); dstein reseeds on every
+call and each group owns its rows, so no bit depends on the threads or the
+slabs. ``dense_oracle`` (round-robin Jacobi on the dense matrix) is the
+independent route the tests check against.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from queue import SimpleQueue
 from typing import Callable, Iterable
 
 import numpy as np
@@ -68,8 +67,8 @@ STATE_BLOCK = 128
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _THREAD_WORK = 1 << 18
-# `busy` is set on a thread while it runs a `Crew` call, whose work gets no crew of its own
-_crew_call = threading.local()
+# `busy` is set on a thread while it runs a `share` call, whose work starts no thread
+_share_call = threading.local()
 
 
 def rounding_floor(values: np.ndarray) -> float:
@@ -78,68 +77,45 @@ def rounding_floor(values: np.ndarray) -> float:
 
 
 def thread_count(work: int) -> int:
-    """Threads a `Crew` gives `work` sites x states: one per core, each with `_THREAD_WORK`,
-    and one inside a `Crew` call, so crews do not nest."""
-    if getattr(_crew_call, "busy", False):
+    """Threads to `share` `work` sites x states over: one per core, each with `_THREAD_WORK`,
+    and one inside a `share` call, so shares do not nest."""
+    if getattr(_share_call, "busy", False):
         return 1
     return max(1, min(_WORKERS, int(work) // _THREAD_WORK))
 
 
-class Crew:
-    """The caller and `size - 1` threads started for one solve or sweep, until its `with` ends.
+def share(fn, args) -> list:
+    """[fn(arg) for arg in args]: the first on the caller, each other on a thread started
+    for this call and joined before it returns.
 
-    A caller makes each call's buffers before `map`, so no started thread's
+    A caller makes each call's buffers before `share`, so no started thread's
     malloc arena keeps freed scratch. A call's exception reaches the caller
-    (the first call's first) once every call is done. Work done inside a call
-    gets `thread_count` 1, so a solve on a sweep's crew starts no thread.
+    (the first failed call's, in argument order) once every call is done. Work
+    done inside a call gets `thread_count` 1, so a solve on a sweep's thread
+    starts no thread.
     """
+    done = [None] * len(args)  # (result, exception) of each call
 
-    def __init__(self, size: int):
-        self.size = max(1, size)
-        self._pipes = [(SimpleQueue(), SimpleQueue()) for _ in range(self.size - 1)]
-        self._threads = [threading.Thread(target=self._serve, args=pipe, daemon=True)
-                         for pipe in self._pipes]
-        for thread in self._threads:
-            thread.start()
-
-    @staticmethod
-    def _serve(inbox, outbox) -> None:
-        _crew_call.busy = True  # this thread runs nothing but calls
-        for fn, arg in iter(inbox.get, None):
-            try:
-                outbox.put((fn(arg), None))
-            except BaseException as exc:  # handed to the caller, which raises it
-                outbox.put((None, exc))
-
-    def map(self, fn, args) -> list:
-        """[fn(arg) for arg in args], 1 to `size` of them: the first on the caller, the
-        rest on the threads; ValueError for any other count, before any call."""
-        if not 0 < len(args) <= self.size:
-            raise ValueError(f"a crew of {self.size} runs 1 to {self.size} calls, "
-                             f"got {len(args)}")
-        for (inbox, _), arg in zip(self._pipes, args[1:]):
-            inbox.put((fn, arg))
-        busy, _crew_call.busy = getattr(_crew_call, "busy", False), True
+    def call(i):
+        busy, _share_call.busy = getattr(_share_call, "busy", False), True
         try:
-            done = [(fn(args[0]), None)]
-        except BaseException as exc:
-            done = [(None, exc)]
+            done[i] = fn(args[i]), None
+        except BaseException as exc:  # handed to the caller, which raises it
+            done[i] = None, exc
         finally:
-            _crew_call.busy = busy
-        done += [outbox.get() for _, outbox in self._pipes[:len(args) - 1]]
-        for _, error in done:
-            if error is not None:
-                raise error
-        return [result for result, _ in done]
+            _share_call.busy = busy
 
-    def __enter__(self) -> "Crew":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for inbox, _ in self._pipes:
-            inbox.put(None)
-        for thread in self._threads:
-            thread.join()
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(1, len(args))]
+    for thread in threads:
+        thread.start()
+    if args:
+        call(0)
+    for thread in threads:
+        thread.join()
+    for _, error in done:
+        if error is not None:
+            raise error
+    return [result for result, _ in done]
 
 
 def _lapack(bundled: bool = True):
@@ -239,8 +215,8 @@ def eigh_tridiagonal(h, consumers: Callable[[np.ndarray], Iterable[Callable]] | 
     (k x sites) rows of certified states lo..lo+k-1, one run per thread; None
     means no readers, for the values and bounds alone. The verdict comes after
     the last block, so nothing a reader gathered may be written before this
-    returns. `thread_count` of the dstein work sizes each slab's share of the
-    crew, and that of the sites x states the crew.
+    returns. `thread_count` of the dstein work caps the threads that `share`
+    each slab, and that of the sites x states the threads that read a block.
     """
     diag, offdiag = h.diag, h.offdiag
     if diag.size == 0:
@@ -323,37 +299,36 @@ def eigh_tridiagonal(h, consumers: Callable[[np.ndarray], Iterable[Callable]] | 
             reader(lo + start, rows[start:stop])
 
     base = solved = 0  # window row 0 holds state `base`; states below `solved` are complete
-    with Crew(thread_count(n * n)) as crew:
-        solvers = thread_count(int(np.sum(extent)))
-        for lo, end, need in zip(range(0, n, STATE_BLOCK), certificate.ends.tolist(),
-                                 frontier.tolist()):
-            if need > solved:
-                if need - base > window.shape[0]:  # full: drop the states below this block
-                    _slide(window, lo - base, solved - base)
-                    base = lo
-                fresh = window[solved - base:need - base]
-                if clear:
-                    fresh.fill(0.0)
-                slab = slabs[need]
-                queue = iter(slab.tolist())  # each thread takes the next group left
-                failures = [f for f in crew.map(
-                    lambda buffers: _solve_groups(queue, tasks, window, base, buffers),
-                    [scratch(slab) for _ in range(min(solvers, crew.size, slab.size))])
-                    if f is not None]
-                if failures:
-                    task, info = min(failures)
-                    raise SolverError(f"inverse iteration failed near "
-                                      f"{values[first[task]] * unit:.6g} (dstein info {info})")
-                if mirrored:
-                    _unfold(fresh, order[solved:need] >= m)
-                _sub_floor_basis(fresh, levels[solved:need], floor)
-                solved = need
-            with _one_blas_thread():
-                certificate.block(lo, window[lo - base:end - base].T)
-            if readers:
-                rows = window[lo - base:min(lo + STATE_BLOCK, n) - base].view()
-                rows.flags.writeable = False
-                crew.map(read, np.array_split(range(rows.shape[0]), min(crew.size, rows.shape[0])))
+    threads, solvers = thread_count(n * n), thread_count(int(np.sum(extent)))
+    for lo, end, need in zip(range(0, n, STATE_BLOCK), certificate.ends.tolist(),
+                             frontier.tolist()):
+        if need > solved:
+            if need - base > window.shape[0]:  # full: drop the states below this block
+                _slide(window, lo - base, solved - base)
+                base = lo
+            fresh = window[solved - base:need - base]
+            if clear:
+                fresh.fill(0.0)
+            slab = slabs[need]
+            queue = iter(slab.tolist())  # each thread takes the next group left
+            failures = [f for f in share(
+                lambda buffers: _solve_groups(queue, tasks, window, base, buffers),
+                [scratch(slab) for _ in range(min(solvers, slab.size))])
+                if f is not None]
+            if failures:
+                task, info = min(failures)
+                raise SolverError(f"inverse iteration failed near "
+                                  f"{values[first[task]] * unit:.6g} (dstein info {info})")
+            if mirrored:
+                _unfold(fresh, order[solved:need] >= m)
+            _sub_floor_basis(fresh, levels[solved:need], floor)
+            solved = need
+        with _one_blas_thread():
+            certificate.block(lo, window[lo - base:end - base].T)
+        if readers:
+            rows = window[lo - base:min(lo + STATE_BLOCK, n) - base].view()
+            rows.flags.writeable = False
+            share(read, np.array_split(range(rows.shape[0]), min(threads, rows.shape[0])))
     residual, ortho = certificate.bounds()
     return EigenSystem(levels, residual_bound=residual, ortho_bound=ortho)
 

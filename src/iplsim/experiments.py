@@ -308,11 +308,10 @@ def execute(config: RunConfig, out_dir: str | Path,
             emit=("csv", "pgm", "json")) -> RunManifest:
     """Run the pipeline and write the requested artifacts plus manifest.json."""
     emit = _normalize_emit(emit)
+    # nothing is written, the directory included, until the solve's certificate has passed
+    _, eig, report, raster = _compute(config, profile="csv" in emit, pixels="pgm" in emit)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    # nothing is written until the solve's certificate has passed
-    _, eig, report, raster = _compute(config, profile="csv" in emit, pixels="pgm" in emit)
     checksums: dict[str, str] = {}
     if "csv" in emit:
         checksums["spectrum.csv"] = sha256_file(write_spectrum_csv(eig.values, out / "spectrum.csv"))
@@ -356,13 +355,13 @@ def _sweep_grid(lf_values, base: RunConfig) -> tuple[float, ...]:
 def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
     """Delocalized fraction vs focusing, one full pipeline run per grid value.
 
-    Points run side by side on one `eigensolver.Crew`, up to one per core
-    (`thread_count` of their summed sites x states), each thread taking the
-    next point left; each point is stored at its index, so the rows keep the
-    input order, and per-point failures become rows, not aborts. A point's
-    solve inside the crew starts no thread of its own, so the working set is
-    one point's window per point in flight: a fifth of a 1002-site point's
-    vectors, and the edge weights only.
+    Points run side by side on the caller and threads started for the sweep
+    (`eigensolver.share`), up to one per core (`thread_count` of their summed
+    sites x states), each taking the next point left; each point is stored at
+    its index, so the rows keep the input order, and per-point failures become
+    rows, not aborts. A point's solve inside the share starts no thread of its
+    own, so the working set is one point's window per point in flight: a fifth
+    of a 1002-site point's vectors, and the edge weights only.
     """
     lf_values = _sweep_grid(lf_values, base)
 
@@ -382,8 +381,7 @@ def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
 
     sites = 2 * base.profile.cells
     threads = min(eigensolver.thread_count(len(lf_values) * sites * sites), len(lf_values))
-    with eigensolver.Crew(threads) as crew:
-        crew.map(run, range(crew.size))
+    eigensolver.share(run, range(threads))
     return points
 
 

@@ -103,6 +103,9 @@ class ProfileSpec:
                 raise ValueError("random_onsite randomizes on-site energies and carries no phases")
         elif self.phi_start is None or self.phi_end is None:
             raise ValueError(f"{self.kind} profiles need phi_start and phi_end")
+        elif not math.isfinite(self.phi_end - self.phi_start):  # the grid would hold inf or NaN
+            raise ValueError(f"phi_end - phi_start overflows: phi_start={self.phi_start!r}, "
+                             f"phi_end={self.phi_end!r}")
         if self.kind == "revolutions":
             if self.revolutions is None or self.revolutions < 1:
                 raise ValueError("revolutions kind needs revolutions >= 1")
@@ -132,6 +135,8 @@ class ProfileSpec:
         if lf <= 0:
             raise ValueError("lf must be positive")
         width = QUARTER_TURN / lf
+        if not math.isfinite(width):
+            raise ValueError(f"lf={lf!r} sets a width (pi/4)/lf that overflows")
         return cls("linear", cells, phi_start=center - width / 2,
                    phi_end=center + width / 2, lf=lf)
 

@@ -406,6 +406,18 @@ class TestRefusedBeforeCompute:
         assert main(argv) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--cells", "10", "--phi-start", "-1e308", "--phi-end", "1e308"],
+         "phi_end - phi_start overflows: phi_start=-1e+308, phi_end=1e+308"),
+        (["sweep", "--cells", "10", "--lf-min", "1e-320", "--points", "3"],
+         "lf=1e-320 sets a width (pi/4)/lf that overflows"),
+    ], ids=["ends", "lf"])
+    def test_a_phase_width_that_overflows_is_refused_by_its_owner(self, argv, message,
+                                                                  tmp_path, no_compute, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"iplsim: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_preset_accepts_csv(self):
         cmd = parse_args(["preset", "fig4_inset_sweep", "--emit", "csv", "--out", "x"])
         assert len(cmd.flags["lf_values"]) == 25
@@ -701,6 +713,12 @@ class TestMainExitCodes:
         # before the solve (TestRefusedBeforeCompute)
         assert main(["run", "--cells", "8", "--tau", "-1",
                      "--out", str(tmp_path)]) == 2
+
+    def test_a_refused_map_band_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["preset", "fig1", "--set", "map_selection=band:7", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "iplsim: band 7 out of range (found 2 bands)\n"
+        assert not out.exists()
 
     def test_solver_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         import iplsim.cli as cli

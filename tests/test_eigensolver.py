@@ -33,6 +33,7 @@ from iplsim.eigensolver import (
     _scale,
     dense_oracle,
     eigh_tridiagonal,
+    share,
 )
 from iplsim.hamiltonian import CellParams, TridiagonalHamiltonian, assemble, assemble_onsite
 from iplsim.measures import state_measures
@@ -801,30 +802,34 @@ class TestThreadedKernel:
         assert len(runs) == math.ceil(eig.size / STATE_BLOCK) * min(eigensolver._WORKERS,
                                                                     STATE_BLOCK)
 
-    def test_crew_runs_each_call_on_a_thread_of_its_own_with_the_caller_first(self):
-        caller = threading.get_ident()
+    def test_share_runs_the_first_call_on_the_caller_and_each_other_on_a_thread_of_its_own(
+            self):
+        caller, before = threading.get_ident(), threading.active_count()
 
         def call(arg):
-            return arg, threading.get_ident()
+            return arg, threading.get_ident(), threading.active_count()
 
-        before = threading.active_count()
-        with eigensolver.Crew(1) as crew:
-            # one thread: every call runs on the caller, and no thread is started
-            assert threading.active_count() == before
-            assert crew.map(call, ["a"]) == [("a", caller)]
-        with eigensolver.Crew(3) as crew:
-            assert threading.active_count() == before + 2
-            first = crew.map(call, ["a", "b", "c"])
-            assert [arg for arg, _ in first] == ["a", "b", "c"]
-            assert first[0][1] == caller and len({thread for _, thread in first}) == 3
-            # the same threads serve every map, and fewer calls use fewer of them
-            assert crew.map(call, ["d", "e", "f"])[1:] == [("e", first[1][1]),
-                                                           ("f", first[2][1])]
-            assert crew.map(call, ["g", "h"]) == [("g", caller), ("h", first[1][1])]
+        # one call runs on the caller and starts no thread
+        assert share(call, ["a"]) == [("a", caller, before)]
+        # every call waits for the others before and after it looks, so all three
+        # threads are alive while each looks
+        meet = threading.Barrier(3, timeout=60)
+
+        def meeting(arg):
+            meet.wait()
+            seen = call(arg)
+            meet.wait()
+            return seen
+
+        done = share(meeting, ["a", "b", "c"])
+        assert [arg for arg, *_ in done] == ["a", "b", "c"]
+        assert done[0][1] == caller and len({thread for _, thread, _ in done}) == 3
+        assert [count for *_, count in done] == [before + 2] * 3
+        # every thread is joined before share returns
         assert threading.active_count() == before
 
     def test_a_failing_call_raises_in_the_caller_after_every_call_is_done(self):
-        done = []
+        done, before = [], threading.active_count()
 
         def call(arg):
             if arg in (2, 3):
@@ -832,33 +837,31 @@ class TestThreadedKernel:
             time.sleep(0.05)
             done.append(arg)
 
-        with eigensolver.Crew(4) as crew:
-            with pytest.raises(ValueError, match="^call 2$"):
-                crew.map(call, [0, 1, 2, 3])
-            assert sorted(done) == [0, 1]
-            assert crew.map(lambda arg: -arg, [0, 1, 2, 3]) == [0, -1, -2, -3]
+        # the first failed call's exception, in argument order
+        with pytest.raises(ValueError, match="^call 2$"):
+            share(call, [0, 1, 2, 3])
+        assert sorted(done) == [0, 1]
+        assert threading.active_count() == before
+        # the caller's own call may fail too: the other calls still finish first
+        with pytest.raises(ValueError, match="^call 3$"):
+            share(call, [3, 4])
+        assert sorted(done) == [0, 1, 4]
+        assert threading.active_count() == before
 
-    @pytest.mark.parametrize("size, calls", [(1, 2), (3, 4), (3, 0)])
-    def test_a_crew_refuses_more_calls_than_it_has_threads_before_any_call(self, size, calls):
-        ran = []
-        with eigensolver.Crew(size) as crew:
-            with pytest.raises(ValueError, match=f"^a crew of {size} runs 1 to {size} calls, "
-                                                 f"got {calls}$"):
-                crew.map(ran.append, list(range(calls)))
-            assert ran == []
-            assert crew.map(lambda arg: arg, list(range(size))) == list(range(size))
+    def test_sharing_no_calls_calls_nothing(self):
+        ran, before = [], threading.active_count()
+        assert share(ran.append, []) == []
+        assert ran == [] and threading.active_count() == before
 
-    def test_work_inside_a_crew_call_gets_one_thread(self, monkeypatch):
+    def test_work_inside_a_shared_call_gets_one_thread(self, monkeypatch):
         monkeypatch.setattr(eigensolver, "_WORKERS", 3)
         work = 3 * eigensolver._THREAD_WORK
         assert eigensolver.thread_count(work) == 3
-        with eigensolver.Crew(3) as crew:
-            # on the caller and on each thread, while a call runs
-            assert crew.map(lambda _: eigensolver.thread_count(work), [0, 1, 2]) == [1, 1, 1]
+        # on the caller and on each thread, while a call runs
+        assert share(lambda _: eigensolver.thread_count(work), [0, 1, 2]) == [1, 1, 1]
         # the caller's flag is put back after its call, also when the call raised
-        with eigensolver.Crew(2) as crew:
-            with pytest.raises(ZeroDivisionError):
-                crew.map(lambda arg: 1 / arg, [0, 1])
+        with pytest.raises(ZeroDivisionError):
+            share(lambda arg: 1 / arg, [0, 1])
         assert eigensolver.thread_count(work) == 3
 
     def test_workers_are_the_cores_the_process_may_run_on(self):
@@ -902,7 +905,7 @@ class TestThreadedKernel:
         results = [None] * len(configs)
 
         def run(i):
-            # each thread's walk measures every block on a crew of its own
+            # each thread's walk measures every block on threads of its own
             results[i] = run_config(configs[i])
 
         interval = sys.getswitchinterval()

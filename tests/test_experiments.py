@@ -283,7 +283,7 @@ class TestExecuteAndManifest:
         monkeypatch.setattr(es, "_solve_groups", forbidden)
         with pytest.raises(ValueError, match=r"band 2 out of range \(found 2 bands\)"):
             execute(small_config(map_selection="band:2"), tmp_path / "out")
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("selection", ["full", "band:1", "lowest:20"])
     def test_the_map_holds_the_selections_rows_however_the_walk_cuts_them(
@@ -320,7 +320,7 @@ class TestExecuteAndManifest:
         monkeypatch.setattr(es._Certificate, "block", failing)
         with pytest.raises(SolverError, match="residual"):
             execute(config, tmp_path / "out")
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_emit_subset(self, tmp_path):
         manifest = execute(small_config(), tmp_path, emit=("json",))
@@ -443,7 +443,7 @@ class TestSweep:
     def test_points_are_the_same_bits_on_any_number_of_threads(self, monkeypatch):
         lf_values = focusing_grid(0.5, 50.0, 9)
         base, cores = small_config(cells=60), eigensolver._WORKERS
-        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)  # every sweep gets a crew
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)  # every sweep starts threads
         monkeypatch.setattr(eigensolver, "_WORKERS", 1)
         serial = sweep_lf(lf_values, base)
         assert [p.lf for p in serial] == list(lf_values)
@@ -487,30 +487,31 @@ class TestSweep:
         assert points[at] == replace(want[at], fraction=None, error="RuntimeError: boom")
         assert points[:at] + points[at + 1:] == want[:at] + want[at + 1:]
 
-    def test_a_point_on_the_sweeps_crew_starts_no_thread_of_its_own(self, monkeypatch):
+    def test_a_point_on_a_sweep_thread_starts_no_thread_of_its_own(self, monkeypatch):
         lf_values = [0.5, 1.0, 2.0, 4.0, 8.0]
         base = small_config(cells=16)
         want = sweep_lf(lf_values, base)
-        # without the rule every point's solve would start a crew of 4x the cores
+        # without the rule every point's solve would share its work over 4x the cores
         monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
         monkeypatch.setattr(eigensolver, "_WORKERS", 4 * eigensolver._WORKERS)
-        sizes, threads = [], threading.active_count()
+        calls, threads, share = [], threading.active_count(), eigensolver.share
 
-        class Recording(eigensolver.Crew):
-            def __init__(self, size):
-                super().__init__(size)
-                sizes.append((self.size, threading.active_count() - threads))
+        def recording(fn, args):
+            calls.append((len(args), threading.active_count() - threads))
+            return share(fn, args)
 
-        monkeypatch.setattr(eigensolver, "Crew", Recording)
+        monkeypatch.setattr(eigensolver, "share", recording)
         assert sweep_lf(lf_values, base) == want
-        crew = min(eigensolver._WORKERS, len(lf_values))
-        # the sweep's crew, then one single-thread crew per point's solve
-        assert sizes == [(crew, crew - 1)] + [(1, crew - 1)] * len(lf_values)
+        sweep = min(eigensolver._WORKERS, len(lf_values))
+        # the sweep's share, then one call at a time on each point's solve, which
+        # sees no thread but the sweep's
+        assert calls[0] == (sweep, 0) and len(calls) > len(lf_values)
+        assert all(count == 1 and started < sweep for count, started in calls[1:])
         assert threading.active_count() == threads
-        # a solve outside the sweep's crew gets its threads again
-        sizes.clear()
+        # a solve outside the sweep shares its readers over every core again
+        calls.clear()
         run_config(configure(base, {"lf": 0.5}), profile=False)
-        assert sizes == [(eigensolver._WORKERS, eigensolver._WORKERS - 1)]
+        assert max(count for count, _ in calls) == eigensolver._WORKERS
 
     def test_fraction_rises_with_focusing(self):
         points = sweep_lf([0.5, 50.0], small_config(cells=24))

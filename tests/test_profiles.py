@@ -174,6 +174,23 @@ class TestProfileSpec:
         spec = ProfileSpec.linear(center, lf, 8)
         assert ProfileSpec(**spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("kind, fields", [
+        ("linear", {"lf": 1e-320}),
+        ("linear", {}),
+        ("revolutions", {"revolutions": 2}),
+        ("random_phase", {"seed": 1}),
+    ])
+    def test_ends_whose_width_overflows_are_refused_by_name(self, kind, fields):
+        # a grid over them would hold inf or NaN, and an lf check against NaN passes
+        with pytest.raises(ValueError, match=r"^phi_end - phi_start overflows: "
+                                             r"phi_start=-1e\+308, phi_end=1e\+308$"):
+            ProfileSpec(kind, 10, phi_start=-1e308, phi_end=1e308, **fields)
+
+    def test_an_lf_whose_width_overflows_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^lf=1e-320 sets a width \(pi/4\)/lf "
+                                             r"that overflows$"):
+            ProfileSpec.linear(0.0, 1e-320, 10)
+
     def test_dict_drops_unset_fields(self):
         spec = ProfileSpec("linear", 10, phi_start=0.0, phi_end=1.0)
         assert set(spec.to_dict()) == {"kind", "cells", "phi_start", "phi_end"}
