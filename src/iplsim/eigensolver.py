@@ -12,12 +12,11 @@ each block, dstein solves a slab of whole groups, enough for the block's
 certificate window. Each block is then rotated below the rounding floor,
 sign-fixed, certified (`_Certificate`) and handed to the readers named before
 the solve, and a row is dropped once no window reaches it, so no solve holds
-its vectors whole: the readers are all that ever see them. Each slab and each
-block's readers are shared out over threads started for that step alone
-(`share`; a solve on a sweep's thread starts none); dstein reseeds on every
-call and each group owns its rows, so no bit depends on the threads or the
-slabs. ``dense_oracle`` (round-robin Jacobi on the dense matrix) is the
-independent route the tests check against.
+its vectors whole: the readers are all that ever see them. A slab's groups and
+a block's reader runs are the items of a `share` call, the one place where work
+becomes threads; dstein reseeds on every call and each group owns its rows, so
+no bit depends on the threads or the slabs. ``dense_oracle`` (round-robin
+Jacobi on the dense matrix) is the independent route the tests check against.
 """
 
 from __future__ import annotations
@@ -84,32 +83,36 @@ def thread_count(work: int) -> int:
     return max(1, min(_WORKERS, int(work) // _THREAD_WORK))
 
 
-def share(fn, args) -> list:
-    """[fn(arg) for arg in args]: the first on the caller, each other on a thread started
-    for this call and joined before it returns.
+def share(fn, items, work: int, make=lambda: None) -> list:
+    """[fn(context, item) for item in items] on min(thread_count(work), len(items)) workers:
+    the caller, then threads started for this call and joined before it returns.
 
-    A caller makes each call's buffers before `share`, so no started thread's
-    malloc arena keeps freed scratch. A call's exception reaches the caller
-    (the first failed call's, in argument order) once every call is done. Work
-    done inside a call gets `thread_count` 1, so a solve on a sweep's thread
-    starts no thread.
+    Each worker's context is made by `make` on the caller before any thread
+    starts, so no started thread's malloc arena keeps freed scratch, and each
+    worker takes the next item left. Once every item is done, the first failed
+    item's exception (in item order) is raised. Work done inside an item gets
+    `thread_count` 1, so a share inside a share runs on its caller alone.
     """
-    done = [None] * len(args)  # (result, exception) of each call
+    done = [None] * len(items)  # (result, exception) of each item
+    left = iter(range(len(items)))  # each worker takes the next item left
 
-    def call(i):
+    def run(context):
         busy, _share_call.busy = getattr(_share_call, "busy", False), True
         try:
-            done[i] = fn(args[i]), None
-        except BaseException as exc:  # handed to the caller, which raises it
-            done[i] = None, exc
+            for i in left:
+                try:
+                    done[i] = fn(context, items[i]), None
+                except BaseException as exc:  # handed to the caller, which raises it
+                    done[i] = None, exc
         finally:
             _share_call.busy = busy
 
-    threads = [threading.Thread(target=call, args=(i,)) for i in range(1, len(args))]
+    contexts = [make() for _ in range(min(thread_count(work), len(items)))]
+    threads = [threading.Thread(target=run, args=(context,)) for context in contexts[1:]]
     for thread in threads:
         thread.start()
-    if args:
-        call(0)
+    if contexts:
+        run(contexts[0])
     for thread in threads:
         thread.join()
     for _, error in done:
@@ -212,11 +215,11 @@ def eigh_tridiagonal(h, consumers: Callable[[np.ndarray], Iterable[Callable]] | 
 
     `consumers`, if given, gets the ascending eigenvalues before any vector
     is solved and returns the readers: reader(lo, rows) gets the read-only
-    (k x sites) rows of certified states lo..lo+k-1, one run per thread; None
+    (k x sites) rows of certified states lo..lo+k-1, one run per worker; None
     means no readers, for the values and bounds alone. The verdict comes after
     the last block, so nothing a reader gathered may be written before this
-    returns. `thread_count` of the dstein work caps the threads that `share`
-    each slab, and that of the sites x states the threads that read a block.
+    returns. `share` hands out each slab's groups by the whole dstein work, and
+    each block's `thread_count(sites x states)` reader runs.
     """
     diag, offdiag = h.diag, h.offdiag
     if diag.size == 0:
@@ -275,15 +278,16 @@ def eigh_tridiagonal(h, consumers: Callable[[np.ndarray], Iterable[Callable]] | 
                      (e.ctypes.data + 8 * offset).tolist(), at[:, 1].tolist(),
                      (values.ctypes.data + 8 * first).tolist(),
                      [row[f:f + c] for f, c in zip(first.tolist(), count.tolist())],
-                     offset.tolist(), (offset + size).tolist()))
+                     offset.tolist(), (offset + size).tolist(), (values[first] * unit).tolist()))
     extent = size * count
 
     def scratch(slab):
         # dstein's IBLOCK, Z, WORK, IWORK, IFAIL and INFO for the slab's largest block and group
         sites = int(size[slab].max())
-        return (np.ones(sites, dtype=_LAPACK_INT), np.empty(int(extent[slab].max())),
-                np.empty(5 * sites), np.empty(sites, dtype=_LAPACK_INT),
-                np.empty(sites, dtype=_LAPACK_INT), np.zeros(1, dtype=_LAPACK_INT))
+        buffers = (np.ones(sites, dtype=_LAPACK_INT), np.empty(int(extent[slab].max())),
+                   np.empty(5 * sites), np.empty(sites, dtype=_LAPACK_INT),
+                   np.empty(sites, dtype=_LAPACK_INT), np.zeros(1, dtype=_LAPACK_INT))
+        return buffers, [buffer.ctypes.data for buffer in buffers]
 
     certificate = _Certificate(diag, offdiag, levels)
     floor = rounding_floor(levels)
@@ -293,13 +297,13 @@ def eigh_tridiagonal(h, consumers: Callable[[np.ndarray], Iterable[Callable]] | 
     # a row is written on its own block's sites only: clear reused rows where that matters
     clear = sizes.size > 1 + mirrored
 
-    def read(run):  # one thread's contiguous run of the block's states
+    def read(_, run):  # one worker's contiguous run of the block's states
         start, stop = int(run[0]), int(run[-1]) + 1
         for reader in readers:
             reader(lo + start, rows[start:stop])
 
     base = solved = 0  # window row 0 holds state `base`; states below `solved` are complete
-    threads, solvers = thread_count(n * n), thread_count(int(np.sum(extent)))
+    runs = thread_count(n * n)
     for lo, end, need in zip(range(0, n, STATE_BLOCK), certificate.ends.tolist(),
                              frontier.tolist()):
         if need > solved:
@@ -310,15 +314,8 @@ def eigh_tridiagonal(h, consumers: Callable[[np.ndarray], Iterable[Callable]] | 
             if clear:
                 fresh.fill(0.0)
             slab = slabs[need]
-            queue = iter(slab.tolist())  # each thread takes the next group left
-            failures = [f for f in share(
-                lambda buffers: _solve_groups(queue, tasks, window, base, buffers),
-                [scratch(slab) for _ in range(min(solvers, slab.size))])
-                if f is not None]
-            if failures:
-                task, info = min(failures)
-                raise SolverError(f"inverse iteration failed near "
-                                  f"{values[first[task]] * unit:.6g} (dstein info {info})")
+            share(lambda buffers, g: _solve_group(tasks[g], window, base, buffers),
+                  slab.tolist(), int(np.sum(extent)), lambda: scratch(slab))
             if mirrored:
                 _unfold(fresh, order[solved:need] >= m)
             _sub_floor_basis(fresh, levels[solved:need], floor)
@@ -328,7 +325,7 @@ def eigh_tridiagonal(h, consumers: Callable[[np.ndarray], Iterable[Callable]] | 
         if readers:
             rows = window[lo - base:min(lo + STATE_BLOCK, n) - base].view()
             rows.flags.writeable = False
-            share(read, np.array_split(range(rows.shape[0]), min(threads, rows.shape[0])))
+            share(read, np.array_split(range(rows.shape[0]), min(runs, rows.shape[0])), n * n)
     residual, ortho = certificate.bounds()
     return EigenSystem(levels, residual_bound=residual, ortho_bound=ortho)
 
@@ -391,23 +388,20 @@ def _sub_floor_basis(rows, values, floor: float) -> None:
             rows[lo:hi] = basis.T @ cluster
 
 
-def _solve_groups(tasks_left, tasks, rows, base, buffers):
-    """Run dstein on each task taken from `tasks_left`, in one thread's buffers.
+def _solve_group(task, rows, base, buffers) -> None:
+    """Run dstein on one group, in one worker's buffers, into its rows of the window.
 
-    buffers: IBLOCK (all ones), Z, WORK, IWORK, IFAIL, INFO; a task: the
-    addresses of N (= ISPLIT(1) = LDZ), D, E, M and W, the group's states and
-    its block's sites. Z's columns are rows of the window, whose row 0 holds
-    state `base`. Returns (task, info) of the first failure, else None.
+    buffers: IBLOCK (all ones), Z, WORK, IWORK, IFAIL and INFO, and their
+    addresses; a task: the addresses of N (= ISPLIT(1) = LDZ), D, E, M and W,
+    the group's states, its block's sites and its lowest level. Z's columns are
+    rows of the window, whose row 0 holds state `base`.
     """
-    piece, info = buffers[1], buffers[-1]
-    iblock_at, piece_at, *arrays_at = (buffer.ctypes.data for buffer in buffers)
-    for task in tasks_left:
-        n_at, d_at, e_at, m_at, w_at, members, lo, hi = tasks[task]
-        _dstein(n_at, d_at, e_at, m_at, w_at, iblock_at, n_at, piece_at, n_at, *arrays_at)
-        if info[0]:
-            return task, int(info[0])
-        rows[members - base, lo:hi] = piece[:members.size * (hi - lo)].reshape(-1, hi - lo)
-    return None
+    (_, piece, *_, info), (iblock_at, piece_at, *arrays_at) = buffers
+    n_at, d_at, e_at, m_at, w_at, members, lo, hi, level = task
+    _dstein(n_at, d_at, e_at, m_at, w_at, iblock_at, n_at, piece_at, n_at, *arrays_at)
+    if info[0]:
+        raise SolverError(f"inverse iteration failed near {level:.6g} (dstein info {int(info[0])})")
+    rows[members - base, lo:hi] = piece[:members.size * (hi - lo)].reshape(-1, hi - lo)
 
 
 def dense_oracle(h) -> EigenSystem:

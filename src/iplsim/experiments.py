@@ -32,6 +32,7 @@ from .rng import SplitMix64
 
 TOOL = f"iplsim {__version__}"
 EMIT_KINDS = ("csv", "pgm", "json")
+MAX_POINTS = 10_000  # focusing values per sweep, each a full run; the paper's grid has 25
 
 
 def _normalize_emit(emit) -> tuple[str, ...]:
@@ -116,9 +117,11 @@ def _preset(name: str, note: str, *, eps: float, profile: ProfileSpec,
 def focusing_grid(lf_min: float, lf_max: float, points: int) -> tuple[float, ...]:
     """`points` focusing values, log-spaced from lf_min to lf_max, both ends included;
     refused unless the ends read as finite numbers and points as an integer, with
-    points >= 2 and 0 < lf_min < lf_max."""
+    2 <= points <= MAX_POINTS and 0 < lf_min < lf_max."""
     lf_min, lf_max = read_real("lf_min", lf_min), read_real("lf_max", lf_max)
     points = read_integer("points", points)
+    if points > MAX_POINTS:  # refused before np.logspace allocates the grid
+        raise ValueError(f"points={points} exceeds the limit of {MAX_POINTS}")
     if points < 2 or not 0 < lf_min < lf_max < math.inf:
         raise ValueError(f"a focusing grid needs points >= 2 and 0 < lf_min < lf_max < inf, "
                          f"got points={points}, lf_min={lf_min}, lf_max={lf_max}")
@@ -355,13 +358,12 @@ def _sweep_grid(lf_values, base: RunConfig) -> tuple[float, ...]:
 def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
     """Delocalized fraction vs focusing, one full pipeline run per grid value.
 
-    Points run side by side on the caller and threads started for the sweep
-    (`eigensolver.share`), up to one per core (`thread_count` of their summed
-    sites x states), each taking the next point left; each point is stored at
-    its index, so the rows keep the input order, and per-point failures become
-    rows, not aborts. A point's solve inside the share starts no thread of its
-    own, so the working set is one point's window per point in flight: a fifth
-    of a 1002-site point's vectors, and the edge weights only.
+    The points are the items of one `eigensolver.share` call, by their summed
+    sites x states, which runs them side by side and keeps the rows in the
+    input order; per-point failures become rows, not aborts. A point's solve
+    inside the share starts no thread of its own, so the working set is one
+    point's window per point in flight: a fifth of a 1002-site point's vectors,
+    and the edge weights only.
     """
     lf_values = _sweep_grid(lf_values, base)
 
@@ -372,17 +374,8 @@ def sweep_lf(lf_values, base: RunConfig) -> list[SweepPoint]:
         except Exception as exc:  # per-point isolation, sweep must go on
             return SweepPoint(lf=lf, fraction=None, error=f"{type(exc).__name__}: {exc}")
 
-    points: list[SweepPoint | None] = [None] * len(lf_values)
-    left = iter(enumerate(lf_values))  # each thread takes the next point left
-
-    def run(_) -> None:
-        for i, lf in left:
-            points[i] = point(lf)
-
     sites = 2 * base.profile.cells
-    threads = min(eigensolver.thread_count(len(lf_values) * sites * sites), len(lf_values))
-    eigensolver.share(run, range(threads))
-    return points
+    return eigensolver.share(lambda _, lf: point(lf), lf_values, len(lf_values) * sites * sites)
 
 
 def run_sweep(base: RunConfig, lf_values, out_dir: str | Path) -> RunManifest:

@@ -418,6 +418,24 @@ class TestRefusedBeforeCompute:
         assert capsys.readouterr().err == f"iplsim: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--cells", "10", "--center", "1.7e308", "--lf", "1e-308"],
+         "center=1.7e+308 and lf=1e-308 set a grid end center +- (pi/4)/(2 lf) that overflows"),
+        (["run", "--cells", "10", "--center", "1e308", "--lf", "0.3"],
+         "lf=0.3 sets a width of (pi/4)/lf = 2.6179938779914944, but phi_end - phi_start = 0.0 "
+         "(phi_start=1e+308, phi_end=1e+308)"),
+        (["run", "--cells", "10", "--center", "1e16", "--lf", "0.3"],
+         "lf=0.3 sets a width of (pi/4)/lf = 2.6179938779914944, but phi_end - phi_start = 4.0 "
+         "(phi_start=9999999999999998.0, phi_end=1.0000000000000002e+16)"),
+        (["sweep", "--cells", "10", "--points", "10000000000000"],
+         "points=10000000000000 exceeds the limit of 10000"),
+    ], ids=["center-overflows", "center-swallows-width", "center-rounds-width", "points"])
+    def test_a_grid_the_floats_cannot_hold_is_refused_by_a_flag_that_was_set(
+            self, argv, message, tmp_path, no_compute, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"iplsim: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_preset_accepts_csv(self):
         cmd = parse_args(["preset", "fig4_inset_sweep", "--emit", "csv", "--out", "x"])
         assert len(cmd.flags["lf_values"]) == 25

@@ -802,66 +802,125 @@ class TestThreadedKernel:
         assert len(runs) == math.ceil(eig.size / STATE_BLOCK) * min(eigensolver._WORKERS,
                                                                     STATE_BLOCK)
 
-    def test_share_runs_the_first_call_on_the_caller_and_each_other_on_a_thread_of_its_own(
-            self):
-        caller, before = threading.get_ident(), threading.active_count()
+    def test_share_runs_a_worker_on_the_caller_and_each_other_on_a_thread_of_its_own(
+            self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_WORKERS", 3)
+        work = 3 * eigensolver._THREAD_WORK
+        caller, before, built = threading.get_ident(), threading.active_count(), []
 
-        def call(arg):
-            return arg, threading.get_ident(), threading.active_count()
+        def make():  # every context is built on the caller before any thread starts
+            built.append((threading.get_ident(), threading.active_count()))
+            return len(built)
 
-        # one call runs on the caller and starts no thread
-        assert share(call, ["a"]) == [("a", caller, before)]
-        # every call waits for the others before and after it looks, so all three
-        # threads are alive while each looks
-        meet = threading.Barrier(3, timeout=60)
+        def call(context, item):
+            return item, context, threading.get_ident(), threading.active_count()
 
-        def meeting(arg):
+        # one item runs on the caller and starts no thread
+        assert share(call, ["a"], work, make) == [("a", 1, caller, before)]
+        assert built == [(caller, before)]
+        # every worker waits for the others before and after it looks, so each
+        # takes one item and all three threads are alive while each looks
+        meet, built = threading.Barrier(3, timeout=60), []
+
+        def meeting(context, item):
             meet.wait()
-            seen = call(arg)
+            seen = call(context, item)
             meet.wait()
             return seen
 
-        done = share(meeting, ["a", "b", "c"])
-        assert [arg for arg, *_ in done] == ["a", "b", "c"]
-        assert done[0][1] == caller and len({thread for _, thread, _ in done}) == 3
+        done = share(meeting, ["a", "b", "c"], work, make)
+        assert built == [(caller, before)] * 3
+        assert [item for item, *_ in done] == ["a", "b", "c"]
+        assert sorted(context for _, context, *_ in done) == [1, 2, 3]
+        assert caller in {thread for *_, thread, _ in done}
+        assert len({thread for *_, thread, _ in done}) == 3
         assert [count for *_, count in done] == [before + 2] * 3
         # every thread is joined before share returns
         assert threading.active_count() == before
 
-    def test_a_failing_call_raises_in_the_caller_after_every_call_is_done(self):
+    def test_workers_are_the_thread_count_of_the_work_and_at_most_one_per_item(
+            self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_WORKERS", 3)
+        unit, built = eigensolver._THREAD_WORK, []
+        for work, items, workers in [(unit, 5, 1), (2 * unit, 5, 2), (9 * unit, 5, 3),
+                                     (9 * unit, 2, 2)]:
+            built.clear()
+            assert share(lambda _, item: item, range(items), work, lambda: built.append(1)
+                         ) == list(range(items))
+            assert len(built) == workers
+
+    def test_every_item_runs_once_when_items_outnumber_workers(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_WORKERS", 4)
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
+        before, contexts, ran = threading.active_count(), [], []
+
+        def call(context, item):
+            ran.append((item, context))
+            time.sleep(0)  # let another worker take the next item
+            return -item
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            done = share(call, range(500), 500, lambda: contexts.append(object()) or contexts[-1])
+        finally:
+            sys.setswitchinterval(interval)
+        assert done == [-item for item in range(500)]
+        assert sorted(item for item, _ in ran) == list(range(500))
+        assert len(contexts) == 4 and {id(c) for _, c in ran} <= {id(c) for c in contexts}
+        assert threading.active_count() == before
+
+    def test_a_failing_item_raises_in_the_caller_after_every_item_is_done(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_WORKERS", 2)
+        monkeypatch.setattr(eigensolver, "_THREAD_WORK", 1)
         done, before = [], threading.active_count()
 
-        def call(arg):
-            if arg in (2, 3):
-                raise ValueError(f"call {arg}")
+        def call(_, item):
+            time.sleep(0.1 * (item == 2))  # the later item fails first
+            if item in (2, 3):
+                raise ValueError(f"item {item}")
             time.sleep(0.05)
-            done.append(arg)
+            done.append(item)
 
-        # the first failed call's exception, in argument order
-        with pytest.raises(ValueError, match="^call 2$"):
-            share(call, [0, 1, 2, 3])
-        assert sorted(done) == [0, 1]
+        # the first failed item's exception, in item order
+        with pytest.raises(ValueError, match="^item 2$"):
+            share(call, [0, 1, 2, 3, 4, 5], 6)
+        assert sorted(done) == [0, 1, 4, 5]
         assert threading.active_count() == before
-        # the caller's own call may fail too: the other calls still finish first
-        with pytest.raises(ValueError, match="^call 3$"):
-            share(call, [3, 4])
-        assert sorted(done) == [0, 1, 4]
+        # a failure on the first item, which either worker may take: the rest still run
+        with pytest.raises(ValueError, match="^item 3$"):
+            share(call, [3, 4], 2)
+        assert sorted(done) == [0, 1, 4, 4, 5]
         assert threading.active_count() == before
 
-    def test_sharing_no_calls_calls_nothing(self):
+    def test_sharing_no_items_calls_nothing(self):
         ran, before = [], threading.active_count()
-        assert share(ran.append, []) == []
+        assert share(lambda *args: ran.append(args), [], 1 << 40,
+                     lambda: ran.append("context")) == []
         assert ran == [] and threading.active_count() == before
 
-    def test_work_inside_a_shared_call_gets_one_thread(self, monkeypatch):
+    def test_a_share_inside_a_share_runs_on_its_caller_alone(self, monkeypatch):
         monkeypatch.setattr(eigensolver, "_WORKERS", 3)
         work = 3 * eigensolver._THREAD_WORK
+        before = threading.active_count()
         assert eigensolver.thread_count(work) == 3
-        # on the caller and on each thread, while a call runs
-        assert share(lambda _: eigensolver.thread_count(work), [0, 1, 2]) == [1, 1, 1]
-        # the caller's flag is put back after its call, also when the call raised
+
+        def inner(_, item):
+            return threading.get_ident(), eigensolver.thread_count(work)
+
+        def outer(_, item):
+            built = []
+            seen = share(inner, range(4), work, lambda: built.append(threading.get_ident()))
+            return threading.get_ident(), built, seen
+
+        # on the caller and on each thread, while an item runs
+        for thread, built, seen in share(outer, range(3), work):
+            assert built == [thread]
+            assert seen == [(thread, 1)] * 4
+        assert threading.active_count() == before
+        # the caller's flag is put back after its items, also when an item raised
         with pytest.raises(ZeroDivisionError):
-            share(lambda arg: 1 / arg, [0, 1])
+            share(lambda _, item: 1 / item, [0, 1], work)
         assert eigensolver.thread_count(work) == 3
 
     def test_workers_are_the_cores_the_process_may_run_on(self):

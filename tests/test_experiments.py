@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from iplsim.eigensolver import SolverError
 from iplsim.experiments import (
@@ -129,6 +130,8 @@ class TestPresetTable:
         (("half", 100.0, 3), "^lf_min must be a number, got 'half'$"),
         ((0.5, math.inf, 3), "^lf_max must be finite, got inf$"),
         ((math.nan, 100.0, 3), "^lf_min must be finite, got nan$"),
+        ((0.5, 100.0, 10_001), "^points=10001 exceeds the limit of 10000$"),
+        ((0.5, 100.0, 10**13), "^points=10000000000000 exceeds the limit of 10000$"),
     ])
     def test_focusing_grid_reads_its_arguments_before_the_grid_check(self, args, match):
         with pytest.raises(ValueError, match=match):
@@ -280,7 +283,7 @@ class TestExecuteAndManifest:
         def forbidden(*args):
             raise AssertionError("a vector was solved")
 
-        monkeypatch.setattr(es, "_solve_groups", forbidden)
+        monkeypatch.setattr(es, "_solve_group", forbidden)
         with pytest.raises(ValueError, match=r"band 2 out of range \(found 2 bands\)"):
             execute(small_config(map_selection="band:2"), tmp_path / "out")
         assert not (tmp_path / "out").exists()
@@ -496,22 +499,33 @@ class TestSweep:
         monkeypatch.setattr(eigensolver, "_WORKERS", 4 * eigensolver._WORKERS)
         calls, threads, share = [], threading.active_count(), eigensolver.share
 
-        def recording(fn, args):
-            calls.append((len(args), threading.active_count() - threads))
-            return share(fn, args)
+        def recording(fn, items, work, make=lambda: None):
+            caller, ran = threading.get_ident(), set()
+
+            def call(context, item):
+                ran.add(threading.get_ident())
+                return fn(context, item)
+
+            # the workers this share runs, and the threads alive as it starts
+            workers = min(eigensolver.thread_count(work), len(items))
+            started = threading.active_count() - threads
+            result = share(call, items, work, make)
+            calls.append((workers, started, ran == {caller}))
+            return result
 
         monkeypatch.setattr(eigensolver, "share", recording)
         assert sweep_lf(lf_values, base) == want
         sweep = min(eigensolver._WORKERS, len(lf_values))
-        # the sweep's share, then one call at a time on each point's solve, which
-        # sees no thread but the sweep's
-        assert calls[0] == (sweep, 0) and len(calls) > len(lf_values)
-        assert all(count == 1 and started < sweep for count, started in calls[1:])
+        # the sweep's share (recorded last), and each point's solve's shares,
+        # which see no thread but the sweep's and run on their caller alone
+        assert calls[-1][:2] == (sweep, 0) and len(calls) > len(lf_values)
+        assert all(workers == 1 and started < sweep and alone
+                   for workers, started, alone in calls[:-1])
         assert threading.active_count() == threads
         # a solve outside the sweep shares its readers over every core again
         calls.clear()
         run_config(configure(base, {"lf": 0.5}), profile=False)
-        assert max(count for count, _ in calls) == eigensolver._WORKERS
+        assert max(workers for workers, *_ in calls) == eigensolver._WORKERS
 
     def test_fraction_rises_with_focusing(self):
         points = sweep_lf([0.5, 50.0], small_config(cells=24))
@@ -988,3 +1002,48 @@ def test_a_manifest_missing_a_required_key_is_refused_by_name(key, tmp_path):
     with pytest.raises(ValueError, match=match):
         replay(path, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+# any float, subnormals, infinities and NaN included, or a bool
+_REALS = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                   st.booleans())
+# a lattice size that fits, any integer up to 2^70, one past int64 and up to
+# 2^70 more often than that draw gives, or a bool
+_INTEGERS = st.one_of(st.integers(min_value=2, max_value=40),
+                      st.integers(min_value=-2**70, max_value=2**70),
+                      st.integers(min_value=56, max_value=70).flatmap(
+                          lambda bits: st.integers(min_value=2**(bits - 1), max_value=2**bits)),
+                      st.booleans())
+_SETTINGS = {
+    **{key: _REALS for key in ("center", "lf", "phi_start", "phi_end", "d1", "d2", "eps")},
+    "cells": _INTEGERS, "revolutions": _INTEGERS,
+    "profile": st.sampled_from(("linear", "revolutions", "random_phase", "random_onsite")),
+}
+
+
+@st.composite
+def flat_settings(draw):
+    """A few of the keys, each with a value from the whole range of its kind."""
+    keys = draw(st.sets(st.sampled_from(sorted(_SETTINGS)), max_size=len(_SETTINGS)))
+    return {key: draw(_SETTINGS[key]) for key in sorted(keys)}
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig7_8", "fig9_10", "fig6", "fig5"])
+@settings(max_examples=300, deadline=None)
+@given(flat=flat_settings())
+# a revolution count past int64, and centers whose grid ends swallow or round the width
+@example(flat={"revolutions": 2**64 + 1})
+@example(flat={"center": 1e308, "lf": 0.3})
+@example(flat={"center": 1e16, "lf": 0.3})
+def test_flat_settings_are_refused_or_build_a_finite_operator(name, flat):
+    try:
+        config = configure(preset_config(name), flat)
+        h = build_hamiltonian(config)
+    except ValueError:
+        return
+    assert np.all(np.isfinite(h.diag)) and np.all(np.isfinite(h.offdiag))
+    assert math.isfinite(eigensolver._scale(h.diag, h.offdiag))
+    spec = config.profile
+    if spec.lf is not None:  # a grid placed by lf spans (pi/4)/lf, to 1%
+        target = QUARTER_TURN / spec.lf
+        assert abs((spec.phi_end - spec.phi_start) - target) <= 0.01 * target

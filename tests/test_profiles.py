@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from iplsim.profiles import (
     MAX_SITES,
@@ -113,6 +113,17 @@ class TestRevolutions:
         assert p.min() >= 0.2 - 1e-15
         assert p.max() <= 0.9 + 1e-15
 
+    @given(st.integers(min_value=2**64 - 2**20, max_value=2**64 + 2**20),
+           st.integers(min_value=2, max_value=60), st.integers(min_value=-3, max_value=3))
+    # 2^62 + 3 wrapped in the int64 product with the cell index, and 10^20 overflowed it
+    @example(revs=2**62 + 3, cells=10, k=0)
+    @example(revs=10**20, cells=10, k=1)
+    def test_the_wave_depends_on_revolutions_modulo_cells_minus_one(self, revs, cells, k):
+        p = revolutions(0.2, 0.9, revs, cells)
+        assert np.array_equal(p, revolutions(0.2, 0.9, revs + k * (cells - 1), cells))
+        small = revs % (cells - 1) or cells - 1
+        assert np.array_equal(p, revolutions(0.2, 0.9, small, cells))
+
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError, match="below"):
             ProfileSpec("revolutions", 10, phi_start=1.0, phi_end=0.5, revolutions=1)
@@ -185,6 +196,21 @@ class TestProfileSpec:
         with pytest.raises(ValueError, match=r"^phi_end - phi_start overflows: "
                                              r"phi_start=-1e\+308, phi_end=1e\+308$"):
             ProfileSpec(kind, 10, phi_start=-1e308, phi_end=1e308, **fields)
+
+    @pytest.mark.parametrize("center", [1e16, 1e308, -1e200])
+    def test_ends_too_large_for_the_width_are_refused(self, center):
+        # the width of ends this large rounds far from (pi/4)/lf, whatever the ulps allow
+        width = QUARTER_TURN / 0.3
+        with pytest.raises(ValueError, match=r"^lf=0.3 sets a width of \(pi/4\)/lf = 2.61799"):
+            ProfileSpec.linear(center, 0.3, 10)
+        with pytest.raises(ValueError, match=r"^lf=0.3 sets a width"):
+            ProfileSpec("linear", 10, phi_start=center - width / 2,
+                        phi_end=center + width / 2, lf=0.3)
+
+    def test_a_center_whose_grid_end_overflows_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^center=1.7e\+308 and lf=1e-308 set a grid end "
+                                             r"center \+- \(pi/4\)/\(2 lf\) that overflows$"):
+            ProfileSpec.linear(1.7e308, 1e-308, 10)
 
     def test_an_lf_whose_width_overflows_is_refused_by_name(self):
         with pytest.raises(ValueError, match=r"^lf=1e-320 sets a width \(pi/4\)/lf "
